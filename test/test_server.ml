@@ -712,47 +712,85 @@ let test_engine_delay_faults_invariant () =
 
 let test_engine_matches_evaluate () =
   (* A single job on the whole platform must behave exactly like the
-     offline evaluator: same state machine, same engine, same numbers. *)
-  let cluster = Cluster.chti in
+     offline evaluator: same state machine, same engine, same numbers —
+     on a flat cluster and on one with shared cabinet uplinks, for every
+     mapping family. *)
+  let strategies =
+    [
+      Core.Rats.Baseline;
+      Core.Rats.Delta Core.Rats.naive_delta;
+      Core.Rats.Timecost Core.Rats.naive_timecost;
+    ]
+  in
+  let check_one cluster strategy =
+    let what s =
+      Printf.sprintf "%s/%s: %s" cluster.Cluster.name
+        (Core.Rats.strategy_name strategy) s
+    in
+    let r = request ~strategy (fft 4 1) in
+    let _, offline = Api.run_local ~cluster r in
+    let engine = Engine.create (config cluster) in
+    (match Engine.submit engine ~at:0. r with
+    | Ok (_ : int) -> ()
+    | Error e -> Alcotest.failf "submit failed: %s" e);
+    ignore (Engine.drain engine);
+    let events = Engine.events engine in
+    (* The whole redistribution stream, bit for bit: one event per paid
+       span, stamped at the arrival of its last byte. *)
+    let online_spans =
+      List.filter_map
+        (fun ev ->
+          match ev.Api.event with
+          | Api.Redistribution { src_task; dst_task; bytes; started } ->
+              Some (src_task, dst_task, bytes, started, ev.Api.t)
+          | _ -> None)
+        events
+    in
+    let offline_spans =
+      List.map
+        (fun s ->
+          Core.Evaluate.
+            (s.src_task, s.dst_task, s.span_bytes, s.span_start, s.span_finish))
+        offline.Core.Evaluate.spans
+    in
+    check Alcotest.bool (what "some redistributions paid") true
+      (offline_spans <> []);
+    check Alcotest.bool (what "redistribution stream bit-equal") true
+      (List.sort compare online_spans = List.sort compare offline_spans);
+    let completed =
+      List.find_map
+        (fun ev ->
+          match ev.Api.event with
+          | Api.Completed
+              {
+                makespan;
+                remote_bytes;
+                redistributions;
+                avoided;
+                sojourn = _;
+                waited = _;
+              } ->
+              Some (ev.Api.t, makespan, remote_bytes, redistributions, avoided)
+          | _ -> None)
+        events
+    in
+    match completed with
+    | None -> Alcotest.fail (what "no completion event")
+    | Some (at, makespan, remote_bytes, redistributions, avoided) ->
+        check Alcotest.bool (what "makespan bit-equal") true
+          (makespan = offline.Core.Evaluate.makespan);
+        check Alcotest.bool (what "remote bytes bit-equal") true
+          (remote_bytes = offline.Core.Evaluate.remote_bytes);
+        check Alcotest.int (what "redistributions")
+          offline.Core.Evaluate.redistributions redistributions;
+        check Alcotest.int (what "avoided") offline.Core.Evaluate.avoided
+          avoided;
+        check Alcotest.bool (what "completion stamp = makespan") true
+          (at = offline.Core.Evaluate.makespan)
+  in
   List.iter
-    (fun strategy ->
-      let r = request ~strategy (fft 4 1) in
-      let _, offline = Api.run_local ~cluster r in
-      let engine = Engine.create (config cluster) in
-      (match Engine.submit engine ~at:0. r with
-      | Ok (_ : int) -> ()
-      | Error e -> Alcotest.failf "submit failed: %s" e);
-      ignore (Engine.drain engine);
-      let completed =
-        List.find_map
-          (fun ev ->
-            match ev.Api.event with
-            | Api.Completed
-                {
-                  makespan;
-                  remote_bytes;
-                  redistributions;
-                  avoided;
-                  sojourn = _;
-                  waited = _;
-                } ->
-                Some (ev.Api.t, makespan, remote_bytes, redistributions, avoided)
-            | _ -> None)
-          (Engine.events engine)
-      in
-      match completed with
-      | None -> Alcotest.fail "no completion event"
-      | Some (at, makespan, remote_bytes, redistributions, avoided) ->
-          check Alcotest.bool "makespan bit-equal" true
-            (makespan = offline.Core.Evaluate.makespan);
-          check Alcotest.bool "remote bytes bit-equal" true
-            (remote_bytes = offline.Core.Evaluate.remote_bytes);
-          check Alcotest.int "redistributions"
-            offline.Core.Evaluate.redistributions redistributions;
-          check Alcotest.int "avoided" offline.Core.Evaluate.avoided avoided;
-          check Alcotest.bool "completion stamp = makespan" true
-            (at = offline.Core.Evaluate.makespan))
-    [ Core.Rats.Baseline; Core.Rats.Delta Core.Rats.naive_delta ]
+    (fun cluster -> List.iter (check_one cluster) strategies)
+    [ Cluster.chti; Cluster.grelon ]
 
 let test_journal_resume () =
   with_dir @@ fun dir ->

@@ -10,12 +10,11 @@
 #                           the smoke test of crash-resumable sweeps
 #   make trace-smoke        cold fig2 run with --trace/--metrics, then validate
 #                           both files and render an SVG timeline
-#   make server-smoke       ratsd end-to-end: live socket session, kill -9 +
-#                           journal resume (bit-exact event log), selftest
-#                           load driver
-#   make chaos-smoke        ratsd under fire: delay faults + kill -9 mid-trace
-#                           (bit-exact resume), slow-client eviction, overload
-#                           shedding/deadlines, corrupt/disconnect survival
+#   make chaos-smoke        ratsd end-to-end under fire: live socket session,
+#                           delay faults + kill -9 mid-trace (bit-exact
+#                           resume), slow-client eviction, overload
+#                           shedding/deadlines, corrupt/disconnect survival,
+#                           selftest load driver
 #   make workload-smoke     workload.exe three-arm study: same-seed byte
 #                           determinism, save-trace/replay round-trip, worker
 #                           independence
@@ -39,9 +38,8 @@
 #   make salt-check         warn when lib/{sim,core,dag,redist} changed
 #                           without a Cache.version bump (STRICT=1 to fail)
 #   make check              build + tier-1 tests + lint + lint-smoke +
-#                           trace-smoke + server-smoke + chaos-smoke +
-#                           workload-smoke + studio-smoke + flags-check +
-#                           advisory salt-check
+#                           trace-smoke + chaos-smoke + workload-smoke +
+#                           studio-smoke + flags-check + advisory salt-check
 #   make clean-cache        drop the on-disk result cache and journal
 #                           (bench_results/.cache, bench_results/.journal)
 #   make clean              dune clean
@@ -50,7 +48,7 @@ JOBS ?= 0   # 0 = auto (RATS_JOBS or all cores; this container has 1)
 JOBS_FLAG := $(if $(filter-out 0,$(JOBS)),-j $(JOBS),)
 
 .PHONY: build test test-fault bench-smoke bench-resume-smoke bench-archive \
-  trace-smoke server-smoke chaos-smoke workload-smoke studio-smoke \
+  trace-smoke chaos-smoke workload-smoke studio-smoke \
   flags-check lint lint-smoke salt-check check clean-cache clean
 
 build:
@@ -92,18 +90,13 @@ trace-smoke: build
 	  --require-bench-counters --svg bench_results/timeline.svg
 	rm -rf bench_results/.trace-cache
 
-# Service acceptance: live daemon/client session over the socket, kill -9 +
-# --resume replays the submission journal to a bit-identical event log, and
-# the selftest load driver pushes 120 jobs from 4 tenants through both
-# strategies with a byte-level determinism check.
-server-smoke: build
-	tools/server_smoke.sh
-
-# Robustness acceptance: deterministic fault injection at every service-layer
-# site, kill -9 + resume under delay faults with a byte-identical event log,
-# slow-client eviction without disturbing other tenants, overload shedding
-# with retry-after hints, queue-wait deadlines, and survival under corrupted
-# reads / forced disconnects (docs/SERVER.md "Failure semantics").
+# Service and robustness acceptance: a live daemon/client session over the
+# socket, deterministic fault injection at every service-layer site, kill -9
+# + --resume under delay faults with a byte-identical event log, slow-client
+# eviction without disturbing other tenants, overload shedding with
+# retry-after hints, queue-wait deadlines, survival under corrupted reads /
+# forced disconnects (docs/SERVER.md "Failure semantics"), and the selftest
+# load driver's byte-level determinism check.
 chaos-smoke: build
 	tools/chaos_smoke.sh
 
@@ -151,7 +144,6 @@ check: build
 	$(MAKE) lint
 	$(MAKE) lint-smoke
 	$(MAKE) trace-smoke
-	$(MAKE) server-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) workload-smoke
 	$(MAKE) studio-smoke

@@ -27,11 +27,15 @@ type result = {
    processors are acquired atomically, so no partial holds and no deadlock.
    Assigned tasks are considered in the mapper's estimated order, but a task
    whose data is late never blocks a later-ready one (no head-of-line
-   blocking), matching how a mixed-parallel runtime executes a schedule. *)
+   blocking), matching how a mixed-parallel runtime executes a schedule.
+   Processor indices are the schedule's (share-local) ones; only flow
+   endpoints are translated through [grant] onto the engine's platform. *)
 type sim_state = {
   schedule : Schedule.t;
   work_conserving : bool;
   optimize_placement : bool;
+  grant : int array;  (* local processor q runs on global grant.(q) *)
+  start_time : float;
   queues : int array array;  (* per processor: assigned tasks, mapper order *)
   busy : bool array;  (* per processor *)
   pending_inputs : int array;  (* per task: input redistributions in flight *)
@@ -39,11 +43,15 @@ type sim_state = {
   finished : bool array;
   starts : float array;
   finishes : float array;
+  mutable n_finished : int;
   mutable remote_bytes : float;
   mutable local_bytes : float;
   mutable redistributions : int;
   mutable avoided : int;
   mutable rev_spans : span list;
+  on_task_finish : int -> unit;
+  on_redistribution : span -> unit;
+  on_complete : result -> unit;
 }
 
 let build_queues schedule =
@@ -85,6 +93,24 @@ let strict_eligible st task procs =
   st.work_conserving
   || Procset.fold (fun q ok -> ok && first_unfinished st q = Some task) procs true
 
+let complete st eng =
+  Problem.publish_metrics (Schedule.problem st.schedule);
+  st.on_complete
+    {
+      makespan = Engine.now eng -. st.start_time;
+      starts = st.starts;
+      finishes = st.finishes;
+      remote_bytes = st.remote_bytes;
+      local_bytes = st.local_bytes;
+      redistributions = st.redistributions;
+      avoided = st.avoided;
+      spans =
+        List.sort
+          (fun a b ->
+            compare (a.span_start, a.dst_task) (b.span_start, b.dst_task))
+          st.rev_spans;
+    }
+
 let rec try_start st eng task =
   let e = Schedule.entry st.schedule task in
   if
@@ -122,8 +148,10 @@ and try_start_on_proc st eng q =
     | _ -> ()
 
 and on_finish st eng task =
+  st.on_task_finish task;
   st.finishes.(task) <- Engine.now eng;
   st.finished.(task) <- true;
+  st.n_finished <- st.n_finished + 1;
   let e = Schedule.entry st.schedule task in
   Procset.iter (fun q -> st.busy.(q) <- false) e.Schedule.procs;
   (* Launch the redistribution toward every successor. *)
@@ -156,12 +184,13 @@ and on_finish st eng task =
           let outstanding = ref (List.length remote) in
           List.iter
             (fun t ->
-              Engine.start_flow eng ~src:t.Redistribution.src
-                ~dst:t.Redistribution.dst ~bytes:t.Redistribution.bytes
+              Engine.start_flow eng ~src:st.grant.(t.Redistribution.src)
+                ~dst:st.grant.(t.Redistribution.dst)
+                ~bytes:t.Redistribution.bytes
                 ~on_complete:(fun eng ->
                   decr outstanding;
                   if !outstanding = 0 then begin
-                    st.rev_spans <-
+                    let span =
                       {
                         src_task = task;
                         dst_task = succ;
@@ -169,7 +198,9 @@ and on_finish st eng task =
                         span_finish = Engine.now eng;
                         span_bytes;
                       }
-                      :: st.rev_spans;
+                    in
+                    st.rev_spans <- span :: st.rev_spans;
+                    st.on_redistribution span;
                     arrival eng
                   end))
             remote
@@ -177,53 +208,76 @@ and on_finish st eng task =
       end)
     (Dag.succs dag task);
   (* Freed processors may admit their next eligible task. *)
-  Procset.iter (fun q -> try_start_on_proc st eng q) e.Schedule.procs
+  Procset.iter (fun q -> try_start_on_proc st eng q) e.Schedule.procs;
+  if st.n_finished = Array.length st.finished then complete st eng
 
-let run ?(work_conserving = true) ?(optimize_placement = true) schedule =
+let launch eng ~grant ?(work_conserving = true) ?(optimize_placement = true)
+    ?(on_task_finish = ignore) ?(on_redistribution = ignore) ~on_complete
+    schedule =
   let problem = Schedule.problem schedule in
+  let k = Problem.n_procs problem in
+  if Procset.size grant <> k then
+    invalid_arg
+      (Printf.sprintf
+         "Evaluate.start: schedule wants %d processors, grant has %d" k
+         (Procset.size grant));
   let n = Schedule.n_tasks schedule in
-  let eng = Engine.create (Problem.cluster problem) in
   let dag = Problem.dag problem in
   let st =
     {
       schedule;
       work_conserving;
       optimize_placement;
+      grant = Procset.to_array grant;
+      start_time = Engine.now eng;
       queues = build_queues schedule;
-      busy = Array.make (Problem.n_procs problem) false;
+      busy = Array.make k false;
       pending_inputs = Array.init n (fun i -> List.length (Dag.preds dag i));
       started = Array.make n false;
       finished = Array.make n false;
       starts = Array.make n nan;
       finishes = Array.make n nan;
+      n_finished = 0;
       remote_bytes = 0.;
       local_bytes = 0.;
       redistributions = 0;
       avoided = 0;
       rev_spans = [];
+      on_task_finish;
+      on_redistribution;
+      on_complete;
     }
   in
-  Engine.at eng 0. (fun eng ->
-      for q = 0 to Problem.n_procs problem - 1 do
+  (* Kick through the event queue (not inline) so replays started at the
+     same instant on a shared engine begin in call order. *)
+  Engine.at eng (Engine.now eng) (fun eng ->
+      for q = 0 to k - 1 do
         try_start_on_proc st eng q
       done);
-  let final = Engine.run eng in
-  Problem.publish_metrics problem;
+  st
+
+let start eng ~grant ?work_conserving ?optimize_placement ?on_task_finish
+    ?on_redistribution ~on_complete schedule =
+  ignore
+    (launch eng ~grant ?work_conserving ?optimize_placement ?on_task_finish
+       ?on_redistribution ~on_complete schedule
+      : sim_state)
+
+let run ?work_conserving ?optimize_placement schedule =
+  let problem = Schedule.problem schedule in
+  let eng = Engine.create (Problem.cluster problem) in
+  let result = ref None in
+  let st =
+    launch eng
+      ~grant:(Procset.range 0 (Problem.n_procs problem))
+      ?work_conserving ?optimize_placement
+      ~on_complete:(fun r -> result := Some r)
+      schedule
+  in
+  ignore (Engine.run eng : float);
   Array.iteri
     (fun i f ->
       if Float.is_nan f then
         failwith (Printf.sprintf "Evaluate.run: task %d never finished" i))
     st.finishes;
-  {
-    makespan = Float.max final (Array.fold_left Float.max 0. st.finishes);
-    starts = st.starts;
-    finishes = st.finishes;
-    remote_bytes = st.remote_bytes;
-    local_bytes = st.local_bytes;
-    redistributions = st.redistributions;
-    avoided = st.avoided;
-    spans =
-      List.sort
-        (fun a b -> compare (a.span_start, a.dst_task) (b.span_start, b.dst_task))
-        st.rev_spans;
-  }
+  Option.get !result

@@ -154,7 +154,10 @@ let parse s =
       advance ()
     done;
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
+    | Some v when Float.is_finite v -> v
+    (* Overflow (e.g. 1e999) would yield an infinity that JSON cannot
+       represent, so it could never be printed back and re-read. *)
+    | Some _ -> fail "number out of range"
     | None -> fail "bad number"
   in
   let rec parse_value () =

@@ -32,7 +32,7 @@
       client socket), ["server.client"] ([Crash] force-disconnects a
       client mid-session), ["engine.step"] ([Delay] before a dispatch
       batch), ["replay.task"] ([Delay] when a task finishes on the shared
-      simulator).
+      simulator, through [Rats_core.Evaluate.start]'s [on_task_finish]).
     - [delay_s=S] — duration of one injected delay in seconds
       (default 0.05).
     - [off] (alone) — explicitly disabled, same as unset. *)

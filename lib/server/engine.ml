@@ -5,6 +5,7 @@ module Journal = Rats_runtime.Journal
 module Pool = Rats_runtime.Pool
 module Fault = Rats_runtime.Fault
 module Schedule = Rats_core.Schedule
+module Evaluate = Rats_core.Evaluate
 module Rats = Rats_core.Rats
 module J = Rats_obs.Json
 module Metrics = Rats_obs.Metrics
@@ -144,32 +145,44 @@ let rec start_job t job grant schedule =
          procs = Procset.to_list grant;
          est_makespan = Schedule.makespan_estimated schedule;
        });
-  Replay.start t.sim ~schedule ~grant ?fault:t.config.fault
-    ~fault_key:(string_of_int job.id)
-    ~on_redistribution:(fun ~src_task ~dst_task ~bytes ~started ->
-      emit t job (Api.Redistribution { src_task; dst_task; bytes; started }))
-    ~on_complete:(fun (r : Replay.result) ->
+  let start_time = Sim.now t.sim in
+  Evaluate.start t.sim ~grant
+    ~on_task_finish:(fun task ->
+      (* Wall-clock stall only: simulated time (and thus the event log) is
+         untouched, which is what makes delay faults byte-identity-safe. *)
+      Fault.delay_point t.config.fault ~site:"replay.task"
+        ~key:(Printf.sprintf "%d:%d" job.id task))
+    ~on_redistribution:(fun s ->
+      emit t job
+        (Api.Redistribution
+           {
+             src_task = s.Evaluate.src_task;
+             dst_task = s.dst_task;
+             bytes = s.span_bytes;
+             started = s.span_start;
+           }))
+    ~on_complete:(fun (r : Evaluate.result) ->
+      let finish_time = Sim.now t.sim in
       t.free <- Procset.union t.free grant;
       adjust_outstanding t job.request.Api.tenant (-1);
       t.n_completed <- t.n_completed + 1;
       Metrics.incr Instr.server_jobs_completed;
-      let sojourn = r.finish_time -. job.arrival in
+      let sojourn = finish_time -. job.arrival in
       t.rev_sojourns <- sojourn :: t.rev_sojourns;
-      t.busy_time <-
-        t.busy_time +. (float_of_int job.n_procs *. (r.finish_time -. r.start_time));
+      t.busy_time <- t.busy_time +. (float_of_int job.n_procs *. r.makespan);
       Metrics.observe Instr.server_sojourn_seconds sojourn;
       emit t job
         (Api.Completed
            {
-             makespan = r.finish_time -. r.start_time;
+             makespan = r.makespan;
              sojourn;
-             waited = r.start_time -. job.arrival;
+             waited = start_time -. job.arrival;
              remote_bytes = r.remote_bytes;
              redistributions = r.redistributions;
              avoided = r.avoided;
            });
       dispatch t)
-    ()
+    schedule
 
 and dispatch t =
   (* Pop everything that fits right now, granting the lowest free

@@ -7,9 +7,9 @@
     job is validated against the {!Admission} policy, queued
     (FIFO-within-tenant, first-fit backfill — {!Jobq}), scheduled with its
     requested strategy against a processor share carved from the free set,
-    and replayed on the shared engine ({!Replay}), where its
-    redistributions contend with every other running job's. Each step emits
-    a typed, stamped {!Api.event}.
+    and replayed on the shared engine ({!Rats_core.Evaluate.start}), where
+    its redistributions contend with every other running job's. Each step
+    emits a typed, stamped {!Api.event}.
 
     {b Determinism.} The event log is a pure function of the arrival trace
     (the multiset of [(at, request)] pairs with their submission ids):
@@ -37,7 +37,8 @@ type config = {
   fault : Rats_runtime.Fault.t option;
       (** Arms the engine's injection sites (["engine.step"] before each
           dispatch batch, ["replay.task"] per task finish — both [Delay],
-          wall-clock only) and is passed to {!Replay.start}. [None]
+          wall-clock only; the latter through
+          {!Rats_core.Evaluate.start}'s [on_task_finish] hook). [None]
           disables injection; delay faults never change the event log. *)
   planner :
     (cluster:Rats_platform.Cluster.t ->

@@ -703,6 +703,77 @@ let test_evaluate_spans () =
   checkf "spans account for all remote bytes" r.Evaluate.remote_bytes total
 
 
+(* A schedule planned for a 10-processor share of chti (same links and
+   speed, flat), for replaying on a grant of the full platform. *)
+let share_schedule () =
+  let share =
+    Cluster.make ~name:"chti#10" ~topology:(Rats_platform.Topology.Flat 10)
+      ~speed_gflops:4.311 ()
+  in
+  let dag = Suite.generate { Suite.spec = Suite.Fft { k = 4 }; sample = 1 } in
+  Rats.schedule (Problem.make ~dag ~cluster:share) (Rats.Delta Rats.naive_delta)
+
+let test_evaluate_start_on_grant () =
+  (* Granted processors {10..19} of a fresh chti engine: flows cross the
+     same links in the same relative order as on the private 10-processor
+     engine, so every simulated float is bit-equal. *)
+  let s = share_schedule () in
+  let offline = Evaluate.run s in
+  let eng = Rats_sim.Engine.create Cluster.chti in
+  let got = ref None and streamed = ref [] in
+  Evaluate.start eng ~grant:(Procset.range 10 10)
+    ~on_redistribution:(fun span -> streamed := span :: !streamed)
+    ~on_complete:(fun r ->
+      if !got <> None then Alcotest.fail "on_complete fired twice";
+      got := Some r)
+    s;
+  ignore (Rats_sim.Engine.run eng : float);
+  match !got with
+  | None -> Alcotest.fail "on_complete never fired"
+  | Some r ->
+      check Alcotest.bool "makespan bit-equal" true
+        (r.Evaluate.makespan = offline.Evaluate.makespan);
+      check Alcotest.bool "starts bit-equal" true
+        (r.Evaluate.starts = offline.Evaluate.starts);
+      check Alcotest.bool "finishes bit-equal" true
+        (r.Evaluate.finishes = offline.Evaluate.finishes);
+      check Alcotest.bool "remote bytes bit-equal" true
+        (r.Evaluate.remote_bytes = offline.Evaluate.remote_bytes);
+      check Alcotest.int "redistributions" offline.Evaluate.redistributions
+        r.Evaluate.redistributions;
+      check Alcotest.int "avoided" offline.Evaluate.avoided r.Evaluate.avoided;
+      check Alcotest.bool "some spans" true (offline.Evaluate.spans <> []);
+      check Alcotest.bool "spans bit-equal" true
+        (r.Evaluate.spans = offline.Evaluate.spans);
+      check Alcotest.bool "callback saw every span" true
+        (List.sort compare !streamed = List.sort compare offline.Evaluate.spans)
+
+let test_evaluate_start_grant_size () =
+  let s = share_schedule () in
+  let eng = Rats_sim.Engine.create Cluster.chti in
+  match
+    Evaluate.start eng ~grant:(Procset.range 0 9) ~on_complete:ignore s
+  with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "wrong-size grant accepted"
+
+let test_evaluate_start_task_hook () =
+  let s = share_schedule () in
+  let eng = Rats_sim.Engine.create Cluster.chti in
+  let seen = Array.make (Schedule.n_tasks s) 0 in
+  let completed = ref false in
+  Evaluate.start eng ~grant:(Procset.range 0 10)
+    ~on_task_finish:(fun task ->
+      if !completed then Alcotest.fail "task finished after completion";
+      seen.(task) <- seen.(task) + 1)
+    ~on_complete:(fun _ -> completed := true)
+    s;
+  ignore (Rats_sim.Engine.run eng : float);
+  check Alcotest.bool "completed" true !completed;
+  Array.iteri
+    (fun i k -> check Alcotest.int (Printf.sprintf "task %d hook" i) 1 k)
+    seen
+
 let test_schedule_stats () =
   List.iter
     (fun (name, p) ->
@@ -796,6 +867,12 @@ let () =
             test_evaluate_counts_redistributions;
           Alcotest.test_case "contention slows" `Quick
             test_evaluate_slower_than_estimate_under_contention;
+          Alcotest.test_case "start on a grant" `Quick
+            test_evaluate_start_on_grant;
+          Alcotest.test_case "start grant size" `Quick
+            test_evaluate_start_grant_size;
+          Alcotest.test_case "start task hook" `Quick
+            test_evaluate_start_task_hook;
         ] );
       ( "algorithms",
         [

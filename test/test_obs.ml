@@ -40,6 +40,18 @@ let test_json_escapes () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing comma accepted"
 
+let test_json_non_finite () =
+  (* Numbers that overflow to an infinity have no JSON spelling. *)
+  List.iter
+    (fun doc ->
+      match Json.parse doc with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "non-finite number accepted: %s" doc)
+    [ "1e999"; "-1e999"; {|{"at": 1e999}|} ];
+  match Json.parse "1e-999" with
+  | Ok (Json.Num v) -> check (Alcotest.float 0.) "underflow is zero" 0. v
+  | _ -> Alcotest.fail "underflowing number rejected"
+
 let test_json_accessors () =
   match Json.parse {|{"xs": [1, 2, 3], "name": "n"}|} with
   | Error msg -> Alcotest.failf "parse: %s" msg
@@ -282,6 +294,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
       ( "trace",

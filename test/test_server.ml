@@ -265,6 +265,62 @@ let test_decoder_chunked () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decoder error not sticky"
 
+(* Overflowing numbers parse to infinities that the journal could not
+   re-read: such frames must be refused before they become a [Submit]. *)
+let test_decoder_non_finite () =
+  let with_overflow doc v =
+    let json = J.to_string doc and lit = J.to_string (J.Num v) in
+    let m = String.length lit in
+    let rec find i =
+      if i + m > String.length json then
+        Alcotest.failf "%s not found in %s" lit json
+      else if String.sub json i m = lit then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub json 0 i ^ "1e999"
+    ^ String.sub json (i + m) (String.length json - i - m)
+  in
+  let inline flop =
+    Api.Inline
+      {
+        name = "one";
+        tasks = [| { Api.data_elements = 10.; flop; alpha = 0.5 } |];
+        edges = [];
+      }
+  in
+  let hostile =
+    [
+      with_overflow
+        (Protocol.client_to_json
+           (Protocol.Submit { at = Some 7777.25; request = request (fft 2 0) }))
+        7777.25;
+      with_overflow
+        (Protocol.client_to_json
+           (Protocol.Submit { at = None; request = request (inline 4242.5) }))
+        4242.5;
+    ]
+  in
+  (* The daemon's read path: frame, decode, then interpret. *)
+  let receive payload =
+    let dec = Protocol.Decoder.create () in
+    let n = String.length payload in
+    let frame = Bytes.create (4 + n) in
+    Bytes.set_int32_be frame 0 (Int32.of_int n);
+    Bytes.blit_string payload 0 frame 4 n;
+    Protocol.Decoder.feed dec frame 0 (Bytes.length frame);
+    match Protocol.Decoder.next dec with
+    | Error _ as e -> e
+    | Ok None -> Alcotest.failf "frame not decoded: %s" payload
+    | Ok (Some doc) -> Protocol.client_of_json doc
+  in
+  List.iter
+    (fun payload ->
+      match receive payload with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "non-finite frame accepted: %s" payload)
+    hostile
+
 (* Fuzz: the decoder must never raise, must decode a valid prefix intact,
    and must turn any byte damage into a sticky error — regardless of how
    the stream is chunked. This is the offline twin of the daemon's
@@ -840,6 +896,8 @@ let () =
           Alcotest.test_case "protocol roundtrip" `Quick
             test_protocol_roundtrip;
           Alcotest.test_case "chunked decoder" `Quick test_decoder_chunked;
+          Alcotest.test_case "non-finite numbers" `Quick
+            test_decoder_non_finite;
           decoder_fuzz_test;
         ] );
       ( "admission",

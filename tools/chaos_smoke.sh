@@ -3,10 +3,12 @@
 # mid-trace, overload shedding, queue-wait deadlines and slow-client
 # eviction, all against one determinism oracle.
 #
-# Five phases (docs/SERVER.md "Failure semantics" documents the semantics
+# Six phases (docs/SERVER.md "Failure semantics" documents the semantics
 # each one exercises):
 #   1. reference: an unfaulted daemon plays a Poisson load trace to
-#      completion; its event log is the oracle for phases 2 and 3;
+#      completion and answers stats; its event log (which must hold the
+#      submitted/admitted/started/completed lifecycle) is the oracle for
+#      phases 2 and 3;
 #   2. chaos kill/resume: the same trace against a daemon with every delay
 #      site armed at p=1 (journal.append, engine.step, replay.task), killed
 #      -9 halfway through submission, restarted with --resume over the stale
@@ -22,7 +24,9 @@
 #      overloaded rejections carrying retry_after hints and expired events;
 #   5. hostile faults: corrupt@server.read + crash@server.client at p=0.3 —
 #      individual connections die (clients see clean failures, not hangs),
-#      the daemon itself must survive and still answer health.
+#      the daemon itself must survive and still answer health;
+#   6. load driver: ratsd --selftest (120 jobs from 4 tenants under both
+#      RATS and HCPA) must pass its determinism check and report throughput.
 # Plus socket-claim checks woven in: a second daemon against a live socket
 # must refuse to start, a stale socket after kill -9 must be reclaimed, and
 # a non-socket path must never be unlinked.
@@ -71,9 +75,15 @@ wait_ready
 "$CLIENT" --socket "$S" --op load --load-jobs $JOBS --timeout 30 >/dev/null
 "$CLIENT" --socket "$S" --op drain --timeout 60 | grep -q drained
 "$CLIENT" --socket "$S" --op log --json --timeout 30 > "$WORK/ref.jsonl"
+"$CLIENT" --socket "$S" --op stats --timeout 10 | grep -q '"completed"' \
+    || fail "reference daemon did not answer stats"
 "$CLIENT" --socket "$S" --op shutdown >/dev/null
 wait $DPID 2>/dev/null || true
 [ -s "$WORK/ref.jsonl" ] || fail "reference log is empty"
+for ev in submitted admitted started completed; do
+    grep -q "\"ev\":\"$ev\"" "$WORK/ref.jsonl" \
+        || fail "no $ev event in the reference log"
+done
 echo "chaos-smoke: reference log captured ($(wc -l < "$WORK/ref.jsonl") events)"
 
 # --- 2. chaos kill/resume under delay faults ------------------------------ #
@@ -233,5 +243,13 @@ echo "chaos-smoke: daemon survived hostile faults ($OK/20 pings got through)"
 kill -9 $DPID 2>/dev/null || true
 wait $DPID 2>/dev/null || true
 DPID=0
+
+# --- 6. selftest load driver ---------------------------------------------- #
+
+"$RATSD" --selftest > "$WORK/selftest.out"
+grep -q 'selftest: OK' "$WORK/selftest.out" || fail "selftest did not pass"
+grep -q 'throughput' "$WORK/selftest.out" \
+    || fail "selftest reported no throughput"
+sed 's/^/  /' "$WORK/selftest.out"
 
 echo "chaos-smoke: OK"

@@ -748,6 +748,29 @@ let test_evaluate_start_on_grant () =
       check Alcotest.bool "callback saw every span" true
         (List.sort compare !streamed = List.sort compare offline.Evaluate.spans)
 
+let test_evaluate_start_disjoint_grants () =
+  (* Two replays of the same schedule at once on disjoint halves of flat
+     chti share no link, so neither may slow the other: both finish with
+     the private-engine makespan. Flows mapped onto the wrong processors
+     would contend and stretch it. *)
+  let s = share_schedule () in
+  let offline = Evaluate.run s in
+  let eng = Rats_sim.Engine.create Cluster.chti in
+  let makespans = ref [] in
+  List.iter
+    (fun lo ->
+      Evaluate.start eng ~grant:(Procset.range lo 10)
+        ~on_complete:(fun r -> makespans := r.Evaluate.makespan :: !makespans)
+        s)
+    [ 0; 10 ];
+  ignore (Rats_sim.Engine.run eng : float);
+  check Alcotest.int "both completed" 2 (List.length !makespans);
+  List.iter
+    (fun m ->
+      check (Alcotest.float (1e-9 *. offline.Evaluate.makespan))
+        "uncontended makespan" offline.Evaluate.makespan m)
+    !makespans
+
 let test_evaluate_start_grant_size () =
   let s = share_schedule () in
   let eng = Rats_sim.Engine.create Cluster.chti in
@@ -869,6 +892,8 @@ let () =
             test_evaluate_slower_than_estimate_under_contention;
           Alcotest.test_case "start on a grant" `Quick
             test_evaluate_start_on_grant;
+          Alcotest.test_case "start disjoint grants" `Quick
+            test_evaluate_start_disjoint_grants;
           Alcotest.test_case "start grant size" `Quick
             test_evaluate_start_grant_size;
           Alcotest.test_case "start task hook" `Quick

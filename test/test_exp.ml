@@ -407,6 +407,71 @@ let test_autotune_selector_study () =
     rows
 
 
+(* --- Whole-study cache entries ------------------------------------------------ *)
+
+module Cache = Rats_runtime.Cache
+module Exec = Rats_runtime.Exec
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f))
+      (Sys.readdir path) (* lint: allow D003 — deletion order is irrelevant *);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_cache_dir f =
+  let dir = Filename.temp_dir "rats_study_cache" "" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () -> f dir)
+
+(* Bit for bit: Marshal writes floats as their raw IEEE bytes. *)
+let bits v = Marshal.to_string v [ Marshal.No_sharing ]
+
+(* Every study stored as aggregate cache entries, rather than per unit. *)
+let whole_studies : (string * (Exec.t -> string)) list =
+  let chti = Cluster.chti and configs = ablation_configs in
+  [
+    ("sweep_delta_for", fun exec -> bits (Tuning.sweep_delta_for ~exec chti configs));
+    ("sweep_timecost_for", fun exec -> bits (Tuning.sweep_timecost_for ~exec chti configs));
+    ("placement_study", fun exec -> bits (Ablation.placement_study ~exec chti configs));
+    ("replay_study", fun exec -> bits (Ablation.replay_study ~exec chti configs));
+    ("purity_study", fun exec -> bits (Ablation.purity_study ~exec chti configs));
+    ("window_study", fun exec -> bits (Ablation.window_study ~exec configs));
+    ("selector_study", fun exec -> bits (Autotune.selector_study ~exec chti configs));
+  ]
+
+let test_whole_study_cache study () =
+  let exec ?cache ?fault () = Exec.make ~jobs:1 ?cache ?fault () in
+  let reference = study (exec ()) in
+  (* Warm replay: a cold run stores what the uncached run computes, and a
+     new cache on the same directory returns it without recomputing. *)
+  with_cache_dir (fun dir ->
+      check Alcotest.bool "cold run = uncached run" true
+        (study (exec ~cache:(Cache.create ~dir ()) ()) = reference);
+      let warm = Cache.create ~dir () in
+      check Alcotest.bool "warm replay bit for bit" true
+        (study (exec ~cache:warm ()) = reference);
+      check Alcotest.int "warm replay misses" 0 (Cache.misses warm);
+      check Alcotest.bool "warm replay hits" true (Cache.hits warm > 0));
+  (* No degraded store: an aggregate computed while units were failing
+     must not be replayed as complete. *)
+  with_cache_dir (fun dir ->
+      let fault =
+        match Rats_runtime.Fault.parse "seed=3,crash@worker=0.5" with
+        | Ok f -> f
+        | Error reason -> Alcotest.fail reason
+      in
+      let faulty = exec ~cache:(Cache.create ~dir ()) ~fault () in
+      ignore (study faulty);
+      check Alcotest.bool "the faulty run lost units" true
+        (Atomic.get faulty.Exec.stats.Exec.failed > 0);
+      let clean = Cache.create ~dir () in
+      check Alcotest.bool "clean rerun = uncached run" true
+        (study (exec ~cache:clean ()) = reference);
+      check Alcotest.bool "clean rerun recomputes" true (Cache.misses clean > 0))
+
+
 (* --- CCR sweep ----------------------------------------------------------------- *)
 
 module Ccr_sweep = Rats_exp.Ccr_sweep
@@ -484,6 +549,11 @@ let () =
           Alcotest.test_case "rules domains" `Quick test_autotune_rules_domains;
           Alcotest.test_case "selector study" `Slow test_autotune_selector_study;
         ] );
+      ( "whole-study cache",
+        List.map
+          (fun (name, study) ->
+            Alcotest.test_case name `Slow (test_whole_study_cache study))
+          whole_studies );
       ( "ccr",
         [ Alcotest.test_case "sweep" `Slow test_ccr_sweep ] );
     ]

@@ -8,8 +8,6 @@
 #                           BENCH_runtime.json
 #   make bench-resume-smoke kill a cold fig2 run mid-sweep, then resume it —
 #                           the smoke test of crash-resumable sweeps
-#   make trace-smoke        cold fig2 run with --trace/--metrics, then validate
-#                           both files and render an SVG timeline
 #   make chaos-smoke        ratsd end-to-end under fire: live socket session,
 #                           delay faults + kill -9 mid-trace (bit-exact
 #                           resume), slow-client eviction, overload
@@ -18,9 +16,11 @@
 #   make workload-smoke     workload.exe three-arm study: same-seed byte
 #                           determinism, save-trace/replay round-trip, worker
 #                           independence
-#   make studio-smoke       studio.exe end-to-end: traced fig2 run rendered
-#                           into a self-contained HTML report, A/B diff with
-#                           the scale-mismatch guard, one-shot live serve
+#   make studio-smoke       cold traced fig2 run, validated by trace_check
+#                           (bench counters, SVG timeline) and rendered by
+#                           studio.exe into a self-contained HTML report;
+#                           A/B diff with the scale-mismatch guard, one-shot
+#                           live serve
 #   make flags-check        diff README's CLI flag table against each binary's
 #                           --help
 #   make lint               rats_lint whole-program static analysis
@@ -35,11 +35,13 @@
 #                           bench_results/archive/BENCH_runtime.<LABEL>.json
 #                           (LABEL=... required) so studio diffs can reach
 #                           past runs
-#   make salt-check         warn when lib/{sim,core,dag,redist} changed
-#                           without a Cache.version bump (STRICT=1 to fail)
+#   make salt-check         warn when code feeding cached results changed
+#                           (lib/{sim,core,dag,redist,daggen,platform,util,
+#                           exp}, lib/server/api.ml) without a Cache.version
+#                           bump (STRICT=1 to fail)
 #   make check              build + tier-1 tests + lint + lint-smoke +
-#                           trace-smoke + chaos-smoke + workload-smoke +
-#                           studio-smoke + flags-check + advisory salt-check
+#                           chaos-smoke + workload-smoke + studio-smoke +
+#                           flags-check + advisory salt-check
 #   make clean-cache        drop the on-disk result cache and journal
 #                           (bench_results/.cache, bench_results/.journal)
 #   make clean              dune clean
@@ -48,7 +50,7 @@ JOBS ?= 0   # 0 = auto (RATS_JOBS or all cores; this container has 1)
 JOBS_FLAG := $(if $(filter-out 0,$(JOBS)),-j $(JOBS),)
 
 .PHONY: build test test-fault bench-smoke bench-resume-smoke bench-archive \
-  trace-smoke chaos-smoke workload-smoke studio-smoke \
+  chaos-smoke workload-smoke studio-smoke \
   flags-check lint lint-smoke salt-check check clean-cache clean
 
 build:
@@ -75,21 +77,6 @@ bench-resume-smoke: build
 	RATS_SCALE=smoke RATS_CACHE=off \
 	  dune exec bench/main.exe -- fig2 --resume $(JOBS_FLAG)
 
-# Observability acceptance: a cold fig2 run (scratch cache directory, so
-# every counter the validator requires actually moves) recording a Chrome
-# trace and a metrics snapshot, which trace_check then parses back,
-# checks for the bench counters, and renders as an SVG timeline.
-trace-smoke: build
-	rm -rf bench_results/.trace-cache
-	RATS_SCALE=smoke RATS_JOURNAL=off \
-	  RATS_CACHE_DIR=bench_results/.trace-cache \
-	  dune exec bench/main.exe -- fig2 $(JOBS_FLAG) \
-	  --trace bench_results/trace.json --metrics bench_results/metrics.json
-	dune exec bin/trace_check.exe -- \
-	  --trace bench_results/trace.json --metrics bench_results/metrics.json \
-	  --require-bench-counters --svg bench_results/timeline.svg
-	rm -rf bench_results/.trace-cache
-
 # Service and robustness acceptance: a live daemon/client session over the
 # socket, deterministic fault injection at every service-layer site, kill -9
 # + --resume under delay faults with a byte-identical event log, slow-client
@@ -106,11 +93,15 @@ chaos-smoke: build
 workload-smoke: build
 	tools/workload_smoke.sh
 
-# Experiment studio acceptance: a traced smoke bench run must render into a
-# single self-contained HTML report (inline SVGs, counter table, per-target
-# breakdown, no external fetches), `studio diff` must print per-target
-# deltas and warn when comparing runs of different scale, and one-shot
-# `studio serve` must answer an HTTP request (docs/STUDIO.md).
+# Observability and experiment studio acceptance: a cold traced smoke fig2
+# run (fresh cache directory, so every counter the validator requires
+# actually moves) must pass trace_check --require-bench-counters and render
+# an SVG timeline, then render into a single self-contained HTML report
+# (inline SVGs, counter table, per-target breakdown, no external fetches);
+# `studio diff` must print per-target deltas and warn when comparing runs of
+# different scale, and one-shot `studio serve` must answer an HTTP request
+# (docs/STUDIO.md). Runs in a temp directory, so the committed
+# BENCH_runtime.json stays untouched.
 studio-smoke: build
 	tools/studio_smoke.sh
 
@@ -134,7 +125,7 @@ bench-archive:
 	cp BENCH_runtime.json bench_results/archive/BENCH_runtime.$(LABEL).json
 	@echo "archived: bench_results/archive/BENCH_runtime.$(LABEL).json"
 
-# Advisory by default (comment-only edits to the salted dirs are legal);
+# Advisory by default (comment-only edits to the salted paths are legal);
 # STRICT=1 turns a violation into a failure.
 salt-check:
 	tools/salt_check.sh $(if $(STRICT),--strict,)
@@ -143,7 +134,6 @@ check: build
 	dune runtest
 	$(MAKE) lint
 	$(MAKE) lint-smoke
-	$(MAKE) trace-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) workload-smoke
 	$(MAKE) studio-smoke

@@ -2,8 +2,8 @@
 
    Parses a Chrome trace-event document and (optionally) a metrics snapshot
    with the in-repo JSON parser, checks their shape, and exits nonzero with
-   a diagnostic on the first violation — the machine end of `make
-   trace-smoke`.
+   a diagnostic on the first violation — the machine end of the traced run
+   in `make studio-smoke`.
 
    Examples:
      dune exec bin/trace_check.exe -- --trace t.json
@@ -69,7 +69,8 @@ let validate_metrics path =
   Ok json
 
 (* The counters a bench-harness run must have moved (or at least
-   registered): the acceptance contract of `make trace-smoke`. *)
+   registered): the acceptance contract of `make studio-smoke`'s traced
+   run. *)
 let check_bench_counters metrics =
   let require_positive name =
     match counter metrics name with

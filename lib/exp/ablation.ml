@@ -4,7 +4,6 @@ module Topology = Rats_platform.Topology
 module Core = Rats_core
 module Stats = Rats_util.Stats
 module Pool = Rats_runtime.Pool
-module Cache = Rats_runtime.Cache
 module Exec = Rats_runtime.Exec
 
 type ratio_row = {
@@ -13,52 +12,10 @@ type ratio_row = {
   max_ratio : float;
 }
 
-(* Study-level caching: each study's whole row set is one cache entry keyed
-   by study name, cluster signature and configuration set. Labels may
-   contain spaces, so rows serialize as tab-separated lines. *)
+(* Study-level caching: each study's whole result is one aggregate entry
+   keyed by study name, cluster signature and configuration set. *)
 let study_key study cluster configs =
-  Cache.key
-    ([ "ablation." ^ study; Cluster.signature cluster ]
-    @ List.map Suite.name configs)
-
-let encode_rows rows =
-  String.concat "\n"
-    (List.map
-       (fun r -> Printf.sprintf "%s\t%h\t%h" r.label r.mean_ratio r.max_ratio)
-       rows)
-
-let decode_rows payload =
-  let decode_row line =
-    match String.split_on_char '\t' line with
-    | [ label; mean; max ] -> (
-        try
-          Some
-            {
-              label;
-              mean_ratio = float_of_string mean;
-              max_ratio = float_of_string max;
-            }
-        with Failure _ -> None)
-    | _ -> None
-  in
-  let rows = List.map decode_row (String.split_on_char '\n' payload) in
-  if List.for_all Option.is_some rows then
-    Some (List.filter_map Fun.id rows)
-  else None
-
-let cached_study ~exec ~study ~encode ~decode cluster configs compute =
-  match exec.Exec.cache with
-  | None -> compute ()
-  | Some c -> (
-      let key = study_key study cluster configs in
-      match Option.bind (Cache.find c key) decode with
-      | Some v -> v
-      | None ->
-          (* Whole-study entries must not capture rows computed while
-             configurations were being dropped to faults. *)
-          let v, clean = Exec.computed_cleanly exec compute in
-          if clean then Cache.store c key (encode v);
-          v)
+  Payload.key ("ablation." ^ study) cluster configs
 
 (* Per-configuration scheduling is the expensive, fault-prone unit; a
    failed configuration drops out of the study averages and is counted in
@@ -74,42 +31,49 @@ let schedules_for ~exec cluster configs strategy =
     configs
   |> Exec.oks
 
-let ratio_study ~exec cluster configs ~ablated ~full =
-  let jobs = exec.Exec.jobs in
-  List.map
-    (fun (label, strategy) ->
-      let ratios =
-        Pool.map ~jobs
-          (fun s ->
-            let a = (ablated s : Core.Evaluate.result) in
-            let f = (full s : Core.Evaluate.result) in
-            a.Core.Evaluate.makespan /. f.Core.Evaluate.makespan)
-          (schedules_for ~exec cluster configs strategy)
-        |> Array.of_list
-      in
-      {
-        label;
-        mean_ratio = Stats.mean ratios;
-        max_ratio = snd (Stats.min_max ratios);
-      })
-    [
-      ("hcpa", Core.Rats.Baseline);
-      ("time-cost", Core.Rats.Timecost Core.Rats.naive_timecost);
-    ]
+let ratio_study ~exec ~study cluster configs ~ablated ~full =
+  let ratio_row (label, strategy) =
+    let ratios =
+      Pool.map ~jobs:exec.Exec.jobs
+        (fun s ->
+          let a = (ablated s : Core.Evaluate.result) in
+          let f = (full s : Core.Evaluate.result) in
+          a.Core.Evaluate.makespan /. f.Core.Evaluate.makespan)
+        (schedules_for ~exec cluster configs strategy)
+      |> Array.of_list
+    in
+    {
+      label;
+      mean_ratio = Stats.mean ratios;
+      max_ratio = snd (Stats.min_max ratios);
+    }
+  in
+  Exec.cached exec ~key:(study_key study cluster configs)
+    ~encode:
+      (Payload.lines (fun r ->
+           Payload.row r.label [ r.mean_ratio; r.max_ratio ]))
+    ~decode:
+      (Payload.to_lines (fun line ->
+           match Payload.to_row line with
+           | Some (label, [ mean_ratio; max_ratio ]) ->
+               Some { label; mean_ratio; max_ratio }
+           | _ -> None))
+    (fun () ->
+      List.map ratio_row
+        [
+          ("hcpa", Core.Rats.Baseline);
+          ("time-cost", Core.Rats.Timecost Core.Rats.naive_timecost);
+        ])
 
 let placement_study ?(exec = Exec.make ()) cluster configs =
-  cached_study ~exec ~study:"placement" ~encode:encode_rows
-    ~decode:decode_rows cluster configs (fun () ->
-      ratio_study ~exec cluster configs
-        ~ablated:(Core.Evaluate.run ~optimize_placement:false)
-        ~full:(Core.Evaluate.run ~optimize_placement:true))
+  ratio_study ~exec ~study:"placement" cluster configs
+    ~ablated:(Core.Evaluate.run ~optimize_placement:false)
+    ~full:(Core.Evaluate.run ~optimize_placement:true)
 
 let replay_study ?(exec = Exec.make ()) cluster configs =
-  cached_study ~exec ~study:"replay" ~encode:encode_rows ~decode:decode_rows
-    cluster configs (fun () ->
-      ratio_study ~exec cluster configs
-        ~ablated:(Core.Evaluate.run ~work_conserving:false)
-        ~full:(Core.Evaluate.run ~work_conserving:true))
+  ratio_study ~exec ~study:"replay" cluster configs
+    ~ablated:(Core.Evaluate.run ~work_conserving:false)
+    ~full:(Core.Evaluate.run ~work_conserving:true)
 
 let window_values =
   [ 16. *. 1024.; 65536.; 262144.; 1048576.; 4. *. 1048576. ]
@@ -125,11 +89,12 @@ let window_study ?(exec = Exec.make ()) configs =
           ~speed_gflops:3.185 ~tcp_wmax ()
       in
       let mean =
-        cached_study ~exec ~study:"window"
-          ~encode:(Printf.sprintf "%h")
-          ~decode:(fun s ->
-            match float_of_string_opt s with Some v -> Some v | None -> None)
-          cluster configs
+        Exec.cached exec ~key:(study_key "window" cluster configs)
+          ~encode:(fun mean -> Payload.floats [ mean ])
+          ~decode:(fun payload ->
+            match Payload.to_floats payload with
+            | Some [ mean ] -> Some mean
+            | _ -> None)
           (fun () ->
             Stats.mean
               (Array.of_list
@@ -174,24 +139,13 @@ let purity_rows ~exec cluster configs =
   List.map (fun (label, v) -> (label, v /. timecost)) rows
 
 let purity_study ?(exec = Exec.make ()) cluster configs =
-  let encode rows =
-    String.concat "\n"
-      (List.map (fun (label, v) -> Printf.sprintf "%s\t%h" label v) rows)
-  in
-  let decode payload =
-    let row line =
-      match String.split_on_char '\t' line with
-      | [ label; v ] -> (
-          match float_of_string_opt v with
-          | Some v -> Some (label, v)
-          | None -> None)
-      | _ -> None
-    in
-    let rows = List.map row (String.split_on_char '\n' payload) in
-    if List.for_all Option.is_some rows then Some (List.filter_map Fun.id rows)
-    else None
-  in
-  cached_study ~exec ~study:"purity" ~encode ~decode cluster configs
+  Exec.cached exec ~key:(study_key "purity" cluster configs)
+    ~encode:(Payload.lines (fun (label, v) -> Payload.row label [ v ]))
+    ~decode:
+      (Payload.to_lines (fun line ->
+           match Payload.to_row line with
+           | Some (label, [ v ]) -> Some (label, v)
+           | _ -> None))
     (fun () -> purity_rows ~exec cluster configs)
 
 (* A small, shape-diverse subset keeps the studies affordable. *)

@@ -19,8 +19,10 @@
     Studies run through an optional {!Rats_runtime.Exec} context (default:
     serial, no cache, no faults). Under fault injection a configuration
     that exhausts its retries drops out of the study averages (counted in
-    [exec.stats]); a study that lost any configuration is never stored as a
-    whole-study cache entry. *)
+    [exec.stats]). With a cache each study persists as one aggregate entry
+    ({!window_study}: one per window) through {!Rats_runtime.Exec.cached},
+    in the {!Payload} grammar, so a study that lost any configuration is
+    never stored. *)
 
 type ratio_row = {
   label : string;
@@ -33,8 +35,8 @@ val placement_study :
   Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> ratio_row list
 (** One row per mapping strategy (HCPA baseline and time-cost RATS). All
     studies execute on the context's worker pool and, when it carries a
-    cache, persist their full row set as one {!Rats_runtime.Cache} entry
-    keyed by study name, cluster signature and configuration set. *)
+    cache, persist their full result as one entry keyed by study name,
+    cluster signature and configuration set ({!Payload.key}). *)
 
 val replay_study :
   ?exec:Rats_runtime.Exec.t ->

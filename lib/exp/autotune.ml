@@ -1,5 +1,6 @@
 module Core = Rats_core
 module Dag = Rats_dag.Dag
+module Exec = Rats_runtime.Exec
 
 type features = {
   avg_parallelism : float;
@@ -96,42 +97,6 @@ let rules_timecost f =
     packing = true;
   }
 
-(* The whole study is one cache entry: the rows depend only on the cluster,
-   the configuration set and the probe grids (shared with Tuning). *)
-let study_key cluster configs =
-  Rats_runtime.Cache.key
-    ([
-       "autotune.selector_study";
-       Rats_platform.Cluster.signature cluster;
-       String.concat ","
-         (List.map (fun v -> Printf.sprintf "%h" v) Tuning.mindelta_values);
-       String.concat ","
-         (List.map (fun v -> Printf.sprintf "%h" v) Tuning.maxdelta_values);
-       String.concat ","
-         (List.map (fun v -> Printf.sprintf "%h" v) Tuning.minrho_values);
-     ]
-    @ List.map Rats_daggen.Suite.name configs)
-
-let encode_rows rows =
-  String.concat "\n"
-    (List.map (fun (label, v) -> Printf.sprintf "%s\t%h" label v) rows)
-
-let decode_rows payload =
-  let rows =
-    List.map
-      (fun line ->
-        match String.index_opt line '\t' with
-        | Some i -> (
-            let label = String.sub line 0 i in
-            let v = String.sub line (i + 1) (String.length line - i - 1) in
-            try Some (label, float_of_string v) with Failure _ -> None)
-        | None -> None)
-      (String.split_on_char '\n' payload)
-  in
-  if rows <> [] && List.for_all Option.is_some rows then
-    Some (List.filter_map Fun.id rows)
-  else None
-
 let compute_selector_study ~exec cluster configs =
   let selectors =
     [
@@ -143,7 +108,6 @@ let compute_selector_study ~exec cluster configs =
         fun p -> Core.Rats.Timecost (rules_timecost (features p)) );
     ]
   in
-  let module Exec = Rats_runtime.Exec in
   (* A configuration whose baseline fails drops out of every selector's
      average (counted in [exec.stats]); the per-selector replays below are
      cheap and stay on the plain pool. *)
@@ -177,17 +141,17 @@ let compute_selector_study ~exec cluster configs =
       (name, Rats_util.Stats.mean ratios))
     selectors
 
-let selector_study ?(exec = Rats_runtime.Exec.make ()) cluster configs =
-  match exec.Rats_runtime.Exec.cache with
-  | None -> compute_selector_study ~exec cluster configs
-  | Some c -> (
-      let key = study_key cluster configs in
-      match Option.bind (Rats_runtime.Cache.find c key) decode_rows with
-      | Some rows -> rows
-      | None ->
-          let rows, clean =
-            Rats_runtime.Exec.computed_cleanly exec (fun () ->
-                compute_selector_study ~exec cluster configs)
-          in
-          if clean then Rats_runtime.Cache.store c key (encode_rows rows);
-          rows)
+(* The whole study is one cache entry: the rows depend only on the cluster,
+   the configuration set and the probe grids (shared with Tuning). *)
+let selector_study ?(exec = Exec.make ()) cluster configs =
+  Exec.cached exec
+    ~key:
+      (Payload.key "autotune.selector_study" ~extra:Tuning.grid_signature
+         cluster configs)
+    ~encode:(Payload.lines (fun (label, v) -> Payload.row label [ v ]))
+    ~decode:
+      (Payload.to_lines (fun line ->
+           match Payload.to_row line with
+           | Some (label, [ v ]) -> Some (label, v)
+           | _ -> None))
+    (fun () -> compute_selector_study ~exec cluster configs)

@@ -48,6 +48,7 @@ val selector_study :
 (** Mean {e simulated} makespan relative to HCPA for each selector — naive
     delta, naive time-cost, probe, rules-delta, rules-time-cost — over the
     given configurations. The evaluation of the automatic tuners. With a
-    cache the whole study is one entry, keyed by cluster signature,
-    configuration set and probe grids; it is only stored when no
-    configuration was lost to an injected or real fault. *)
+    cache the whole study is one {!Rats_runtime.Exec.cached} entry of
+    {!Payload} rows, keyed by cluster signature, probe grids
+    ({!Tuning.grid_signature}) and configuration set; it is only stored
+    when no configuration was lost to an injected or real fault. *)

@@ -31,13 +31,11 @@ let cell_key cluster config flop_factor =
       Printf.sprintf "%h" flop_factor;
     ]
 
-let encode_cell (ccr, d, t) = Printf.sprintf "%h %h %h" ccr d t
+let encode_cell (ccr, d, t) = Payload.floats [ ccr; d; t ]
 
 let decode_cell payload =
-  match String.split_on_char ' ' payload with
-  | [ a; b; c ] -> (
-      try Some (float_of_string a, float_of_string b, float_of_string c)
-      with Failure _ -> None)
+  match Payload.to_floats payload with
+  | Some [ ccr; d; t ] -> Some (ccr, d, t)
   | _ -> None
 
 let measure_cell cluster config flop_factor =

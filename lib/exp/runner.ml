@@ -44,26 +44,28 @@ let cache_key ~cluster ~delta ~timecost config =
         timecost.Core.Rats.packing;
     ]
 
-(* "%h" floats round-trip bit-exactly through [float_of_string], so cached
-   replays are indistinguishable from fresh computation. *)
 let encode_result r =
-  Printf.sprintf "%h %h %h %h %h %h" r.hcpa.makespan r.hcpa.work
-    r.delta.makespan r.delta.work r.timecost.makespan r.timecost.work
+  Payload.floats
+    [
+      r.hcpa.makespan;
+      r.hcpa.work;
+      r.delta.makespan;
+      r.delta.work;
+      r.timecost.makespan;
+      r.timecost.work;
+    ]
 
 let decode_result ~config ~cluster payload =
-  match String.split_on_char ' ' payload with
-  | [ a; b; c; d; e; f ] -> (
-      let fl = float_of_string in
-      try
-        Some
-          {
-            config;
-            cluster;
-            hcpa = { makespan = fl a; work = fl b };
-            delta = { makespan = fl c; work = fl d };
-            timecost = { makespan = fl e; work = fl f };
-          }
-      with Failure _ -> None)
+  match Payload.to_floats payload with
+  | Some [ a; b; c; d; e; f ] ->
+      Some
+        {
+          config;
+          cluster;
+          hcpa = { makespan = a; work = b };
+          delta = { makespan = c; work = d };
+          timecost = { makespan = e; work = f };
+        }
   | _ -> None
 
 (* --- execution ---------------------------------------------------------- *)
@@ -87,7 +89,8 @@ let task_name cluster config = cluster.Cluster.name ^ "/" ^ Suite.name config
 
 (* One configuration through the full fault-tolerance stack: cache lookup,
    journal replay, fault points, retries and timeout. *)
-let run_config_exec ~delta ~timecost ~exec cluster config =
+let run_config_outcome ?(delta = Core.Rats.naive_delta)
+    ?(timecost = Core.Rats.naive_timecost) ~exec cluster config =
   Exec.keyed exec
     ~name:(task_name cluster config)
     ~key:(cache_key ~cluster ~delta ~timecost config)
@@ -95,30 +98,13 @@ let run_config_exec ~delta ~timecost ~exec cluster config =
     ~decode:(decode_result ~config ~cluster:cluster.Cluster.name)
     (fun () -> compute_config ~delta ~timecost cluster config)
 
-let run_config_outcome ?(delta = Core.Rats.naive_delta)
-    ?(timecost = Core.Rats.naive_timecost) ~exec cluster config =
-  run_config_exec ~delta ~timecost ~exec cluster config
-
-(* Returns whether the result came from the cache, for hit-rate reporting. *)
-let run_config_cached ~delta ~timecost ~cache cluster config =
-  match cache with
-  | None -> (false, compute_config ~delta ~timecost cluster config)
-  | Some cache -> (
-      let key = cache_key ~cluster ~delta ~timecost config in
-      let cached =
-        Option.bind (Cache.find cache key)
-          (decode_result ~config ~cluster:cluster.Cluster.name)
-      in
-      match cached with
-      | Some r -> (true, r)
-      | None ->
-          let r = compute_config ~delta ~timecost cluster config in
-          Cache.store cache key (encode_result r);
-          (false, r))
-
 let run_config ?(delta = Core.Rats.naive_delta)
     ?(timecost = Core.Rats.naive_timecost) ?cache cluster config =
-  snd (run_config_cached ~delta ~timecost ~cache cluster config)
+  Exec.cached (Exec.make ?cache ())
+    ~key:(cache_key ~cluster ~delta ~timecost config)
+    ~encode:encode_result
+    ~decode:(decode_result ~config ~cluster:cluster.Cluster.name)
+    (fun () -> compute_config ~delta ~timecost cluster config)
 
 let run_sweep ?(delta = Core.Rats.naive_delta)
     ?(timecost = Core.Rats.naive_timecost) ?(progress = false)
@@ -131,7 +117,7 @@ let run_sweep ?(delta = Core.Rats.naive_delta)
   let outcomes =
     Exec.map_outcome exec
       ~run:(fun config ->
-        let o = run_config_exec ~delta ~timecost ~exec cluster config in
+        let o = run_config_outcome ~delta ~timecost ~exec cluster config in
         Progress.step
           ~cache_hit:(o.Exec.source = Exec.From_cache)
           ~resumed:(o.Exec.source = Exec.From_journal)
@@ -151,9 +137,6 @@ let run_sweep ?(delta = Core.Rats.naive_delta)
       configs outcomes ([], [])
   in
   { results; failed; total = List.length configs }
-
-let run_suite ?delta ?timecost ?progress ?exec scale cluster =
-  (run_sweep ?delta ?timecost ?progress ?exec scale cluster).results
 
 let pp_failures ppf sweep =
   match sweep.failed with

@@ -11,8 +11,11 @@
     crash-resumable sweeps, and fault-tolerant task execution (bounded
     retries, per-configuration timeout). Per-configuration results are
     keyed by (cluster signature, configuration name, algorithm parameters,
-    code version) and round-trip bit-exactly, so re-running a suite after
-    an unrelated change is near-instant.
+    code version) and stored as {!Payload} float tuples, which round-trip
+    bit-exactly, so re-running a suite after an unrelated change is
+    near-instant. Sweeps persist each configuration through
+    {!Rats_runtime.Exec.keyed}; the plain {!run_config} goes through
+    {!Rats_runtime.Exec.cached} under the same key.
 
     Failure contract: with a non-strict context a configuration that keeps
     failing after its retries occupies a slot in {!sweep.failed} instead of
@@ -49,8 +52,9 @@ val run_config :
   Rats_daggen.Suite.config ->
   result
 (** Parameters default to the paper's naive values (±0.5, ρ = 0.5 with
-    packing). The plain primitive: no fault points, no retries — an error
-    raises. *)
+    packing). The plain primitive: no fault points, no retries, no journal
+    — an error raises. With [cache], a hit skips the computation and a
+    miss stores its result. *)
 
 val run_config_outcome :
   ?delta:Rats_core.Rats.delta_params ->
@@ -77,18 +81,6 @@ val run_sweep :
     The result list is in suite order and identical for every worker
     count. [progress] (default false) reports throughput, ETA, cache-hit
     rate and failure counters on stderr. *)
-
-val run_suite :
-  ?delta:Rats_core.Rats.delta_params ->
-  ?timecost:Rats_core.Rats.timecost_params ->
-  ?progress:bool ->
-  ?exec:Rats_runtime.Exec.t ->
-  Rats_daggen.Suite.scale ->
-  Rats_platform.Cluster.t ->
-  result list
-(** [run_sweep] keeping only the successful results — the historical
-    entry point; callers that must account for failures use
-    {!run_sweep}. *)
 
 val pp_failures : Format.formatter -> sweep -> unit
 (** Prints one line per failed configuration (name + structured error);

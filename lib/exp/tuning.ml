@@ -2,7 +2,6 @@ module Suite = Rats_daggen.Suite
 module Cluster = Rats_platform.Cluster
 module Core = Rats_core
 module Stats = Rats_util.Stats
-module Cache = Rats_runtime.Cache
 module Exec = Rats_runtime.Exec
 
 let mindelta_values = [ 0.; -0.25; -0.5; -0.75 ]
@@ -111,81 +110,44 @@ let sweep_timecost ?(exec = Exec.make ()) prepared =
     grid
   |> Exec.oks
 
+let grid_signature =
+  List.map
+    (fun values -> String.concat "," (List.map (Printf.sprintf "%h") values))
+    [ mindelta_values; maxdelta_values; minrho_values ]
+
 (* Cached whole-sweep variants: the full point list of a (cluster,
    configuration set) sweep is one cache entry, so a warm Figure 4/5
    regeneration skips prepare and every grid replay. *)
 
-let sweep_key sweep cluster configs =
-  Cache.key
-    ([
-       "tuning." ^ sweep;
-       Cluster.signature cluster;
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) mindelta_values);
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) maxdelta_values);
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) minrho_values);
-     ]
-    @ List.map Suite.name configs)
-
-(* Whole-sweep entries aggregate many units of work, so a sweep computed
-   while tasks were failing must not be stored: a later warm run would
-   replay the degraded averages as if they were complete. *)
-let computed_cleanly = Exec.computed_cleanly
-
-let cached_points ~exec ~sweep ~encode ~decode cluster configs compute =
-  match exec.Exec.cache with
-  | None -> compute ()
-  | Some c -> (
-      let key = sweep_key sweep cluster configs in
-      let decode_all payload =
-        let points = List.map decode (String.split_on_char '\n' payload) in
-        if points <> [] && List.for_all Option.is_some points then
-          Some (List.filter_map Fun.id points)
-        else None
-      in
-      match Option.bind (Cache.find c key) decode_all with
-      | Some points -> points
-      | None ->
-          let points, clean = computed_cleanly exec compute in
-          if clean then
-            Cache.store c key (String.concat "\n" (List.map encode points));
-          points)
-
 let sweep_delta_for ?(exec = Exec.make ()) cluster configs =
-  cached_points ~exec ~sweep:"sweep_delta"
-    ~encode:(fun (p : delta_point) ->
-      Printf.sprintf "%h %h %h" p.mindelta p.maxdelta p.avg_relative_makespan)
-    ~decode:(fun line ->
-      match String.split_on_char ' ' line with
-      | [ a; b; c ] -> (
-          try
-            Some
-              {
-                mindelta = float_of_string a;
-                maxdelta = float_of_string b;
-                avg_relative_makespan = float_of_string c;
-              }
-          with Failure _ -> None)
-      | _ -> None)
-    cluster configs
+  Exec.cached exec
+    ~key:
+      (Payload.key "tuning.sweep_delta" ~extra:grid_signature cluster configs)
+    ~encode:
+      (Payload.lines (fun (p : delta_point) ->
+           Payload.floats [ p.mindelta; p.maxdelta; p.avg_relative_makespan ]))
+    ~decode:
+      (Payload.to_lines (fun line ->
+           match Payload.to_floats line with
+           | Some [ mindelta; maxdelta; avg_relative_makespan ] ->
+               Some { mindelta; maxdelta; avg_relative_makespan }
+           | _ -> None))
     (fun () -> sweep_delta ~exec (prepare ~exec cluster configs))
 
 let sweep_timecost_for ?(exec = Exec.make ()) cluster configs =
-  cached_points ~exec ~sweep:"sweep_timecost"
-    ~encode:(fun (p : timecost_point) ->
-      Printf.sprintf "%b %h %h" p.packing p.minrho p.avg_relative_makespan)
-    ~decode:(fun line ->
-      match String.split_on_char ' ' line with
-      | [ a; b; c ] -> (
-          try
-            Some
-              {
-                packing = bool_of_string a;
-                minrho = float_of_string b;
-                avg_relative_makespan = float_of_string c;
-              }
-          with Failure _ | Invalid_argument _ -> None)
-      | _ -> None)
-    cluster configs
+  Exec.cached exec
+    ~key:
+      (Payload.key "tuning.sweep_timecost" ~extra:grid_signature cluster
+         configs)
+    ~encode:
+      (Payload.lines (fun (p : timecost_point) ->
+           Payload.flagged p.packing [ p.minrho; p.avg_relative_makespan ]))
+    ~decode:
+      (Payload.to_lines (fun line ->
+           match Payload.to_flagged line with
+           | Some (packing, [ minrho; avg_relative_makespan ]) ->
+               Some { packing; minrho; avg_relative_makespan }
+           | _ -> None))
     (fun () -> sweep_timecost ~exec (prepare ~exec cluster configs))
 
 type tuned = { delta : Core.Rats.delta_params; minrho : float }
@@ -222,53 +184,23 @@ let kinds : Suite.app_kind list = [ `Fft; `Strassen; `Layered; `Irregular ]
 (* One cache entry per (cluster, kind) cell of Table IV; a hit skips the
    whole prepare + sweep pipeline for that cell. The key covers everything
    the tuned values depend on: cluster, configuration set, and both grids. *)
-let tuned_key cluster kind configs =
-  Cache.key
-    ([
-       "tuning.table4";
-       Cluster.signature cluster;
-       Suite.kind_name kind;
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) mindelta_values);
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) maxdelta_values);
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) minrho_values);
-     ]
-    @ List.map Suite.name configs)
-
-let encode_tuned t =
-  Printf.sprintf "%h %h %h" t.delta.Core.Rats.mindelta
-    t.delta.Core.Rats.maxdelta t.minrho
-
-let decode_tuned payload =
-  match String.split_on_char ' ' payload with
-  | [ a; b; c ] -> (
-      try
-        Some
-          {
-            delta =
-              {
-                Core.Rats.mindelta = float_of_string a;
-                maxdelta = float_of_string b;
-              };
-            minrho = float_of_string c;
-          }
-      with Failure _ -> None)
-  | _ -> None
-
 let tune_cell ?(exec = Exec.make ()) cluster kind configs =
-  let compute () =
-    let prepared = prepare ~exec cluster configs in
-    best (sweep_delta ~exec prepared) (sweep_timecost ~exec prepared)
-  in
-  match exec.Exec.cache with
-  | None -> compute ()
-  | Some cache -> (
-      let key = tuned_key cluster kind configs in
-      match Option.bind (Cache.find cache key) decode_tuned with
-      | Some tuned -> tuned
-      | None ->
-          let tuned, clean = computed_cleanly exec compute in
-          if clean then Cache.store cache key (encode_tuned tuned);
-          tuned)
+  Exec.cached exec
+    ~key:
+      (Payload.key "tuning.table4"
+         ~extra:(Suite.kind_name kind :: grid_signature)
+         cluster configs)
+    ~encode:(fun t ->
+      Payload.floats
+        [ t.delta.Core.Rats.mindelta; t.delta.Core.Rats.maxdelta; t.minrho ])
+    ~decode:(fun payload ->
+      match Payload.to_floats payload with
+      | Some [ mindelta; maxdelta; minrho ] ->
+          Some { delta = { Core.Rats.mindelta; maxdelta }; minrho }
+      | _ -> None)
+    (fun () ->
+      let prepared = prepare ~exec cluster configs in
+      best (sweep_delta ~exec prepared) (sweep_timecost ~exec prepared))
 
 let table4 ?exec scale =
   List.map

@@ -8,9 +8,12 @@
     All entry points take an optional {!Rats_runtime.Exec} context
     (default: plain serial execution, no cache, no faults). Under fault
     injection a failed configuration or grid point is dropped from the
-    averages — counted in [exec.stats], reported by the CLIs — and a sweep
-    that lost any unit is never stored as a whole-sweep cache entry, so
-    degraded data cannot be replayed as complete on a later warm run. *)
+    averages — counted in [exec.stats], reported by the CLIs. The cached
+    entry points ({!sweep_delta_for}, {!sweep_timecost_for}, {!table4})
+    persist whole sweeps through {!Rats_runtime.Exec.cached}, in the
+    {!Payload} grammar under a {!Payload.key} that names the grids: a sweep
+    that lost any unit is never stored, so degraded data cannot be replayed
+    as complete on a later warm run. *)
 
 val mindelta_values : float list
 (** {0, −0.25, −0.5, −0.75} — 0 disables packing. *)
@@ -20,6 +23,11 @@ val maxdelta_values : float list
 
 val minrho_values : float list
 (** {0.2, 0.4, 0.5, 0.6, 0.8, 1}. *)
+
+val grid_signature : string list
+(** The three grids above as cache-key parts; every cached result computed
+    over them (Figures 4 and 5, Table IV, {!Autotune.selector_study}) names
+    them in its key. *)
 
 type prepared
 (** A configuration ready for sweeping (problem + allocation + baseline). *)

@@ -163,8 +163,3 @@ let quarantined t = Atomic.get t.quarantined
 let hit_rate t =
   let h = hits t and m = misses t in
   if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
-
-let reset_counters t =
-  Atomic.set t.hits 0;
-  Atomic.set t.misses 0;
-  Atomic.set t.quarantined 0

@@ -68,7 +68,3 @@ val quarantined : t -> int
 
 val hit_rate : t -> float
 (** Hits over lookups, [0.] before the first lookup. *)
-
-val reset_counters : t -> unit
-(** Zeroes {!hits}, {!misses} and {!quarantined} — used to attribute counts
-    per bench target. *)

@@ -128,41 +128,6 @@ let keyed t ~name ~key ~encode ~decode f =
           | Error _ -> ());
           outcome)
 
-let map t ~name ~f l =
-  if t.strict then
-    (* Fail fast: [run_task] raises [Task_failed]; the pool stops claiming
-       work and re-raises it here. *)
-    Pool.map ~jobs:t.jobs
-      (fun x ->
-        match (run_task t ~name:(name x) (fun () -> f x)).value with
-        | Ok v -> Ok v
-        | Error failure -> Error (name x, failure))
-      l
-  else
-    let captures =
-      Pool.map_result ~jobs:t.jobs
-        (fun x -> (run_task t ~name:(name x) (fun () -> f x)).value)
-        l
-    in
-    List.map2
-      (fun x capture ->
-        match capture with
-        | Ok (Ok v) -> Ok v
-        | Ok (Error failure) -> Error (name x, failure)
-        | Error (e : Pool.task_error) ->
-            (* An exception that escaped the retry wrapper entirely — a bug
-               rather than a task fault, but still one slot, not a lost
-               sweep. *)
-            Error
-              ( name x,
-                Retry.Crashed
-                  {
-                    message = Printexc.to_string e.Pool.exn;
-                    backtrace = e.Pool.backtrace;
-                    attempts = 1;
-                  } ))
-      l captures
-
 let map_outcome t ~run l =
   if t.strict then
     (* [run] is built from [run_task]/[keyed], which raise [Task_failed] in
@@ -192,10 +157,26 @@ let map_outcome t ~run l =
             })
       (Pool.map_result ~jobs:t.jobs run l)
 
-let computed_cleanly t f =
-  let before = Atomic.get t.stats.failed in
-  let v = f () in
-  (v, Atomic.get t.stats.failed = before)
+let map t ~name ~f l =
+  List.map2
+    (fun x o -> Result.map_error (fun failure -> (name x, failure)) o.value)
+    l
+    (map_outcome t ~run:(fun x -> run_task t ~name:(name x) (fun () -> f x)) l)
+
+let cached t ~key ~encode ~decode compute =
+  match t.cache with
+  | None -> compute ()
+  | Some c -> (
+      match Option.bind (Cache.find c key) decode with
+      | Some v -> v
+      | None ->
+          (* An aggregate computed while units were failing holds degraded
+             values; storing it would replay them as complete. *)
+          let failed = Atomic.get t.stats.failed in
+          let v = compute () in
+          if Atomic.get t.stats.failed = failed then
+            Cache.store c key (encode v);
+          v)
 
 let oks l = List.filter_map (function Ok v -> Some v | Error _ -> None) l
 

@@ -7,6 +7,11 @@
     no retries, no journal, non-strict) makes every combinator an ordinary
     call — the happy path is unchanged.
 
+    Two persistence paths, which differ by contract: {!keyed} runs one
+    unit of work behind the cache and the journal, under fault points and
+    retries; {!cached} persists one aggregate (a whole sweep or study)
+    built from many units, and stores it only when none of them failed.
+
     Failure contract: in the default (non-strict) mode a task that keeps
     failing after its retries becomes a structured {!Retry.failure} in its
     own result slot; the sweep completes and the caller reports the
@@ -93,23 +98,32 @@ val map :
   f:('a -> 'b) ->
   'a list ->
   ('b, string * Retry.failure) result list
-(** Pool-parallel {!run_task} over a list; the result list is in input
-    order with one slot per element, failures carrying the task name. An
-    exception escaping outside the retry machinery (a bug, not a task
-    fault) is also captured as a failure in non-strict mode. *)
+(** {!map_outcome} of {!run_task} over a list; the result list is in input
+    order with one slot per element, failures carrying the task name. *)
 
 val map_outcome : t -> run:('a -> 'b outcome) -> 'a list -> 'b outcome list
 (** Pool-parallel outcome map, for callers that build their own per-item
     work from {!keyed} or {!run_task} (and therefore need the
     cache/journal provenance of each slot). Output order matches input
     order for every worker count. In non-strict mode an exception escaping
-    [run] itself is captured as a [Crashed] failure in its slot. *)
+    [run] itself (a bug rather than a task fault) is captured as a
+    [Crashed] failure in its slot and counted in [stats.failed]. *)
 
-val computed_cleanly : t -> (unit -> 'a) -> 'a * bool
-(** [computed_cleanly t f] runs [f] and reports whether it finished without
-    any new task failure in [t.stats]. Aggregate cache entries (whole-sweep
-    or whole-study payloads) must only be stored when clean — otherwise a
-    later warm run would replay degraded averages as if complete. *)
+val cached :
+  t ->
+  key:string ->
+  encode:('a -> string) ->
+  decode:(string -> 'a option) ->
+  (unit -> 'a) ->
+  'a
+(** [cached t ~key ~encode ~decode compute] is cache-aside for one
+    aggregate entry: a whole sweep or study that [compute] builds from many
+    units (each run through {!map} or {!keyed}). Without a cache it is
+    [compute ()]; a hit returns the decoded payload; a miss computes and
+    stores the payload only when [stats.failed] did not move meanwhile, so
+    a later warm run never replays degraded averages as if complete.
+    Unlike {!keyed} it adds no fault point, retry or journal record of its
+    own: an exception from [compute] propagates and nothing is stored. *)
 
 val oks : ('b, 'e) result list -> 'b list
 

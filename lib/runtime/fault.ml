@@ -113,8 +113,6 @@ let spec t =
     (List.rev t.per_site);
   Buffer.contents b
 
-let delay_duration t = t.delay_s
-
 let probability t kind site =
   let override =
     List.find_map

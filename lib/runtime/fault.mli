@@ -55,8 +55,6 @@ val of_env : unit -> t option
 val spec : t -> string
 (** Canonical rendering of the configuration (for logs and reports). *)
 
-val delay_duration : t -> float
-
 val fires : t -> kind -> site:string -> key:string -> bool
 (** Pure decision: does this fault fire here? Deterministic in
     (seed, kind, site, key). Callers acting on a positive decision
@@ -68,7 +66,7 @@ val crash_point : t option -> site:string -> key:string -> unit
 (** Raise {!Injected} when a [Crash] fires; no-op on [None]. *)
 
 val delay_point : t option -> site:string -> key:string -> unit
-(** Sleep {!delay_duration} seconds when a [Delay] fires; no-op on
+(** Sleep for the configured [delay_s] when a [Delay] fires; no-op on
     [None]. *)
 
 val corrupt_payload : t option -> site:string -> key:string -> string -> string

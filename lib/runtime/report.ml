@@ -26,8 +26,6 @@ let record t ~label ~wall_s ~cache_hits ~cache_misses ?(failed = 0)
     { label; wall_s; jobs = t.jobs; cache_hits; cache_misses; failed; retried; resumed }
     :: t.entries
 
-let entries t = List.rev t.entries
-
 let json_string s =
   let buf = Buffer.create (String.length s + 2) in
   Buffer.add_char buf '"';
@@ -45,7 +43,7 @@ let json_string s =
   Buffer.contents buf
 
 let write t path =
-  let entries = entries t in
+  let entries = List.rev t.entries in
   let total_wall = List.fold_left (fun a e -> a +. e.wall_s) 0. entries in
   let sum f = List.fold_left (fun a e -> a + f e) 0 entries in
   let hits = sum (fun e -> e.cache_hits) in

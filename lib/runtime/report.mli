@@ -14,17 +14,6 @@
 val schema_version : int
 (** The version written by {!write}. *)
 
-type entry = {
-  label : string;
-  wall_s : float;
-  jobs : int;
-  cache_hits : int;
-  cache_misses : int;
-  failed : int;
-  retried : int;
-  resumed : int;
-}
-
 type t
 
 val create : scale:string -> jobs:int -> unit -> t
@@ -42,8 +31,6 @@ val record :
   unit
 (** Entries are reported in recording order; the fault counters default to
     0. *)
-
-val entries : t -> entry list
 
 val write : t -> string -> unit
 (** Write the JSON document to the given path (atomically, via temp file +

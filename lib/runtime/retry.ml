@@ -13,10 +13,6 @@ let failure_to_string = function
       Printf.sprintf "timed out (%.3gs) after %d attempt%s" timeout_s attempts
         (if attempts = 1 then "" else "s")
 
-let attempts_of_failure = function
-  | Crashed e -> e.attempts
-  | Timed_out t -> t.attempts
-
 type policy = {
   retries : int;
   backoff_s : float;

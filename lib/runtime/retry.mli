@@ -23,8 +23,6 @@ type failure =
 
 val failure_to_string : failure -> string
 
-val attempts_of_failure : failure -> int
-
 type policy = {
   retries : int;  (** Extra attempts after the first; 0 = fail fast. *)
   backoff_s : float;

@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Cache-salt discipline: a diff that touches simulation/scheduling semantics
-# (lib/sim, lib/core, lib/dag, lib/redist) must bump the Cache.version salt
-# in lib/runtime/cache.ml in the same range — otherwise a warm cache replays
-# results computed by the old semantics and the "bit-identical reruns"
-# guarantee silently inverts into "bit-identical wrong reruns".
+# Cache-salt discipline: cache keys name parameters (Suite.name,
+# Cluster.signature), not code, so a diff that touches any code feeding a
+# cached result must bump the Cache.version salt in lib/runtime/cache.ml in
+# the same range — otherwise a warm cache replays results computed by the
+# old code and the "bit-identical reruns" guarantee silently inverts into
+# "bit-identical wrong reruns". That code is simulation and scheduling
+# (lib/sim, lib/core, lib/dag, lib/redist), the DAG generator and its RNG
+# (lib/daggen, lib/util), routing (lib/platform), the shared problem setup
+# (lib/server/api.ml: Api.prepare) and the studies' own arithmetic, which
+# is stored whole (lib/exp).
 #
 # Usage: salt_check.sh [--strict] [--base REF]
 #
@@ -52,29 +57,31 @@ if [ "$auto_base" -eq 1 ] \
     fi
 fi
 
-salted_dirs='^lib/(sim|core|dag|redist)/'
+salted_paths='^lib/(sim|core|dag|redist|daggen|platform|util|exp)/|^lib/server/api\.ml$'
 
-touched=$(git diff --name-only "$base" -- | grep -E "$salted_dirs" || true)
+touched=$(git diff --name-only "$base" -- | grep -E "$salted_paths" || true)
 if [ -z "$touched" ]; then
-    echo "salt-check: ok — no semantics directories touched since $base"
+    echo "salt-check: ok — no code feeding cached results touched since $base"
     exit 0
 fi
 
 if git diff "$base" -- lib/runtime/cache.ml | grep -qE '^[+-].*let version'; then
-    echo "salt-check: ok — semantics touched and Cache.version bumped since $base"
+    echo "salt-check: ok — cached-result code touched and Cache.version bumped since $base"
     exit 0
 fi
 
 cat >&2 <<EOF
-salt-check: lib/{sim,core,dag,redist} changed since $base without a
-Cache.version bump in lib/runtime/cache.ml:
+salt-check: code feeding cached results (lib/{sim,core,dag,redist,
+daggen,platform,util,exp} or lib/server/api.ml) changed since $base
+without a Cache.version bump in lib/runtime/cache.ml:
 $(printf '%s\n' "$touched" | sed 's/^/  /')
 
-Rule: any change that can alter a simulated result must also change the
+Rule: any change that can alter a cached result must also change the
 cache salt (the 'let version = ...' line in lib/runtime/cache.ml), or a
 warm bench_results/.cache will replay results computed by the old
-semantics. If the change is comment/doc-only, this warning is safe to
-ignore (that is why it is advisory without --strict).
+code. If the change cannot alter a cached result (comments, docs, a
+refactor that keeps every key and payload byte-identical), this warning
+is safe to ignore (that is why it is advisory without --strict).
 EOF
 [ "$strict" -eq 1 ] && exit 1
 exit 0

@@ -2,8 +2,11 @@
 # Smoke test of the experiment studio (bin/studio.exe).
 #
 # Five parts:
-#   1. report: a traced smoke-scale fig2 bench run, then `studio report`
-#      over its BENCH_runtime.json + trace + metrics must produce one
+#   1. report: a cold traced smoke-scale fig2 bench run (fresh cache
+#      directory, so every bench counter moves); `trace_check
+#      --require-bench-counters` must validate its trace and metrics and
+#      render a non-empty SVG timeline, then `studio report` over its
+#      BENCH_runtime.json + trace + metrics must produce one
 #      self-contained HTML file: at least one inline SVG, the counter
 #      table, the per-target breakdown, and no external fetches (no
 #      script/link/src; the only URLs allowed are SVG xmlns declarations);
@@ -23,6 +26,7 @@ cd "$(dirname "$0")/.."
 
 BENCH=$PWD/_build/default/bench/main.exe
 STUDIO=$PWD/_build/default/bin/studio.exe
+TRACE_CHECK=$PWD/_build/default/bin/trace_check.exe
 WORKLOAD=$PWD/_build/default/bin/workload.exe
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -41,6 +45,10 @@ run_bench() { # $1 = output directory
 # --- 1. self-contained report --------------------------------------------- #
 
 run_bench a
+"$TRACE_CHECK" --trace a/trace.json --metrics a/metrics.json \
+    --require-bench-counters --svg a/timeline.svg
+[ -s a/timeline.svg ] || { echo "studio-smoke: timeline.svg missing" >&2; exit 1; }
+
 "$WORKLOAD" --cluster grillon --profile poisson:jobs=12,tenants=2,seed=5 \
     --arms delta,hcpa --csv a/study.csv > /dev/null
 
@@ -113,4 +121,4 @@ done
 wait "$SERVE_PID"
 [ "$ok" = 1 ] || { echo "studio-smoke: serve did not answer" >&2; exit 1; }
 
-echo "studio-smoke: OK (self-contained report, diff + scale guard, one-shot serve)"
+echo "studio-smoke: OK (validated trace, self-contained report, diff + scale guard, one-shot serve)"

@@ -16,9 +16,10 @@
 #   make workload-smoke     workload.exe three-arm study: same-seed byte
 #                           determinism, save-trace/replay round-trip, worker
 #                           independence
-#   make studio-smoke       cold traced fig2 run, validated by trace_check
-#                           (bench counters, SVG timeline) and rendered by
-#                           studio.exe into a self-contained HTML report;
+#   make studio-smoke       cold traced fig2 run, validated by studio check
+#                           (bench counters) and rendered by studio report
+#                           into a self-contained HTML report with its
+#                           trace timeline;
 #                           A/B diff with the scale-mismatch guard, one-shot
 #                           live serve
 #   make flags-check        diff README's CLI flag table against each binary's
@@ -83,7 +84,8 @@ bench-resume-smoke: build
 # eviction without disturbing other tenants, overload shedding with
 # retry-after hints, queue-wait deadlines, survival under corrupted reads /
 # forced disconnects (docs/SERVER.md "Failure semantics"), and the selftest
-# load driver's byte-level determinism check.
+# load driver's byte-level determinism check and its usage error on a bad
+# load parameter.
 chaos-smoke: build
 	tools/chaos_smoke.sh
 
@@ -95,9 +97,9 @@ workload-smoke: build
 
 # Observability and experiment studio acceptance: a cold traced smoke fig2
 # run (fresh cache directory, so every counter the validator requires
-# actually moves) must pass trace_check --require-bench-counters and render
-# an SVG timeline, then render into a single self-contained HTML report
-# (inline SVGs, counter table, per-target breakdown, no external fetches);
+# actually moves) must pass studio check --require-bench-counters, then
+# render into a single self-contained HTML report (inline SVGs, trace
+# timeline, counter table, per-target breakdown, no external fetches);
 # `studio diff` must print per-target deltas and warn when comparing runs of
 # different scale, and one-shot `studio serve` must answer an HTTP request
 # (docs/STUDIO.md). Runs in a temp directory, so the committed

@@ -231,6 +231,9 @@ let run_workload () =
   section "Workload studies";
   let module Study = Rats_workload_study.Study in
   let cluster = Cluster.grillon in
+  let config =
+    { (Rats_server.Engine.default_config cluster) with policy = workload_policy }
+  in
   ensure_results_dir ();
   List.iter
     (fun name ->
@@ -241,7 +244,7 @@ let run_workload () =
       in
       let reports =
         timed (name ^ " study") (fun () ->
-            Study.run ~policy:workload_policy ~cluster profile)
+            Study.run config profile)
       in
       List.iter
         (fun (r : Rats_workload.Report.t) ->

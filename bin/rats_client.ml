@@ -18,6 +18,8 @@ module Server = Rats_server
 module Api = Rats_server.Api
 module Protocol = Rats_server.Protocol
 module Load = Rats_server.Load
+module Profile = Rats_workload.Profile
+module Trace = Rats_workload.Trace
 module Retry = Rats_runtime.Retry
 module Core = Rats_core
 module J = Rats_obs.Json
@@ -135,13 +137,25 @@ let do_watch conn json stall =
   in
   go ()
 
-let do_load conn json profile load_from load_to =
-  let trace = Load.trace profile in
-  let n = List.length trace in
+(* The poisson preset's trace, every job carrying the client's strategy.
+   Built before connecting, so bad parameters never reach the daemon. *)
+let load_trace cluster params strategy =
+  match Profile.preset ~cluster Profile.Poisson params with
+  | Error e ->
+      prerr_endline ("rats_client: " ^ e);
+      exit 2
+  | Ok profile ->
+      Array.map
+        (fun (job : Trace.job) ->
+          (job.Trace.at, { (Load.request_of_job job) with Api.strategy }))
+        (Trace.compile profile)
+
+let do_load conn json trace load_from load_to =
+  let n = Array.length trace in
   let lo = max 0 load_from in
   let hi = if load_to <= 0 then n else min load_to n in
   let sent = ref 0 in
-  List.iteri
+  Array.iteri
     (fun i (at, request) ->
       if i >= lo && i < hi then begin
         send conn (Protocol.Submit { at = Some at; request });
@@ -178,6 +192,12 @@ let run socket op tenant at procs follow drain json dag_file config algo
             | Error e -> fail "rats_client: %s: %s" path e))
   in
   let request () = { Api.tenant; job = job (); strategy; procs } in
+  let trace =
+    if op = `Load then
+      load_trace cluster { Profile.jobs = load_jobs; tenants; rate; seed }
+        strategy
+    else [||]
+  in
   let conn = connect ~retries ~timeout socket in
   (match op with
   | `Ping -> (
@@ -210,17 +230,7 @@ let run socket op tenant at procs follow drain json dag_file config algo
       | _ -> fail "rats_client: unexpected reply to submit")
   | `Watch -> do_watch conn json stall
   | `Load ->
-      let profile =
-        {
-          (Load.default_profile cluster) with
-          Load.n_jobs = load_jobs;
-          n_tenants = tenants;
-          rate;
-          seed;
-          strategy;
-        }
-      in
-      do_load conn json profile load_from load_to;
+      do_load conn json trace load_from load_to;
       if drain then do_drain conn json
   | `Drain ->
       if follow then begin
@@ -367,24 +377,28 @@ let stall_term =
 
 let load_jobs_term =
   Arg.(
-    value & opt int 120
+    value
+    & opt int Profile.default_params.jobs
     & info [ "load-jobs" ] ~docv:"N"
         ~doc:"load: total jobs in the generated trace.")
 
 let tenants_term =
   Arg.(
-    value & opt int 4
+    value
+    & opt int Profile.default_params.tenants
     & info [ "tenants" ] ~docv:"N" ~doc:"load: number of tenants.")
 
 let rate_term =
   Arg.(
-    value & opt float 0.05
+    value
+    & opt float Profile.default_params.rate
     & info [ "rate" ] ~docv:"R"
         ~doc:"load: aggregate arrival rate, jobs per simulated second.")
 
 let seed_term =
   Arg.(
-    value & opt int 42
+    value
+    & opt int Profile.default_params.seed
     & info [ "seed" ] ~docv:"S" ~doc:"load: arrival-trace random seed.")
 
 let load_from_term =

@@ -26,7 +26,10 @@ open Cmdliner
 module Server = Rats_server
 module Engine = Rats_server.Engine
 module Protocol = Rats_server.Protocol
-module Load = Rats_server.Load
+module Profile = Rats_workload.Profile
+module Trace = Rats_workload.Trace
+module Report = Rats_workload.Report
+module Study = Rats_workload_study.Study
 module Journal = Rats_runtime.Journal
 module Fault = Rats_runtime.Fault
 module Stats = Rats_util.Stats
@@ -470,61 +473,50 @@ let serve srv socket_path =
   Unix.close lfd;
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ())
 
-(* --- selftest: simulated-time load driver -------------------------------- *)
+(* --- selftest: the poisson preset through the study runner ---------------- *)
 
-let run_profile config profile =
-  let engine = Engine.create config in
-  let report = Load.run engine profile in
-  let log =
-    String.concat "\n"
-      (List.map
-         (fun ev -> J.to_string (Server.Api.stamped_to_json ev))
-         (Engine.events engine))
+let selftest config params =
+  let cluster = config.Engine.cluster in
+  let profile =
+    match Profile.preset ~cluster Profile.Poisson params with
+    | Ok profile -> profile
+    | Error e ->
+        prerr_endline ("ratsd: " ^ e);
+        exit 2
   in
-  (report, log)
-
-let selftest cluster policy jobs fault load_jobs tenants rate seed =
-  let config =
-    { (Engine.default_config cluster) with Engine.policy; jobs; fault }
+  let trace = Trace.compile profile in
+  let log_bytes events =
+    List.map (fun ev -> J.to_string (Server.Api.stamped_to_json ev)) events
   in
   let failures = ref 0 in
   List.iter
-    (fun strategy ->
-      let profile =
-        {
-          (Load.default_profile cluster) with
-          Load.n_jobs = load_jobs;
-          n_tenants = tenants;
-          rate;
-          seed;
-          strategy;
-        }
-      in
-      let name = Core.Rats.strategy_name strategy in
+    (fun arm ->
+      let name = Study.arm_name arm in
       Format.printf "@.=== %s: %d jobs, %d tenants, %.3f jobs/s ===@." name
-        load_jobs tenants rate;
-      let report, log1 = run_profile config profile in
-      let _, log2 = run_profile config profile in
-      Format.printf "%a@." Load.pp_report report;
-      if log1 <> log2 then begin
+        params.Profile.jobs params.Profile.tenants params.Profile.rate;
+      let report, log1 = Study.run_arm config ~profile ~trace arm in
+      let _, log2 = Study.run_arm config ~profile ~trace arm in
+      Format.printf "%a@." Report.pp report;
+      if log_bytes log1 <> log_bytes log2 then begin
         incr failures;
         Format.printf "FAIL: %s event log differs between identical runs@."
           name
       end
       else
         Format.printf "determinism: %d events, re-run byte-identical@."
-          (List.length (String.split_on_char '\n' log1));
+          (List.length log1);
       if
-        report.Load.completed + report.Load.rejected + report.Load.expired
-        <> report.Load.jobs
+        report.Report.completed + report.Report.rejected
+        + report.Report.expired
+        <> report.Report.jobs
       then begin
         incr failures;
         Format.printf "FAIL: %s lost jobs (%d submitted, %d completed, %d \
                        rejected, %d expired)@."
-          name report.Load.jobs report.Load.completed report.Load.rejected
-          report.Load.expired
+          name report.Report.jobs report.Report.completed
+          report.Report.rejected report.Report.expired
       end)
-    [ Core.Rats.Baseline; Core.Rats.Delta Core.Rats.naive_delta ];
+    [ Study.Hcpa; Study.Delta ];
   if !failures > 0 then begin
     Format.printf "@.selftest: %d failure(s)@." !failures;
     exit 1
@@ -543,12 +535,19 @@ let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
       ?deadline_s:(if deadline > 0. then Some deadline else None)
       ~queue_limit ~tenant_limit ()
   in
-  let jobs = if jobs = 0 then None else Some jobs in
+  let config =
+    {
+      (Engine.default_config cluster) with
+      Engine.policy;
+      jobs = (if jobs = 0 then None else Some jobs);
+      fault;
+    }
+  in
   (match fault with
   | Some f -> Printf.eprintf "ratsd: fault injection armed: %s\n%!" (Fault.spec f)
   | None -> ());
   if selftest_flag then
-    selftest cluster policy jobs fault load_jobs tenants rate seed
+    selftest config { Profile.jobs = load_jobs; tenants; rate; seed }
   else begin
     match claim_socket_path socket with
     | Error msg ->
@@ -557,9 +556,6 @@ let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
     | Ok () ->
         let journal =
           Journal.open_ ?dir:journal_dir ?fault ~name:journal_name ~resume ()
-        in
-        let config =
-          { (Engine.default_config cluster) with Engine.policy; jobs; fault }
         in
         let engine = Engine.create ~journal config in
         if resume then begin
@@ -693,23 +689,27 @@ let resume_term =
 
 let load_jobs_term =
   Arg.(
-    value & opt int 120
+    value
+    & opt int Profile.default_params.jobs
     & info [ "load-jobs" ] ~docv:"N" ~doc:"Selftest: total jobs to submit.")
 
 let tenants_term =
   Arg.(
-    value & opt int 4
+    value
+    & opt int Profile.default_params.tenants
     & info [ "tenants" ] ~docv:"N" ~doc:"Selftest: number of tenants.")
 
 let rate_term =
   Arg.(
-    value & opt float 0.05
+    value
+    & opt float Profile.default_params.rate
     & info [ "rate" ] ~docv:"R"
         ~doc:"Selftest: aggregate arrival rate, jobs per simulated second.")
 
 let seed_term =
   Arg.(
-    value & opt int 42
+    value
+    & opt int Profile.default_params.seed
     & info [ "seed" ] ~docv:"S" ~doc:"Selftest: arrival-trace random seed.")
 
 let cmd =

@@ -1,22 +1,25 @@
-(* studio: render run artifacts into self-contained HTML.
+(* studio: render and check run artifacts.
 
-   Three subcommands over the artifact formats the other six binaries
-   already write — no new formats, no external assets:
+   Four subcommands over the artifact formats the other binaries already
+   write — no new formats, no external assets:
 
      report   one run's artifacts -> a single offline HTML report
      diff     A/B two BENCH_runtime.json files, text + optional HTML
      serve    live auto-refreshing monitor of a running sweep
+     check    validate a --trace file and --metrics snapshot; exits 1 on
+              the first violation (the machine end of make studio-smoke)
 
    Examples:
      dune exec bin/studio.exe -- report --bench BENCH_runtime.json \
        --trace trace.json --metrics metrics.json --out report.html
      dune exec bin/studio.exe -- diff old/BENCH_runtime.json BENCH_runtime.json
      dune exec bin/studio.exe -- serve --journal sweep.journal \
-       --metrics metrics.json --port 8080 *)
+       --metrics metrics.json --port 8080
+     dune exec bin/studio.exe -- check --trace trace.json \
+       --metrics metrics.json --require-bench-counters *)
 
 open Cmdliner
 module Studio = Rats_studio
-module Json = Rats_obs.Json
 
 let read_file path =
   match
@@ -31,11 +34,6 @@ let read_file path =
 let ( let* ) = Result.bind
 
 (* --- report -------------------------------------------------------------- *)
-
-let load_trace path =
-  let* contents = read_file path in
-  let* json = Json.parse contents in
-  Rats_obs.Trace.events_of_json json
 
 let basename_caption path = Printf.sprintf "%s (embedded)" path
 
@@ -63,7 +61,7 @@ let run_report bench metrics trace workloads svgs title out =
     in
     let trace_events =
       Option.bind trace (fun path ->
-          match load_trace path with
+          match Studio.Check.trace path with
           | Ok events -> Some events
           | Error msg ->
               warn "trace" path msg;
@@ -279,10 +277,65 @@ let serve_cmd =
       $ refresh_term $ max_requests_term
       $ title_term "RATS live sweep monitor")
 
+(* --- check ---------------------------------------------------------------- *)
+
+let run_check trace metrics require_bench =
+  let result =
+    let* events = Studio.Check.trace trace in
+    Printf.printf "%s: %d events ok\n" trace (List.length events);
+    match metrics with
+    | None when require_bench ->
+        Error "--require-bench-counters needs --metrics"
+    | None -> Ok ()
+    | Some path ->
+        let* snapshot = Studio.Check.metrics path in
+        Printf.printf "%s: well-formed snapshot\n" path;
+        if require_bench then begin
+          let* () = Studio.Check.bench_counters snapshot in
+          Printf.printf "%s: bench counters ok\n" path;
+          Ok ()
+        end
+        else Ok ()
+  in
+  match result with
+  | Ok () -> 0
+  | Error msg ->
+      Printf.eprintf "studio: check: %s\n" msg;
+      1
+
+let check_cmd =
+  Cmd.v
+    (Cmd.info "check"
+       ~doc:
+         "Validate the files a traced run writes: the Chrome trace-event \
+          file and, optionally, the metrics snapshot. Exits 1 on the first \
+          violation.")
+    Term.(
+      const run_check
+      $ Arg.(
+          required
+          & opt (some string) None
+          & info [ "trace" ] ~docv:"FILE"
+              ~doc:"Chrome trace-event file to validate.")
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "metrics" ] ~docv:"FILE"
+              ~doc:"Metrics JSON snapshot to validate.")
+      $ Arg.(
+          value & flag
+          & info [ "require-bench-counters" ]
+              ~doc:
+                "Fail unless the snapshot shows the counters a bench run \
+                 must move: simulator events, cache hits/misses with \
+                 read/write latency histograms, pool task/steal counters, \
+                 and per-strategy pack/stretch counters with eliminated \
+                 redistributions."))
+
 let cmd =
   Cmd.group
     (Cmd.info "studio"
-       ~doc:"Render run artifacts into self-contained HTML reports")
-    [ report_cmd; diff_cmd; serve_cmd ]
+       ~doc:"Render and check run artifacts")
+    [ report_cmd; diff_cmd; serve_cmd; check_cmd ]
 
 let () = exit (Cmd.eval' cmd)

@@ -14,6 +14,7 @@
 open Cmdliner
 module Cluster = Rats_platform.Cluster
 module Admission = Rats_server.Admission
+module Engine = Rats_server.Engine
 module Profile = Rats_workload.Profile
 module Trace = Rats_workload.Trace
 module Report = Rats_workload.Report
@@ -46,7 +47,13 @@ let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
         | Error e -> die "%s" e)
       profiles
   in
-  let jobs = if jobs = 0 then None else Some jobs in
+  let config =
+    {
+      (Engine.default_config cluster) with
+      policy;
+      jobs = (if jobs = 0 then None else Some jobs);
+    }
+  in
   (match (save_trace, replay) with
   | Some _, Some _ -> die "--save-trace and --replay are mutually exclusive"
   | _ -> ());
@@ -67,13 +74,12 @@ let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
             | Error e -> die "%s" e
             | Ok trace ->
                 List.map
-                  (fun arm ->
-                    Study.run_arm ~policy ?jobs ~cluster ~profile ~trace arm)
+                  (fun arm -> fst (Study.run_arm config ~profile ~trace arm))
                   arms)
         | _ -> die "--replay needs exactly one --profile")
     | None ->
         List.concat_map
-          (fun profile -> Study.run ~policy ?jobs ~arms ~cluster profile)
+          (fun profile -> Study.run ~arms config profile)
           profiles
   in
   List.iter (fun r -> Format.printf "%a@.@." Report.pp r) reports;

@@ -3,9 +3,9 @@
 
     Handles are created at module initialisation, so any binary that links
     an instrumented layer exposes the full metric set (zero-valued when
-    unused) — consumers like [bin/trace_check] can rely on names being
-    present. The span taxonomy (category → names) is documented in
-    DESIGN.md §6.
+    unused) — consumers like [studio check --require-bench-counters] can
+    rely on names being present. The span taxonomy (category → names) is
+    documented in DESIGN.md §6.
 
     Metric names are Prometheus-style; the strategy dimension is folded
     into the name ([rats_map_<strategy>_..._total], strategy ∈ {hcpa,

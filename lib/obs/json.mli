@@ -1,10 +1,10 @@
 (** Minimal dependency-free JSON tree, printer and parser.
 
     The observability layer needs to both emit JSON (Chrome trace-event
-    files, metrics snapshots) and read it back (trace validation in tests
-    and [bin/trace_check]). A tiny recursive-descent parser keeps the repo
-    free of a yojson dependency; it accepts standard JSON (RFC 8259) with
-    the usual numeric and string escapes. *)
+    files, metrics snapshots) and read it back ([studio check],
+    [studio report] and the tests). A tiny recursive-descent parser keeps
+    the repo free of a yojson dependency; it accepts standard JSON (RFC
+    8259) with the usual numeric and string escapes. *)
 
 type t =
   | Null

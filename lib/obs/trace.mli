@@ -109,6 +109,6 @@ val write_chrome : t -> string -> unit
 val events_of_json : Json.t -> (event list, string) result
 (** The inverse of {!to_chrome_json}: the events of a parsed Chrome
     trace-event document, in document order. Fails with a diagnostic
-    naming the first malformed event — the validation half of
-    [bin/trace_check], exposed so report generators can re-render a trace
-    file (e.g. {!Rats_viz.Timeline}) without duplicating the decoder. *)
+    naming the first malformed event — the trace half of [studio check],
+    shared with [studio report], which re-renders the trace as a
+    {!Rats_viz.Timeline}. *)

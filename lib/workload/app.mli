@@ -63,7 +63,7 @@ val name : t -> string
 type mix = (int * template) array
 (** Positive integer weights. A uniform mix (all weights 1) consumes
     exactly one [Rng.int] draw of bound [Array.length mix] per pick —
-    bit-compatible with the historical [Server.Load] spec pool. *)
+    bit-compatible with the historical load generator's spec pool. *)
 
 val validate_mix : mix -> unit
 (** Raises [Invalid_argument] on an empty mix or a non-positive weight. *)

@@ -49,8 +49,8 @@ type state = {
 let start _ = { t = 0.; on = true; phase_end = 0.; index = 0 }
 
 (* Exponential interarrival by inverse transform — the exact float
-   expression of the historical Server.Load driver, so the Poisson shim
-   stays byte-identical. *)
+   expression of the historical load generator, so the poisson preset
+   stays byte-identical to it. *)
 let exponential rng ~rate =
   let u = Rng.float rng 1. in
   -.log (1. -. u) /. rate

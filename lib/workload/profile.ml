@@ -18,8 +18,8 @@ let jobs_per_tenant t =
   Array.init n_tenants (fun i ->
       (t.n_jobs / n_tenants) + if i < t.n_jobs mod n_tenants then 1 else 0)
 
-(* Small configurations only, in the historical [Server.Load] pool order:
-   byte-identical traces for the poisson preset depend on it. *)
+(* Small configurations only, in the historical load generator's pool
+   order: byte-identical traces for the poisson preset depend on it. *)
 let service_mix : App.mix =
   [|
     ( 1,
@@ -66,39 +66,20 @@ let pipeline_mix : App.mix =
     );
   |]
 
-let service ?name ~n_jobs ~n_tenants ~rate ~seed ~strategy ~procs_min
-    ~procs_max () =
-  if n_tenants < 1 then invalid_arg "Profile.service: n_tenants < 1";
-  if rate <= 0. then invalid_arg "Profile.service: rate <= 0";
-  let per_tenant_rate = rate /. float_of_int n_tenants in
-  let tenants =
-    List.init n_tenants (fun i ->
-        {
-          Tenant.name = Printf.sprintf "tenant-%d" i;
-          arrival = Arrival.Poisson { rate = per_tenant_rate };
-          mix = service_mix;
-          samples = 3;
-          share = Tenant.Uniform { lo = procs_min; hi = procs_max };
-          strategy;
-        })
-  in
-  {
-    name = Option.value name ~default:"poisson";
-    seed;
-    n_jobs;
-    tenants;
-  }
+type preset = Poisson | Bursty | Diurnal | Pipeline | Mixed
 
-type preset_params = {
-  p_jobs : int;
-  p_tenants : int;
-  p_rate : float;
-  p_seed : int;
-}
+let presets =
+  [
+    ("poisson", Poisson);
+    ("bursty", Bursty);
+    ("diurnal", Diurnal);
+    ("pipeline", Pipeline);
+    ("mixed", Mixed);
+  ]
 
-let default_params = { p_jobs = 120; p_tenants = 4; p_rate = 0.05; p_seed = 42 }
+type params = { jobs : int; tenants : int; rate : float; seed : int }
 
-let presets = [ "poisson"; "bursty"; "diurnal"; "pipeline"; "mixed" ]
+let default_params = { jobs = 120; tenants = 4; rate = 0.05; seed = 42 }
 
 (* Per-tenant arrival process of each non-poisson preset, parameterised by the
    tenant's even share of the aggregate rate. Burst and diurnal shapes keep
@@ -118,72 +99,78 @@ let diurnal_arrival per_rate =
   Arrival.Diurnal
     { base = per_rate; amplitude = 0.9; period = 400. /. per_rate }
 
-let build_preset ~cluster name params =
-  let n = Cluster.n_procs cluster in
-  let procs_min = max 1 (n / 4) and procs_max = n in
-  let share = Tenant.Uniform { lo = procs_min; hi = procs_max } in
-  let strategy = Rats.Delta Rats.naive_delta in
-  let per_rate = params.p_rate /. float_of_int params.p_tenants in
-  let tenant i arrival mix =
-    {
-      Tenant.name = Printf.sprintf "tenant-%d" i;
-      arrival;
-      mix;
-      samples = 3;
-      share;
-      strategy;
-    }
-  in
-  let tenants =
-    match name with
-    | "poisson" ->
-        List.init params.p_tenants (fun i ->
-            tenant i (Arrival.Poisson { rate = per_rate }) service_mix)
-    | "bursty" ->
-        List.init params.p_tenants (fun i ->
-            tenant i (bursty_arrival per_rate) service_mix)
-    | "diurnal" ->
-        List.init params.p_tenants (fun i ->
-            tenant i (diurnal_arrival per_rate) service_mix)
-    | "pipeline" ->
-        List.init params.p_tenants (fun i ->
-            tenant i (Arrival.Poisson { rate = per_rate }) pipeline_mix)
-    | "mixed" ->
-        (* Tenant classes cycle: open-loop, flash-crowd, day/night, pipeline. *)
-        List.init params.p_tenants (fun i ->
-            match i mod 4 with
-            | 0 -> tenant i (Arrival.Poisson { rate = per_rate }) service_mix
-            | 1 -> tenant i (bursty_arrival per_rate) service_mix
-            | 2 -> tenant i (diurnal_arrival per_rate) service_mix
-            | _ ->
-                tenant i (Arrival.Poisson { rate = per_rate }) pipeline_mix)
-    | other -> invalid_arg ("Profile: unknown preset " ^ other)
-  in
-  { name; seed = params.p_seed; n_jobs = params.p_jobs; tenants }
+let check_params p =
+  if p.jobs < 1 then Error (Printf.sprintf "jobs must be >= 1, got %d" p.jobs)
+  else if p.tenants < 1 then
+    Error (Printf.sprintf "tenants must be >= 1, got %d" p.tenants)
+  else if not (Float.is_finite p.rate && p.rate > 0.) then
+    Error (Printf.sprintf "rate must be finite and > 0, got %g" p.rate)
+  else Ok ()
 
+let preset ~cluster kind params =
+  Result.map
+    (fun () ->
+      let n = Cluster.n_procs cluster in
+      let share = Tenant.Uniform { lo = max 1 (n / 4); hi = n } in
+      let strategy = Rats.Delta Rats.naive_delta in
+      let per_rate = params.rate /. float_of_int params.tenants in
+      let poisson = Arrival.Poisson { rate = per_rate } in
+      let tenant i =
+        let arrival, mix =
+          match kind with
+          | Poisson -> (poisson, service_mix)
+          | Bursty -> (bursty_arrival per_rate, service_mix)
+          | Diurnal -> (diurnal_arrival per_rate, service_mix)
+          | Pipeline -> (poisson, pipeline_mix)
+          | Mixed -> (
+              (* Tenant classes cycle: open-loop, flash-crowd, day/night,
+                 pipeline. *)
+              match i mod 4 with
+              | 0 -> (poisson, service_mix)
+              | 1 -> (bursty_arrival per_rate, service_mix)
+              | 2 -> (diurnal_arrival per_rate, service_mix)
+              | _ -> (poisson, pipeline_mix))
+        in
+        {
+          Tenant.name = Printf.sprintf "tenant-%d" i;
+          arrival;
+          mix;
+          samples = 3;
+          share;
+          strategy;
+        }
+      in
+      {
+        name = fst (List.find (fun (_, k) -> k = kind) presets);
+        seed = params.seed;
+        n_jobs = params.jobs;
+        tenants = List.init params.tenants tenant;
+      })
+    (check_params params)
+
+(* Values are only parsed here; {!preset} checks their ranges. *)
 let parse_params base kvs =
   List.fold_left
     (fun acc kv ->
-      match acc with
-      | Error _ -> acc
-      | Ok params -> (
+      Result.bind acc (fun params ->
+          let bad what v = Error (Printf.sprintf "bad %s value %S" what v) in
           match String.split_on_char '=' kv with
           | [ "jobs"; v ] -> (
               match int_of_string_opt v with
-              | Some j when j >= 1 -> Ok { params with p_jobs = j }
-              | _ -> Error (Printf.sprintf "bad jobs value %S" v))
+              | Some jobs -> Ok { params with jobs }
+              | None -> bad "jobs" v)
           | [ "tenants"; v ] -> (
               match int_of_string_opt v with
-              | Some t when t >= 1 -> Ok { params with p_tenants = t }
-              | _ -> Error (Printf.sprintf "bad tenants value %S" v))
+              | Some tenants -> Ok { params with tenants }
+              | None -> bad "tenants" v)
           | [ "rate"; v ] -> (
               match float_of_string_opt v with
-              | Some r when r > 0. -> Ok { params with p_rate = r }
-              | _ -> Error (Printf.sprintf "bad rate value %S" v))
+              | Some rate -> Ok { params with rate }
+              | None -> bad "rate" v)
           | [ "seed"; v ] -> (
               match int_of_string_opt v with
-              | Some s -> Ok { params with p_seed = s }
-              | None -> Error (Printf.sprintf "bad seed value %S" v))
+              | Some seed -> Ok { params with seed }
+              | None -> bad "seed" v)
           | _ -> Error (Printf.sprintf "bad profile option %S" kv)))
     (Ok base) kvs
 
@@ -196,17 +183,12 @@ let of_string ~cluster ?seed spec =
           String.split_on_char ','
             (String.sub spec (i + 1) (String.length spec - i - 1)) )
   in
-  if not (List.mem name presets) then
-    Error
-      (Printf.sprintf "unknown profile %S (expected one of: %s)" name
-         (String.concat ", " presets))
-  else
-    match parse_params default_params kvs with
-    | Error e -> Error e
-    | Ok params ->
-        let params =
-          match seed with
-          | Some s -> { params with p_seed = s }
-          | None -> params
-        in
-        Ok (build_preset ~cluster name params)
+  match List.assoc_opt name presets with
+  | None ->
+      Error
+        (Printf.sprintf "unknown profile %S (expected one of: %s)" name
+           (String.concat ", " (List.map fst presets)))
+  | Some kind ->
+      Result.bind (parse_params default_params kvs) (fun params ->
+          let seed = Option.value seed ~default:params.seed in
+          preset ~cluster kind { params with seed })

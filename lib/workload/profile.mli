@@ -3,7 +3,7 @@
     A profile is a named set of {!Tenant}s plus a total job budget; the
     trace compiler ({!Trace.compile}) splits the budget round-robin
     across tenants (tenant [i] of [T] gets [n/T] jobs, plus one of the
-    first [n mod T] remainders — the historical [Server.Load] split).
+    first [n mod T] remainders — the historical [ratsd] load split).
 
     {2 Profile grammar}
 
@@ -11,10 +11,10 @@
     one of {!presets} and the optional keys override the preset's
     defaults:
 
-    - [jobs=N] — total jobs across tenants (default 120);
-    - [tenants=K] — tenant count (default 4);
+    - [jobs=N] — total jobs across tenants, at least 1 (default 120);
+    - [tenants=K] — tenant count, at least 1 (default 4);
     - [rate=R] — aggregate arrival rate in jobs per simulated second,
-      split evenly across tenants (default 0.05);
+      finite and positive, split evenly across tenants (default 0.05);
     - [seed=S] — trace seed (default 42).
 
     Example: ["bursty:jobs=240,tenants=6,seed=7"].
@@ -22,8 +22,8 @@
     {2 Presets}
 
     - [poisson] — every tenant an independent Poisson source over the
-      small-configuration service mix: the classic open-loop load (and
-      the exact trace of the historical [ratsd --selftest] driver).
+      small-configuration service mix: the classic open-loop load, and
+      the trace [ratsd --selftest] and [rats_client --op load] submit.
     - [bursty] — on/off MMPP tenants: flash crowds against a quiet
       background.
     - [diurnal] — sinusoidal rate curve tenants (day/night).
@@ -55,31 +55,35 @@ val pipeline_mix : App.mix
 (** Three pipeline chains of 5/8/12 stages over 4/8/16 Mi-element
     datasets, uniform weights. *)
 
-val service :
-  ?name:string ->
-  n_jobs:int ->
-  n_tenants:int ->
-  rate:float ->
-  seed:int ->
-  strategy:Rats_core.Rats.strategy ->
-  procs_min:int ->
-  procs_max:int ->
-  unit ->
-  t
-(** The [poisson] preset with explicit share bounds — the profile behind
-    [Server.Load]'s driver: [n_tenants] Poisson tenants named
-    ["tenant-<i>"] of rate [rate /. n_tenants] each, {!service_mix},
-    3 samples, shares uniform in [\[procs_min, procs_max\]]. *)
+type preset = Poisson | Bursty | Diurnal | Pipeline | Mixed
 
-val presets : string list
-(** Preset names accepted by {!of_string}, in documentation order. *)
+val presets : (string * preset) list
+(** The grammar's preset names, in documentation order. *)
+
+type params = {
+  jobs : int;  (** Total jobs across tenants; at least 1. *)
+  tenants : int;  (** At least 1. *)
+  rate : float;
+      (** Aggregate arrival rate, jobs per simulated second, split evenly
+          across tenants; finite and positive. *)
+  seed : int;
+}
+
+val default_params : params
+(** 120 jobs from 4 tenants at 0.05 jobs/s, seed 42: the grammar's
+    defaults and those of [ratsd --selftest] and [rats_client --op load]. *)
+
+val preset :
+  cluster:Rats_platform.Cluster.t -> preset -> params -> (t, string) result
+(** The preset with [params]: tenants named ["tenant-<i>"], 3 samples per
+    suite application, shares uniform between a quarter of the platform
+    and all of it, the naive delta strategy baked in. An [Error] names the
+    first parameter out of range. *)
 
 val of_string :
   cluster:Rats_platform.Cluster.t ->
   ?seed:int ->
   string ->
   (t, string) result
-(** Parses the profile grammar above. Share bounds are derived from the
-    cluster (uniform between a quarter of the platform and all of it);
-    the baked strategy is the naive delta. [?seed] overrides any seed
-    from the string (the CLI's [--seed] flag). *)
+(** Parses the profile grammar above into {!preset}. [?seed] overrides
+    any seed from the string (the CLI's [--seed] flag). *)

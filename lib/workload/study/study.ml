@@ -4,7 +4,6 @@ module Trace = Rats_workload.Trace
 module Report = Rats_workload.Report
 module Rats = Rats_core.Rats
 module Api = Rats_server.Api
-module Admission = Rats_server.Admission
 module Engine = Rats_server.Engine
 module Load = Rats_server.Load
 module Metrics = Rats_obs.Metrics
@@ -29,16 +28,14 @@ let arm_of_string s =
         (Printf.sprintf "unknown arm %S (expected one of: %s)" s
            (String.concat ", " (List.map arm_name all_arms)))
 
-(* RATS arms override the trace's baked strategy; the packing arm replaces
-   the whole allocate-and-map pipeline. *)
-let with_strategy strategy ~cluster (r : Api.request) =
-  Api.plan ~cluster { r with Api.strategy }
-
-let planner = function
-  | Delta -> Some (with_strategy (Rats.Delta Rats.naive_delta))
-  | Hcpa -> Some (with_strategy Rats.Baseline)
-  | Timecost -> Some (with_strategy (Rats.Timecost Rats.naive_timecost))
-  | Packing -> Some Packing.plan
+(* RATS arms submit every job with the arm's strategy and plan it with
+   [Api.plan]; the packing arm keeps the trace's strategy and replaces the
+   whole allocate-and-map pipeline through the engine's planner hook. *)
+let strategy = function
+  | Delta -> Some (Rats.Delta Rats.naive_delta)
+  | Hcpa -> Some Rats.Baseline
+  | Timecost -> Some (Rats.Timecost Rats.naive_timecost)
+  | Packing -> None
 
 (* Mutable per-tenant tally, filled from the event log. *)
 type tally = {
@@ -49,19 +46,23 @@ type tally = {
   mutable rev_sojourns : float list;
 }
 
-let run_arm ?(policy = Admission.default) ?jobs ~cluster
-    ~(profile : Profile.t) ~(trace : Trace.t) arm =
-  let config =
-    { (Engine.default_config cluster) with policy; jobs; planner = planner arm }
+let run_arm config ~(profile : Profile.t) ~(trace : Trace.t) arm =
+  let planner = if arm = Packing then Some Packing.plan else None in
+  let engine = Engine.create { config with Engine.planner } in
+  let request =
+    match strategy arm with
+    | Some strategy ->
+        fun job -> { (Load.request_of_job job) with Api.strategy }
+    | None -> Load.request_of_job
   in
-  let engine = Engine.create config in
   Array.iter
     (fun (job : Trace.job) ->
-      match Engine.submit engine ~at:job.Trace.at (Load.request_of_job job) with
+      match Engine.submit engine ~at:job.Trace.at (request job) with
       | Ok (_ : int) -> ()
       | Error e -> invalid_arg ("Study.run_arm: invalid trace job: " ^ e))
     trace;
   let end_time = Engine.drain engine in
+  let events = Engine.events engine in
   let tallies =
     List.map
       (fun (t : Tenant.t) ->
@@ -90,26 +91,28 @@ let run_arm ?(policy = Admission.default) ?jobs ~cluster
           | Api.Admitted | Api.Queued _ | Api.Started _
           | Api.Redistribution _ ->
               ()))
-    (Engine.events engine);
+    events;
   let s = Engine.stats engine in
   Metrics.incr Instr.workload_arm_runs;
-  Report.make ~profile:profile.Profile.name ~arm:(arm_name arm) ~end_time
-    ~utilization:s.Engine.utilization ~queue_depth_max:s.Engine.queue_depth_max
-    (List.map
-       (fun (tenant, tally) ->
-         {
-           Report.tenant;
-           submitted = tally.submitted;
-           completed = tally.completed;
-           rejected = tally.rejected;
-           expired = tally.expired;
-           sojourns = Array.of_list (List.rev tally.rev_sojourns);
-         })
-       tallies)
+  ( Report.make ~profile:profile.Profile.name ~arm:(arm_name arm) ~end_time
+      ~utilization:s.Engine.utilization
+      ~queue_depth_max:s.Engine.queue_depth_max
+      (List.map
+         (fun (tenant, tally) ->
+           {
+             Report.tenant;
+             submitted = tally.submitted;
+             completed = tally.completed;
+             rejected = tally.rejected;
+             expired = tally.expired;
+             sojourns = Array.of_list (List.rev tally.rev_sojourns);
+           })
+         tallies),
+    events )
 
-let run ?policy ?jobs ?(arms = default_arms) ~cluster profile =
+let run ?(arms = default_arms) config profile =
   let trace = Trace.compile profile in
-  List.map (fun arm -> run_arm ?policy ?jobs ~cluster ~profile ~trace arm) arms
+  List.map (fun arm -> fst (run_arm config ~profile ~trace arm)) arms
 
 let csv reports =
   let buf = Buffer.create 1024 in

@@ -2,12 +2,13 @@
     comparison table.
 
     Every arm replays the {e same} arrival trace against a fresh online
-    {!Rats_server.Engine} whose [planner] hook pins all jobs to the arm's
-    scheduler, so the arms differ in nothing but planning: identical
-    arrivals, identical admission policy, identical platform. Reports are
-    tallied per tenant from the engine's event log in profile tenant
-    order, so a study is deterministic end to end — same profile, same
-    seed, same policy ⇒ byte-identical CSV. *)
+    {!Rats_server.Engine} that pins all jobs to the arm's scheduler, so the
+    arms differ in nothing but planning: identical arrivals, identical
+    admission policy, identical platform. Reports are tallied per tenant
+    from the engine's event log in profile tenant order, so a study is
+    deterministic end to end — same profile, same seed, same policy ⇒
+    byte-identical CSV. {!run_arm} is the only driver of a compiled trace
+    through the engine; [ratsd --selftest] runs on it too. *)
 
 module Profile := Rats_workload.Profile
 module Trace := Rats_workload.Trace
@@ -25,39 +26,26 @@ val arm_name : arm -> string
 val arm_of_string : string -> (arm, string) result
 
 val default_arms : arm list
-(** [\[Delta; Hcpa; Packing\]] — the ISSUE's three-way comparison. *)
+(** [\[Delta; Hcpa; Packing\]]: the default three-way comparison. *)
 
 val all_arms : arm list
 
-val planner :
-  arm ->
-  (cluster:Rats_platform.Cluster.t ->
-   Rats_server.Api.request ->
-   Rats_core.Schedule.t)
-  option
-(** The engine [planner] override implementing the arm. *)
-
 val run_arm :
-  ?policy:Rats_server.Admission.policy ->
-  ?jobs:int ->
-  cluster:Rats_platform.Cluster.t ->
+  Rats_server.Engine.config ->
   profile:Profile.t ->
   trace:Trace.t ->
   arm ->
-  Report.t
-(** Drives [trace] through a fresh engine under the arm's planner and
-    tallies the event log. [policy] defaults to
-    {!Rats_server.Admission.default}; [jobs] is the engine's
-    schedule-computation worker count (pool default when omitted — never
-    affects results). Bumps [rats_workload_arm_runs_total]. *)
+  Report.t * Rats_server.Api.stamped list
+(** Submits [trace] to a fresh engine built from [config], drains it and
+    tallies the event log, which is returned beside the report. RATS arms
+    submit every job with the arm's strategy (so its [Submitted] events
+    name it) and plan with {!Rats_server.Api.plan}; the packing arm keeps
+    the trace's strategy and plans through {!Packing.plan}. The arm
+    decides [config.planner]; every other field (policy, workers, fault
+    spec, clock) is the caller's. Bumps [rats_workload_arm_runs_total]. *)
 
 val run :
-  ?policy:Rats_server.Admission.policy ->
-  ?jobs:int ->
-  ?arms:arm list ->
-  cluster:Rats_platform.Cluster.t ->
-  Profile.t ->
-  Report.t list
+  ?arms:arm list -> Rats_server.Engine.config -> Profile.t -> Report.t list
 (** Compiles the profile's trace once and runs every arm over it
     ([arms] defaults to {!default_arms}), in order. *)
 

@@ -23,8 +23,8 @@ type t = {
           [\[0, samples)]; pipelines are deterministic and draw none. *)
   share : share;
   strategy : Rats_core.Rats.strategy;
-      (** Baked into the tenant's requests; a study arm may override it
-          via the engine's planner hook. *)
+      (** Baked into the tenant's requests; a RATS study arm replaces it
+          on every request it submits. *)
 }
 
 val validate : t -> unit

@@ -9,6 +9,8 @@ module Admission = Rats_server.Admission
 module Jobq = Rats_server.Jobq
 module Engine = Rats_server.Engine
 module Load = Rats_server.Load
+module Profile = Rats_workload.Profile
+module Trace = Rats_workload.Trace
 module Suite = Rats_daggen.Suite
 module Shape = Rats_daggen.Shape
 module Cluster = Rats_platform.Cluster
@@ -580,30 +582,41 @@ let test_jobq_remove () =
 
 (* --- online engine ------------------------------------------------------- *)
 
-let small_profile ?(strategy = Core.Rats.Delta Core.Rats.naive_delta) cluster =
-  {
-    (Load.default_profile cluster) with
-    Load.n_jobs = 16;
-    n_tenants = 4;
-    rate = 0.1;
-    seed = 7;
-    strategy;
-  }
+(* The poisson preset's trace, submitted as ratsd and rats_client do. *)
+let small_trace ?(jobs = 16) cluster =
+  let params = { Profile.jobs; tenants = 4; rate = 0.1; seed = 7 } in
+  match Profile.preset ~cluster Profile.Poisson params with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+      Array.to_list
+        (Array.map
+           (fun (job : Trace.job) -> (job.Trace.at, Load.request_of_job job))
+           (Trace.compile p))
+
+(* Submits every arrival, drains, and returns the engine's stats. *)
+let play engine arrivals =
+  List.iter
+    (fun (at, r) ->
+      match Engine.submit engine ~at r with
+      | Ok (_ : int) -> ()
+      | Error e -> Alcotest.failf "submit failed: %s" e)
+    arrivals;
+  ignore (Engine.drain engine);
+  Engine.stats engine
 
 let test_engine_deterministic () =
   let cluster = Cluster.chti in
-  let profile = small_profile cluster in
+  let arrivals = small_trace cluster in
   let run jobs =
     let engine = Engine.create { (config cluster) with Engine.jobs } in
-    let report = Load.run engine profile in
-    (report, log_string engine)
+    let stats = play engine arrivals in
+    (stats, log_string engine)
   in
-  let report1, log1 = run (Some 1) in
-  let report2, log2 = run (Some 1) in
+  let stats1, log1 = run (Some 1) in
+  let _, log2 = run (Some 1) in
   check Alcotest.bool "re-run identical" true (log1 = log2);
-  check Alcotest.int "all jobs completed" report1.Load.jobs
-    (report1.Load.completed + report1.Load.rejected);
-  ignore report2;
+  check Alcotest.int "all jobs completed" stats1.Engine.submitted
+    (stats1.Engine.completed + stats1.Engine.rejected);
   (* Worker count must never leak into the event log. *)
   let _, log4 = run (Some 4) in
   check Alcotest.bool "jobs-setting invariant" true (log1 = log4)
@@ -641,11 +654,12 @@ let test_engine_invariants () =
               Hashtbl.remove running ev.Api.job_id
           | None -> Alcotest.fail "completion of a job that never started")
       | _ -> ());
-  let report = Load.run engine (small_profile cluster) in
-  check Alcotest.int "all jobs completed" report.Load.jobs
-    (report.Load.completed + report.Load.rejected);
+  let stats = play engine (small_trace cluster) in
+  check Alcotest.int "all jobs completed" stats.Engine.submitted
+    (stats.Engine.completed + stats.Engine.rejected);
   check Alcotest.int "nothing left running" 0 !busy;
-  check Alcotest.bool "queueing exercised" true (report.Load.queue_depth_max > 0);
+  check Alcotest.bool "queueing exercised" true
+    (stats.Engine.queue_depth_max > 0);
   (* FIFO within tenant: a tenant's jobs start in arrival (= id) order. *)
   let by_tenant = Hashtbl.create 8 in
   List.iter
@@ -658,9 +672,12 @@ let test_engine_invariants () =
             earlier
       | _ -> Hashtbl.replace by_tenant tenant id)
     !started_order;
-  let stats = Engine.stats engine in
-  check Alcotest.int "stats.completed" report.Load.completed
-    stats.Engine.completed;
+  check Alcotest.int "stats.completed" stats.Engine.completed
+    (List.length
+       (List.filter
+          (fun ev ->
+            match ev.Api.event with Api.Completed _ -> true | _ -> false)
+          (Engine.events engine)));
   check Alcotest.bool "utilization in (0, 1]" true
     (stats.Engine.utilization > 0. && stats.Engine.utilization <= 1.)
 
@@ -747,7 +764,7 @@ let test_engine_delay_faults_invariant () =
      at p=1 the event log must stay byte-identical to the unfaulted run.
      delay_s is kept microscopic so the test doesn't actually wait. *)
   let cluster = Cluster.chti in
-  let profile = { (small_profile cluster) with Load.n_jobs = 8 } in
+  let arrivals = small_trace ~jobs:8 cluster in
   let fault =
     match
       Fault.parse
@@ -760,7 +777,7 @@ let test_engine_delay_faults_invariant () =
     let engine =
       Engine.create { (config cluster) with Engine.fault }
     in
-    ignore (Load.run engine profile);
+    ignore (play engine arrivals);
     log_string engine
   in
   check Alcotest.bool "delay faults never change the log" true
@@ -851,19 +868,12 @@ let test_engine_matches_evaluate () =
 let test_journal_resume () =
   with_dir @@ fun dir ->
   let cluster = Cluster.chti in
-  let profile = small_profile cluster in
-  let arrivals = Load.trace profile in
+  let arrivals = small_trace cluster in
   (* Reference: uninterrupted journaled run. *)
   let reference =
     let journal = Journal.open_ ~dir ~name:"ref" ~resume:false () in
     let engine = Engine.create ~journal (config cluster) in
-    List.iter
-      (fun (at, r) ->
-        match Engine.submit engine ~at r with
-        | Ok (_ : int) -> ()
-        | Error e -> Alcotest.failf "submit failed: %s" e)
-      arrivals;
-    ignore (Engine.drain engine);
+    ignore (play engine arrivals);
     Journal.close journal;
     log_string engine
   in

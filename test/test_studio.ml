@@ -1,7 +1,8 @@
 (* Tests for rats_studio: HTML escaping against hostile labels, page
    self-containment, bench parsing across schema versions, diff delta math
    and comparability warnings, journal torn-tail reading, golden report
-   fragments, and the HTTP responder's framing and serve loop. *)
+   fragments, the artifact checks behind `studio check`, and the HTTP
+   responder's framing and serve loop. *)
 
 module Studio = Rats_studio
 module Html = Rats_studio.Html
@@ -10,6 +11,7 @@ module Diff = Rats_studio.Diff
 module Page = Rats_studio.Page
 module Live = Rats_studio.Live
 module Httpd = Rats_studio.Httpd
+module Check = Rats_studio.Check
 module Json = Rats_obs.Json
 module Snapshot = Rats_obs.Snapshot
 module Journal = Rats_runtime.Journal
@@ -315,6 +317,91 @@ let test_live_render () =
       let html = Live.render src in
       check Alcotest.bool "bench table served" true (contains html "fig2"))
 
+(* --- check ---------------------------------------------------------------- *)
+
+let full_snapshot () =
+  List.fold_left
+    (fun (s : Snapshot.t) (name, need) ->
+      match need with
+      | Check.Counter_present | Check.Counter_positive ->
+          { s with Snapshot.counters = (name, 1) :: s.Snapshot.counters }
+      | Check.Histogram_observed ->
+          let h = { Snapshot.count = 1; sum = 0.1; buckets = [] } in
+          { s with Snapshot.histograms = (name, h) :: s.Snapshot.histograms })
+    Snapshot.empty Check.bench_requirements
+
+let test_check_bench_counters () =
+  let full = full_snapshot () in
+  check Alcotest.bool "complete snapshot passes" true
+    (Check.bench_counters full = Ok ());
+  let fails_naming what name (s : Snapshot.t) =
+    match Check.bench_counters s with
+    | Ok () -> Alcotest.failf "%s %s accepted" what name
+    | Error msg ->
+        check Alcotest.bool (what ^ " " ^ name ^ " named") true
+          (contains msg name)
+  in
+  List.iter
+    (fun (name, need) ->
+      let drop l = List.remove_assoc name l in
+      fails_naming "missing" name
+        {
+          full with
+          Snapshot.counters = drop full.Snapshot.counters;
+          histograms = drop full.Snapshot.histograms;
+        };
+      let zeroed =
+        match need with
+        | Check.Counter_present | Check.Counter_positive ->
+            {
+              full with
+              Snapshot.counters =
+                (name, 0) :: List.remove_assoc name full.Snapshot.counters;
+            }
+        | Check.Histogram_observed ->
+            let h = { Snapshot.count = 0; sum = 0.; buckets = [] } in
+            {
+              full with
+              Snapshot.histograms =
+                (name, h) :: List.remove_assoc name full.Snapshot.histograms;
+            }
+      in
+      match need with
+      | Check.Counter_present ->
+          check Alcotest.bool (name ^ " may be zero") true
+            (Check.bench_counters zeroed = Ok ())
+      | Check.Counter_positive | Check.Histogram_observed ->
+          fails_naming "zero" name zeroed)
+    Check.bench_requirements
+
+let test_check_files () =
+  let sections = [ "counters"; "gauges"; "histograms" ] in
+  let doc present =
+    "{"
+    ^ String.concat ","
+        (List.map (fun s -> Printf.sprintf "%S: {}" s) present)
+    ^ "}"
+  in
+  with_temp (doc sections) (fun path ->
+      check Alcotest.bool "all three sections" true
+        (Result.is_ok (Check.metrics path)));
+  List.iter
+    (fun missing ->
+      with_temp
+        (doc (List.filter (( <> ) missing) sections))
+        (fun path ->
+          check Alcotest.bool ("without " ^ missing) true
+            (Result.is_error (Check.metrics path))))
+    sections;
+  with_temp {|{"traceEvents": [{"ph": "X", "ts": 0}]}|} (fun path ->
+      match Check.trace path with
+      | Ok _ -> Alcotest.fail "malformed trace accepted"
+      | Error msg ->
+          check Alcotest.bool "error names the file" true (contains msg path));
+  with_temp {|{"traceEvents": []}|} (fun path ->
+      check Alcotest.bool "empty trace accepted" true
+        (Check.trace path = Ok []))
+
 (* --- httpd ---------------------------------------------------------------- *)
 
 let test_response_framing () =
@@ -420,6 +507,13 @@ let () =
         ] );
       ( "live",
         [ Alcotest.test_case "render with/without files" `Quick test_live_render ] );
+      ( "check",
+        [
+          Alcotest.test_case "bench counters named" `Quick
+            test_check_bench_counters;
+          Alcotest.test_case "snapshot sections and trace decoding" `Quick
+            test_check_files;
+        ] );
       ( "httpd",
         [
           Alcotest.test_case "response framing" `Quick test_response_framing;

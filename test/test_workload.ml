@@ -1,6 +1,6 @@
 (* Tests for the workload engine (lib/workload) and its study runner:
    arrival-process sanity, trace compilation determinism and byte-compat
-   with the historical Server.Load generator, trace-file round-trips,
+   with the historical load generator, trace-file round-trips,
    study-runner invariants and CSV determinism, and the new Stats
    helpers (Welford mean/std, Jain's fairness). *)
 
@@ -19,6 +19,7 @@ module Report = Rats_workload.Report
 module Study = Rats_workload_study.Study
 module Api = Rats_server.Api
 module Admission = Rats_server.Admission
+module Engine = Rats_server.Engine
 module Load = Rats_server.Load
 module Seeded = Rats_test_support.Seeded
 
@@ -173,9 +174,13 @@ let test_trace_deterministic () =
         (Trace.equal t1 (Trace.compile p')))
     [ "poisson"; "bursty"; "diurnal"; "pipeline"; "mixed" ]
 
-(* Replicates the pre-workload-engine Server.Load generator loop verbatim;
-   the shim must reproduce it draw for draw, bit for bit. *)
-let legacy_trace (p : Load.profile) =
+(* Replicates the pre-workload-engine load generator loop verbatim. The
+   path ratsd and rats_client take (the poisson preset, [Trace.compile],
+   then [request_of_job] with the strategy set) must reproduce it draw for
+   draw, bit for bit. *)
+let legacy_trace ~cluster ~strategy (p : Profile.params) =
+  let n = Cluster.n_procs cluster in
+  let procs_min = max 1 (n / 4) and procs_max = n in
   let spec_pool =
     [|
       Suite.Layered
@@ -197,14 +202,14 @@ let legacy_trace (p : Load.profile) =
       Suite.Strassen;
     |]
   in
-  let per_tenant_rate = p.Load.rate /. float_of_int p.Load.n_tenants in
+  let per_tenant_rate = p.Profile.rate /. float_of_int p.Profile.tenants in
   let arrivals = ref [] in
-  for tenant = 0 to p.Load.n_tenants - 1 do
-    let rng = Rng.create (p.Load.seed + (7919 * tenant)) in
+  for tenant = 0 to p.Profile.tenants - 1 do
+    let rng = Rng.create (p.Profile.seed + (7919 * tenant)) in
     let tenant_name = Printf.sprintf "tenant-%d" tenant in
     let jobs =
-      (p.Load.n_jobs / p.Load.n_tenants)
-      + if tenant < p.Load.n_jobs mod p.Load.n_tenants then 1 else 0
+      (p.Profile.jobs / p.Profile.tenants)
+      + if tenant < p.Profile.jobs mod p.Profile.tenants then 1 else 0
     in
     let t = ref 0. in
     for _ = 1 to jobs do
@@ -212,12 +217,12 @@ let legacy_trace (p : Load.profile) =
       t := !t +. (-.log (1. -. u) /. per_tenant_rate);
       let spec = spec_pool.(Rng.int rng (Array.length spec_pool)) in
       let sample = Rng.int_range rng 0 2 in
-      let procs = Rng.int_range rng p.Load.procs_min p.Load.procs_max in
+      let procs = Rng.int_range rng procs_min procs_max in
       let request =
         {
           Api.tenant = tenant_name;
           job = Api.Generated { Suite.spec; sample };
-          strategy = p.Load.strategy;
+          strategy;
           procs;
         }
       in
@@ -229,25 +234,33 @@ let legacy_trace (p : Load.profile) =
       compare (t1, r1.Api.tenant) (t2, r2.Api.tenant))
     !arrivals
 
-let test_load_shim_byte_identical () =
+let test_load_path_byte_identical () =
   List.iter
-    (fun (profile : Load.profile) ->
-      let legacy = legacy_trace profile in
-      let shimmed = Load.trace profile in
+    (fun (cluster, strategy, params) ->
+      let legacy = legacy_trace ~cluster ~strategy params in
+      let served =
+        match Profile.preset ~cluster Profile.Poisson params with
+        | Error e -> Alcotest.fail e
+        | Ok p ->
+            Array.to_list
+              (Array.map
+                 (fun (job : Trace.job) ->
+                   ( job.Trace.at,
+                     { (Load.request_of_job job) with Api.strategy } ))
+                 (Trace.compile p))
+      in
       check Alcotest.int "same length" (List.length legacy)
-        (List.length shimmed);
+        (List.length served);
       (* Structural equality covers every float bit and every spec field. *)
-      check Alcotest.bool "trace bit-identical" true (legacy = shimmed))
+      check Alcotest.bool "trace bit-identical" true (legacy = served))
     [
-      Load.default_profile cluster;
-      { (Load.default_profile cluster) with Load.n_jobs = 31; n_tenants = 3 };
-      {
-        (Load.default_profile Cluster.chti) with
-        Load.n_jobs = 17;
-        seed = 7;
-        rate = 0.4;
-        strategy = Rats.Baseline;
-      };
+      (cluster, Rats.Delta Rats.naive_delta, Profile.default_params);
+      ( cluster,
+        Rats.Delta { Rats.mindelta = -0.3; maxdelta = 0.7 },
+        { Profile.default_params with jobs = 31; tenants = 3 } );
+      ( Cluster.chti,
+        Rats.Baseline,
+        { Profile.default_params with jobs = 17; seed = 7; rate = 0.4 } );
     ]
 
 let test_trace_jobs_invariant () =
@@ -257,7 +270,11 @@ let test_trace_jobs_invariant () =
   let rows jobs =
     Study.csv
       (List.map
-         (fun arm -> Study.run_arm ~jobs ~cluster ~profile:p ~trace arm)
+         (fun arm ->
+           fst
+             (Study.run_arm
+                { (Engine.default_config cluster) with jobs = Some jobs }
+                ~profile:p ~trace arm))
          Study.default_arms)
   in
   check Alcotest.string "jobs=1 and jobs=4 byte-identical" (rows 1) (rows 4)
@@ -294,7 +311,11 @@ let test_trace_file_roundtrip () =
 let test_study_invariants () =
   let p = profile_of "bursty:jobs=24,tenants=3" in
   let policy = Admission.make ~deadline_s:300. ~queue_limit:8 ~tenant_limit:4 () in
-  let reports = Study.run ~policy ~arms:Study.all_arms ~cluster p in
+  let reports =
+    Study.run ~arms:Study.all_arms
+      { (Engine.default_config cluster) with policy }
+      p
+  in
   check Alcotest.int "one report per arm" (List.length Study.all_arms)
     (List.length reports);
   List.iter
@@ -327,8 +348,8 @@ let test_study_invariants () =
 
 let test_study_deterministic_csv () =
   let p = profile_of "diurnal:jobs=18" in
-  let csv1 = Study.csv (Study.run ~cluster p) in
-  let csv2 = Study.csv (Study.run ~cluster p) in
+  let csv1 = Study.csv (Study.run (Engine.default_config cluster) p) in
+  let csv2 = Study.csv (Study.run (Engine.default_config cluster) p) in
   check Alcotest.string "same profile same csv" csv1 csv2;
   let lines = String.split_on_char '\n' csv1 in
   check Alcotest.string "header" Report.csv_header (List.hd lines);
@@ -339,6 +360,33 @@ let test_study_deterministic_csv () =
           (List.length (String.split_on_char ',' Report.csv_header))
           (List.length (String.split_on_char ',' line)))
     lines
+
+let test_arm_strategy_logged () =
+  (* The engine logs a request's own strategy, so a RATS arm must submit
+     with its strategy, not only plan with it. *)
+  let p = profile_of "poisson:jobs=12,tenants=2" in
+  let trace = Trace.compile p in
+  List.iter
+    (fun arm ->
+      let _, events =
+        Study.run_arm (Engine.default_config cluster) ~profile:p ~trace arm
+      in
+      let strategies =
+        List.filter_map
+          (fun (ev : Api.stamped) ->
+            match ev.Api.event with
+            | Api.Submitted { strategy; _ } -> Some strategy
+            | _ -> None)
+          events
+      in
+      check Alcotest.int (Study.arm_name arm ^ ": submissions") 12
+        (List.length strategies);
+      List.iter
+        (check Alcotest.string
+           (Study.arm_name arm ^ ": Submitted strategy")
+           (Study.arm_name arm))
+        strategies)
+    [ Study.Delta; Study.Hcpa; Study.Timecost ]
 
 let test_arm_names () =
   List.iter
@@ -368,7 +416,22 @@ let test_profile_grammar () =
   check Alcotest.bool "bad key" true
     (Result.is_error (Profile.of_string ~cluster "poisson:procs=9"));
   check Alcotest.bool "bad value" true
-    (Result.is_error (Profile.of_string ~cluster "poisson:jobs=-3"))
+    (Result.is_error (Profile.of_string ~cluster "poisson:jobs=-3"));
+  (* Out-of-range values are errors, never a crash or a silent t = 0
+     trace. *)
+  List.iter
+    (fun spec ->
+      check Alcotest.bool ("rejects " ^ spec) true
+        (Result.is_error (Profile.of_string ~cluster spec)))
+    [
+      "poisson:jobs=0";
+      "poisson:tenants=0";
+      "poisson:rate=0";
+      "poisson:rate=nan";
+      "poisson:rate=inf";
+      "bursty:rate=inf";
+      "mixed:rate=1e400";
+    ]
 
 let () =
   Alcotest.run "workload"
@@ -391,7 +454,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_trace_deterministic;
           Alcotest.test_case "load shim byte-identical" `Quick
-            test_load_shim_byte_identical;
+            test_load_path_byte_identical;
           Alcotest.test_case "worker count invariant" `Quick
             test_trace_jobs_invariant;
           Alcotest.test_case "file round-trip" `Quick
@@ -403,6 +466,8 @@ let () =
           Alcotest.test_case "deterministic csv" `Quick
             test_study_deterministic_csv;
           Alcotest.test_case "arm names" `Quick test_arm_names;
+          Alcotest.test_case "rats arms log their strategy" `Quick
+            test_arm_strategy_logged;
         ] );
       ( "profile",
         [ Alcotest.test_case "grammar" `Quick test_profile_grammar ] );

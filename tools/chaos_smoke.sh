@@ -26,18 +26,19 @@
 #      individual connections die (clients see clean failures, not hangs),
 #      the daemon itself must survive and still answer health;
 #   6. load driver: ratsd --selftest (120 jobs from 4 tenants under both
-#      RATS and HCPA) must pass its determinism check and report throughput.
+#      RATS and HCPA) must pass its determinism check and report throughput;
+#      a bad load parameter (--rate nan) must be a one-line usage error.
 # Plus socket-claim checks woven in: a second daemon against a live socket
 # must refuse to start, a stale socket after kill -9 must be reclaimed, and
 # a non-socket path must never be unlinked.
 #
 # Binaries are expected to be built already (make chaos-smoke builds first).
 set -euo pipefail
-cd "$(dirname "$0")/.."
+SMOKE_PREFIX="chaos-smoke: "
+. "$(dirname "$0")/smoke_lib.sh"
 
 RATSD=_build/default/bin/ratsd.exe
 CLIENT=_build/default/bin/rats_client.exe
-WORK=$(mktemp -d)
 S=$WORK/ratsd.sock
 DPID=0
 WPID=0
@@ -46,9 +47,7 @@ JOBS=40
 cleanup() {
     [ "$DPID" -gt 0 ] && kill -9 "$DPID" 2>/dev/null || true
     [ "$WPID" -gt 0 ] && kill -9 "$WPID" 2>/dev/null || true
-    rm -rf "$WORK"
 }
-trap cleanup EXIT
 
 wait_ready() { # wait for the daemon to answer a ping on its socket
     for _ in $(seq 1 100); do
@@ -58,13 +57,7 @@ wait_ready() { # wait for the daemon to answer a ping on its socket
         fi
         sleep 0.1
     done
-    echo "chaos-smoke: ratsd did not come up on $S" >&2
-    exit 1
-}
-
-fail() {
-    echo "chaos-smoke: $*" >&2
-    exit 1
+    fail "ratsd did not come up on $S"
 }
 
 # --- 1. reference run (the determinism oracle) ---------------------------- #
@@ -133,11 +126,8 @@ grep -q "live daemon" "$WORK/dup.err" \
 "$CLIENT" --socket "$S" --op shutdown >/dev/null
 wait $DPID 2>/dev/null || true
 
-if ! diff -q "$WORK/ref.jsonl" "$WORK/chaos.jsonl" >/dev/null; then
-    echo "chaos-smoke: faulted kill/resume log differs from the reference" >&2
-    diff "$WORK/ref.jsonl" "$WORK/chaos.jsonl" >&2 || true
-    exit 1
-fi
+same_bytes "$WORK/ref.jsonl" "$WORK/chaos.jsonl" \
+    "faulted kill/resume log differs from the reference"
 echo "chaos-smoke: kill -9 + resume under delay faults is bit-exact"
 
 # --- 3. slow-client isolation --------------------------------------------- #
@@ -169,9 +159,8 @@ WPID=0
 "$CLIENT" --socket "$S" --op shutdown >/dev/null
 wait $DPID 2>/dev/null || true
 
-if ! diff -q "$WORK/ref.jsonl" "$WORK/slow.jsonl" >/dev/null; then
-    fail "a stalled watcher perturbed the event log"
-fi
+same_bytes "$WORK/ref.jsonl" "$WORK/slow.jsonl" \
+    "a stalled watcher perturbed the event log"
 echo "chaos-smoke: stalled watcher evicted; other tenants undisturbed"
 
 # --- 4. overload shedding and queue-wait deadlines ------------------------ #
@@ -251,5 +240,10 @@ grep -q 'selftest: OK' "$WORK/selftest.out" || fail "selftest did not pass"
 grep -q 'throughput' "$WORK/selftest.out" \
     || fail "selftest reported no throughput"
 sed 's/^/  /' "$WORK/selftest.out"
+if "$RATSD" --selftest --rate nan > /dev/null 2> "$WORK/nan.err"; then
+    fail "selftest accepted --rate nan"
+fi
+[ "$(wc -l < "$WORK/nan.err")" -eq 1 ] && grep -q '^ratsd: rate' "$WORK/nan.err" \
+    || fail "--rate nan was not a one-line usage error"
 
 echo "chaos-smoke: OK"

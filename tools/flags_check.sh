@@ -27,7 +27,7 @@ ratsd_help=$(dune exec --no-build bin/ratsd.exe -- --help=plain 2>&1)
 client_help=$(dune exec --no-build bin/rats_client.exe -- --help=plain 2>&1)
 workload_help=$(dune exec --no-build bin/workload.exe -- --help=plain 2>&1)
 studio_help=$(dune exec --no-build bin/studio.exe -- --help=plain 2>&1
-              for sub in report diff serve; do
+              for sub in report diff serve check; do
                   dune exec --no-build bin/studio.exe -- "$sub" --help=plain 2>&1
               done)
 

@@ -10,11 +10,10 @@
 #
 # Run from the repo root (or via `make lint-smoke`, which builds first).
 set -euo pipefail
-cd "$(dirname "$0")/.."
+SMOKE_PREFIX="lint_smoke: FAIL: "
+. "$(dirname "$0")/smoke_lib.sh"
 
 LINT="dune exec --no-build bin/lint.exe --"
-
-fail() { echo "lint_smoke: FAIL: $*" >&2; exit 1; }
 
 rm -f bench_results/.lintcache
 start_ns=$(date +%s%N)
@@ -32,8 +31,7 @@ warm_out=$($LINT 2>/dev/null) || fail "warm (cached) run found findings or error
 if $LINT --no-cache --root test/lint_fixtures --baseline tools/lint_baseline.txt lib >/dev/null 2>&1; then
   fail "fixture findings must be fresh against the empty committed baseline"
 fi
-tmp=$(mktemp)
-trap 'rm -f "$tmp"' EXIT
+tmp=$WORK/baseline.txt
 $LINT --no-cache --root test/lint_fixtures --write-baseline "$tmp" lib >/dev/null 2>&1 \
   || fail "--write-baseline must exit 0"
 $LINT --no-cache --root test/lint_fixtures --baseline "$tmp" lib >/dev/null 2>&1 \

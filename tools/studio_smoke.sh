@@ -3,13 +3,13 @@
 #
 # Five parts:
 #   1. report: a cold traced smoke-scale fig2 bench run (fresh cache
-#      directory, so every bench counter moves); `trace_check
-#      --require-bench-counters` must validate its trace and metrics and
-#      render a non-empty SVG timeline, then `studio report` over its
-#      BENCH_runtime.json + trace + metrics must produce one
-#      self-contained HTML file: at least one inline SVG, the counter
-#      table, the per-target breakdown, and no external fetches (no
-#      script/link/src; the only URLs allowed are SVG xmlns declarations);
+#      directory, so every bench counter moves); `studio check
+#      --require-bench-counters` must validate its trace and metrics, then
+#      `studio report` over its BENCH_runtime.json + trace + metrics must
+#      produce one self-contained HTML file: at least one inline SVG, the
+#      trace timeline, the counter table, the per-target breakdown, and no
+#      external fetches (no script/link/src; the only URLs allowed are SVG
+#      xmlns declarations);
 #   2. workload table: a small study CSV must render with the fairness and
 #      p99 columns highlighted;
 #   3. diff: a second (warm) run of the same target diffs against the
@@ -22,14 +22,12 @@
 # Binaries are expected to be built already (make studio-smoke builds
 # first).
 set -euo pipefail
-cd "$(dirname "$0")/.."
+SMOKE_PREFIX="studio-smoke: "
+. "$(dirname "$0")/smoke_lib.sh"
 
 BENCH=$PWD/_build/default/bench/main.exe
 STUDIO=$PWD/_build/default/bin/studio.exe
-TRACE_CHECK=$PWD/_build/default/bin/trace_check.exe
 WORKLOAD=$PWD/_build/default/bin/workload.exe
-WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
 
 # Bench runs execute in $WORK so the repo's committed BENCH_runtime.json,
 # cache and journal stay untouched.
@@ -45,9 +43,8 @@ run_bench() { # $1 = output directory
 # --- 1. self-contained report --------------------------------------------- #
 
 run_bench a
-"$TRACE_CHECK" --trace a/trace.json --metrics a/metrics.json \
-    --require-bench-counters --svg a/timeline.svg
-[ -s a/timeline.svg ] || { echo "studio-smoke: timeline.svg missing" >&2; exit 1; }
+"$STUDIO" check --trace a/trace.json --metrics a/metrics.json \
+    --require-bench-counters
 
 "$WORKLOAD" --cluster grillon --profile poisson:jobs=12,tenants=2,seed=5 \
     --arms delta,hcpa --csv a/study.csv > /dev/null
@@ -56,15 +53,13 @@ run_bench a
     --metrics a/metrics.json --workload a/study.csv \
     --title "studio smoke" --out a/report.html
 
-[ -s a/report.html ] || { echo "studio-smoke: report.html missing" >&2; exit 1; }
+[ -s a/report.html ] || fail "report.html missing"
 
 require() { # $1 = pattern, $2 = description
-    grep -q "$1" a/report.html || {
-        echo "studio-smoke: report lacks $2" >&2
-        exit 1
-    }
+    grep -q "$1" a/report.html || fail "report lacks $2"
 }
 require '<svg'                    'an inline SVG figure'
+require 'Trace timeline'          'the trace timeline section'
 require 'fig2'                    'the fig2 target row'
 require 'wall time per target'    'the per-target wall-time chart'
 require 'rats_sim_events_total'   'the counter table'
@@ -73,12 +68,10 @@ require 'class="hl"'              'highlighted fairness/p99 columns'
 # Self-containment: nothing that fetches. SVG xmlns declarations are
 # namespace identifiers, not fetches, and are the only URLs allowed.
 if grep -q '<script\|<link\| src=' a/report.html; then
-    echo "studio-smoke: report contains a script/link/src reference" >&2
-    exit 1
+    fail "report contains a script/link/src reference"
 fi
 if grep -o 'https\?://[^"< ]*' a/report.html | grep -qv 'www.w3.org'; then
-    echo "studio-smoke: report references an external URL" >&2
-    exit 1
+    fail "report references an external URL"
 fi
 
 # --- 3. diff of a warm rerun ---------------------------------------------- #
@@ -86,9 +79,8 @@ fi
 run_bench b
 "$STUDIO" diff a/BENCH_runtime.json b/BENCH_runtime.json > diff.txt
 grep -q '^target\|^fig2' diff.txt || {
-    echo "studio-smoke: diff printed no per-target rows" >&2
     cat diff.txt >&2
-    exit 1
+    fail "diff printed no per-target rows"
 }
 
 # --- 4. scale-mismatch warning -------------------------------------------- #
@@ -96,9 +88,8 @@ grep -q '^target\|^fig2' diff.txt || {
 sed 's/"scale": "smoke"/"scale": "paper"/' a/BENCH_runtime.json > rescaled.json
 "$STUDIO" diff a/BENCH_runtime.json rescaled.json > rescaled.txt
 grep -q 'scale mismatch' rescaled.txt || {
-    echo "studio-smoke: diff of differently-scaled runs did not warn" >&2
     cat rescaled.txt >&2
-    exit 1
+    fail "diff of differently-scaled runs did not warn"
 }
 
 # --- 5. one-shot serve ----------------------------------------------------- #
@@ -119,6 +110,6 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 wait "$SERVE_PID"
-[ "$ok" = 1 ] || { echo "studio-smoke: serve did not answer" >&2; exit 1; }
+[ "$ok" = 1 ] || fail "serve did not answer"
 
 echo "studio-smoke: OK (validated trace, self-contained report, diff + scale guard, one-shot serve)"

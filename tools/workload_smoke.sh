@@ -12,11 +12,10 @@
 # Binaries are expected to be built already (make workload-smoke builds
 # first).
 set -euo pipefail
-cd "$(dirname "$0")/.."
+SMOKE_PREFIX="workload-smoke: "
+. "$(dirname "$0")/smoke_lib.sh"
 
 WORKLOAD=_build/default/bin/workload.exe
-WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
 
 PROFILE=mixed:jobs=24,tenants=3,rate=0.08,seed=11
 ARMS=delta,hcpa,packing
@@ -33,40 +32,22 @@ run() { # $1 = csv path, extra args follow
 
 run "$WORK/a.csv"
 run "$WORK/b.csv"
-if ! cmp -s "$WORK/a.csv" "$WORK/b.csv"; then
-    echo "workload-smoke: same-seed reruns differ" >&2
-    diff "$WORK/a.csv" "$WORK/b.csv" >&2 || true
-    exit 1
-fi
-
-grep -q '^profile,arm,jobs,' "$WORK/a.csv" || {
-    echo "workload-smoke: CSV header missing" >&2
-    exit 1
-}
+same_bytes "$WORK/a.csv" "$WORK/b.csv" "same-seed reruns differ"
+grep -q '^profile,arm,jobs,' "$WORK/a.csv" || fail "CSV header missing"
 for arm in delta hcpa packing; do
-    grep -q ",$arm," "$WORK/a.csv" || {
-        echo "workload-smoke: no $arm row in the CSV" >&2
-        exit 1
-    }
+    grep -q ",$arm," "$WORK/a.csv" || fail "no $arm row in the CSV"
 done
 
 # --- 2. save-trace / replay round-trip ------------------------------------ #
 
 run "$WORK/direct.csv" --save-trace "$WORK/trace.jsonl"
 run "$WORK/replayed.csv" --replay "$WORK/trace.jsonl"
-if ! cmp -s "$WORK/direct.csv" "$WORK/replayed.csv"; then
-    echo "workload-smoke: replayed trace changed the study result" >&2
-    diff "$WORK/direct.csv" "$WORK/replayed.csv" >&2 || true
-    exit 1
-fi
+same_bytes "$WORK/direct.csv" "$WORK/replayed.csv" \
+    "replayed trace changed the study result"
 
 # --- 3. worker count never affects results -------------------------------- #
 
 run "$WORK/j3.csv" --jobs 3
-if ! cmp -s "$WORK/a.csv" "$WORK/j3.csv"; then
-    echo "workload-smoke: --jobs 3 changed the study result" >&2
-    diff "$WORK/a.csv" "$WORK/j3.csv" >&2 || true
-    exit 1
-fi
+same_bytes "$WORK/a.csv" "$WORK/j3.csv" "--jobs 3 changed the study result"
 
 echo "workload-smoke: OK (determinism, trace round-trip, worker independence)"

@@ -68,6 +68,28 @@ let sample_term =
     value & opt int 0
     & info [ "sample" ] ~docv:"S" ~doc:"Sample index (selects the random seed).")
 
+(* RATS strategy parameters (paper §III): delta's packing and stretching
+   bounds, time-cost's ratio threshold and packing toggle. *)
+let mindelta_term =
+  Arg.(
+    value & opt float (-0.5)
+    & info [ "mindelta" ] ~docv:"F" ~doc:"Delta packing bound in [-1,0].")
+
+let maxdelta_term =
+  Arg.(
+    value & opt float 0.5
+    & info [ "maxdelta" ] ~docv:"F" ~doc:"Delta stretching bound >= 0.")
+
+let minrho_term =
+  Arg.(
+    value & opt float 0.5
+    & info [ "minrho" ] ~docv:"F" ~doc:"Time-cost ratio threshold in (0,1].")
+
+let packing_term =
+  Arg.(
+    value & opt bool true
+    & info [ "packing" ] ~docv:"BOOL" ~doc:"Time-cost packing toggle.")
+
 let trace_term =
   Arg.(
     value

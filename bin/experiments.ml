@@ -69,18 +69,6 @@ let csv_term =
     & opt (some string) None
     & info [ "csv" ] ~docv:"FILE" ~doc:"Write per-configuration results to $(docv).")
 
-let mindelta_term =
-  Arg.(value & opt float (-0.5) & info [ "mindelta" ] ~docv:"F" ~doc:"Delta packing bound.")
-
-let maxdelta_term =
-  Arg.(value & opt float 0.5 & info [ "maxdelta" ] ~docv:"F" ~doc:"Delta stretching bound.")
-
-let minrho_term =
-  Arg.(value & opt float 0.5 & info [ "minrho" ] ~docv:"F" ~doc:"Time-cost threshold.")
-
-let packing_term =
-  Arg.(value & opt bool true & info [ "packing" ] ~docv:"BOOL" ~doc:"Time-cost packing.")
-
 let jobs_term =
   Arg.(
     value
@@ -132,9 +120,9 @@ let cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc:"Run the RATS evaluation suite")
     Term.(
-      const run $ scale_term $ Common.cluster_term $ mindelta_term
-      $ maxdelta_term $ minrho_term $ packing_term $ csv_term $ jobs_term
-      $ retries_term $ timeout_term $ resume_term $ strict_term
-      $ Common.trace_term $ Common.metrics_term)
+      const run $ scale_term $ Common.cluster_term $ Common.mindelta_term
+      $ Common.maxdelta_term $ Common.minrho_term $ Common.packing_term
+      $ csv_term $ jobs_term $ retries_term $ timeout_term $ resume_term
+      $ strict_term $ Common.trace_term $ Common.metrics_term)
 
 let () = exit (Cmd.eval cmd)

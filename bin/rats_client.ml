@@ -338,18 +338,6 @@ let algo_term =
         `Delta
     & info [ "algo" ] ~docv:"ALGO" ~doc:"Scheduling strategy: hcpa, delta or timecost.")
 
-let mindelta_term =
-  Arg.(value & opt float (-0.5) & info [ "mindelta" ] ~docv:"F" ~doc:"Delta packing bound in [-1,0].")
-
-let maxdelta_term =
-  Arg.(value & opt float 0.5 & info [ "maxdelta" ] ~docv:"F" ~doc:"Delta stretching bound >= 0.")
-
-let minrho_term =
-  Arg.(value & opt float 0.5 & info [ "minrho" ] ~docv:"F" ~doc:"Time-cost ratio threshold in (0,1].")
-
-let packing_term =
-  Arg.(value & opt bool true & info [ "packing" ] ~docv:"BOOL" ~doc:"Time-cost packing toggle.")
-
 let retries_term =
   Arg.(
     value & opt int 0
@@ -421,9 +409,10 @@ let cmd =
     Term.(
       const run $ socket_term $ op_term $ tenant_term $ at_term $ procs_term
       $ follow_term $ drain_client_term $ json_term $ dag_term
-      $ Common.config_term $ algo_term $ mindelta_term $ maxdelta_term
-      $ minrho_term $ packing_term $ retries_term $ timeout_term $ stall_term
-      $ Common.cluster_term $ load_jobs_term $ tenants_term $ rate_term
-      $ seed_term $ load_from_term $ load_to_term)
+      $ Common.config_term $ algo_term $ Common.mindelta_term
+      $ Common.maxdelta_term $ Common.minrho_term $ Common.packing_term
+      $ retries_term $ timeout_term $ stall_term $ Common.cluster_term
+      $ load_jobs_term $ tenants_term $ rate_term $ seed_term $ load_from_term
+      $ load_to_term)
 
 let () = exit (Cmd.eval cmd)

@@ -80,18 +80,6 @@ let algo_term =
         `All
     & info [ "algo" ] ~docv:"ALGO" ~doc:"hcpa, delta, timecost or all.")
 
-let mindelta_term =
-  Arg.(value & opt float (-0.5) & info [ "mindelta" ] ~docv:"F" ~doc:"Delta packing bound in [-1,0].")
-
-let maxdelta_term =
-  Arg.(value & opt float 0.5 & info [ "maxdelta" ] ~docv:"F" ~doc:"Delta stretching bound >= 0.")
-
-let minrho_term =
-  Arg.(value & opt float 0.5 & info [ "minrho" ] ~docv:"F" ~doc:"Time-cost ratio threshold in (0,1].")
-
-let packing_term =
-  Arg.(value & opt bool true & info [ "packing" ] ~docv:"BOOL" ~doc:"Time-cost packing toggle.")
-
 let gantt_term =
   Arg.(value & flag & info [ "gantt" ] ~doc:"Print per-task simulated spans.")
 
@@ -107,7 +95,8 @@ let cmd =
     (Cmd.info "rats_run" ~doc:"Schedule a mixed-parallel application with RATS")
     Term.(
       const run $ Common.config_term $ Common.cluster_term $ algo_term
-      $ mindelta_term $ maxdelta_term $ minrho_term $ packing_term $ gantt_term
-      $ svg_term $ Common.trace_term $ Common.metrics_term)
+      $ Common.mindelta_term $ Common.maxdelta_term $ Common.minrho_term
+      $ Common.packing_term $ gantt_term $ svg_term $ Common.trace_term
+      $ Common.metrics_term)
 
 let () = exit (Cmd.eval cmd)

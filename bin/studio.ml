@@ -22,12 +22,7 @@ open Cmdliner
 module Studio = Rats_studio
 
 let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | contents -> Ok contents
   | exception Sys_error msg -> Error msg
 

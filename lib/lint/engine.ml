@@ -21,11 +21,7 @@ type report = {
 let default_dirs = [ "bench"; "bin"; "lib"; "test" ]
 let skip_dir_names = [ "_build"; ".git"; "lint_fixtures" ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* A001: a suppression is only acceptable with a written justification. *)
 let a001_findings allows =

@@ -19,11 +19,11 @@ let maxmin_iterations =
 
 let maxmin_inc_refreshes =
   Metrics.counter "rats_sim_maxmin_inc_refreshes_total"
-    ~help:"Incremental-solver refreshes that re-solved only dirty components"
+    ~help:"Incremental-solver refreshes that left some linked flow untouched"
 
 let maxmin_full_refreshes =
   Metrics.counter "rats_sim_maxmin_full_refreshes_total"
-    ~help:"Incremental-solver refreshes that fell back to re-solving every component"
+    ~help:"Incremental-solver refreshes that re-solved every linked flow"
 
 let maxmin_component_solves =
   Metrics.counter "rats_sim_maxmin_component_solves_total"
@@ -35,15 +35,15 @@ let maxmin_inc_iterations =
 
 let maxmin_dirty_flows =
   Metrics.counter "rats_sim_maxmin_dirty_flows_total"
-    ~help:"Flows re-solved by incremental refreshes (dirty-set sizes summed)"
+    ~help:"Flows re-solved by incremental refreshes"
 
 let maxmin_skipped_flows =
   Metrics.counter "rats_sim_maxmin_skipped_flows_total"
-    ~help:"Flows whose rates were reused untouched by incremental refreshes"
+    ~help:"Linked flows whose rates incremental refreshes left untouched"
 
 let maxmin_dirty_set_max =
   Metrics.gauge "rats_sim_maxmin_dirty_set_max"
-    ~help:"Largest dirty set re-solved by a single incremental refresh"
+    ~help:"Most flows re-solved by a single incremental refresh"
 
 (* --- scheduling --------------------------------------------------------- *)
 

@@ -23,12 +23,14 @@ val maxmin_iterations : Metrics.counter  (** Water-filling rounds across all sol
 
 (** Incremental-solver counters ([Sim.Maxmin.Incremental], batched per
     engine and published when a run completes, like the engine's own
-    counters). An {e inc} refresh re-solved only the components reachable
-    from changed flows; a {e full} refresh re-solved every component
-    (dirty set above the fallback threshold). [dirty + skipped] flows sum
-    to the flows alive across all refreshes, so
-    [skipped / (dirty + skipped)] is the fraction of rate computations the
-    incremental solver avoided. *)
+    counters). A refresh re-solves the components its changed links
+    reach. It is {e full} when that re-solved every linked flow (one
+    crossing a link), {e inc} when it left some linked flow untouched.
+    [dirty] counts the flows re-solved and [skipped] the linked flows left
+    untouched, so [dirty + skipped] sums the linked flows over all
+    refreshes and [skipped / (dirty + skipped)] is the fraction of rate
+    computations the incremental solver avoided. [dirty_set_max] is the
+    most flows one refresh re-solved. *)
 
 val maxmin_inc_refreshes : Metrics.counter
 val maxmin_full_refreshes : Metrics.counter

@@ -240,3 +240,25 @@ let to_int = function
 
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
+
+(* --- typed field readers ------------------------------------------------ *)
+
+let field name j =
+  match member name j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let typed_field what conv name j =
+  Result.bind (field name j) (fun v ->
+      match conv v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "field %S is not %s" name what))
+
+let str_field name j = typed_field "a string" to_str name j
+let num_field name j = typed_field "a number" to_float name j
+let int_field name j = typed_field "an integer" to_int name j
+
+let bool_field name j =
+  typed_field "a boolean" (function Bool b -> Some b | _ -> None) name j
+
+let list_field name j = typed_field "an array" to_list name j

@@ -29,3 +29,15 @@ val to_float : t -> float option
 val to_int : t -> int option
 val to_str : t -> string option
 val to_list : t -> t list option
+
+(** {2 Typed field readers} — for decoders. [field k j] is [j]'s member
+    [k]; a missing member is [Error "missing field \"k\""], a member of the
+    wrong type [Error "field \"k\" is not a number"] (a string, an integer,
+    a boolean, an array). *)
+
+val field : string -> t -> (t, string) result
+val str_field : string -> t -> (string, string) result
+val num_field : string -> t -> (float, string) result
+val int_field : string -> t -> (int, string) result
+val bool_field : string -> t -> (bool, string) result
+val list_field : string -> t -> (t list, string) result

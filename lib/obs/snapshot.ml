@@ -61,12 +61,7 @@ let of_json json =
   | _ -> Error "metrics snapshot: expected a JSON object"
 
 let of_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | contents -> (
       match Json.parse contents with

@@ -79,11 +79,7 @@ let entries_of_records records =
   List.iter (fun (key, payload) -> Hashtbl.replace entries key payload) records;
   entries
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 type tail = {
   records : (string * string) list;

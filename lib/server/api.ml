@@ -7,6 +7,7 @@ module Task = Rats_dag.Task
 module Core = Rats_core
 module Procset = Rats_util.Procset
 module J = Rats_obs.Json
+module Trace = Rats_workload.Trace
 
 type task_def = { data_elements : float; flop : float; alpha : float }
 type edge_def = { src : int; dst : int; bytes : float }
@@ -185,75 +186,7 @@ type stamped = {
 let num x = J.Num x
 let int n = J.Num (float_of_int n)
 
-let field name j =
-  match J.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let str_field name j =
-  Result.bind (field name j) (fun v ->
-      match J.to_str v with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "field %S is not a string" name))
-
-let num_field name j =
-  Result.bind (field name j) (fun v ->
-      match J.to_float v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S is not a number" name))
-
-let int_field name j =
-  Result.bind (field name j) (fun v ->
-      match J.to_int v with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "field %S is not an integer" name))
-
-let bool_field name j =
-  Result.bind (field name j) (fun v ->
-      match v with
-      | J.Bool b -> Ok b
-      | _ -> Error (Printf.sprintf "field %S is not a boolean" name))
-
-let list_field name j =
-  Result.bind (field name j) (fun v ->
-      match J.to_list v with
-      | Some l -> Ok l
-      | None -> Error (Printf.sprintf "field %S is not an array" name))
-
 let ( let* ) = Result.bind
-
-(* --- strategy codec ----------------------------------------------------- *)
-
-let strategy_to_json = function
-  | Core.Rats.Baseline -> J.Obj [ ("algo", J.Str "hcpa") ]
-  | Core.Rats.Delta { mindelta; maxdelta } ->
-      J.Obj
-        [
-          ("algo", J.Str "delta");
-          ("mindelta", num mindelta);
-          ("maxdelta", num maxdelta);
-        ]
-  | Core.Rats.Timecost { minrho; packing } ->
-      J.Obj
-        [
-          ("algo", J.Str "timecost");
-          ("minrho", num minrho);
-          ("packing", J.Bool packing);
-        ]
-
-let strategy_of_json j =
-  let* algo = str_field "algo" j in
-  match algo with
-  | "hcpa" -> Ok Core.Rats.Baseline
-  | "delta" ->
-      let* mindelta = num_field "mindelta" j in
-      let* maxdelta = num_field "maxdelta" j in
-      Ok (Core.Rats.Delta { mindelta; maxdelta })
-  | "timecost" ->
-      let* minrho = num_field "minrho" j in
-      let* packing = bool_field "packing" j in
-      Ok (Core.Rats.Timecost { minrho; packing })
-  | other -> Error (Printf.sprintf "unknown algo %S" other)
 
 (* --- job spec codec ----------------------------------------------------- *)
 
@@ -266,10 +199,10 @@ let shape_fields (s : Shape.t) =
   ]
 
 let shape_of_json j =
-  let* width = num_field "width" j in
-  let* density = num_field "density" j in
-  let* regularity = num_field "regularity" j in
-  let* jump = int_field "jump" j in
+  let* width = J.num_field "width" j in
+  let* density = J.num_field "density" j in
+  let* regularity = J.num_field "regularity" j in
+  let* jump = J.int_field "jump" j in
   match Shape.make ~width ~regularity ~density ~jump () with
   | s -> Ok s
   | exception Invalid_argument msg -> Error msg
@@ -314,35 +247,35 @@ let job_spec_to_json = function
         ]
 
 let job_spec_of_json j =
-  let* kind = str_field "kind" j in
+  let* kind = J.str_field "kind" j in
   match kind with
   | "layered" | "irregular" ->
-      let* n_tasks = int_field "n" j in
+      let* n_tasks = J.int_field "n" j in
       let* shape = shape_of_json j in
-      let* sample = int_field "sample" j in
+      let* sample = J.int_field "sample" j in
       let spec =
         if kind = "layered" then Suite.Layered { n_tasks; shape }
         else Suite.Irregular { n_tasks; shape }
       in
       Ok (Generated { Suite.spec; sample })
   | "fft" ->
-      let* k = int_field "k" j in
-      let* sample = int_field "sample" j in
+      let* k = J.int_field "k" j in
+      let* sample = J.int_field "sample" j in
       Ok (Generated { Suite.spec = Suite.Fft { k }; sample })
   | "strassen" ->
-      let* sample = int_field "sample" j in
+      let* sample = J.int_field "sample" j in
       Ok (Generated { Suite.spec = Suite.Strassen; sample })
   | "inline" ->
-      let* name = str_field "name" j in
-      let* tasks = list_field "tasks" j in
-      let* edges = list_field "edges" j in
+      let* name = J.str_field "name" j in
+      let* tasks = J.list_field "tasks" j in
+      let* edges = J.list_field "edges" j in
       let* tasks =
         List.fold_left
           (fun acc tj ->
             let* acc = acc in
-            let* data_elements = num_field "data" tj in
-            let* flop = num_field "flop" tj in
-            let* alpha = num_field "alpha" tj in
+            let* data_elements = J.num_field "data" tj in
+            let* flop = J.num_field "flop" tj in
+            let* alpha = J.num_field "alpha" tj in
             Ok ({ data_elements; flop; alpha } :: acc))
           (Ok []) tasks
       in
@@ -375,15 +308,15 @@ let request_to_json (r : request) =
     [
       ("tenant", J.Str r.tenant);
       ("job", job_spec_to_json r.job);
-      ("strategy", strategy_to_json r.strategy);
+      ("strategy", Trace.strategy_to_json r.strategy);
       ("procs", int r.procs);
     ]
 
 let request_of_json j =
-  let* tenant = str_field "tenant" j in
-  let* job = Result.bind (field "job" j) job_spec_of_json in
-  let* strategy = Result.bind (field "strategy" j) strategy_of_json in
-  let* procs = int_field "procs" j in
+  let* tenant = J.str_field "tenant" j in
+  let* job = Result.bind (J.field "job" j) job_spec_of_json in
+  let* strategy = Result.bind (J.field "strategy" j) Trace.strategy_of_json in
+  let* procs = J.int_field "procs" j in
   Ok { tenant; job; strategy; procs }
 
 let response_to_json (r : response) =
@@ -455,19 +388,19 @@ let event_fields = function
   | Expired { waited } -> [ ("ev", J.Str "expired"); ("waited", num waited) ]
 
 let event_of_json j =
-  let* ev = str_field "ev" j in
+  let* ev = J.str_field "ev" j in
   match ev with
   | "submitted" ->
-      let* procs = int_field "procs" j in
-      let* strategy = str_field "strategy" j in
-      let* spec = str_field "spec" j in
+      let* procs = J.int_field "procs" j in
+      let* strategy = J.str_field "strategy" j in
+      let* spec = J.str_field "spec" j in
       Ok (Submitted { procs; strategy; spec })
   | "admitted" -> Ok Admitted
   | "queued" ->
-      let* depth = int_field "depth" j in
+      let* depth = J.int_field "depth" j in
       Ok (Queued { depth })
   | "started" ->
-      let* procs = list_field "procs" j in
+      let* procs = J.list_field "procs" j in
       let* procs =
         List.fold_left
           (fun acc p ->
@@ -477,35 +410,35 @@ let event_of_json j =
             | None -> Error "proc ids must be integers")
           (Ok []) procs
       in
-      let* est_makespan = num_field "est_makespan" j in
+      let* est_makespan = J.num_field "est_makespan" j in
       Ok (Started { procs = List.rev procs; est_makespan })
   | "redistribution" ->
-      let* src_task = int_field "src" j in
-      let* dst_task = int_field "dst" j in
-      let* bytes = num_field "bytes" j in
-      let* started = num_field "started" j in
+      let* src_task = J.int_field "src" j in
+      let* dst_task = J.int_field "dst" j in
+      let* bytes = J.num_field "bytes" j in
+      let* started = J.num_field "started" j in
       Ok (Redistribution { src_task; dst_task; bytes; started })
   | "completed" ->
-      let* makespan = num_field "makespan" j in
-      let* sojourn = num_field "sojourn" j in
-      let* waited = num_field "waited" j in
-      let* remote_bytes = num_field "remote_bytes" j in
-      let* redistributions = int_field "redistributions" j in
-      let* avoided = int_field "avoided" j in
+      let* makespan = J.num_field "makespan" j in
+      let* sojourn = J.num_field "sojourn" j in
+      let* waited = J.num_field "waited" j in
+      let* remote_bytes = J.num_field "remote_bytes" j in
+      let* redistributions = J.int_field "redistributions" j in
+      let* avoided = J.int_field "avoided" j in
       Ok
         (Completed
            { makespan; sojourn; waited; remote_bytes; redistributions; avoided })
   | "rejected" -> (
-      let* reason = str_field "reason" j in
+      let* reason = J.str_field "reason" j in
       match reason with
       | "queue_full" -> Ok (Rejected { reason = Queue_full })
       | "tenant_quota" -> Ok (Rejected { reason = Tenant_quota })
       | "overloaded" ->
-          let* retry_after = num_field "retry_after" j in
+          let* retry_after = J.num_field "retry_after" j in
           Ok (Rejected { reason = Overloaded { retry_after } })
       | other -> Error (Printf.sprintf "unknown reject reason %S" other))
   | "expired" ->
-      let* waited = num_field "waited" j in
+      let* waited = J.num_field "waited" j in
       Ok (Expired { waited })
   | other -> Error (Printf.sprintf "unknown event %S" other)
 
@@ -521,11 +454,11 @@ let stamped_to_json s =
     @ event_fields s.event)
 
 let stamped_of_json j =
-  let* t = num_field "t" j in
-  let* seq = int_field "seq" j in
-  let* job_id = int_field "job" j in
-  let* tenant = str_field "tenant" j in
-  let* job_name = str_field "name" j in
+  let* t = J.num_field "t" j in
+  let* seq = J.int_field "seq" j in
+  let* job_id = J.int_field "job" j in
+  let* tenant = J.str_field "tenant" j in
+  let* job_name = J.str_field "name" j in
   let* event = event_of_json j in
   Ok { t; seq; job_id; tenant; job_name; event }
 

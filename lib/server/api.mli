@@ -152,9 +152,6 @@ type stamped = {
     encoding is injective on the values the engine produces and two event
     logs are equal iff their JSON dumps are byte-identical. *)
 
-val strategy_to_json : Rats_core.Rats.strategy -> Rats_obs.Json.t
-val strategy_of_json : Rats_obs.Json.t -> (Rats_core.Rats.strategy, string) result
-
 val job_spec_to_json : job_spec -> Rats_obs.Json.t
 val job_spec_of_json : Rats_obs.Json.t -> (job_spec, string) result
 

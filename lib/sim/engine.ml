@@ -49,8 +49,7 @@ let create cluster =
     solver =
       Inc.create
         ~n_links:(Cluster.n_links cluster)
-        ~capacity:(fun l -> (Cluster.link cluster l).Rats_platform.Link.bandwidth)
-        ();
+        ~capacity:(fun l -> (Cluster.link cluster l).Rats_platform.Link.bandwidth);
     flows = Array.make 64 dummy_flow;
     n_flows = 0;
     rates_valid = false;

@@ -102,18 +102,15 @@ module Incremental = struct
      links) instead of O(flows + n_links), and every freeze is O(flow
      degree). The arithmetic per component is kept operation-for-operation
      identical to [solve] run on that component alone (min over the same
-     margins, the same subtractions in the same order), so re-solving a
-     dirty component or all of them yields bit-identical rates and the
-     result is a pure function of the alive flow set, however it was
-     reached. Against [solve] run on the *whole* flow set the rates agree
-     only up to rounding: the reference accumulates globally-minimal
-     levels across components, a different float summation (see
-     docs/ALGORITHMS.md). *)
+     margins, the same subtractions in the same order), so the rates are a
+     pure function of the alive flow set, however it was reached. Against
+     [solve] run on the *whole* flow set the rates agree only up to
+     rounding: the reference accumulates globally-minimal levels across
+     components, a different float summation (see docs/ALGORITHMS.md). *)
 
   type t = {
     n_links : int;
     link_cap : float array;
-    full_threshold : float;
     (* Flow store: one slot per flow, reused through a free list. *)
     mutable f_links : int array array;  (* [||] after free *)
     mutable f_cap : float array;
@@ -144,7 +141,7 @@ module Incremental = struct
     mutable cap_count : int array;  (* unfrozen flows per class *)
     mutable cap_members : int list array;
     (* Plain observability counters (an instance lives on one domain),
-       published as registry deltas by [publish]. *)
+       flushed to the registry and zeroed by [publish]. *)
     mutable inc_refreshes : int;
     mutable full_refreshes : int;
     mutable component_solves : int;
@@ -152,23 +149,14 @@ module Incremental = struct
     mutable dirty_flows : int;
     mutable skipped_flows : int;
     mutable dirty_set_max : int;
-    mutable pub_inc : int;
-    mutable pub_full : int;
-    mutable pub_comp : int;
-    mutable pub_rounds : int;
-    mutable pub_dirty : int;
-    mutable pub_skipped : int;
   }
 
-  let create ?(full_threshold = 0.5) ~n_links ~capacity () =
+  let create ~n_links ~capacity =
     if n_links < 0 then invalid_arg "Maxmin.Incremental.create: n_links < 0";
-    if not (full_threshold >= 0.) then
-      invalid_arg "Maxmin.Incremental.create: negative threshold";
     let link_cap = Array.init n_links capacity in
     {
       n_links;
       link_cap;
-      full_threshold;
       f_links = Array.make 16 [||];
       f_cap = Array.make 16 0.;
       f_rate = Array.make 16 0.;
@@ -200,26 +188,13 @@ module Incremental = struct
       dirty_flows = 0;
       skipped_flows = 0;
       dirty_set_max = 0;
-      pub_inc = 0;
-      pub_full = 0;
-      pub_comp = 0;
-      pub_rounds = 0;
-      pub_dirty = 0;
-      pub_skipped = 0;
     }
 
   let n_flows t = t.n_alive
 
-  let grow_floats a len init =
-    let n = Array.length a in
-    if len <= n then a
-    else begin
-      let b = Array.make (max len (2 * n)) init in
-      Array.blit a 0 b 0 n;
-      b
-    end
-
-  let grow_ints a len init =
+  (* [a] itself when it holds [len] elements, else a copy at least twice as
+     long, padded with [init]. *)
+  let grow a len init =
     let n = Array.length a in
     if len <= n then a
     else begin
@@ -229,20 +204,13 @@ module Incremental = struct
     end
 
   let grow_slots t len =
-    t.f_links <- grow_ints t.f_links len [||];
-    t.f_cap <- grow_floats t.f_cap len 0.;
-    t.f_rate <- grow_floats t.f_rate len 0.;
-    t.f_alive <-
-      (let n = Array.length t.f_alive in
-       if len <= n then t.f_alive
-       else begin
-         let b = Array.make (max len (2 * n)) false in
-         Array.blit t.f_alive 0 b 0 n;
-         b
-       end);
-    t.flow_mark <- grow_ints t.flow_mark len 0;
-    t.frozen <- grow_ints t.frozen len 0;
-    t.class_of <- grow_ints t.class_of len (-1)
+    t.f_links <- grow t.f_links len [||];
+    t.f_cap <- grow t.f_cap len 0.;
+    t.f_rate <- grow t.f_rate len 0.;
+    t.f_alive <- grow t.f_alive len false;
+    t.flow_mark <- grow t.flow_mark len 0;
+    t.frozen <- grow t.frozen len 0;
+    t.class_of <- grow t.class_of len (-1)
 
   let mark_link_dirty t l =
     if not t.dirty_flag.(l) then begin
@@ -314,7 +282,7 @@ module Incremental = struct
     for l = 1 to t.n_links do
       off.(l) <- off.(l) + off.(l - 1)
     done;
-    t.adj <- grow_ints t.adj !total 0;
+    t.adj <- grow t.adj !total 0;
     (* Ascending flow ids within each link's slice. *)
     let cursor = Array.copy off in
     for i = 0 to t.high - 1 do
@@ -335,13 +303,13 @@ module Incremental = struct
     let nf = ref 0 and nl = ref 0 in
     let push_flow i =
       t.flow_mark.(i) <- t.stamp;
-      t.comp_flows <- grow_ints t.comp_flows (!nf + 1) 0;
+      t.comp_flows <- grow t.comp_flows (!nf + 1) 0;
       t.comp_flows.(!nf) <- i;
       incr nf
     in
     let push_link l =
       t.link_mark.(l) <- t.stamp;
-      t.comp_links <- grow_ints t.comp_links (!nl + 1) 0;
+      t.comp_links <- grow t.comp_links (!nl + 1) 0;
       t.comp_links.(!nl) <- l;
       incr nl
     in
@@ -385,16 +353,9 @@ module Incremental = struct
       let k = find 0 in
       if k < !ncaps && t.caps.(k) = cap then k
       else begin
-        t.caps <- grow_floats t.caps (!ncaps + 1) 0.;
-        t.cap_count <- grow_ints t.cap_count (!ncaps + 1) 0;
-        t.cap_members <-
-          (let n = Array.length t.cap_members in
-           if !ncaps < n then t.cap_members
-           else begin
-             let b = Array.make (max (!ncaps + 1) (2 * n)) [] in
-             Array.blit t.cap_members 0 b 0 n;
-             b
-           end);
+        t.caps <- grow t.caps (!ncaps + 1) 0.;
+        t.cap_count <- grow t.cap_count (!ncaps + 1) 0;
+        t.cap_members <- grow t.cap_members (!ncaps + 1) [];
         for j = !ncaps downto k + 1 do
           t.caps.(j) <- t.caps.(j - 1);
           t.cap_count.(j) <- t.cap_count.(j - 1);
@@ -492,14 +453,10 @@ module Incremental = struct
 
   (* --- refresh ----------------------------------------------------------- *)
 
-  (* Solve the component seeded at [i] unless that flow was already solved
-     (flow_mark doubles as the "solved this refresh" marker). *)
-  let solve_component_of t i =
-    if t.flow_mark.(i) <> t.stamp then begin
-      let nf, nl = collect_component t i in
-      solve_component t nf nl
-    end
-
+  (* Re-solve the component of each alive flow on a changed link, once:
+     [collect_component] stamps every flow it gathers, so a flow already
+     stamped at this refresh was solved with an earlier link's component.
+     Components no changed link reaches keep their rates. *)
   let refresh t =
     match t.dirty_links with
     | [] -> ()
@@ -507,65 +464,39 @@ module Incremental = struct
         t.dirty_links <- [];
         List.iter (fun l -> t.dirty_flag.(l) <- false) dirty;
         rebuild_adjacency t;
-        (* Size of the dirty set: flows reachable from a changed link. *)
         t.stamp <- t.stamp + 1;
-        let dirty_count = ref 0 in
-        let rec visit_link l =
-          if t.link_mark.(l) <> t.stamp then begin
-            t.link_mark.(l) <- t.stamp;
+        let solved = ref 0 in
+        List.iter
+          (fun l ->
             for k = t.adj_off.(l) to t.adj_off.(l + 1) - 1 do
               let i = t.adj.(k) in
               if t.flow_mark.(i) <> t.stamp then begin
-                t.flow_mark.(i) <- t.stamp;
-                incr dirty_count;
-                Array.iter visit_link t.f_links.(i)
+                let nf, nl = collect_component t i in
+                solve_component t nf nl;
+                solved := !solved + nf
               end
-            done
-          end
-        in
-        List.iter visit_link dirty;
-        let dirty_count = !dirty_count in
-        if dirty_count > t.dirty_set_max then t.dirty_set_max <- dirty_count;
-        if
-          float_of_int dirty_count
-          > t.full_threshold *. float_of_int t.n_linked
-        then begin
-          (* Dirty set too large for incrementality to pay: re-solve every
-             component (same per-component arithmetic, so same rates). *)
-          t.full_refreshes <- t.full_refreshes + 1;
-          t.dirty_flows <- t.dirty_flows + t.n_linked;
-          t.stamp <- t.stamp + 1;
-          for i = 0 to t.high - 1 do
-            if t.f_alive.(i) && Array.length t.f_links.(i) > 0 then
-              solve_component_of t i
-          done
-        end
-        else begin
-          t.inc_refreshes <- t.inc_refreshes + 1;
-          t.dirty_flows <- t.dirty_flows + dirty_count;
-          t.skipped_flows <- t.skipped_flows + (t.n_linked - dirty_count);
-          (* Re-solve exactly the components holding dirty flows. The dirty
-             marks are at [stamp]; bump it so component collection re-marks
-             flows as it solves them. *)
-          let dirty_stamp = t.stamp in
-          t.stamp <- t.stamp + 1;
-          for i = 0 to t.high - 1 do
-            if t.flow_mark.(i) = dirty_stamp && t.f_alive.(i) then
-              solve_component_of t i
-          done
-        end
+            done)
+          dirty;
+        let solved = !solved in
+        if solved = t.n_linked then t.full_refreshes <- t.full_refreshes + 1
+        else t.inc_refreshes <- t.inc_refreshes + 1;
+        t.dirty_flows <- t.dirty_flows + solved;
+        t.skipped_flows <- t.skipped_flows + (t.n_linked - solved);
+        if solved > t.dirty_set_max then t.dirty_set_max <- solved
 
   let publish t =
-    let flush counter total pub =
-      let d = total - pub in
-      if d > 0 then Metrics.add counter d;
-      total
-    in
-    t.pub_inc <- flush Instr.maxmin_inc_refreshes t.inc_refreshes t.pub_inc;
-    t.pub_full <- flush Instr.maxmin_full_refreshes t.full_refreshes t.pub_full;
-    t.pub_comp <- flush Instr.maxmin_component_solves t.component_solves t.pub_comp;
-    t.pub_rounds <- flush Instr.maxmin_inc_iterations t.rounds t.pub_rounds;
-    t.pub_dirty <- flush Instr.maxmin_dirty_flows t.dirty_flows t.pub_dirty;
-    t.pub_skipped <- flush Instr.maxmin_skipped_flows t.skipped_flows t.pub_skipped;
+    let flush counter n = if n > 0 then Metrics.add counter n in
+    flush Instr.maxmin_inc_refreshes t.inc_refreshes;
+    flush Instr.maxmin_full_refreshes t.full_refreshes;
+    flush Instr.maxmin_component_solves t.component_solves;
+    flush Instr.maxmin_inc_iterations t.rounds;
+    flush Instr.maxmin_dirty_flows t.dirty_flows;
+    flush Instr.maxmin_skipped_flows t.skipped_flows;
+    t.inc_refreshes <- 0;
+    t.full_refreshes <- 0;
+    t.component_solves <- 0;
+    t.rounds <- 0;
+    t.dirty_flows <- 0;
+    t.skipped_flows <- 0;
     Metrics.observe_max Instr.maxmin_dirty_set_max (float_of_int t.dirty_set_max)
 end

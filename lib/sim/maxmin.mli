@@ -14,8 +14,8 @@
     {!solve} is the reference implementation — O(rounds × (flows + links))
     per call, used by tests as an oracle. The simulation engine uses
     {!Incremental}, which keeps solver state across flow arrivals and
-    departures and re-solves only the affected connected components (see
-    docs/ALGORITHMS.md for invariants and complexity). *)
+    departures and re-solves only the connected components a changed flow
+    touches (see docs/ALGORITHMS.md for invariants and complexity). *)
 
 type flow = {
   links : int array;  (** Indices of the links the flow crosses. *)
@@ -36,10 +36,10 @@ val utilization :
 (** Incremental max-min solver.
 
     Holds the live flow set and its rate vector across [add]/[remove]
-    calls; [refresh] brings the rates up to date by re-solving only the
-    connected components (of the flow–link sharing graph) reachable from a
-    changed flow, falling back to re-solving every component when the dirty
-    set exceeds [full_threshold × live flows].
+    calls; [refresh] brings the rates up to date by re-solving exactly the
+    connected components (of the flow–link sharing graph) that hold a flow
+    on a link some added or removed flow crosses. Every other component
+    keeps its rates untouched.
 
     The rate vector is a {e pure function of the alive flow set}: any
     sequence of adds and removes reaching the same set yields bit-identical
@@ -54,12 +54,9 @@ module Incremental : sig
   type handle = int
   (** Identifies a live flow; invalid after {!remove}. *)
 
-  val create :
-    ?full_threshold:float -> n_links:int -> capacity:(int -> float) -> unit -> t
+  val create : n_links:int -> capacity:(int -> float) -> t
   (** A solver for a fixed set of links. [capacity] is sampled once, at
-      creation. [full_threshold] (default [0.5]) is the dirty-set fraction
-      above which {!refresh} re-solves everything; [0.] forces a full
-      re-solve on every refresh (useful to test the fallback path). *)
+      creation. *)
 
   val add : t -> links:int array -> rate_cap:float -> handle
   (** Registers a flow. Validation matches {!solve}: raises
@@ -71,8 +68,9 @@ module Incremental : sig
   (** Unregisters a flow. Raises [Invalid_argument] on a dead handle. *)
 
   val refresh : t -> unit
-  (** Re-solves every component containing a flow added or removed since
-      the previous refresh. No-op when nothing changed. Raises
+  (** Re-solves, once each, the components holding a flow on a link that a
+      flow added or removed since the previous refresh crosses. No-op when
+      nothing changed. Raises
       [Invalid_argument "Maxmin.Incremental: unbounded flow"] if a
       component has no finite constraint (cannot happen when every link
       capacity is finite). *)
@@ -85,10 +83,13 @@ module Incremental : sig
   (** Live flows currently registered. *)
 
   val publish : t -> unit
-  (** Pushes counter deltas since the last publish to the metrics registry
-      ([Instr.maxmin_inc_refreshes], [..._full_refreshes],
-      [..._component_solves], [..._inc_iterations], [..._dirty_flows],
-      [..._skipped_flows]) and folds this solver's largest dirty set into
-      the [Instr.maxmin_dirty_set_max] gauge. Counters are kept as plain
-      ints in between — the hot path never touches an atomic. *)
+  (** Adds the counts accumulated since the last publish to the metrics
+      registry and zeroes them: per refresh, [Instr.maxmin_full_refreshes]
+      if it re-solved every linked flow (one crossing a link), else
+      [Instr.maxmin_inc_refreshes]; the flows it re-solved
+      ([..._dirty_flows]) and the linked flows it left untouched
+      ([..._skipped_flows]); plus [..._component_solves] and
+      [..._inc_iterations]. Folds this solver's largest per-refresh
+      re-solve into the [Instr.maxmin_dirty_set_max] gauge. Counts are
+      plain ints in between — the hot path never touches an atomic. *)
 end

@@ -47,14 +47,6 @@ val validate : t -> unit
 val jobs_per_tenant : t -> int array
 (** The round-robin split of [n_jobs] over the tenants, in order. *)
 
-val service_mix : App.mix
-(** The historical service pool: five small suite configurations
-    (two layered, one irregular, FFT k=2, Strassen), uniform weights. *)
-
-val pipeline_mix : App.mix
-(** Three pipeline chains of 5/8/12 stages over 4/8/16 Mi-element
-    datasets, uniform weights. *)
-
 type preset = Poisson | Bursty | Diurnal | Pipeline | Mixed
 
 val presets : (string * preset) list

@@ -66,37 +66,6 @@ let num x = J.Num x
 let int n = J.Num (float_of_int n)
 let ( let* ) = Result.bind
 
-let field name j =
-  match J.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let str_field name j =
-  let* v = field name j in
-  match J.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S is not a string" name)
-
-let num_field name j =
-  let* v = field name j in
-  match J.to_float v with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "field %S is not a number" name)
-
-let int_field name j =
-  let* v = field name j in
-  match J.to_int v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "field %S is not an integer" name)
-
-let bool_field name j =
-  let* v = field name j in
-  match v with
-  | J.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "field %S is not a boolean" name)
-
-(* Mirrors the service API's strategy codec (same "algo" wire names); the
-   workload library sits below the server and cannot reuse it. *)
 let strategy_to_json = function
   | Rats.Baseline -> J.Obj [ ("algo", J.Str "hcpa") ]
   | Rats.Delta { mindelta; maxdelta } ->
@@ -115,16 +84,16 @@ let strategy_to_json = function
         ]
 
 let strategy_of_json j =
-  let* algo = str_field "algo" j in
+  let* algo = J.str_field "algo" j in
   match algo with
   | "hcpa" -> Ok Rats.Baseline
   | "delta" ->
-      let* mindelta = num_field "mindelta" j in
-      let* maxdelta = num_field "maxdelta" j in
+      let* mindelta = J.num_field "mindelta" j in
+      let* maxdelta = J.num_field "maxdelta" j in
       Ok (Rats.Delta { mindelta; maxdelta })
   | "timecost" ->
-      let* minrho = num_field "minrho" j in
-      let* packing = bool_field "packing" j in
+      let* minrho = J.num_field "minrho" j in
+      let* packing = J.bool_field "packing" j in
       Ok (Rats.Timecost { minrho; packing })
   | other -> Error (Printf.sprintf "unknown algo %S" other)
 
@@ -167,36 +136,36 @@ let app_to_json = function
         ]
 
 let shape_of_json ?jump j =
-  let* width = num_field "width" j in
-  let* regularity = num_field "regularity" j in
-  let* density = num_field "density" j in
+  let* width = J.num_field "width" j in
+  let* regularity = J.num_field "regularity" j in
+  let* density = J.num_field "density" j in
   Ok (Shape.make ~width ~regularity ~density ?jump ())
 
 let app_of_json j =
-  let* kind = str_field "kind" j in
+  let* kind = J.str_field "kind" j in
   let generated spec =
-    let* sample = int_field "sample" j in
+    let* sample = J.int_field "sample" j in
     Ok (App.Generated { Suite.spec; sample })
   in
   match kind with
   | "layered" ->
-      let* n_tasks = int_field "n_tasks" j in
+      let* n_tasks = J.int_field "n_tasks" j in
       let* shape = shape_of_json j in
       generated (Suite.Layered { n_tasks; shape })
   | "irregular" ->
-      let* n_tasks = int_field "n_tasks" j in
-      let* jump = int_field "jump" j in
+      let* n_tasks = J.int_field "n_tasks" j in
+      let* jump = J.int_field "jump" j in
       let* shape = shape_of_json ~jump j in
       generated (Suite.Irregular { n_tasks; shape })
   | "fft" ->
-      let* k = int_field "k" j in
+      let* k = J.int_field "k" j in
       generated (Suite.Fft { k })
   | "strassen" -> generated Suite.Strassen
   | "pipeline" ->
-      let* stages = int_field "stages" j in
-      let* data_elements = num_field "data_elements" j in
-      let* flop = num_field "flop" j in
-      let* alpha = num_field "alpha" j in
+      let* stages = J.int_field "stages" j in
+      let* data_elements = J.num_field "data_elements" j in
+      let* flop = J.num_field "flop" j in
+      let* alpha = J.num_field "alpha" j in
       Ok (App.Chain { App.stages; data_elements; flop; alpha })
   | other -> Error (Printf.sprintf "unknown app kind %S" other)
 
@@ -211,11 +180,11 @@ let job_to_json job =
     ]
 
 let job_of_json j =
-  let* at = num_field "at" j in
-  let* tenant = str_field "tenant" j in
-  let* app = Result.bind (field "app" j) app_of_json in
-  let* procs = int_field "procs" j in
-  let* strategy = Result.bind (field "strategy" j) strategy_of_json in
+  let* at = J.num_field "at" j in
+  let* tenant = J.str_field "tenant" j in
+  let* app = Result.bind (J.field "app" j) app_of_json in
+  let* procs = J.int_field "procs" j in
+  let* strategy = Result.bind (J.field "strategy" j) strategy_of_json in
   Ok { at; tenant; app; procs; strategy }
 
 let save path trace =

@@ -36,3 +36,10 @@ val save : string -> t -> unit
 
 val load : string -> (t, string) result
 (** Parses a file written by {!save}; errors carry the line number. *)
+
+val strategy_to_json : Rats_core.Rats.strategy -> Rats_obs.Json.t
+(** [{"algo": "hcpa"}], [{"algo": "delta", "mindelta": _, "maxdelta": _}]
+    or [{"algo": "timecost", "minrho": _, "packing": _}] — the wire form
+    trace files and the service protocol share. *)
+
+val strategy_of_json : Rats_obs.Json.t -> (Rats_core.Rats.strategy, string) result

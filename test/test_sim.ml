@@ -134,12 +134,11 @@ let qcheck_maxmin_saturated =
 
 module Inc = Maxmin.Incremental
 
-let inc_create ?full_threshold () =
-  Inc.create ?full_threshold ~n_links:10 ~capacity:(fun _ -> 50.) ()
+let inc_create () = Inc.create ~n_links:10 ~capacity:(fun _ -> 50.)
 
 (* Random op sequences over the incremental solver. [`Remove k] removes the
    [k mod alive]-th live flow; [`Refresh] forces a mid-sequence solve so
-   both the incremental and the fallback paths get exercised. *)
+   refreshes see both small and large changed sets. *)
 let ops_gen =
   QCheck.Gen.(
     list_size (1 -- 60)
@@ -223,21 +222,6 @@ let qcheck_inc_path_independent =
         (fun (h, h') -> same_float (Inc.rate inc h) (Inc.rate fresh h'))
         readded)
 
-let qcheck_inc_threshold_equivalent =
-  QCheck.Test.make ~count:300
-    ~name:"always-full fallback gives bit-identical rates" random_ops
-    (fun ops ->
-      (* threshold 0. re-solves every component on each refresh; default
-         re-solves only dirty ones. Identical per-component arithmetic
-         means identical rates after every replayed op. *)
-      let inc = inc_create () in
-      let full = inc_create ~full_threshold:0. () in
-      let alive = run_ops inc ops in
-      let alive_full = run_ops full ops in
-      List.for_all2
-        (fun (h, _) (h', _) -> same_float (Inc.rate inc h) (Inc.rate full h'))
-        alive alive_full)
-
 let test_inc_basics () =
   let inc = inc_create () in
   let a = Inc.add inc ~links:[| 0 |] ~rate_cap:infinity in
@@ -265,6 +249,33 @@ let test_inc_untouched_component_stable () =
   Alcotest.(check bool) "a untouched" true (same_float ra (Inc.rate inc a));
   Alcotest.(check bool) "b untouched" true (same_float rb (Inc.rate inc b));
   checkf "c solved" 50. (Inc.rate inc c)
+
+let test_inc_refresh_reaches_only_changed () =
+  (* Three of five linked flows are new, all on link 2: the refresh must
+     re-solve their one component and leave the components of links 0 and
+     1 alone, however large the changed share of the flows. *)
+  let module Metrics = Rats_obs.Metrics in
+  let module Instr = Rats_obs.Instr in
+  let inc = inc_create () in
+  let a = Inc.add inc ~links:[| 0 |] ~rate_cap:infinity in
+  let b = Inc.add inc ~links:[| 1 |] ~rate_cap:7. in
+  Inc.refresh inc;
+  Inc.publish inc;
+  let ra = Inc.rate inc a and rb = Inc.rate inc b in
+  let counters =
+    Instr.[ maxmin_component_solves; maxmin_dirty_flows; maxmin_skipped_flows ]
+  in
+  let before = List.map Metrics.counter_value counters in
+  for _ = 1 to 3 do
+    ignore (Inc.add inc ~links:[| 2 |] ~rate_cap:infinity)
+  done;
+  Inc.refresh inc;
+  Inc.publish inc;
+  Alcotest.(check (list int))
+    "component solves, dirty flows, skipped flows" [ 1; 3; 2 ]
+    (List.map2 (fun c n -> Metrics.counter_value c - n) counters before);
+  Alcotest.(check bool) "a untouched" true (same_float ra (Inc.rate inc a));
+  Alcotest.(check bool) "b untouched" true (same_float rb (Inc.rate inc b))
 
 let test_inc_linkless () =
   let inc = inc_create () in
@@ -560,11 +571,12 @@ let () =
           Alcotest.test_case "add/remove basics" `Quick test_inc_basics;
           Alcotest.test_case "untouched component stable" `Quick
             test_inc_untouched_component_stable;
+          Alcotest.test_case "refresh re-solves only reached components" `Quick
+            test_inc_refresh_reaches_only_changed;
           Alcotest.test_case "linkless flows" `Quick test_inc_linkless;
           Alcotest.test_case "validation" `Quick test_inc_validation;
           qcheck qcheck_inc_matches_reference;
           qcheck qcheck_inc_path_independent;
-          qcheck qcheck_inc_threshold_equivalent;
         ] );
       ( "engine",
         [

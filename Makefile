@@ -19,7 +19,9 @@
 #   make studio-smoke       cold traced fig2 run, validated by studio check
 #                           (bench counters) and rendered by studio report
 #                           into a self-contained HTML report with its
-#                           trace timeline;
+#                           trace timeline; bench sweep replays it from the
+#                           cache byte-identically; CLI errors leave the
+#                           journal untouched;
 #                           A/B diff with the scale-mismatch guard, one-shot
 #                           live serve
 #   make flags-check        diff README's CLI flag table against each binary's
@@ -30,7 +32,7 @@
 #                           tools/lint_baseline.txt; JSON report lands in
 #                           bench_results/lint.json
 #   make lint-smoke         analyzer acceptance: cold run under the 2s
-#                           budget, warm cache run byte-identical, baseline
+#                           budget, second run byte-identical, baseline
 #                           ratchet both directions, DOT graph export
 #   make bench-archive      snapshot BENCH_runtime.json as
 #                           bench_results/archive/BENCH_runtime.<LABEL>.json
@@ -102,7 +104,10 @@ workload-smoke: build
 # timeline, counter table, per-target breakdown, no external fetches);
 # `studio diff` must print per-target deltas and warn when comparing runs of
 # different scale, and one-shot `studio serve` must answer an HTTP request
-# (docs/STUDIO.md). Runs in a temp directory, so the committed
+# (docs/STUDIO.md). On fig2's cache, `bench/main.exe sweep --csv` must
+# write fig2's CSV byte for byte with 0 misses, and a bad -j/--timeout/
+# --retries value or a mistyped target must exit non-zero without
+# rewriting a planted journal. Runs in a temp directory, so the committed
 # BENCH_runtime.json stays untouched.
 studio-smoke: build
 	tools/studio_smoke.sh

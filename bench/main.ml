@@ -1,30 +1,21 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md §3) and offers Bechamel micro-benchmarks of the
+   evaluation (see DESIGN.md §3), runs the suite under explicit RATS
+   parameters ([sweep]) and offers Bechamel micro-benchmarks of the
    computational kernels.
 
-   Usage: main.exe [-j N|--jobs N] [--retries N] [--timeout S] [--resume]
-                   [--strict] [--trace FILE] [--metrics FILE] [-h|--help]
-                   [table1|table2|table3|fig2|fig3|fig4|fig5|table4|fig6|
-                    fig7|table5|table6|ablations|ccr|autotune|workload|
-                    micro|all]
-   (default: all)
+   Usage: main.exe [TARGET] [OPTION]…   (default target: all; see --help)
 
-   RATS_SCALE=smoke (default, 149 configurations) or paper (the full 557).
-   RATS_JOBS / -j picks the pool size (default: all cores); RATS_CACHE=off
-   disables the on-disk result cache under bench_results/.cache;
-   RATS_FAULT injects deterministic faults (see Rats_runtime.Fault);
-   RATS_JOURNAL=off disables the write-ahead journal under
-   bench_results/.journal. A run killed mid-sweep is resumed with
-   [--resume]: journaled results are replayed bit-exactly and only the
-   missing work re-executes. Without [--resume] the journal of the previous
-   run is discarded. A configuration that keeps failing is reported (and
+   Every target takes the same runtime options: -j/--jobs, --retries,
+   --timeout, --resume, --strict, --trace and --metrics. [sweep] adds
+   --cluster, --mindelta, --maxdelta, --minrho, --packing and --csv.
+   RATS_SCALE=smoke (default, 149 configurations) or paper (the full 557)
+   picks the scale. A run killed mid-sweep is resumed with [--resume]:
+   journaled results are replayed bit-exactly and only the missing work
+   re-executes. A configuration that keeps failing is reported (and
    counted in BENCH_runtime.json) instead of aborting the run; [--strict]
    restores fail-fast. Every run writes wall time, jobs, cache hit/miss and
    failed/retried/resumed counts per executed target to
-   BENCH_runtime.json. [--trace FILE] (or RATS_TRACE) records a Chrome
-   trace-event file viewable in Perfetto; [--metrics FILE] (or
-   RATS_METRICS) dumps the metrics registry at exit (.json → JSON,
-   otherwise Prometheus text). *)
+   BENCH_runtime.json. *)
 
 module Suite = Rats_daggen.Suite
 module Cluster = Rats_platform.Cluster
@@ -36,8 +27,8 @@ module Exec = Rats_runtime.Exec
 module Journal = Rats_runtime.Journal
 module Retry = Rats_runtime.Retry
 module Report = Rats_runtime.Report
-module Obs_cli = Rats_obs.Obs_cli
 module Instr = Rats_obs.Instr
+module Common = Rats_cli.Common
 
 let ppf = Format.std_formatter
 let scale = Suite.scale_of_env ()
@@ -117,19 +108,15 @@ let tuned_per_cluster =
 let tuned_grillon () = List.assoc "grillon" (Lazy.force tuned_per_cluster)
 
 let run_table1 () =
-  section "Table I";
   Exp.Figures.table1 ppf
 
 let run_table2 () =
-  section "Table II";
   Exp.Figures.table2 ppf
 
 let run_table3 () =
-  section "Table III";
   Exp.Figures.table3 ppf scale
 
 let run_fig2 () =
-  section "Figure 2";
   let results = Lazy.force naive_grillon in
   Exp.Figures.fig2 ppf results;
   ensure_results_dir ();
@@ -138,11 +125,9 @@ let run_fig2 () =
   Format.fprintf ppf "(full data: %s)@." path
 
 let run_fig3 () =
-  section "Figure 3";
   Exp.Figures.fig3 ppf (Lazy.force naive_grillon)
 
 let run_fig4 () =
-  section "Figure 4";
   let points =
     timed "delta sweep on FFT/grillon" (fun () ->
         let configs = Exp.Tuning.tuning_configs scale `Fft in
@@ -151,7 +136,6 @@ let run_fig4 () =
   Exp.Figures.fig4 ppf points
 
 let run_fig5 () =
-  section "Figure 5";
   let points =
     timed "time-cost sweep on irregular/grillon" (fun () ->
         let configs = Exp.Tuning.tuning_configs scale `Irregular in
@@ -160,11 +144,9 @@ let run_fig5 () =
   Exp.Figures.fig5 ppf points
 
 let run_table4 () =
-  section "Table IV";
   Exp.Figures.table4 ppf (Lazy.force table4_data)
 
 let run_fig6 () =
-  section "Figure 6";
   let results = tuned_grillon () in
   Exp.Figures.fig6 ppf results;
   ensure_results_dir ();
@@ -173,24 +155,19 @@ let run_fig6 () =
   Format.fprintf ppf "(full data: %s)@." path
 
 let run_fig7 () =
-  section "Figure 7";
   Exp.Figures.fig7 ppf (tuned_grillon ())
 
 let run_table5 () =
-  section "Table V";
   Exp.Figures.table5 ppf (Lazy.force tuned_per_cluster)
 
 let run_table6 () =
-  section "Table VI";
   Exp.Figures.table6 ppf (Lazy.force tuned_per_cluster)
 
 let run_ablations () =
-  section "Ablations";
   timed "ablation studies" (fun () ->
       Exp.Ablation.print_all ~exec:!exec ppf scale)
 
 let run_ccr () =
-  section "CCR crossover (extension)";
   (* Half the study set: the sweep re-simulates every configuration six
      times. *)
   let configs =
@@ -203,7 +180,6 @@ let run_ccr () =
   Exp.Ccr_sweep.print ppf points
 
 let run_autotune () =
-  section "Automatic tuning";
   let configs = Exp.Ablation.study_configs scale in
   let rows =
     timed "selector study" (fun () ->
@@ -228,7 +204,6 @@ let workload_policy =
 let workload_profiles = [ "poisson"; "bursty"; "diurnal"; "mixed" ]
 
 let run_workload () =
-  section "Workload studies";
   let module Study = Rats_workload_study.Study in
   let cluster = Cluster.grillon in
   let config =
@@ -306,7 +281,6 @@ let micro_tests () =
     ]
 
 let run_micro () =
-  section "Micro-benchmarks (Bechamel)";
   let open Bechamel in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -330,188 +304,85 @@ let run_micro () =
 
 let targets =
   [
-    ("table1", run_table1);
-    ("table2", run_table2);
-    ("table3", run_table3);
-    ("fig2", run_fig2);
-    ("fig3", run_fig3);
-    ("fig4", run_fig4);
-    ("fig5", run_fig5);
-    ("table4", run_table4);
-    ("fig6", run_fig6);
-    ("fig7", run_fig7);
-    ("table5", run_table5);
-    ("table6", run_table6);
-    ("ablations", run_ablations);
-    ("ccr", run_ccr);
-    ("autotune", run_autotune);
-    ("workload", run_workload);
-    ("micro", run_micro);
+    ("table1", "Table I", run_table1);
+    ("table2", "Table II", run_table2);
+    ("table3", "Table III", run_table3);
+    ("fig2", "Figure 2", run_fig2);
+    ("fig3", "Figure 3", run_fig3);
+    ("fig4", "Figure 4", run_fig4);
+    ("fig5", "Figure 5", run_fig5);
+    ("table4", "Table IV", run_table4);
+    ("fig6", "Figure 6", run_fig6);
+    ("fig7", "Figure 7", run_fig7);
+    ("table5", "Table V", run_table5);
+    ("table6", "Table VI", run_table6);
+    ("ablations", "Ablations", run_ablations);
+    ("ccr", "CCR crossover (extension)", run_ccr);
+    ("autotune", "Automatic tuning", run_autotune);
+    ("workload", "Workload studies", run_workload);
+    ("micro", "Micro-benchmarks (Bechamel)", run_micro);
   ]
+
+let run_target (label, title, run) =
+  recorded label (fun () ->
+      section title;
+      run ())
 
 let run_all () =
   Format.fprintf ppf "RATS benchmark harness — scale: %s (%d configurations)@."
     scale_name (Suite.n_configs scale);
-  List.iter (fun (label, run) -> recorded label run) targets
+  List.iter run_target targets
 
-(* Minimal flag parsing: [-j N], [--jobs N], [--jobs=N], [--retries N],
-   [--timeout S], [--trace F], [--metrics F], [--resume], [--strict]
-   anywhere; the first remaining argument is the target. *)
-type options = {
-  mutable jobs : int;
-  mutable retries : int;
-  mutable timeout_s : float option;
-  mutable resume : bool;
-  mutable strict : bool;
-  mutable trace : string option;
-  mutable metrics : string option;
+(* The suite under explicit RATS parameters: Figures 2 and 3 of one
+   cluster, plus its per-configuration CSV. *)
+let run_sweep cluster delta timecost csv () =
+  let sweep =
+    Exp.Runner.run_sweep ~delta ~timecost ~progress:true ~exec:!exec scale
+      cluster
+  in
+  let results = sweep.Exp.Runner.results in
+  Exp.Figures.fig2 ppf results;
+  Exp.Figures.fig3 ppf results;
+  Option.iter
+    (fun path ->
+      Exp.Figures.write_csv path results;
+      Format.fprintf ppf "CSV written to %s@." path)
+    csv;
+  Exp.Runner.pp_failures Format.err_formatter sweep;
+  Format.fprintf ppf "%d/%d configurations done.@." (List.length results)
+    sweep.Exp.Runner.total
+
+(* --- Command line ------------------------------------------------------- *)
+
+type runtime = {
+  jobs : int;
+  retry : Retry.policy;
+  resume : bool;
+  strict : bool;
+  obs : Common.obs;
 }
 
-let usage () =
-  Format.printf
-    "Usage: main.exe [OPTION]… [TARGET]@.@.\
-     Regenerates the paper's tables and figures (default target: all).@.@.\
-     Targets: %s@.@.\
-     Options:@.\
-    \  -j N, --jobs=N    pool workers (default: RATS_JOBS or all cores)@.\
-    \  --retries=N       extra attempts for a failing configuration@.\
-    \  --timeout=SECONDS per-configuration wall-clock budget@.\
-    \  --resume          replay the journal of an interrupted run@.\
-    \  --strict          abort on the first configuration failure@.\
-    \  --trace=FILE      record a Chrome trace-event file (or RATS_TRACE)@.\
-    \  --metrics=FILE    dump the metrics registry at exit (or RATS_METRICS)@.\
-    \  -h, --help        show this message@.@.\
-     Environment: RATS_SCALE=smoke|paper, RATS_JOBS, RATS_CACHE=off,@.\
-     RATS_CACHE_DIR, RATS_FAULT (see Rats_runtime.Fault), RATS_JOURNAL=off.@."
-    (String.concat "|" (List.map fst targets))
-
-let parse_argv () =
-  let opts =
-    {
-      jobs = Pool.default_jobs ();
-      retries = 0;
-      timeout_s = None;
-      resume = false;
-      strict = false;
-      trace = None;
-      metrics = None;
-    }
-  in
-  let cmd = ref None in
-  let bad flag what =
-    Format.eprintf "invalid %s value %S@." flag what;
-    exit 2
-  in
-  let set_jobs s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> opts.jobs <- n
-    | _ -> bad "jobs" s
-  in
-  let set_retries s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> opts.retries <- n
-    | _ -> bad "retries" s
-  in
-  let set_timeout s =
-    match float_of_string_opt s with
-    | Some t when t > 0. -> opts.timeout_s <- Some t
-    | _ -> bad "timeout" s
-  in
-  let prefixed ~prefix arg =
-    let n = String.length prefix in
-    if String.length arg > n && String.sub arg 0 n = prefix then
-      Some (String.sub arg n (String.length arg - n))
-    else None
-  in
-  let rec go = function
-    | [] -> ()
-    | ("-h" | "--help") :: _ ->
-        usage ();
-        exit 0
-    | ("-j" | "--jobs") :: v :: rest ->
-        set_jobs v;
-        go rest
-    | "--retries" :: v :: rest ->
-        set_retries v;
-        go rest
-    | "--timeout" :: v :: rest ->
-        set_timeout v;
-        go rest
-    | "--trace" :: v :: rest ->
-        opts.trace <- Some v;
-        go rest
-    | "--metrics" :: v :: rest ->
-        opts.metrics <- Some v;
-        go rest
-    | [ ("-j" | "--jobs") ] -> bad "jobs" "<missing>"
-    | [ "--retries" ] -> bad "retries" "<missing>"
-    | [ "--timeout" ] -> bad "timeout" "<missing>"
-    | [ "--trace" ] -> bad "trace" "<missing>"
-    | [ "--metrics" ] -> bad "metrics" "<missing>"
-    | "--resume" :: rest ->
-        opts.resume <- true;
-        go rest
-    | "--strict" :: rest ->
-        opts.strict <- true;
-        go rest
-    | arg :: rest -> (
-        let assignments =
-          [
-            ("--jobs=", set_jobs);
-            ("--retries=", set_retries);
-            ("--timeout=", set_timeout);
-            ("--trace=", fun v -> opts.trace <- Some v);
-            ("--metrics=", fun v -> opts.metrics <- Some v);
-          ]
-        in
-        let matched =
-          List.find_map
-            (fun (prefix, set) ->
-              Option.map set (prefixed ~prefix arg))
-            assignments
-        in
-        match matched with
-        | Some () -> go rest
-        | None ->
-            (match !cmd with
-            | None -> cmd := Some arg
-            | Some _ ->
-                Format.eprintf "unexpected argument %S@." arg;
-                exit 2);
-            go rest)
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  (opts, Option.value !cmd ~default:"all")
-
-let () =
-  let opts, cmd = parse_argv () in
-  Obs_cli.configure ?trace:opts.trace ?metrics:opts.metrics ();
+(* Runs [run] with the runtime configured, then reports cache and fault
+   counters and writes BENCH_runtime.json; exit status 1 when any
+   configuration failed. *)
+let main rt run =
+  Common.start_obs rt.obs;
   let journal =
     match Sys.getenv_opt "RATS_JOURNAL" with
     | Some "off" -> None
     | _ ->
         Some
-          (Journal.open_ ~name:("bench-" ^ scale_name) ~resume:opts.resume ())
-  in
-  let retry =
-    { Retry.default with retries = opts.retries; timeout_s = opts.timeout_s }
+          (Journal.open_ ~name:("bench-" ^ scale_name) ~resume:rt.resume ())
   in
   exec :=
-    Exec.of_env ~jobs:opts.jobs ~retry ~strict:opts.strict ?journal ();
+    Exec.of_env ~jobs:rt.jobs ~retry:rt.retry ~strict:rt.strict ?journal ();
   (match journal with
-  | Some j when opts.resume ->
+  | Some j when rt.resume ->
       Format.fprintf ppf "(resuming: %d journaled results in %s)@."
         (Journal.loaded j) (Journal.path j)
   | _ -> ());
-  report := Report.create ~scale:scale_name ~jobs:opts.jobs ();
-  (match cmd with
-  | "all" -> run_all ()
-  | cmd -> (
-      match List.assoc_opt cmd targets with
-      | Some run -> recorded cmd run
-      | None ->
-          Format.eprintf "unknown command %S@." cmd;
-          exit 2));
+  report := Report.create ~scale:scale_name ~jobs:rt.jobs ();
+  run ();
   (match !exec.Exec.cache with
   | Some c ->
       Format.fprintf ppf "@.cache: %d hits, %d misses (hit rate %.0f%%)@."
@@ -532,8 +403,131 @@ let () =
   Option.iter Journal.close journal;
   Report.write !report "BENCH_runtime.json";
   Format.fprintf ppf "(runtime report: BENCH_runtime.json)@.";
-  Obs_cli.finalize ();
-  Option.iter (Format.fprintf ppf "(trace: %s)@.") (Obs_cli.trace_path ());
-  Option.iter (Format.fprintf ppf "(metrics: %s)@.") (Obs_cli.metrics_path ());
+  Option.iter (Format.fprintf ppf "(trace: %s)@.") rt.obs.Common.trace;
+  Option.iter (Format.fprintf ppf "(metrics: %s)@.") rt.obs.Common.metrics;
   Format.pp_print_flush ppf ();
-  if failed > 0 then exit 1
+  if failed > 0 then 1 else 0
+
+open Cmdliner
+
+(* [conv] restricted to the values satisfying [ok]. *)
+let checked conv ok ~expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let runtime_term =
+  let jobs =
+    Arg.(
+      value
+      & opt (checked int (fun n -> n >= 1) ~expected:"an integer >= 1")
+          (Pool.default_jobs ())
+      & info [ "j"; "jobs" ] ~docv:"N" ~absent:"$(b,RATS_JOBS) or all cores"
+          ~doc:
+            "Pool workers; 1 forces serial execution. Results are identical \
+             for every value.")
+  in
+  let retries =
+    Arg.(
+      value
+      & opt (checked int (fun n -> n >= 0) ~expected:"an integer >= 0") 0
+      & info [ "retries" ] ~docv:"N"
+          ~doc:
+            "Re-run a failing configuration up to $(docv) extra times \
+             (exponential backoff) before recording it as failed.")
+  in
+  let timeout =
+    Arg.(
+      value
+      & opt
+          (some (checked float (fun t -> t > 0.) ~expected:"a number > 0"))
+          None
+      & info [ "timeout" ] ~docv:"SECONDS"
+          ~doc:
+            "Per-configuration wall-clock budget (monotonic). An attempt \
+             that exceeds it counts as a failure, subject to $(b,--retries).")
+  in
+  let resume =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:
+            "Replay the results journaled by an interrupted run \
+             (bench_results/.journal) and execute only the missing \
+             configurations; the combined output is bit-identical to an \
+             uninterrupted run. Without this flag the previous journal is \
+             discarded.")
+  in
+  let strict =
+    Arg.(
+      value & flag
+      & info [ "strict" ]
+          ~doc:
+            "Abort on the first configuration failure (fail fast) instead of \
+             completing the run and reporting failures at the end.")
+  in
+  let make jobs retries timeout_s resume strict obs =
+    let retry = { Retry.default with retries; timeout_s } in
+    { jobs; retry; resume; strict; obs }
+  in
+  Term.(
+    const make $ jobs $ retries $ timeout $ resume $ strict $ Common.obs_term)
+
+let all_term = Term.(const (fun rt -> main rt run_all) $ runtime_term)
+
+let target_cmd ((name, title, _) as target) =
+  Cmd.v (Cmd.info name ~doc:title)
+    Term.(
+      const (fun rt -> main rt (fun () -> run_target target)) $ runtime_term)
+
+let sweep_cmd =
+  let csv =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"FILE"
+          ~doc:"Write per-configuration results to $(docv).")
+  in
+  let run rt cluster mindelta maxdelta minrho packing csv =
+    let delta = { Core.Rats.mindelta; maxdelta } in
+    let timecost = { Core.Rats.minrho; packing } in
+    main rt (fun () -> recorded "sweep" (run_sweep cluster delta timecost csv))
+  in
+  Cmd.v
+    (Cmd.info "sweep"
+       ~doc:
+         "Figures 2 and 3 of the suite on one cluster under the given RATS \
+          parameters")
+    Term.(
+      const run $ runtime_term $ Common.cluster_term $ Common.mindelta_term
+      $ Common.maxdelta_term $ Common.minrho_term $ Common.packing_term $ csv)
+
+let () =
+  let info =
+    Cmd.info "main.exe"
+      ~doc:"Regenerate the paper's tables and figures (default target: all)"
+      ~man:
+        [
+          `S Manpage.s_environment;
+          `P "$(b,RATS_SCALE)=smoke (default, 149 configurations) or paper \
+              (the full 557).";
+          `P "$(b,RATS_CACHE)=off disables the result cache under \
+              bench_results/.cache; $(b,RATS_CACHE_DIR) relocates it.";
+          `P "$(b,RATS_JOURNAL)=off disables the write-ahead journal under \
+              bench_results/.journal.";
+          `P "$(b,RATS_FAULT) injects deterministic faults (see \
+              Rats_runtime.Fault).";
+        ]
+  in
+  let all_cmd =
+    Cmd.v (Cmd.info "all" ~doc:"Every target but sweep, in paper order")
+      all_term
+  in
+  exit
+    (Cmd.eval'
+       (Cmd.group ~default:all_term info
+          (all_cmd :: sweep_cmd :: List.map target_cmd targets)))

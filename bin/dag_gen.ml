@@ -5,6 +5,7 @@
      dune exec bin/dag_gen.exe -- --kind layered --tasks 50 --width 0.8 *)
 
 open Cmdliner
+module Common = Rats_cli.Common
 module Suite = Rats_daggen.Suite
 module Dag = Rats_dag.Dag
 module Task = Rats_dag.Task

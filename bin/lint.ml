@@ -1,15 +1,12 @@
 (* rats_lint driver: static determinism & hygiene analysis over the
-   repo's OCaml sources, now whole-program (cross-module taint, allow
-   staleness) with a digest-keyed summary cache. Exit status: 0 clean,
-   1 unsuppressed findings (new ones only under --baseline), 2 usage/IO
-   error. See docs/LINTING.md for the rule catalogue. *)
+   repo's OCaml sources, whole-program (cross-module taint, allow
+   staleness). Exit status: 0 clean, 1 unsuppressed findings (new ones
+   only under --baseline), 2 usage/IO error. See docs/LINTING.md for the
+   rule catalogue. *)
 
 let usage =
   "usage: lint.exe [--root DIR] [--json FILE] [--baseline FILE] \
-   [--write-baseline FILE] [--graph FILE] [--cache FILE] [--no-cache] \
-   [--list-allows] [--rules] [DIR ...]"
-
-let default_cache = "bench_results/.lintcache"
+   [--write-baseline FILE] [--graph FILE] [--list-allows] [--rules] [DIR ...]"
 
 let () =
   let root = ref "." in
@@ -17,8 +14,6 @@ let () =
   let baseline = ref "" in
   let write_baseline = ref "" in
   let graph_out = ref "" in
-  let cache = ref default_cache in
-  let no_cache = ref false in
   let list_allows = ref false in
   let show_rules = ref false in
   let dirs = ref [] in
@@ -39,12 +34,6 @@ let () =
         Arg.Set_string graph_out,
         "FILE write the module-level call graph as Graphviz DOT ('-' for \
          stdout)" );
-      ( "--cache",
-        Arg.Set_string cache,
-        "FILE per-file summary cache (default " ^ default_cache ^ ")" );
-      ( "--no-cache",
-        Arg.Set no_cache,
-        " summarize every file from scratch and do not write the cache" );
       ( "--list-allows",
         Arg.Set list_allows,
         " list every suppression with its justification and exit" );
@@ -64,9 +53,8 @@ let () =
   let dirs =
     match List.rev !dirs with [] -> Rats_lint.Engine.default_dirs | ds -> ds
   in
-  let cache = if !no_cache then None else Some (Filename.concat !root !cache) in
   let report =
-    try Rats_lint.Engine.lint_tree ~dirs ?cache ~root:!root ()
+    try Rats_lint.Engine.lint_tree ~dirs ~root:!root ()
     with Sys_error msg ->
       prerr_endline ("lint: " ^ msg);
       exit 2

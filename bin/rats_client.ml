@@ -14,6 +14,7 @@
    racing a daemon that is still starting or restarting). *)
 
 open Cmdliner
+module Common = Rats_cli.Common
 module Server = Rats_server
 module Api = Rats_server.Api
 module Protocol = Rats_server.Protocol

@@ -6,6 +6,7 @@
      dune exec bin/rats_run.exe -- --algo all --gantt *)
 
 open Cmdliner
+module Common = Rats_cli.Common
 module Suite = Rats_daggen.Suite
 module Core = Rats_core
 module Procset = Rats_util.Procset
@@ -56,9 +57,8 @@ let report problem strategy alloc gantt svg =
       sim.Core.Evaluate.starts
   end
 
-let run config cluster algo mindelta maxdelta minrho packing gantt svg trace
-    metrics =
-  Common.with_obs trace metrics @@ fun () ->
+let run config cluster algo mindelta maxdelta minrho packing gantt svg obs =
+  Common.start_obs obs;
   let dag = Suite.generate config in
   let problem = Core.Problem.make ~dag ~cluster in
   Format.printf "%s on %s (%a)@." (Suite.name config)
@@ -96,7 +96,6 @@ let cmd =
     Term.(
       const run $ Common.config_term $ Common.cluster_term $ algo_term
       $ Common.mindelta_term $ Common.maxdelta_term $ Common.minrho_term
-      $ Common.packing_term $ gantt_term $ svg_term $ Common.trace_term
-      $ Common.metrics_term)
+      $ Common.packing_term $ gantt_term $ svg_term $ Common.obs_term)
 
 let () = exit (Cmd.eval cmd)

@@ -23,6 +23,7 @@
      dune exec bin/ratsd.exe -- --resume --journal myrun *)
 
 open Cmdliner
+module Common = Rats_cli.Common
 module Server = Rats_server
 module Engine = Rats_server.Engine
 module Protocol = Rats_server.Protocol
@@ -527,8 +528,8 @@ let selftest config params =
 
 let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
     retry_after deadline client_buffer backlog_limit jobs journal_name
-    journal_dir resume load_jobs tenants rate seed trace metrics =
-  Common.with_obs trace metrics @@ fun () ->
+    journal_dir resume load_jobs tenants rate seed obs =
+  Common.start_obs obs;
   let fault = Fault.of_env () in
   let policy =
     Rats_server.Admission.make ~shed_watermark ~retry_after_s:retry_after
@@ -722,6 +723,6 @@ let cmd =
       $ retry_after_term $ deadline_term $ client_buffer_term
       $ backlog_limit_term $ jobs_term $ journal_term $ journal_dir_term
       $ resume_term $ load_jobs_term $ tenants_term $ rate_term $ seed_term
-      $ Common.trace_term $ Common.metrics_term)
+      $ Common.obs_term)
 
 let () = exit (Cmd.eval cmd)

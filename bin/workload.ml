@@ -12,6 +12,7 @@
 *)
 
 open Cmdliner
+module Common = Rats_cli.Common
 module Cluster = Rats_platform.Cluster
 module Admission = Rats_server.Admission
 module Engine = Rats_server.Engine
@@ -31,8 +32,8 @@ let parse_arms s =
     (String.split_on_char ',' s)
 
 let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
-    csv save_trace replay trace metrics =
-  Common.with_obs trace metrics @@ fun () ->
+    csv save_trace replay obs =
+  Common.start_obs obs;
   let arms = parse_arms arms_s in
   let policy =
     Admission.make
@@ -178,7 +179,6 @@ let cmd =
     Term.(
       const run $ Common.cluster_term $ profile_term $ arms_term $ seed_term
       $ jobs_term $ queue_limit_term $ tenant_limit_term $ deadline_term
-      $ csv_term $ save_trace_term $ replay_term $ Common.trace_term
-      $ Common.metrics_term)
+      $ csv_term $ save_trace_term $ replay_term $ Common.obs_term)
 
 let () = exit (Cmd.eval cmd)

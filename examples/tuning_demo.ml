@@ -4,7 +4,8 @@
    strategy's minrho values over a handful of irregular workflows on
    grillon, printing the average makespan relative to HCPA for every grid
    point — the same surfaces as Figures 4 and 5, at toy scale (the full
-   versions live in bench/main.exe fig4 / fig5).
+   versions live in bench/main.exe fig4 / fig5, and bench/main.exe sweep
+   runs the whole suite at one chosen grid point).
 
    Run with: dune exec examples/tuning_demo.exe *)
 

@@ -1,5 +1,3 @@
-(* Shared cmdliner terms of the CLI tools. *)
-
 open Cmdliner
 module Suite = Rats_daggen.Suite
 module Shape = Rats_daggen.Shape
@@ -68,6 +66,25 @@ let sample_term =
     value & opt int 0
     & info [ "sample" ] ~docv:"S" ~doc:"Sample index (selects the random seed).")
 
+let config_term =
+  let build kind n_tasks width density regularity jump k sample =
+    let spec =
+      match kind with
+      | `Layered ->
+          Suite.Layered
+            { n_tasks; shape = Shape.make ~width ~regularity ~density () }
+      | `Irregular ->
+          Suite.Irregular
+            { n_tasks; shape = Shape.make ~width ~regularity ~density ~jump () }
+      | `Fft -> Suite.Fft { k }
+      | `Strassen -> Suite.Strassen
+    in
+    { Suite.spec; sample }
+  in
+  Term.(
+    const build $ kind_term $ n_tasks_term $ width_term $ density_term
+    $ regularity_term $ jump_term $ fft_k_term $ sample_term)
+
 (* RATS strategy parameters (paper §III): delta's packing and stretching
    bounds, time-cost's ratio threshold and packing toggle. *)
 let mindelta_term =
@@ -90,48 +107,53 @@ let packing_term =
     value & opt bool true
     & info [ "packing" ] ~docv:"BOOL" ~doc:"Time-cost packing toggle.")
 
-let trace_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
+type obs = { trace : string option; metrics : string option }
+
+let obs_term =
+  let path name env ~doc =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ name ] ~docv:"FILE" ~doc ~env:(Cmd.Env.info env))
+  in
+  (* An empty value (flag or environment) disables the file. *)
+  let nonempty = function Some "" -> None | p -> p in
+  Term.(
+    const (fun trace metrics ->
+        { trace = nonempty trace; metrics = nonempty metrics })
+    $ path "trace" "RATS_TRACE"
         ~doc:
           "Record a Chrome trace-event file to $(docv) (open in \
-           ui.perfetto.dev). Defaults to $(b,RATS_TRACE) when unset.")
-
-let metrics_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
+           ui.perfetto.dev)."
+    $ path "metrics" "RATS_METRICS"
         ~doc:
           "Dump the metrics registry to $(docv) at exit — JSON when $(docv) \
-           ends in .json, Prometheus text otherwise. Defaults to \
-           $(b,RATS_METRICS) when unset.")
+           ends in .json, Prometheus text otherwise.")
 
-(* Runs [f] with tracing/metrics configured from the flags (or the
-   environment) and writes the requested files even when [f] raises or
-   [exit]s — the run's partial trace is usually exactly what one wants to
-   see of a failing run. *)
-let with_obs trace metrics f =
-  Rats_obs.Obs_cli.configure ?trace ?metrics ();
-  Fun.protect ~finally:Rats_obs.Obs_cli.finalize f
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
-let config_term =
-  let build kind n_tasks width density regularity jump k sample =
-    let spec =
-      match kind with
-      | `Layered ->
-          Suite.Layered
-            { n_tasks; shape = Shape.make ~width ~regularity ~density () }
-      | `Irregular ->
-          Suite.Irregular
-            { n_tasks; shape = Shape.make ~width ~regularity ~density ~jump () }
-      | `Fft -> Suite.Fft { k }
-      | `Strassen -> Suite.Strassen
-    in
-    { Suite.spec; sample }
+let write_obs { trace; metrics } =
+  let prepared path =
+    mkdir_p (Filename.dirname path);
+    path
   in
-  Term.(
-    const build $ kind_term $ n_tasks_term $ width_term $ density_term
-    $ regularity_term $ jump_term $ fft_k_term $ sample_term)
+  (match (trace, Rats_obs.Trace.installed ()) with
+  | Some path, Some t -> Rats_obs.Trace.write_chrome t (prepared path)
+  | _ -> ());
+  Option.iter
+    (fun path ->
+      if Filename.check_suffix path ".json" then
+        Rats_obs.Metrics.write_json (prepared path)
+      else Rats_obs.Metrics.write_prometheus (prepared path))
+    metrics
+
+(* [at_exit] rather than [Fun.protect]: a failing run's partial trace is
+   usually exactly what one wants to see, and [exit 1] skips [~finally]. *)
+let start_obs obs =
+  if obs.trace <> None then Rats_obs.Trace.install (Rats_obs.Trace.create ());
+  if obs.trace <> None || obs.metrics <> None then
+    at_exit (fun () -> write_obs obs)

@@ -1,0 +1,37 @@
+(** Command-line terms shared by [bench/main.exe] and the [bin/] tools, so
+    one flag has one name, default and range check everywhere. *)
+
+open Cmdliner
+
+val cluster_term : Rats_platform.Cluster.t Term.t
+(** [--cluster NAME]: chti, grillon or grelon (Table II presets); default
+    grillon. *)
+
+val config_term : Rats_daggen.Suite.config Term.t
+(** One generated application: [--kind], [--tasks], [--width],
+    [--density], [--regularity], [--jump], [--fft-k] and [--sample]. *)
+
+(** {2 RATS strategy parameters (paper §III)} *)
+
+val mindelta_term : float Term.t
+val maxdelta_term : float Term.t
+val minrho_term : float Term.t
+val packing_term : bool Term.t
+
+(** {2 Tracing and metrics export} *)
+
+type obs = { trace : string option; metrics : string option }
+(** Where the run's Chrome trace and metrics snapshot go; [None] writes
+    nothing and keeps the nil-sink path active. *)
+
+val obs_term : obs Term.t
+(** [--trace FILE] and [--metrics FILE], defaulting to [RATS_TRACE] and
+    [RATS_METRICS]; an empty value disables the file. *)
+
+val start_obs : obs -> unit
+(** Call once per process, before the work. Installs a {!Rats_obs.Trace}
+    tracer iff a trace is requested, and registers a single [at_exit] hook
+    that writes both files, so they are flushed once, whether the run
+    returns, calls [exit] or dies of an uncaught exception. Parent
+    directories are created; the metrics format follows the extension:
+    [.json] → JSON snapshot, anything else → Prometheus text. *)

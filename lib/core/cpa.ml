@@ -9,10 +9,6 @@ let bottom_levels problem ~alloc =
     ~task_cost:(fun i -> Problem.task_time problem i ~procs:alloc.(i))
     ~edge_cost:(fun _ _ bytes -> Problem.edge_cost_estimate problem bytes)
 
-let critical_path_length problem ~alloc =
-  let bl = bottom_levels problem ~alloc in
-  bl.(Problem.entry problem)
-
 let average_area problem ~alloc ~area_procs =
   if area_procs < 1 then invalid_arg "Cpa.average_area: area_procs < 1";
   let total = ref 0. in

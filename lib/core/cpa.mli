@@ -29,9 +29,6 @@ val average_area : Problem.t -> alloc:int array -> area_procs:int -> float
 (** [Σ task_work / area_procs] under [alloc] — exposed for tests and
     diagnostics. *)
 
-val critical_path_length : Problem.t -> alloc:int array -> float
-(** [C∞] under [alloc], with edge cost estimates. *)
-
 val bottom_levels : Problem.t -> alloc:int array -> float array
 (** Bottom level of every task under [alloc] (task times + edge cost
     estimates) — the primary mapping priority of CPA, HCPA and RATS. *)

@@ -30,11 +30,6 @@ let create problem ~alloc =
 let problem t = t.problem
 let alloc t i = t.alloc.(i)
 
-let set_alloc t i np =
-  if np < 1 || np > Problem.n_procs t.problem then
-    invalid_arg "Mapping.set_alloc: invalid count";
-  t.alloc.(i) <- np
-
 let is_mapped t i = t.entries.(i) <> None
 
 let entry t i =

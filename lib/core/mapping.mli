@@ -1,8 +1,8 @@
 (** Mapping-step machinery shared by the HCPA baseline and RATS.
 
-    Holds the mutable mapping state — per-processor availability, the
-    entries committed so far, the (possibly RATS-adjusted) allocation — and
-    the finish-time estimation primitives. Start-time estimates combine
+    Holds the mutable mapping state — per-processor availability and the
+    entries committed so far — the step-one allocation, and the
+    finish-time estimation primitives. Start-time estimates combine
     processor availability with data-arrival times, pricing each incoming
     redistribution with the analytic {!Rats_redist.Redistribution.estimate}
     (zero when predecessor and task share the same processor set). Network
@@ -12,11 +12,11 @@
 type t
 
 val create : Problem.t -> alloc:int array -> t
-(** [alloc] is copied; RATS mutates its copy through {!set_alloc}. *)
+(** [alloc] is copied, so later changes to the caller's array do not reach
+    the mapping. *)
 
 val problem : t -> Problem.t
 val alloc : t -> int -> int
-val set_alloc : t -> int -> int -> unit
 val is_mapped : t -> int -> bool
 val entry : t -> int -> Schedule.entry
 (** Raises [Invalid_argument] if the task is not mapped yet. *)

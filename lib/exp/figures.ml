@@ -48,11 +48,14 @@ let print_series ppf title series =
       Format.fprintf ppf "  %-10s n=%d mean=%.3f improved-in=%.0f%%@."
         s.Metrics.label n mean (100. *. wins);
       Format.fprintf ppf "    percentiles:";
-      List.iter
-        (fun p ->
-          let idx = min (n - 1) (p * (n - 1) / 100) in
-          Format.fprintf ppf " p%d=%.3f" p s.Metrics.values.(idx))
-        [ 0; 10; 25; 50; 75; 90; 100 ];
+      (* A sweep whose every configuration failed has nothing to rank. *)
+      if n = 0 then Format.fprintf ppf " none"
+      else
+        List.iter
+          (fun p ->
+            let idx = min (n - 1) (p * (n - 1) / 100) in
+            Format.fprintf ppf " p%d=%.3f" p s.Metrics.values.(idx))
+          [ 0; 10; 25; 50; 75; 90; 100 ];
       Format.fprintf ppf "@.")
     series
 

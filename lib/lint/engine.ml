@@ -1,12 +1,11 @@
 module Json = Rats_obs.Json
 
 (* Orchestration, in two passes. Pass 1 turns every [.ml] into a
-   {!Summary.t} (per-file findings, allows, defs/refs) — cached across
-   runs keyed by source digest. Pass 2 is whole-program: the summaries
-   become a {!Callgraph.t}, the taint pass adds D005 findings, unused
-   allows become A002 findings, and suppression is applied over the
-   union. [lint_file] stops after pass 1 — single-file runs cannot see
-   cross-module taint or prove an allow stale. *)
+   {!Summary.t} (per-file findings, allows, defs/refs). Pass 2 is
+   whole-program: the summaries become a {!Callgraph.t}, the taint pass
+   adds D005 findings, unused allows become A002 findings, and suppression
+   is applied over the union. [lint_file] stops after pass 1 — single-file
+   runs cannot see cross-module taint or prove an allow stale. *)
 
 type report = {
   root : string;
@@ -15,7 +14,6 @@ type report = {
   suppressed : Finding.t list;
   allows : Allow.t list;
   graph : Callgraph.t option;
-  cache_stats : (int * int) option;
 }
 
 let default_dirs = [ "bench"; "bin"; "lib"; "test" ]
@@ -103,7 +101,6 @@ let lint_file ~root file =
     suppressed;
     allows;
     graph = None;
-    cache_stats = None;
   }
 
 let rec walk root rel acc =
@@ -121,37 +118,7 @@ let rec walk root rel acc =
         else acc)
     acc entries
 
-(* --- the summary cache -------------------------------------------------- *)
-
-let load_cache path =
-  if not (Sys.file_exists path) then []
-  else
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let version, entries =
-            (Marshal.from_channel ic : int * (string * Summary.t) list)
-          in
-          if version = Summary.format_version then entries else [])
-    with _ -> []
-
-let save_cache path summaries =
-  try
-    let dir = Filename.dirname path in
-    if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Marshal.to_channel oc
-          ( Summary.format_version,
-            List.map (fun s -> (s.Summary.s_file, s)) summaries )
-          [])
-  with Sys_error _ -> ()
-
-let lint_tree ?(dirs = default_dirs) ?cache ~root () =
+let lint_tree ?(dirs = default_dirs) ~root () =
   let files =
     match dirs with
     | [] -> walk root "" []
@@ -165,24 +132,12 @@ let lint_tree ?(dirs = default_dirs) ?cache ~root () =
           [] dirs
   in
   let files = List.sort String.compare files in
-  (* Pass 1: summarize (from cache when the digest still matches). *)
-  let cached = match cache with Some path -> load_cache path | None -> [] in
-  let hits = ref 0 and misses = ref 0 in
+  (* Pass 1: summarize every file. *)
   let summaries =
     List.map
-      (fun file ->
-        let src = read_file (Filename.concat root file) in
-        let digest = Digest.to_hex (Digest.string src) in
-        match List.assoc_opt file cached with
-        | Some s when s.Summary.s_digest = digest ->
-            incr hits;
-            s
-        | _ ->
-            incr misses;
-            Summary.scan ~file src)
+      (fun file -> Summary.scan ~file (read_file (Filename.concat root file)))
       files
   in
-  (match cache with Some path -> save_cache path summaries | None -> ());
   (* Pass 2: whole-program analysis over the summaries. *)
   let graph = Callgraph.build summaries in
   let allows =
@@ -202,7 +157,6 @@ let lint_tree ?(dirs = default_dirs) ?cache ~root () =
     suppressed;
     allows;
     graph = Some graph;
-    cache_stats = Some (!hits, !misses);
   }
 
 let render_list to_human items =

@@ -1,7 +1,7 @@
-(** Orchestration: walk a source tree, summarize every [.ml] (pass 1,
-    digest-cached), run the whole-program analyses over the summaries
-    (pass 2: call graph, D005 taint, A002 staleness), apply
-    suppressions, and render the result.
+(** Orchestration: walk a source tree, summarize every [.ml] (pass 1),
+    run the whole-program analyses over the summaries (pass 2: call
+    graph, D005 taint, A002 staleness), apply suppressions, and render the
+    result.
 
     Paths in findings and allows are root-relative with ['/'] separators;
     traversal is sorted, so two runs over the same tree produce
@@ -14,8 +14,6 @@ type report = {
   suppressed : Finding.t list;  (** Matched by an allow; kept for audit. *)
   allows : Allow.t list;  (** Every suppression found, used or not. *)
   graph : Callgraph.t option;  (** Tree runs only — for [--graph]. *)
-  cache_stats : (int * int) option;
-      (** Tree runs only: [(hits, misses)] against the summary cache. *)
 }
 
 val default_dirs : string list
@@ -31,12 +29,9 @@ val lint_file : root:string -> string -> report
     taint (D005) and allow staleness (A002) need the whole tree and are
     not run. *)
 
-val lint_tree : ?dirs:string list -> ?cache:string -> root:string -> unit -> report
+val lint_tree : ?dirs:string list -> root:string -> unit -> report
 (** Lint every [.ml] under [dirs] (existing ones; default
-    {!default_dirs}), or the whole root when [dirs] is [[]]. When
-    [cache] names a file, per-file summaries are reloaded from it for
-    files whose digest is unchanged and the file is rewritten after the
-    run; a missing, corrupt or version-skewed cache is ignored. *)
+    {!default_dirs}), or the whole root when [dirs] is [[]]. *)
 
 val render : report -> string
 (** Human findings, one per line ({!Finding.to_human}), golden-stable. *)

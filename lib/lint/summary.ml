@@ -1,15 +1,11 @@
 open Parsetree
 
-(* Pass 1 of the whole-program analysis: one self-contained, marshalable
-   summary per source file. It carries everything pass 2 needs — the
-   per-file findings and allows (so suppression and A001/A002 run without
-   re-parsing), plus the module facts the call-graph is built from:
-   top-level value definitions, the qualified identifiers each one
-   references, and [module M = Path] aliases. Summaries are cached keyed
-   by source digest; bump [format_version] whenever this module or any
-   per-file rule changes what a summary contains. *)
-
-let format_version = 1
+(* Pass 1 of the whole-program analysis: one self-contained summary per
+   source file. It carries everything pass 2 needs — the per-file findings
+   and allows (so suppression and A001/A002 run without re-parsing), plus
+   the module facts the call-graph is built from: top-level value
+   definitions, the qualified identifiers each one references, and
+   [module M = Path] aliases. *)
 
 type def = {
   d_name : string;  (** possibly dotted for nested modules, e.g. ["Incremental.add"] *)
@@ -20,7 +16,6 @@ type def = {
 
 type t = {
   s_file : string;  (** root-relative, ['/']-separated *)
-  s_digest : string;
   s_dir : string;  (** [Filename.dirname s_file] *)
   s_module : string;  (** capitalized basename, e.g. ["Maxmin"] *)
   s_aliases : (string * string) list;  (** local module name -> dotted path *)
@@ -162,7 +157,6 @@ let scan ~file src =
       aliases := a);
   {
     s_file = file;
-    s_digest = Digest.to_hex (Digest.string src);
     s_dir = Filename.dirname file;
     s_module = modname_of_file file;
     s_aliases = !aliases;

@@ -1,16 +1,12 @@
-(** Pass 1 of the whole-program analysis: a self-contained, marshalable
-    per-file summary.
+(** Pass 1 of the whole-program analysis: a self-contained per-file
+    summary.
 
     A summary carries the file's per-file findings (D/H/R rules, already
     scope-filtered) and allows, plus the module facts pass 2 builds the
     cross-module call graph from: top-level value definitions with the
     qualified identifiers each references, and top-level
     [module M = Path] aliases. Summaries are pure functions of the source
-    text, which is what makes digest-keyed caching sound. *)
-
-val format_version : int
-(** Bump whenever the summary shape or any per-file rule changes; the
-    engine drops cache files written under a different version. *)
+    text. *)
 
 type def = {
   d_name : string;
@@ -24,7 +20,6 @@ type def = {
 
 type t = {
   s_file : string;  (** Root-relative, ['/']-separated. *)
-  s_digest : string;  (** Hex digest of the source text. *)
   s_dir : string;
   s_module : string;  (** Capitalized basename: ["Maxmin"]. *)
   s_aliases : (string * string) list;

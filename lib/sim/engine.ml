@@ -96,8 +96,6 @@ let start_flow t ~src ~dst ~bytes ~on_complete =
     after t latency (fun t -> activate_flow t flow)
   end
 
-let active_flows t = t.n_flows
-
 let refresh_rates t =
   Inc.refresh t.solver;
   for i = 0 to t.n_flows - 1 do
@@ -185,9 +183,6 @@ let step t =
     drain ();
     true
   end
-
-let events_processed t = t.events_processed
-let max_queue_depth t = t.max_queue_depth
 
 (* Counter deltas go to the registry in one batch; repeated runs of the
    same engine publish only what the latest run added. *)

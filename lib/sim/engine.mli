@@ -36,8 +36,6 @@ val start_flow :
     (or negative) payloads and self-flows complete at [now] (still through
     the event queue, preserving causality). *)
 
-val active_flows : t -> int
-
 val run : t -> float
 (** Runs until no event or flow remains; returns the final simulated time. *)
 
@@ -52,9 +50,3 @@ val run_until : t -> float -> unit
     completes ([rats_sim_events_total], [rats_sim_event_queue_depth_max],
     plus the engine's {!Rats_sim.Maxmin.Incremental} solver counters);
     {!run} additionally records a ["sim:run"] trace span. *)
-
-val events_processed : t -> int
-(** Events handled so far: drained timer callbacks plus flow completions. *)
-
-val max_queue_depth : t -> int
-(** High-water mark of the pending-event queue. *)

@@ -2,8 +2,6 @@ type t = int array
 
 let empty = [||]
 
-let of_sorted_array_unchecked a = a
-
 let of_array a =
   let a = Array.copy a in
   Array.sort compare a;

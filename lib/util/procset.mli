@@ -19,10 +19,6 @@ val of_array : int array -> t
 (** [of_array a] builds a set from [a] (sorted, deduplicated; [a] is not
     modified). Raises [Invalid_argument] on negative indices. *)
 
-val of_sorted_array_unchecked : int array -> t
-(** [of_sorted_array_unchecked a] adopts [a], which must already be strictly
-    increasing. O(1); the caller must not mutate [a] afterwards. *)
-
 val range : int -> int -> t
 (** [range lo n] is the set [{lo, lo+1, ..., lo+n-1}]. [n] may be 0. *)
 

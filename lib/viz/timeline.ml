@@ -103,6 +103,4 @@ let render ?(title = "trace timeline") events =
   done;
   svg
 
-let of_trace ?title t = render ?title (Trace.events t)
-
 let save ?title events ~path = Svg.save (render ?title events) path

@@ -11,7 +11,4 @@ val render : ?title:string -> Rats_obs.Trace.event list -> Svg.t
     category. An empty event list still renders a (captioned) empty
     chart. *)
 
-val of_trace : ?title:string -> Rats_obs.Trace.t -> Svg.t
-(** [render] applied to {!Rats_obs.Trace.events}. *)
-
 val save : ?title:string -> Rats_obs.Trace.event list -> path:string -> unit

@@ -35,10 +35,6 @@ let mi = 1024. *. 1024.
 let pipeline_name p =
   Printf.sprintf "pipeline-s%d-m%.0f" p.stages (p.data_elements /. mi)
 
-let template_name = function
-  | Suite_spec spec -> Suite.name { Suite.spec; sample = 0 }
-  | Pipeline p -> pipeline_name p
-
 type t = Generated of Suite.config | Chain of pipeline
 
 let name = function

@@ -48,8 +48,6 @@ type template =
   | Suite_spec of Suite.spec  (** Sample index drawn per job. *)
   | Pipeline of pipeline
 
-val template_name : template -> string
-
 type t =
   | Generated of Suite.config  (** An instantiated suite application. *)
   | Chain of pipeline

@@ -269,6 +269,15 @@ let test_figure_printers () =
   in
   Alcotest.(check bool) "table3 has 557" true (contains t3 "557")
 
+let test_empty_series_printers () =
+  let print fig = Format.asprintf "%a" (fun ppf () -> fig ppf []) () in
+  List.iter
+    (fun (name, fig) ->
+      Alcotest.(check bool)
+        (name ^ " of a sweep with no results") true
+        (contains (print fig) "n=0"))
+    [ ("fig2", Figures.fig2); ("fig3", Figures.fig3) ]
+
 let test_table5_table6_printers () =
   let per_cluster = [ ("chti", synthetic_results) ] in
   let t5 = Format.asprintf "%a" (fun ppf () -> Figures.table5 ppf per_cluster) () in
@@ -531,6 +540,7 @@ let () =
           Alcotest.test_case "printers" `Slow test_figure_printers;
           Alcotest.test_case "table 5 and 6" `Quick test_table5_table6_printers;
           Alcotest.test_case "csv export" `Quick test_write_csv;
+          Alcotest.test_case "empty series" `Quick test_empty_series_printers;
         ] );
       ( "ablation",
         [

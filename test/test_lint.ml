@@ -178,26 +178,6 @@ let test_baseline_roundtrip () =
       let d = Baseline.diff ~baseline:(bogus :: keys) r.findings in
       check Alcotest.(list string) "dead entry reported stale" [ bogus ] d.stale)
 
-let test_cache_invalidation () =
-  let dir = Filename.temp_dir "rats_lint_cache" "" in
-  let file = Filename.concat dir "probe.ml" in
-  let write src =
-    let oc = open_out file in
-    output_string oc src;
-    close_out oc
-  in
-  let cache = Filename.concat dir "summaries.bin" in
-  let stats () =
-    match (Engine.lint_tree ~dirs:[] ~cache ~root:dir ()).Engine.cache_stats with
-    | Some s -> s
-    | None -> Alcotest.fail "tree run must report cache stats"
-  in
-  write "let x = 1\n";
-  check Alcotest.(pair int int) "cold run summarizes" (0, 1) (stats ());
-  check Alcotest.(pair int int) "warm run hits" (1, 0) (stats ());
-  write "let x = 2\n";
-  check Alcotest.(pair int int) "edit invalidates the entry" (0, 1) (stats ())
-
 let test_graph_dot () =
   let r = Lazy.force fixture_report in
   match r.Engine.graph with
@@ -272,8 +252,6 @@ let () =
           Alcotest.test_case "a002 stale allow" `Quick test_a002_stale_allow;
           Alcotest.test_case "baseline round-trip" `Quick
             test_baseline_roundtrip;
-          Alcotest.test_case "summary cache invalidation" `Quick
-            test_cache_invalidation;
           Alcotest.test_case "call-graph dot" `Quick test_graph_dot;
         ] );
       ( "repo",

@@ -6,12 +6,12 @@
 #      marked ✓ must appear in that binary's --help, a flag marked — must
 #      not;
 #   2. every option of bench/main.exe, bin/ratsd.exe, bin/rats_client.exe,
-#      bin/workload.exe and bin/studio.exe must have a table row (bench
-#      carries exactly the shared runtime/observability flag set, and the
-#      service/workload/studio binaries are documented exhaustively, so a
-#      flag added to any of them without a table edit fails the check).
-#      studio is a subcommand binary: its "help" is the concatenation of
-#      the top-level help and every subcommand's.
+#      bin/workload.exe and bin/studio.exe must have a table row (these
+#      binaries are documented exhaustively, so a flag added to any of them
+#      without a table edit fails the check).
+#      bench and studio are subcommand binaries: their "help" is the
+#      concatenation of the top-level help and every subcommand's; bench's
+#      subcommands are read from its top-level COMMANDS section.
 #
 # Binaries are expected to be built already (make check builds first).
 set -euo pipefail
@@ -20,8 +20,16 @@ cd "$(dirname "$0")/.."
 readme=README.md
 fail=0
 
-bench_help=$(dune exec --no-build bench/main.exe -- --help 2>&1)
-exp_help=$(dune exec --no-build bin/experiments.exe -- --help=plain 2>&1)
+bench_top=$(dune exec --no-build bench/main.exe -- --help=plain 2>&1)
+bench_subs=$(sed -n 's/^       \([a-z][a-z0-9]*\) \[OPTION\].*/\1/p' <<< "$bench_top")
+if [ -z "$bench_subs" ]; then
+    echo "flags-check: no subcommands found in bench/main.exe --help" >&2
+    exit 1
+fi
+bench_help=$(printf '%s\n' "$bench_top"
+             for sub in $bench_subs; do
+                 dune exec --no-build bench/main.exe -- "$sub" --help=plain 2>&1
+             done)
 run_help=$(dune exec --no-build bin/rats_run.exe -- --help=plain 2>&1)
 ratsd_help=$(dune exec --no-build bin/ratsd.exe -- --help=plain 2>&1)
 client_help=$(dune exec --no-build bin/rats_client.exe -- --help=plain 2>&1)
@@ -62,13 +70,12 @@ check_cell() { # $1 = flag, $2 = mark, $3 = binary name, $4 = help text
 }
 
 table_flags=""
-while IFS='|' read -r _ cell bench exp run ratsd client workload studio _rest; do
+while IFS='|' read -r _ cell bench run ratsd client workload studio _rest; do
     # First long flag named in the row's flag cell.
     flag=$(printf '%s' "$cell" | grep -oE -- '--[a-z][a-z-]*' | head -n1)
     [ -z "$flag" ] && continue
     table_flags="$table_flags $flag"
     check_cell "$flag" "$bench" "bench/main.exe" "$bench_help"
-    check_cell "$flag" "$exp" "bin/experiments.exe" "$exp_help"
     check_cell "$flag" "$run" "bin/rats_run.exe" "$run_help"
     check_cell "$flag" "$ratsd" "bin/ratsd.exe" "$ratsd_help"
     check_cell "$flag" "$client" "bin/rats_client.exe" "$client_help"
@@ -131,4 +138,4 @@ if [ "$fail" -ne 0 ]; then
     echo "flags-check: FAILED — update the tables in $readme (flags-check / lint-flags-check markers) or the binary" >&2
     exit 1
 fi
-echo "flags-check: README flag tables match all eight binaries' --help"
+echo "flags-check: README flag tables match all seven binaries' --help"

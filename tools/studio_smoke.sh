@@ -9,7 +9,10 @@
 #      produce one self-contained HTML file: at least one inline SVG, the
 #      trace timeline, the counter table, the per-target breakdown, and no
 #      external fetches (no script/link/src; the only URLs allowed are SVG
-#      xmlns declarations);
+#      xmlns declarations). On the same cache, `bench sweep --csv` must
+#      replay fig2's naive suite (0 misses) into a CSV byte-identical to
+#      fig2's, and bad runtime options or a mistyped target must exit
+#      non-zero without touching the resumable journal;
 #   2. workload table: a small study CSV must render with the fairness and
 #      p99 columns highlighted;
 #   3. diff: a second (warm) run of the same target diffs against the
@@ -74,6 +77,32 @@ if grep -o 'https\?://[^"< ]*' a/report.html | grep -qv 'www.w3.org'; then
     fail "report references an external URL"
 fi
 
+# The default sweep is fig2's naive suite: all cache hits, same CSV.
+mkdir -p s
+(cd s &&
+    RATS_SCALE=smoke RATS_JOURNAL=off RATS_CACHE_DIR="$WORK/cache" \
+        "$BENCH" sweep --csv sweep.csv >sweep.log)
+same_bytes s/sweep.csv a/bench_results/naive_grillon.csv \
+    "bench sweep --csv differs from fig2's naive_grillon.csv"
+grep -q '^cache: [0-9]* hits, 0 misses' s/sweep.log || {
+    cat s/sweep.log >&2
+    fail "bench sweep missed the cache fig2 filled"
+}
+
+# A command-line error must exit non-zero before the journal is opened
+# (opening it without --resume would discard it).
+planted=j/bench_results/.journal/bench-smoke.journal
+mkdir -p "$(dirname "$planted")"
+printf 'planted journal: must survive a rejected command line\n' >"$planted"
+cp "$planted" j/planted
+for args in "fig2 -j 0" "fig2 --timeout 0" "fig2 --retries -1" "fgi2"; do
+    if (cd j && RATS_SCALE=smoke RATS_CACHE_DIR="$WORK/cache" \
+        "$BENCH" $args >/dev/null 2>&1); then
+        fail "bench $args must exit non-zero"
+    fi
+    same_bytes j/planted "$planted" "bench $args rewrote the journal"
+done
+
 # --- 3. diff of a warm rerun ---------------------------------------------- #
 
 run_bench b
@@ -112,4 +141,4 @@ done
 wait "$SERVE_PID"
 [ "$ok" = 1 ] || fail "serve did not answer"
 
-echo "studio-smoke: OK (validated trace, self-contained report, diff + scale guard, one-shot serve)"
+echo "studio-smoke: OK (validated trace, self-contained report, sweep replay, CLI errors spare the journal, diff + scale guard, one-shot serve)"

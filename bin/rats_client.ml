@@ -181,12 +181,8 @@ let run socket op tenant at procs follow drain json dag_file config algo
     match dag_file with
     | None -> Api.Generated config
     | Some path -> (
-        let contents =
-          try In_channel.with_open_bin path In_channel.input_all
-          with Sys_error e -> fail "rats_client: %s" e
-        in
-        match J.parse contents with
-        | Error e -> fail "rats_client: %s: %s" path e
+        match Rats_obs.File.read_json path with
+        | Error e -> fail "rats_client: %s" e
         | Ok doc -> (
             match Api.job_spec_of_json doc with
             | Ok spec -> spec

@@ -533,14 +533,14 @@ let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
   let fault = Fault.of_env () in
   let policy =
     Rats_server.Admission.make ~shed_watermark ~retry_after_s:retry_after
-      ?deadline_s:(if deadline > 0. then Some deadline else None)
+      ?deadline_s:deadline
       ~queue_limit ~tenant_limit ()
   in
   let config =
     {
       (Engine.default_config cluster) with
       Engine.policy;
-      jobs = (if jobs = 0 then None else Some jobs);
+      jobs;
       fault;
     }
   in
@@ -601,19 +601,6 @@ let selftest_term =
            byte-identical re-run determinism check. Exits non-zero on any \
            failure.")
 
-let queue_limit_term =
-  Arg.(
-    value & opt int 256
-    & info [ "queue-limit" ] ~docv:"N"
-        ~doc:"Admission: reject when the waiting queue holds $(docv) jobs.")
-
-let tenant_limit_term =
-  Arg.(
-    value & opt int 64
-    & info [ "tenant-limit" ] ~docv:"N"
-        ~doc:
-          "Admission: reject a tenant with $(docv) jobs queued or running.")
-
 let shed_watermark_term =
   Arg.(
     value & opt float 1.
@@ -631,14 +618,6 @@ let retry_after_term =
           "Admission: base retry-after hint in simulated seconds carried \
            by overloaded rejections, scaled by how far past the watermark \
            the queue is.")
-
-let deadline_term =
-  Arg.(
-    value & opt float 0.
-    & info [ "deadline" ] ~docv:"S"
-        ~doc:
-          "Admission: drop a queued job (expired event) if it has not \
-           started $(docv) simulated seconds after arrival; 0 disables.")
 
 let client_buffer_term =
   Arg.(
@@ -658,14 +637,6 @@ let backlog_limit_term =
           "Degrade (shed event streams, refuse new watch/log) when the \
            total output buffered across clients exceeds $(docv) bytes; \
            recover below half.")
-
-let jobs_term =
-  Arg.(
-    value & opt int 0
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for batch schedule computation; 0 = automatic. \
-           Never affects results.")
 
 let journal_term =
   Arg.(
@@ -719,9 +690,10 @@ let cmd =
        ~doc:"Online RATS scheduling service over a Unix-domain socket")
     Term.(
       const run $ Common.cluster_term $ socket_term $ selftest_term
-      $ queue_limit_term $ tenant_limit_term $ shed_watermark_term
-      $ retry_after_term $ deadline_term $ client_buffer_term
-      $ backlog_limit_term $ jobs_term $ journal_term $ journal_dir_term
+      $ Common.queue_limit_term $ Common.tenant_limit_term
+      $ shed_watermark_term $ retry_after_term $ Common.deadline_term
+      $ client_buffer_term $ backlog_limit_term $ Common.engine_jobs_term
+      $ journal_term $ journal_dir_term
       $ resume_term $ load_jobs_term $ tenants_term $ rate_term $ seed_term
       $ Common.obs_term)
 

@@ -5,7 +5,8 @@
 
      report   one run's artifacts -> a single offline HTML report
      diff     A/B two BENCH_runtime.json files, text + optional HTML
-     serve    live auto-refreshing monitor of a running sweep
+     serve    the report page, reloaded on every request with the journal
+              tail: a live monitor of a running sweep
      check    validate a --trace file and --metrics snapshot; exits 1 on
               the first violation (the machine end of make studio-smoke)
 
@@ -34,34 +35,8 @@ let basename_caption path = Printf.sprintf "%s (embedded)" path
 
 let run_report bench metrics trace workloads svgs title out =
   let result =
-    let warn what path msg =
-      Printf.eprintf "studio: warning: %s %s: %s (section omitted)\n%!" what
-        path msg
-    in
-    let bench_t =
-      Option.bind bench (fun path ->
-          match Studio.Bench.load path with
-          | Ok b -> Some b
-          | Error msg ->
-              warn "bench report" path msg;
-              None)
-    in
-    let snapshot =
-      Option.bind metrics (fun path ->
-          match Rats_obs.Snapshot.of_file path with
-          | Ok s -> Some s
-          | Error msg ->
-              warn "metrics snapshot" path msg;
-              None)
-    in
-    let trace_events =
-      Option.bind trace (fun path ->
-          match Studio.Check.trace path with
-          | Ok events -> Some events
-          | Error msg ->
-              warn "trace" path msg;
-              None)
-    in
+    let input, warnings = Studio.Page.load ~title ?bench ?metrics ?trace () in
+    List.iter (Printf.eprintf "studio: warning: %s\n%!") warnings;
     let* workloads =
       List.fold_left
         (fun acc path ->
@@ -78,17 +53,13 @@ let run_report bench metrics trace workloads svgs title out =
           Ok ((basename_caption path, contents) :: acc))
         (Ok []) svgs
     in
-    let input =
-      {
-        Studio.Page.title;
-        bench = bench_t;
-        snapshot;
-        trace = trace_events;
-        workloads = List.rev workloads;
-        figures = List.rev figures;
-      }
-    in
-    Studio.Page.write input out;
+    Rats_obs.File.write_atomic out
+      (Studio.Page.render
+         {
+           input with
+           workloads = List.rev workloads;
+           figures = List.rev figures;
+         });
     Printf.printf "report written to %s\n" out;
     Ok ()
   in
@@ -161,17 +132,13 @@ let report_cmd =
 
 let run_diff a b threshold out =
   let result =
-    let* ta = Studio.Bench.load a in
-    let* tb = Studio.Bench.load b in
+    let* ta = Rats_runtime.Report.load a in
+    let* tb = Rats_runtime.Report.load b in
     print_string (Studio.Diff.to_text ~threshold ta tb);
     (match out with
     | None -> ()
     | Some path ->
-        let html = Studio.Diff.to_html ~threshold ta tb in
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc html);
+        Rats_obs.File.write_atomic path (Studio.Diff.to_html ~threshold ta tb);
         Printf.printf "\nhtml diff written to %s\n" path);
     Ok ()
   in
@@ -218,16 +185,22 @@ let diff_cmd =
 
 (* --- serve --------------------------------------------------------------- *)
 
-let run_serve journal metrics bench port refresh max_requests title =
-  let source =
-    Studio.Live.make ?journal ?metrics ?bench ~refresh_s:refresh ~title ()
+(* Every request reloads the artifacts, so the page follows the sweep. *)
+let served_page ~title ?bench ?metrics ?journal refresh_s =
+  let input, warnings = Studio.Page.load ~title ?bench ?metrics () in
+  let journal =
+    Option.map (fun p -> (p, Rats_runtime.Journal.read_tail p)) journal
   in
+  Studio.Page.render
+    { input with served = Some { refresh_s; journal; warnings } }
+
+let run_serve journal metrics bench port refresh max_requests title =
   match
     Studio.Httpd.serve ~port ?max_requests
       ~on_listen:(fun bound ->
         Printf.printf "studio: serving http://127.0.0.1:%d/ (ctrl-C to stop)\n%!"
           bound)
-      (fun _path -> Studio.Live.render source)
+      (fun _path -> served_page ~title ?bench ?metrics ?journal refresh)
   with
   | () -> 0
   | exception Unix.Unix_error (err, _, _) ->
@@ -264,9 +237,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Serve a live auto-refreshing HTML monitor of a running sweep \
-          over a loopback HTTP socket, re-reading the journal, metrics \
-          snapshot, and bench report on every request.")
+         "Serve the report page as a live auto-refreshing monitor of a \
+          running sweep over a loopback HTTP socket, re-reading the \
+          journal, metrics snapshot, and bench report on every request.")
     Term.(
       const run_serve $ journal_term $ metrics_term $ bench_term $ port_term
       $ refresh_term $ max_requests_term
@@ -283,7 +256,7 @@ let run_check trace metrics require_bench =
         Error "--require-bench-counters needs --metrics"
     | None -> Ok ()
     | Some path ->
-        let* snapshot = Studio.Check.metrics path in
+        let* snapshot = Rats_obs.Snapshot.of_file path in
         Printf.printf "%s: well-formed snapshot\n" path;
         if require_bench then begin
           let* () = Studio.Check.bench_counters snapshot in

@@ -37,7 +37,7 @@ let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
   let arms = parse_arms arms_s in
   let policy =
     Admission.make
-      ?deadline_s:(if deadline > 0. then Some deadline else None)
+      ?deadline_s:deadline
       ~queue_limit ~tenant_limit ()
   in
   let profiles =
@@ -52,7 +52,7 @@ let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
     {
       (Engine.default_config cluster) with
       policy;
-      jobs = (if jobs = 0 then None else Some jobs);
+      jobs;
     }
   in
   (match (save_trace, replay) with
@@ -115,35 +115,6 @@ let seed_term =
     & info [ "seed" ] ~docv:"S"
         ~doc:"Trace seed override (wins over the profile's seed= key).")
 
-let jobs_term =
-  Arg.(
-    value & opt int 0
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Schedule-computation pool workers; 0 = pool default. Never \
-           affects results.")
-
-let queue_limit_term =
-  Arg.(
-    value & opt int 256
-    & info [ "queue-limit" ] ~docv:"N"
-        ~doc:"Admission: reject when the waiting queue holds $(docv) jobs.")
-
-let tenant_limit_term =
-  Arg.(
-    value & opt int 64
-    & info [ "tenant-limit" ] ~docv:"N"
-        ~doc:
-          "Admission: reject a tenant with $(docv) jobs queued or running.")
-
-let deadline_term =
-  Arg.(
-    value & opt float 0.
-    & info [ "deadline" ] ~docv:"S"
-        ~doc:
-          "Admission: drop a job still queued after $(docv) simulated \
-           seconds; 0 disables expiry.")
-
 let csv_term =
   Arg.(
     value
@@ -178,7 +149,8 @@ let cmd =
           engine")
     Term.(
       const run $ Common.cluster_term $ profile_term $ arms_term $ seed_term
-      $ jobs_term $ queue_limit_term $ tenant_limit_term $ deadline_term
+      $ Common.engine_jobs_term $ Common.queue_limit_term
+      $ Common.tenant_limit_term $ Common.deadline_term
       $ csv_term $ save_trace_term $ replay_term $ Common.obs_term)
 
 let () = exit (Cmd.eval cmd)

@@ -107,6 +107,41 @@ let packing_term =
     value & opt bool true
     & info [ "packing" ] ~docv:"BOOL" ~doc:"Time-cost packing toggle.")
 
+(* Engine and admission flags of ratsd and workload. *)
+let queue_limit_term =
+  Arg.(
+    value & opt int 256
+    & info [ "queue-limit" ] ~docv:"N"
+        ~doc:"Admission: reject when the waiting queue holds $(docv) jobs.")
+
+let tenant_limit_term =
+  Arg.(
+    value & opt int 64
+    & info [ "tenant-limit" ] ~docv:"N"
+        ~doc:
+          "Admission: reject a tenant with $(docv) jobs queued or running.")
+
+let deadline_term =
+  Term.(
+    const (fun s -> if s > 0. then Some s else None)
+    $ Arg.(
+        value & opt float 0.
+        & info [ "deadline" ] ~docv:"S"
+            ~doc:
+              "Admission: drop a queued job (expired event) if it has not \
+               started $(docv) simulated seconds after arrival; 0 \
+               disables."))
+
+let engine_jobs_term =
+  Term.(
+    const (fun jobs -> if jobs = 0 then None else Some jobs)
+    $ Arg.(
+        value & opt int 0
+        & info [ "jobs" ] ~docv:"N"
+            ~doc:
+              "Schedule-computation pool workers; 0 = pool default. Never \
+               affects results."))
+
 type obs = { trace : string option; metrics : string option }
 
 let obs_term =

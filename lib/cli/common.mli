@@ -18,6 +18,23 @@ val maxdelta_term : float Term.t
 val minrho_term : float Term.t
 val packing_term : bool Term.t
 
+(** {2 Engine and admission ([ratsd], [workload])} *)
+
+val queue_limit_term : int Term.t
+(** [--queue-limit N]: reject arrivals once N jobs wait; default 256. *)
+
+val tenant_limit_term : int Term.t
+(** [--tenant-limit N]: reject a tenant with N jobs queued or running;
+    default 64. *)
+
+val deadline_term : float option Term.t
+(** [--deadline S]: expire a job still queued S simulated seconds after
+    arrival; the default 0 (or any S <= 0) is [None], no expiry. *)
+
+val engine_jobs_term : int option Term.t
+(** [--jobs N]: the engine's schedule-computation pool size; the default
+    0 is [None], the pool default. *)
+
 (** {2 Tracing and metrics export} *)
 
 type obs = { trace : string option; metrics : string option }

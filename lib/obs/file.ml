@@ -1,0 +1,23 @@
+let write_atomic path contents =
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ]
+      ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+  in
+  try
+    output_string oc contents;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
+
+let read_json path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  (* Failing to open names the file already; failing to read does not. *)
+  | exception Sys_error msg when String.starts_with ~prefix:path msg ->
+      Error msg
+  | exception Sys_error msg -> Error (path ^ ": " ^ msg)
+  | contents ->
+      Result.map_error (fun msg -> path ^ ": " ^ msg) (Json.parse contents)

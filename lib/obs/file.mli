@@ -1,0 +1,16 @@
+(** The file I/O every run artifact goes through.
+
+    Trace files, metrics snapshots, [BENCH_runtime.json] and studio pages
+    are written with {!write_atomic}, so a reader (a [studio serve]
+    refresh, a crashed run's post-mortem) sees the old file or the new
+    one, never a prefix. The JSON artifacts are read back with
+    {!read_json}. The result cache keeps its own writer, because it
+    injects faults mid-write. *)
+
+val write_atomic : string -> string -> unit
+(** [write_atomic path contents] writes [contents] to a temp file in
+    [path]'s directory and renames it onto [path]. If the write or the
+    rename fails, the temp file is removed and the exception re-raised. *)
+
+val read_json : string -> (Json.t, string) result
+(** Reads and parses a whole JSON file. Every error names [path]. *)

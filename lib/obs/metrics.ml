@@ -194,18 +194,8 @@ let to_prometheus () =
     (sorted_metrics ());
   Buffer.contents buf
 
-let write_file path content =
-  let dir = Filename.dirname path in
-  let tmp, oc =
-    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir "metrics" ".tmp"
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content);
-  Sys.rename tmp path
-
-let write_json path = write_file path (to_json ())
-let write_prometheus path = write_file path (to_prometheus ())
+let write_json path = File.write_atomic path (to_json ())
+let write_prometheus path = File.write_atomic path (to_prometheus ())
 
 let reset () =
   List.iter

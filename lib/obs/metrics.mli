@@ -64,6 +64,7 @@ val to_prometheus : unit -> string
 
 val write_json : string -> unit
 val write_prometheus : string -> unit
+(** Write {!to_json} or {!to_prometheus} with {!File.write_atomic}. *)
 
 val reset : unit -> unit
 (** Zeroes every registered metric (the registry keeps its entries). For

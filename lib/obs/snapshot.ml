@@ -50,23 +50,21 @@ let hist_of_json json =
   | _ -> None
 
 let of_json json =
-  match json with
-  | Json.Obj _ ->
-      Ok
-        {
-          counters = assoc "counters" json Json.to_int;
-          gauges = assoc "gauges" json Json.to_float;
-          histograms = assoc "histograms" json hist_of_json;
-        }
-  | _ -> Error "metrics snapshot: expected a JSON object"
+  let is_obj section =
+    match Json.member section json with Some (Json.Obj _) -> true | _ -> false
+  in
+  if List.for_all is_obj [ "counters"; "gauges"; "histograms" ] then
+    Ok
+      {
+        counters = assoc "counters" json Json.to_int;
+        gauges = assoc "gauges" json Json.to_float;
+        histograms = assoc "histograms" json hist_of_json;
+      }
+  else Error "missing counters/gauges/histograms objects"
 
 let of_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | contents -> (
-      match Json.parse contents with
-      | Error msg -> Error (path ^ ": " ^ msg)
-      | Ok json -> of_json json)
+  Result.bind (File.read_json path) (fun json ->
+      Result.map_error (fun msg -> path ^ ": " ^ msg) (of_json json))
 
 let counter t name = List.assoc_opt name t.counters
 let gauge t name = List.assoc_opt name t.gauges

@@ -4,9 +4,9 @@
     is the other direction — parsing that object (a [--metrics FILE] dump,
     or the ["metrics"] member embedded in [BENCH_runtime.json] since report
     schema 2) into association lists a report generator can walk without
-    re-implementing the shape. Everything is tolerant: a missing section is
-    an empty list, a malformed member is skipped, only a document that is
-    not an object at all is an error. *)
+    re-implementing the shape. A document must have all three sections as
+    objects; inside them a malformed member is skipped, so a snapshot from
+    a newer writer still yields everything this reader understands. *)
 
 type hist = {
   count : int;
@@ -28,10 +28,12 @@ val empty : t
 
 val of_json : Json.t -> (t, string) result
 (** Parse a snapshot document — the whole [--metrics] file, or the value
-    of a report's ["metrics"] member. *)
+    of a report's ["metrics"] member. Fails unless its [counters],
+    [gauges] and [histograms] members are all JSON objects. *)
 
 val of_file : string -> (t, string) result
-(** Read and parse a snapshot file written by {!Metrics.write_json}. *)
+(** Read and parse a snapshot file written by {!Metrics.write_json}; every
+    error names the file. *)
 
 val counter : t -> string -> int option
 val gauge : t -> string -> float option

@@ -156,15 +156,7 @@ let to_chrome_json t =
          ("displayTimeUnit", Json.Str "ms");
        ])
 
-let write_chrome t path =
-  let dir = Filename.dirname path in
-  let tmp, oc =
-    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir "trace" ".tmp"
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_chrome_json t));
-  Sys.rename tmp path
+let write_chrome t path = File.write_atomic path (to_chrome_json t)
 
 (* --- parse-back ---------------------------------------------------------- *)
 

@@ -102,7 +102,7 @@ val to_chrome_json : t -> string
     [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
 
 val write_chrome : t -> string -> unit
-(** Writes {!to_chrome_json} to a file (atomic temp-file + rename). *)
+(** Writes {!to_chrome_json} with {!File.write_atomic}. *)
 
 (** {2 Parse-back} *)
 

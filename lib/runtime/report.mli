@@ -1,11 +1,11 @@
-(** Machine-readable runtime report ([BENCH_runtime.json]).
+(** The runtime report, [BENCH_runtime.json]: its writer and its reader.
 
-    The bench harness records one entry per executed target — wall time,
-    worker count, cache hits/misses and fault-tolerance counters (failed /
-    retried / resumed configurations) attributed to that target — and
-    writes a single JSON document at exit, giving future changes a perf and
-    reliability trajectory to compare against. JSON is emitted by hand
-    (flat schema, no dependency) and read back with {!Rats_obs.Json}.
+    The bench harness records one {!target} per executed target — wall
+    time, worker count, cache hits/misses and fault-tolerance counters
+    (failed / retried / resumed configurations) attributed to that target
+    — and writes a single JSON document at exit, giving future changes a
+    perf and reliability trajectory to compare against. [studio report],
+    [diff] and [serve] read it back with {!load}.
 
     Documents carry a [schema_version] field since version 2 (which also
     embeds the {!Rats_obs.Metrics} registry snapshot under ["metrics"]);
@@ -13,6 +13,19 @@
 
 val schema_version : int
 (** The version written by {!write}. *)
+
+type target = {
+  label : string;
+  wall_s : float;
+  jobs : int;
+  cache_hits : int;
+  cache_misses : int;
+  failed : int;
+  retried : int;
+  resumed : int;
+}
+
+(** {2 Writing} *)
 
 type t
 
@@ -29,17 +42,37 @@ val record :
   ?resumed:int ->
   unit ->
   unit
-(** Entries are reported in recording order; the fault counters default to
-    0. *)
+(** Targets are reported in recording order, each with the [jobs] given to
+    {!create}; the fault counters default to 0. *)
 
 val write : t -> string -> unit
-(** Write the JSON document to the given path (atomically, via temp file +
-    rename in the same directory). *)
+(** Write the JSON document, with the current metrics registry snapshot,
+    to the given path with {!Rats_obs.File.write_atomic}. *)
 
-val load : string -> (Rats_obs.Json.t, string) result
-(** Parse a previously written report. Works on any schema version — use
-    {!version_of} to discriminate. *)
+(** {2 Reading} *)
 
-val version_of : Rats_obs.Json.t -> int
-(** The document's [schema_version]; documents from before the field
-    existed report 1. *)
+type doc = {
+  path : string;  (** Where it was loaded from (diagnostics). *)
+  version : int;  (** Schema version; 1 when the field is absent. *)
+  scale : string option;  (** ["smoke"] / ["paper"]; [None] on v1 docs without it. *)
+  jobs : int option;
+  total_wall_s : float option;
+  targets : target list;  (** Document order. *)
+  metrics : Rats_obs.Snapshot.t option;  (** v2 embedded snapshot. *)
+}
+(** Both schema versions load: version 1 (no [schema_version], no embedded
+    metrics) yields [metrics = None] and [scale = None] where the field is
+    absent. Malformed target entries are skipped, missing numeric fields
+    default to 0 — a reader of historical snapshots must not be the thing
+    that breaks. *)
+
+val of_json : path:string -> Rats_obs.Json.t -> doc
+(** Total — an empty or alien object yields an empty report, not an
+    error. [path] is carried through for diagnostics only. *)
+
+val load : string -> (doc, string) result
+(** Read and parse; errors are I/O or JSON-syntax only, and name the
+    file. *)
+
+val target : doc -> string -> target option
+(** The first target with this label. *)

@@ -1,28 +1,10 @@
-module Json = Rats_obs.Json
 module Snapshot = Rats_obs.Snapshot
 
-let ( let* ) = Result.bind
-
-let parse_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | contents ->
-      Result.map_error (fun msg -> path ^ ": " ^ msg) (Json.parse contents)
-
 let trace path =
-  let* json = parse_file path in
-  Result.map_error
-    (fun msg -> path ^ ": " ^ msg)
-    (Rats_obs.Trace.events_of_json json)
-
-let metrics path =
-  let* json = parse_file path in
-  let is_obj section =
-    match Json.member section json with Some (Json.Obj _) -> true | _ -> false
-  in
-  if List.for_all is_obj [ "counters"; "gauges"; "histograms" ] then
-    Snapshot.of_json json
-  else Error (path ^ ": missing counters/gauges/histograms objects")
+  Result.bind (Rats_obs.File.read_json path) (fun json ->
+      Result.map_error
+        (fun msg -> path ^ ": " ^ msg)
+        (Rats_obs.Trace.events_of_json json))
 
 type need = Counter_present | Counter_positive | Histogram_observed
 

@@ -2,17 +2,13 @@
     [--metrics]): the machine end of [studio check] and of
     [make studio-smoke].
 
-    Every function reads and decodes through the same code the report
-    renderer uses ({!Rats_obs.Trace.events_of_json},
-    {!Rats_obs.Snapshot}) and returns the first violation as an [Error]
-    naming the file or the metric. *)
+    Files are read and decoded through the same code the report renderer
+    uses ({!Rats_obs.Trace.events_of_json}, {!Rats_obs.Snapshot.of_file})
+    and the first violation comes back as an [Error] naming the file or
+    the metric. *)
 
 val trace : string -> (Rats_obs.Trace.event list, string) result
 (** Reads, parses and decodes a Chrome trace-event file. *)
-
-val metrics : string -> (Rats_obs.Snapshot.t, string) result
-(** Reads a metrics snapshot; fails unless its [counters], [gauges] and
-    [histograms] sections are all JSON objects. *)
 
 type need =
   | Counter_present  (** Registered; zero is fine. *)

@@ -1,3 +1,4 @@
+module Report = Rats_runtime.Report
 module Snapshot = Rats_obs.Snapshot
 
 type side = { wall_s : float; cache_hits : int; cache_misses : int }
@@ -11,11 +12,11 @@ type target_delta = {
 
 type counter_delta = { name : string; ca : int option; cb : int option; delta : int }
 
-let side_of (tg : Bench.target) =
+let side_of (tg : Report.target) =
   {
-    wall_s = tg.Bench.wall_s;
-    cache_hits = tg.Bench.cache_hits;
-    cache_misses = tg.Bench.cache_misses;
+    wall_s = tg.Report.wall_s;
+    cache_hits = tg.Report.cache_hits;
+    cache_misses = tg.Report.cache_misses;
   }
 
 let delta_of label a b =
@@ -28,23 +29,23 @@ let delta_of label a b =
   { label; a; b; pct }
 
 let targets ta tb =
-  let of_a (tg : Bench.target) =
-    let b = Option.map side_of (Bench.target tb tg.Bench.label) in
-    delta_of tg.Bench.label (Some (side_of tg)) b
+  let of_a (tg : Report.target) =
+    let b = Option.map side_of (Report.target tb tg.Report.label) in
+    delta_of tg.Report.label (Some (side_of tg)) b
   in
   let only_b =
     List.filter_map
-      (fun (tg : Bench.target) ->
-        match Bench.target ta tg.Bench.label with
+      (fun (tg : Report.target) ->
+        match Report.target ta tg.Report.label with
         | Some _ -> None
-        | None -> Some (delta_of tg.Bench.label None (Some (side_of tg))))
-      tb.Bench.targets
+        | None -> Some (delta_of tg.Report.label None (Some (side_of tg))))
+      tb.Report.targets
   in
-  List.map of_a ta.Bench.targets @ only_b
+  List.map of_a ta.Report.targets @ only_b
 
 let counters ?(all = false) ta tb =
-  let of_side (t : Bench.t) =
-    match t.Bench.metrics with Some s -> s.Snapshot.counters | None -> []
+  let of_side (t : Report.doc) =
+    match t.Report.metrics with Some s -> s.Snapshot.counters | None -> []
   in
   let ca = of_side ta and cb = of_side tb in
   let names =
@@ -60,24 +61,24 @@ let counters ?(all = false) ta tb =
 
 let warnings ta tb =
   let scale =
-    match (ta.Bench.scale, tb.Bench.scale) with
+    match (ta.Report.scale, tb.Report.scale) with
     | Some a, Some b when a <> b ->
         [
           Printf.sprintf
             "scale mismatch: %s is a %S run, %s a %S run — wall times \
              measure different work and are not comparable (the committed \
              snapshot's scale is noted in docs/PERFORMANCE.md)"
-            ta.Bench.path a tb.Bench.path b;
+            ta.Report.path a tb.Report.path b;
         ]
     | _ -> []
   in
   let version =
-    if ta.Bench.version <> tb.Bench.version then
+    if ta.Report.version <> tb.Report.version then
       [
         Printf.sprintf
           "schema versions differ (%d vs %d): counter deltas are %s"
-          ta.Bench.version tb.Bench.version
-          (if ta.Bench.version < 2 || tb.Bench.version < 2 then
+          ta.Report.version tb.Report.version
+          (if ta.Report.version < 2 || tb.Report.version < 2 then
              "unavailable — version 1 reports embed no metrics snapshot"
            else "computed across versions");
       ]
@@ -85,8 +86,8 @@ let warnings ta tb =
   in
   let cache =
     let hits t =
-      List.fold_left (fun n (tg : Bench.target) -> n + tg.Bench.cache_hits) 0
-        t.Bench.targets
+      List.fold_left (fun n (tg : Report.target) -> n + tg.Report.cache_hits) 0
+        t.Report.targets
     in
     match (hits ta > 0, hits tb > 0) with
     | true, false | false, true ->
@@ -116,12 +117,12 @@ let marker threshold = function
 let to_text ?(threshold = 5.) ta tb =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "A: %s (scale %s, schema %d)" ta.Bench.path
-    (Option.value ta.Bench.scale ~default:"?")
-    ta.Bench.version;
-  line "B: %s (scale %s, schema %d)" tb.Bench.path
-    (Option.value tb.Bench.scale ~default:"?")
-    tb.Bench.version;
+  line "A: %s (scale %s, schema %d)" ta.Report.path
+    (Option.value ta.Report.scale ~default:"?")
+    ta.Report.version;
+  line "B: %s (scale %s, schema %d)" tb.Report.path
+    (Option.value tb.Report.scale ~default:"?")
+    tb.Report.version;
   List.iter (fun w -> line "warning: %s" w) (warnings ta tb);
   line "";
   line "%-12s %12s %12s %12s %8s  %s" "target" "A wall_s" "B wall_s" "delta_s"
@@ -203,10 +204,10 @@ let to_html ?(threshold = 5.) ta tb =
          Html.text_el "h1" "Bench A/B diff";
          Html.kv_table
            [
-             ("A", Printf.sprintf "%s (scale %s, schema %d)" ta.Bench.path
-                 (Option.value ta.Bench.scale ~default:"?") ta.Bench.version);
-             ("B", Printf.sprintf "%s (scale %s, schema %d)" tb.Bench.path
-                 (Option.value tb.Bench.scale ~default:"?") tb.Bench.version);
+             ("A", Printf.sprintf "%s (scale %s, schema %d)" ta.Report.path
+                 (Option.value ta.Report.scale ~default:"?") ta.Report.version);
+             ("B", Printf.sprintf "%s (scale %s, schema %d)" tb.Report.path
+                 (Option.value tb.Report.scale ~default:"?") tb.Report.version);
            ];
        ]
       @ List.map

@@ -1,6 +1,6 @@
 (** A/B comparison of two bench runs.
 
-    Takes two parsed {!Bench.t} documents — conventionally A = the
+    Takes two parsed {!Rats_runtime.Report.doc} documents — conventionally A = the
     committed baseline, B = the run being judged — and computes per-target
     wall-time deltas and embedded-counter deltas. A target or counter
     present on one side only is reported with the other side blank rather
@@ -29,24 +29,24 @@ type counter_delta = {
   delta : int;  (** [cb − ca], absent sides counted as 0. *)
 }
 
-val targets : Bench.t -> Bench.t -> target_delta list
+val targets : Rats_runtime.Report.doc -> Rats_runtime.Report.doc -> target_delta list
 (** A's target order, then targets only B has, in B's order. *)
 
-val counters : ?all:bool -> Bench.t -> Bench.t -> counter_delta list
+val counters : ?all:bool -> Rats_runtime.Report.doc -> Rats_runtime.Report.doc -> counter_delta list
 (** Counter deltas from the embedded metrics snapshots (empty when
     neither side embeds one). Default: only counters whose value changed;
     [~all:true] keeps the unchanged ones too. Sorted by name. *)
 
-val warnings : Bench.t -> Bench.t -> string list
+val warnings : Rats_runtime.Report.doc -> Rats_runtime.Report.doc -> string list
 (** Comparability caveats: differing [scale] (the committed snapshot may
     be a smoke-scale run — see docs/PERFORMANCE.md), differing schema
     versions, or one side reporting cache hits where the other ran cold. *)
 
-val to_text : ?threshold:float -> Bench.t -> Bench.t -> string
+val to_text : ?threshold:float -> Rats_runtime.Report.doc -> Rats_runtime.Report.doc -> string
 (** Plain-text report: warnings, per-target wall-time table (Δs and Δ%,
     regressions beyond [threshold] percent marked, default 5.0), then
     changed counters. Ends with a newline. *)
 
-val to_html : ?threshold:float -> Bench.t -> Bench.t -> string
+val to_html : ?threshold:float -> Rats_runtime.Report.doc -> Rats_runtime.Report.doc -> string
 (** The same content as a standalone HTML page (regressions and
     improvements color-coded). *)

@@ -1,20 +1,53 @@
+module Report = Rats_runtime.Report
+module Journal = Rats_runtime.Journal
 module Snapshot = Rats_obs.Snapshot
 module Trace = Rats_obs.Trace
 module Svg = Rats_viz.Svg
 module Chart = Rats_viz.Chart
 module Timeline = Rats_viz.Timeline
 
+type served = {
+  refresh_s : int;
+  journal : (string * (Journal.tail, string) result) option;
+  warnings : string list;
+}
+
 type input = {
   title : string;
-  bench : Bench.t option;
+  bench : Report.doc option;
   snapshot : Snapshot.t option;
   trace : Trace.event list option;
   workloads : (string * string) list;
   figures : (string * string) list;
+  served : served option;
 }
 
 let empty ~title =
-  { title; bench = None; snapshot = None; trace = None; workloads = []; figures = [] }
+  {
+    title;
+    bench = None;
+    snapshot = None;
+    trace = None;
+    workloads = [];
+    figures = [];
+    served = None;
+  }
+
+let load ~title ?bench ?metrics ?trace () =
+  let warnings = ref [] in
+  let artifact what read path =
+    Option.bind path (fun path ->
+        match read path with
+        | Ok v -> Some v
+        | Error msg ->
+            let w = Printf.sprintf "%s %s (section omitted)" what msg in
+            warnings := w :: !warnings;
+            None)
+  in
+  let bench = artifact "bench report" Report.load bench in
+  let snapshot = artifact "metrics snapshot" Snapshot.of_file metrics in
+  let trace = artifact "trace" Check.trace trace in
+  ({ (empty ~title) with bench; snapshot; trace }, List.rev !warnings)
 
 let section title body = Html.text_el "h2" title :: body
 
@@ -30,20 +63,20 @@ let raw_table ?cls header rows =
 
 (* --- run summary + per-target breakdown ---------------------------------- *)
 
-let summary_of (b : Bench.t) =
-  let sum f = List.fold_left (fun n tg -> n + f tg) 0 b.Bench.targets in
-  let hits = sum (fun tg -> tg.Bench.cache_hits) in
-  let misses = sum (fun tg -> tg.Bench.cache_misses) in
+let summary_of (b : Report.doc) =
+  let sum f = List.fold_left (fun n tg -> n + f tg) 0 b.Report.targets in
+  let hits = sum (fun tg -> tg.Report.cache_hits) in
+  let misses = sum (fun tg -> tg.Report.cache_misses) in
   Html.kv_table
     ([
-       ("report", b.Bench.path);
-       ("schema version", string_of_int b.Bench.version);
-       ("scale", Option.value b.Bench.scale ~default:"(not recorded)");
+       ("report", b.Report.path);
+       ("schema version", string_of_int b.Report.version);
+       ("scale", Option.value b.Report.scale ~default:"(not recorded)");
      ]
-    @ (match b.Bench.jobs with
+    @ (match b.Report.jobs with
       | Some j -> [ ("jobs", string_of_int j) ]
       | None -> [])
-    @ (match b.Bench.total_wall_s with
+    @ (match b.Report.total_wall_s with
       | Some w -> [ ("total wall", Printf.sprintf "%.3f s" w) ]
       | None -> [])
     @ [
@@ -55,27 +88,27 @@ let summary_of (b : Bench.t) =
                  (100. *. float_of_int hits /. float_of_int (hits + misses))) );
         ( "faults",
           Printf.sprintf "%d failed, %d retried, %d resumed"
-            (sum (fun tg -> tg.Bench.failed))
-            (sum (fun tg -> tg.Bench.retried))
-            (sum (fun tg -> tg.Bench.resumed)) );
+            (sum (fun tg -> tg.Report.failed))
+            (sum (fun tg -> tg.Report.retried))
+            (sum (fun tg -> tg.Report.resumed)) );
       ])
 
-let targets_of (b : Bench.t) =
-  match b.Bench.targets with
+let targets_of (b : Report.doc) =
+  match b.Report.targets with
   | [] -> missing "targets in the bench report"
   | targets ->
       let rows =
         List.map
-          (fun (tg : Bench.target) ->
+          (fun (tg : Report.target) ->
             [
-              Html.text_el "td" tg.Bench.label;
-              num_cell (Printf.sprintf "%.3f" tg.Bench.wall_s);
-              num_cell (string_of_int tg.Bench.jobs);
-              num_cell (string_of_int tg.Bench.cache_hits);
-              num_cell (string_of_int tg.Bench.cache_misses);
-              num_cell (string_of_int tg.Bench.failed);
-              num_cell (string_of_int tg.Bench.retried);
-              num_cell (string_of_int tg.Bench.resumed);
+              Html.text_el "td" tg.Report.label;
+              num_cell (Printf.sprintf "%.3f" tg.Report.wall_s);
+              num_cell (string_of_int tg.Report.jobs);
+              num_cell (string_of_int tg.Report.cache_hits);
+              num_cell (string_of_int tg.Report.cache_misses);
+              num_cell (string_of_int tg.Report.failed);
+              num_cell (string_of_int tg.Report.retried);
+              num_cell (string_of_int tg.Report.resumed);
             ])
           targets
       in
@@ -83,7 +116,7 @@ let targets_of (b : Bench.t) =
         Chart.bars ~title:"wall time per target (s)"
           ~value_label:(fun v -> Printf.sprintf "%.3f s" v)
           (List.map
-             (fun (tg : Bench.target) -> (tg.Bench.label, tg.Bench.wall_s))
+             (fun (tg : Report.target) -> (tg.Report.label, tg.Report.wall_s))
              targets)
       in
       [
@@ -166,13 +199,69 @@ let workload_of (name, contents) =
         Html.table ~highlight ~header rows;
       ]
 
+(* --- served page: journal tail -------------------------------------------- *)
+
+let warn msg = Html.el "div" ~cls:"warn" (Html.escape msg)
+
+let last n xs =
+  let len = List.length xs in
+  List.filteri (fun i _ -> i >= len - n) xs
+
+let journal_of (path, tail) =
+  match tail with
+  | Error _ -> missing ("journal yet at " ^ path)
+  | Ok (tail : Journal.tail) ->
+      let summary =
+        Html.kv_table
+          [
+            ("records", string_of_int (List.length tail.records));
+            ( "bytes",
+              Printf.sprintf "%d (%d parseable)" tail.bytes tail.good_bytes );
+          ]
+      in
+      let torn =
+        if tail.torn then
+          [
+            warn
+              "journal tail is torn (in-flight append or interrupted writer) \
+               — trailing bytes ignored";
+          ]
+        else []
+      in
+      let recent =
+        match last 20 tail.records with
+        | [] -> [ Html.el "p" ~cls:"muted" "Journal is empty so far." ]
+        | records ->
+            let row (key, payload) =
+              [
+                Html.text_el "td" key;
+                num_cell (string_of_int (String.length payload));
+              ]
+            in
+            [
+              Html.text_el "h3"
+                (Printf.sprintf "Last %d records" (List.length records));
+              raw_table [ "key"; "payload bytes" ] (List.map row records);
+            ]
+      in
+      (summary :: torn) @ recent
+
+let served_sections = function
+  | None -> []
+  | Some s ->
+      Html.el "p" ~cls:"muted"
+        (Html.escape (Printf.sprintf "Auto-refreshes every %d s." s.refresh_s))
+      :: List.map warn s.warnings
+      @ Option.fold s.journal ~none:[] ~some:(fun j ->
+            section "Journal" (journal_of j))
+
 (* --- assembly ------------------------------------------------------------- *)
 
 let render input =
   let snapshot =
     match input.snapshot with
     | Some s -> Some s
-    | None -> Option.bind input.bench (fun b -> b.Bench.metrics)
+    | None -> Option.bind input.bench (fun b -> b.Report.metrics)
   in
   let bench_sections =
     match input.bench with
@@ -215,17 +304,10 @@ let render input =
   in
   let body =
     String.concat "\n"
-      ((Html.text_el "h1" input.title :: bench_sections)
-      @ figure_sections @ trace_sections @ metric_sections @ workload_sections)
+      ((Html.text_el "h1" input.title :: served_sections input.served)
+      @ bench_sections @ figure_sections @ trace_sections @ metric_sections
+      @ workload_sections)
   in
-  Html.page ~title:input.title body
-
-let write input path =
-  let dir = Filename.dirname path in
-  let tmp, oc =
-    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir "report" ".tmp"
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (render input));
-  Sys.rename tmp path
+  Html.page ~title:input.title
+    ?refresh:(Option.map (fun s -> float_of_int s.refresh_s) input.served)
+    body

@@ -256,51 +256,6 @@ let test_pp_dot () =
   Alcotest.(check bool) "mentions edge" true (contains out "n0 -> n1")
 
 
-(* --- Metrics --------------------------------------------------------------- *)
-
-module Metrics = Rats_dag.Metrics
-
-let test_metrics_diamond () =
-  let m = Metrics.compute (diamond ()) in
-  check Alcotest.int "tasks" 4 m.Metrics.n_tasks;
-  check Alcotest.int "edges" 4 m.Metrics.n_edges;
-  check Alcotest.int "levels" 3 m.Metrics.n_levels;
-  check Alcotest.int "max width" 2 m.Metrics.max_width;
-  checkf "avg width" (4. /. 3.) m.Metrics.avg_width;
-  checkf "total bytes" 3.2e7 m.Metrics.total_bytes;
-  (* All tasks cost 1e8 flop: critical path a-b-d (or a-c-d) = 3e8. *)
-  checkf "cp flop" 3e8 m.Metrics.critical_path_flop;
-  checkf "parallelism" (4. /. 3.) m.Metrics.avg_parallelism;
-  (* Possible consecutive-level edges: 1x2 + 2x1 = 4, all present. *)
-  checkf "edge density" 1. m.Metrics.edge_density
-
-let test_metrics_chain_parallelism () =
-  let b = Dag.Builder.create () in
-  List.iteri (fun i n -> Dag.Builder.add_task b (mk_task i n)) [ "a"; "b"; "c" ];
-  Dag.Builder.add_edge b ~src:0 ~dst:1 ~bytes:1.;
-  Dag.Builder.add_edge b ~src:1 ~dst:2 ~bytes:1.;
-  let m = Metrics.compute (Dag.Builder.build b) in
-  checkf "chain parallelism 1" 1. m.Metrics.avg_parallelism;
-  checkf "no width variance" 0. m.Metrics.width_cv
-
-let qcheck_metrics_consistency =
-  QCheck.Test.make ~count:50 ~name:"metrics are internally consistent"
-    QCheck.(pair (int_range 5 50) (int_range 0 500))
-    (fun (n, seed) ->
-      let shape =
-        Rats_daggen.Shape.make ~width:0.5 ~regularity:0.5 ~density:0.5 ~jump:2 ()
-      in
-      let dag =
-        Rats_daggen.Random_dag.irregular (Rats_util.Rng.create seed) ~n_tasks:n
-          ~shape
-      in
-      let m = Metrics.compute dag in
-      m.Metrics.n_tasks = Dag.n_tasks dag
-      && m.Metrics.avg_parallelism >= 1. -. 1e-9
-      && m.Metrics.critical_path_flop <= m.Metrics.total_flop +. 1e-6
-      && m.Metrics.max_width >= 1
-      && m.Metrics.width_cv >= 0.)
-
 (* --- Timing tables --------------------------------------------------------- *)
 
 module Timing = Rats_dag.Timing
@@ -385,13 +340,6 @@ let () =
             test_ensure_single_entry_exit_adds;
           Alcotest.test_case "map tasks" `Quick test_map_tasks;
           Alcotest.test_case "dot output" `Quick test_pp_dot;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "diamond" `Quick test_metrics_diamond;
-          Alcotest.test_case "chain parallelism" `Quick
-            test_metrics_chain_parallelism;
-          qcheck qcheck_metrics_consistency;
         ] );
       ( "timing",
         [

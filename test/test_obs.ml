@@ -1,7 +1,7 @@
 (* Tests for rats_obs: the JSON codec, span recording with a fake clock,
    Chrome export parse-back, histogram bucket boundaries, counter atomicity
-   under pooled execution, the nil-sink contract, Report schema versioning
-   and the Timeline renderer. *)
+   under pooled execution, the nil-sink contract, atomic file writes, the
+   BENCH_runtime.json round-trip and the Timeline renderer. *)
 
 module Json = Rats_obs.Json
 module Trace = Rats_obs.Trace
@@ -247,30 +247,116 @@ let test_snapshot_formats () =
   check Alcotest.bool "histogram buckets" true
     (has_line "test_obs_hist_seconds_bucket{le=\"1e-06\"}")
 
-(* --- Report schema version ------------------------------------------------ *)
+(* --- Atomic file writes ----------------------------------------------------- *)
+
+(* Writing onto a path that is a directory fails at the rename; the temp
+   file beside it must be gone afterwards. *)
+let test_atomic_write_cleanup () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rats_obs_atomic_%d" (Unix.getpid ()))
+  in
+  let blocked = Filename.concat dir "blocked" in
+  let listing () = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir blocked 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f ->
+          let f = Filename.concat dir f in
+          if Sys.is_directory f then Unix.rmdir f else Sys.remove f)
+        (listing ());
+      Unix.rmdir dir)
+    (fun () ->
+      let fails what write =
+        match write blocked with
+        | () -> Alcotest.failf "%s onto a directory succeeded" what
+        | exception Sys_error _ ->
+            check
+              (Alcotest.list Alcotest.string)
+              (what ^ " left no temp file") [ "blocked" ] (listing ())
+      in
+      fails "Metrics.write_json" Metrics.write_json;
+      fails "Trace.write_chrome" (Trace.write_chrome (Trace.create ()));
+      let ok = Filename.concat dir "ok.json" in
+      Metrics.write_json ok;
+      check Alcotest.bool "a good write lands" true
+        (Result.is_ok (Rats_obs.Snapshot.of_file ok));
+      check
+        (Alcotest.list Alcotest.string)
+        "and leaves only its file" [ "blocked"; "ok.json" ] (listing ()))
+
+(* --- Report round-trip ---------------------------------------------------- *)
 
 let test_report_schema_version () =
   let dir = Filename.get_temp_dir_name () in
   let path =
     Filename.concat dir (Printf.sprintf "rats_report_%d.json" (Unix.getpid ()))
   in
-  let report = Report.create ~scale:"smoke" ~jobs:1 () in
-  Report.record report ~label:"t" ~wall_s:1.0 ~cache_hits:1 ~cache_misses:2 ();
+  let report = Report.create ~scale:"smoke" ~jobs:3 () in
+  Report.record report ~label:"fig2" ~wall_s:1.5 ~cache_hits:1 ~cache_misses:2 ();
+  Report.record report ~label:"odd \"label\"\n" ~wall_s:0.25 ~cache_hits:0
+    ~cache_misses:4 ~failed:1 ~retried:2 ~resumed:3 ();
   Report.write report path;
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      (* The layout tools grep and sed: keys, key order, number formats. *)
+      check Alcotest.bool "document head" true
+        (String.starts_with
+           ~prefix:
+             "{\n  \"schema_version\": 2,\n  \"scale\": \"smoke\",\n  \
+              \"jobs\": 3,\n  \"total_wall_s\": 1.750,\n"
+           text);
+      check Alcotest.bool "target line" true
+        (contains text
+           "    { \"label\": \"fig2\", \"wall_s\": 1.500, \"jobs\": 3, \
+            \"cache_hits\": 1, \"cache_misses\": 2, \"failed\": 0, \
+            \"retried\": 0, \"resumed\": 0 },\n");
       match Report.load path with
       | Error msg -> Alcotest.failf "load: %s" msg
       | Ok doc ->
           check Alcotest.int "current version" Report.schema_version
-            (Report.version_of doc);
+            doc.Report.version;
+          check (Alcotest.option Alcotest.string) "scale" (Some "smoke")
+            doc.Report.scale;
+          check (Alcotest.option Alcotest.int) "jobs" (Some 3) doc.Report.jobs;
+          check
+            (Alcotest.option (Alcotest.float 0.))
+            "total wall" (Some 1.75) doc.Report.total_wall_s;
+          check Alcotest.bool "targets round-trip" true
+            (doc.Report.targets
+            = [
+                {
+                  Report.label = "fig2";
+                  wall_s = 1.5;
+                  jobs = 3;
+                  cache_hits = 1;
+                  cache_misses = 2;
+                  failed = 0;
+                  retried = 0;
+                  resumed = 0;
+                };
+                {
+                  label = "odd \"label\"\n";
+                  wall_s = 0.25;
+                  jobs = 3;
+                  cache_hits = 0;
+                  cache_misses = 4;
+                  failed = 1;
+                  retried = 2;
+                  resumed = 3;
+                };
+              ]);
           check Alcotest.bool "metrics embedded" true
-            (Json.member "metrics" doc <> None);
+            (doc.Report.metrics <> None);
           (* A pre-versioning document reads as version 1. *)
+          let v1 = Json.Obj [ ("scale", Json.Str "smoke") ] in
           check Alcotest.int "absent field means v1" 1
-            (Report.version_of
-               (Json.Obj [ ("scale", Json.Str "smoke") ])))
+            (Report.of_json ~path:"v1" v1).Report.version)
 
 (* --- Timeline rendering --------------------------------------------------- *)
 
@@ -310,6 +396,11 @@ let () =
           Alcotest.test_case "counter atomicity" `Quick test_counter_atomicity;
           Alcotest.test_case "gauge max" `Quick test_gauge_max;
           Alcotest.test_case "snapshot formats" `Quick test_snapshot_formats;
+        ] );
+      ( "file",
+        [
+          Alcotest.test_case "atomic write leaves no temp file" `Quick
+            test_atomic_write_cleanup;
         ] );
       ( "report",
         [

@@ -1,20 +1,19 @@
 (* Tests for rats_studio: HTML escaping against hostile labels, page
-   self-containment, bench parsing across schema versions, diff delta math
-   and comparability warnings, journal torn-tail reading, golden report
-   fragments, the artifact checks behind `studio check`, and the HTTP
-   responder's framing and serve loop. *)
+   self-containment, bench report parsing across schema versions, diff
+   delta math and comparability warnings, journal torn-tail reading, golden
+   report fragments, the served page, the artifact checks behind
+   `studio check`, and the HTTP responder's framing and serve loop. *)
 
 module Studio = Rats_studio
 module Html = Rats_studio.Html
-module Bench = Rats_studio.Bench
 module Diff = Rats_studio.Diff
 module Page = Rats_studio.Page
-module Live = Rats_studio.Live
 module Httpd = Rats_studio.Httpd
 module Check = Rats_studio.Check
 module Json = Rats_obs.Json
 module Snapshot = Rats_obs.Snapshot
 module Journal = Rats_runtime.Journal
+module Report = Rats_runtime.Report
 
 let check = Alcotest.check
 
@@ -110,32 +109,37 @@ let v2_doc ?(scale = "smoke") ?(fig2_wall = 11.0) ?(sim_events = 100) () =
 
 let load_fixture doc f =
   with_temp doc (fun path ->
-      match Bench.load path with
+      match Report.load path with
       | Ok b -> f b
       | Error msg -> Alcotest.failf "fixture load: %s" msg)
 
 let test_bench_versions () =
   load_fixture v1_doc (fun b ->
-      check Alcotest.int "v1 version" 1 b.Bench.version;
-      check Alcotest.bool "v1 no scale" true (b.Bench.scale = None);
-      check Alcotest.bool "v1 no metrics" true (b.Bench.metrics = None);
-      check Alcotest.int "v1 targets" 1 (List.length b.Bench.targets));
+      check Alcotest.int "v1 version" 1 b.Report.version;
+      check Alcotest.bool "v1 no scale" true (b.Report.scale = None);
+      check Alcotest.bool "v1 no metrics" true (b.Report.metrics = None);
+      check Alcotest.int "v1 targets" 1 (List.length b.Report.targets));
   load_fixture (v2_doc ()) (fun b ->
-      check Alcotest.int "v2 version" 2 b.Bench.version;
+      check Alcotest.int "v2 version" 2 b.Report.version;
       check (Alcotest.option Alcotest.string) "v2 scale" (Some "smoke")
-        b.Bench.scale;
+        b.Report.scale;
       check (Alcotest.option Alcotest.int) "v2 counter" (Some 100)
-        (Bench.counter b "sim.events");
-      match Bench.target b "fig2" with
+        (Option.bind b.Report.metrics (fun s ->
+             Snapshot.counter s "sim.events"));
+      match Report.target b "fig2" with
       | None -> Alcotest.fail "fig2 missing"
-      | Some tg -> check Alcotest.int "hits" 8 tg.Bench.cache_hits)
+      | Some tg -> check Alcotest.int "hits" 8 tg.Report.cache_hits)
 
 let test_bench_tolerant () =
   (* Alien documents parse to an empty report, never raise. *)
-  let b = Bench.of_json ~path:"x" (Json.Obj [ ("targets", Json.Str "?") ]) in
-  check Alcotest.int "alien targets" 0 (List.length b.Bench.targets);
-  let b = Bench.of_json ~path:"x" Json.Null in
-  check Alcotest.int "null doc" 0 (List.length b.Bench.targets)
+  let b = Report.of_json ~path:"x" (Json.Obj [ ("targets", Json.Str "?") ]) in
+  check Alcotest.int "alien targets" 0 (List.length b.Report.targets);
+  let b = Report.of_json ~path:"x" Json.Null in
+  check Alcotest.int "null doc" 0 (List.length b.Report.targets);
+  (* An embedded snapshot without its three sections is dropped. *)
+  let partial = Json.Obj [ ("counters", Json.Obj []) ] in
+  let b = Report.of_json ~path:"x" (Json.Obj [ ("metrics", partial) ]) in
+  check Alcotest.bool "partial snapshot" true (b.Report.metrics = None)
 
 (* --- Diff ----------------------------------------------------------------- *)
 
@@ -304,18 +308,65 @@ let test_report_empty_inputs () =
   check Alcotest.bool "metrics placeholder" true
     (contains html "No metrics snapshot")
 
-(* --- live page ------------------------------------------------------------ *)
+(* --- served page ----------------------------------------------------------- *)
 
-let test_live_render () =
-  let missing = Live.make ~journal:"/nonexistent/journal" ~title:"live" () in
-  let html = Live.render missing in
+let test_served_page () =
+  let served journal warnings =
+    Some
+      {
+        Page.refresh_s = 2;
+        journal = Option.map (fun p -> (p, Journal.read_tail p)) journal;
+        warnings;
+      }
+  in
+  let html =
+    Page.render
+      {
+        (Page.empty ~title:"live") with
+        Page.served = served (Some "/nonexistent/journal") [];
+      }
+  in
   check Alcotest.bool "placeholder for missing journal" true
-    (contains html "No journal");
-  check Alcotest.bool "meta refresh" true (contains html "http-equiv=\"refresh\"");
-  with_temp (v2_doc ()) (fun path ->
-      let src = Live.make ~bench:path ~title:"live" () in
-      let html = Live.render src in
-      check Alcotest.bool "bench table served" true (contains html "fig2"))
+    (contains html "No journal yet at /nonexistent/journal.");
+  check Alcotest.bool "meta refresh when served" true
+    (contains html "http-equiv=\"refresh\"");
+  (* A journal whose last append was cut short. *)
+  let j = Journal.open_ ~dir:(journal_dir ()) ~name:"served" ~resume:false () in
+  Journal.append j ~key:"k1" "payload one";
+  let journal = Journal.path j in
+  Journal.close j;
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 journal in
+  output_string oc "deadbeef 4 9\nk2incompl";
+  close_out oc;
+  with_temp (v2_doc ()) (fun bench ->
+      let input, warnings =
+        Page.load ~title:"live" ~bench ~metrics:"/nonexistent/metrics.json" ()
+      in
+      check Alcotest.bool "bench loads" true (input.Page.bench <> None);
+      check Alcotest.bool "missing snapshot warned, naming the file" true
+        (List.exists (fun w -> contains w "/nonexistent/metrics.json") warnings);
+      let html =
+        Page.render { input with Page.served = served (Some journal) warnings }
+      in
+      List.iter
+        (fun frag ->
+          check Alcotest.bool ("served page has " ^ frag) true
+            (contains html frag))
+        [
+          "<h2>Journal</h2>";
+          "<td>k1</td>";
+          "journal tail is torn";
+          "/nonexistent/metrics.json";
+          "<td>fig2</td>";
+          "http-equiv=\"refresh\"";
+        ];
+      let static = Page.render input in
+      check Alcotest.bool "static page has the bench row" true
+        (contains static "<td>fig2</td>");
+      check Alcotest.bool "no refresh unless served" false
+        (contains static "http-equiv");
+      check Alcotest.bool "no journal unless served" false
+        (contains static "<h2>Journal</h2>"))
 
 (* --- check ---------------------------------------------------------------- *)
 
@@ -384,14 +435,17 @@ let test_check_files () =
   in
   with_temp (doc sections) (fun path ->
       check Alcotest.bool "all three sections" true
-        (Result.is_ok (Check.metrics path)));
+        (Result.is_ok (Snapshot.of_file path)));
   List.iter
     (fun missing ->
       with_temp
         (doc (List.filter (( <> ) missing) sections))
         (fun path ->
-          check Alcotest.bool ("without " ^ missing) true
-            (Result.is_error (Check.metrics path))))
+          match Snapshot.of_file path with
+          | Ok _ -> Alcotest.failf "snapshot without %s accepted" missing
+          | Error msg ->
+              check Alcotest.bool ("without " ^ missing ^ " names the file")
+                true (contains msg path)))
     sections;
   with_temp {|{"traceEvents": [{"ph": "X", "ts": 0}]}|} (fun path ->
       match Check.trace path with
@@ -504,9 +558,9 @@ let () =
             test_report_hostile_labels;
           Alcotest.test_case "empty inputs placeholder" `Quick
             test_report_empty_inputs;
+          Alcotest.test_case "served page journal and refresh" `Quick
+            test_served_page;
         ] );
-      ( "live",
-        [ Alcotest.test_case "render with/without files" `Quick test_live_render ] );
       ( "check",
         [
           Alcotest.test_case "bench counters named" `Quick

@@ -20,7 +20,8 @@
 #   4. scale guard: diffing runs whose `scale` fields differ must print a
 #      scale-mismatch warning (docs/PERFORMANCE.md);
 #   5. serve: `studio serve --max-requests 1` answers one HTTP request
-#      with the live monitor page and exits.
+#      with the report page of part 1's run — its targets row and a
+#      counter from its metrics snapshot — and exits.
 #
 # Binaries are expected to be built already (make studio-smoke builds
 # first).
@@ -127,18 +128,22 @@ PORT=8473
 "$STUDIO" serve --bench a/BENCH_runtime.json --metrics a/metrics.json \
     --port $PORT --max-requests 1 > serve.log &
 SERVE_PID=$!
-probe() { # one GET /; sets ok=1 when the monitor page comes back
+probe() { # one GET /; the response lands in served.html
     exec 3<>"/dev/tcp/127.0.0.1/$PORT" || return 1
     printf 'GET / HTTP/1.1\r\nHost: smoke\r\n\r\n' >&3
-    if grep -q 'live sweep monitor' <&3; then ok=1; fi
+    cat <&3 >served.html
     exec 3<&- 3>&-
 }
-ok=0
 for _ in $(seq 1 50); do
     if probe 2>/dev/null; then break; fi
     sleep 0.1
 done
 wait "$SERVE_PID"
-[ "$ok" = 1 ] || fail "serve did not answer"
+grep -q 'live sweep monitor' served.html || fail "serve did not answer"
+grep -q '"rats_sim_events_total"' a/metrics.json ||
+    fail "a/metrics.json lacks rats_sim_events_total"
+for frag in '<td>fig2</td>' '<td>rats_sim_events_total</td>'; do
+    grep -q "$frag" served.html || fail "served page lacks $frag"
+done
 
 echo "studio-smoke: OK (validated trace, self-contained report, sweep replay, CLI errors spare the journal, diff + scale guard, one-shot serve)"

@@ -59,7 +59,11 @@ let connect ~retries ~timeout socket =
       { fd; decoder = Protocol.Decoder.create (); buf = Bytes.create 65536 }
 
 let send conn msg =
-  let frame = Protocol.to_frame (Protocol.client_to_json msg) in
+  let frame =
+    match Protocol.frame (Protocol.client_to_json msg) with
+    | Ok frame -> frame
+    | Error e -> fail "rats_client: request too large: %s" e
+  in
   let n = String.length frame in
   let pos = ref 0 in
   try

@@ -8,14 +8,13 @@
    deterministic function of the accepted submissions, which the journal
    makes crash-recoverable (--resume).
 
-   Robustness (docs/SERVER.md "Failure semantics"): client sockets are
-   non-blocking with bounded per-client output buffers, so a slow reader
-   is evicted instead of head-of-line-blocking the loop; when the total
-   buffered output crosses --backlog-limit the daemon degrades (sheds
-   event frames and refuses new watch/log streams until the backlog
-   halves); RATS_FAULT arms the server-side injection sites
-   (server.read, server.client, journal.append, engine.step,
-   replay.task).
+   This file owns the sockets: the select loop accepts, reads and
+   closes; Server.Session turns the bytes into replies and enforces the
+   back-pressure rules (docs/SERVER.md "Failure semantics"). Client
+   sockets are non-blocking, so a slow reader is evicted instead of
+   head-of-line-blocking the loop. RATS_FAULT arms the server-side
+   injection sites (server.read, server.client, journal.append,
+   engine.step, replay.task).
 
    Examples:
      dune exec bin/ratsd.exe -- --socket /tmp/ratsd.sock &
@@ -27,256 +26,15 @@ module Common = Rats_cli.Common
 module Server = Rats_server
 module Engine = Rats_server.Engine
 module Protocol = Rats_server.Protocol
+module Session = Rats_server.Session
 module Profile = Rats_workload.Profile
 module Trace = Rats_workload.Trace
 module Report = Rats_workload.Report
 module Study = Rats_workload_study.Study
 module Journal = Rats_runtime.Journal
 module Fault = Rats_runtime.Fault
-module Stats = Rats_util.Stats
-module Core = Rats_core
 module J = Rats_obs.Json
-module Metrics = Rats_obs.Metrics
 module Instr = Rats_obs.Instr
-
-(* --- service statistics as JSON ----------------------------------------- *)
-
-let num x = J.Num x
-let int n = J.Num (float_of_int n)
-
-let stats_json (s : Engine.stats) =
-  J.Obj
-    [
-      ("submitted", int s.Engine.submitted);
-      ("admitted", int s.Engine.admitted);
-      ("rejected", int s.Engine.rejected);
-      ("completed", int s.Engine.completed);
-      ("expired", int s.Engine.expired);
-      ("queue_depth_max", int s.Engine.queue_depth_max);
-      ("busy_time", num s.Engine.busy_time);
-      ("end_time", num s.Engine.end_time);
-      ("utilization", num s.Engine.utilization);
-      ("sojourn_p50", num (Stats.percentile s.Engine.sojourns 50.));
-      ("sojourn_p99", num (Stats.percentile s.Engine.sojourns 99.));
-    ]
-
-(* --- connection handling ------------------------------------------------- *)
-
-type client = {
-  cid : int;
-  fd : Unix.file_descr;
-  decoder : Protocol.Decoder.t;
-  mutable watching : bool;
-  mutable alive : bool;
-  outq : string Queue.t;  (* frames not yet started *)
-  mutable out_cur : string;  (* frame currently being written *)
-  mutable out_off : int;
-  mutable out_pending : int;  (* total unwritten bytes across outq + out_cur *)
-  mutable reads : int;  (* chunks read, keys the server.read fault site *)
-  mutable msgs : int;  (* messages handled, keys server.client *)
-}
-
-type srv = {
-  engine : Engine.t;
-  fault : Fault.t option;
-  journal : Journal.t option;
-  client_buffer : int;
-  backlog_limit : int;
-  mutable clients : client list;
-  mutable backlog : int;  (* sum of out_pending over live clients *)
-  mutable degraded : bool;
-  mutable n_evicted : int;
-  mutable n_shed : int;
-  mutable next_cid : int;
-}
-
-let kill srv client =
-  if client.alive then begin
-    client.alive <- false;
-    srv.backlog <- srv.backlog - client.out_pending;
-    client.out_pending <- 0;
-    Queue.clear client.outq;
-    client.out_cur <- "";
-    client.out_off <- 0
-  end
-
-let update_degraded srv =
-  if (not srv.degraded) && srv.backlog > srv.backlog_limit then begin
-    srv.degraded <- true;
-    Printf.eprintf
-      "ratsd: degraded: %d bytes of client backlog (limit %d); shedding \
-       event streams\n\
-       %!"
-      srv.backlog srv.backlog_limit
-  end
-  else if srv.degraded && srv.backlog < srv.backlog_limit / 2 then begin
-    srv.degraded <- false;
-    Printf.eprintf "ratsd: recovered: backlog down to %d bytes\n%!" srv.backlog
-  end
-
-let evict srv client reason =
-  if client.alive then begin
-    srv.n_evicted <- srv.n_evicted + 1;
-    Metrics.incr Instr.server_clients_evicted;
-    Printf.eprintf "ratsd: evicting client #%d (%s)\n%!" client.cid reason;
-    kill srv client;
-    update_degraded srv
-  end
-
-(* Drain as much buffered output as the socket accepts right now; never
-   blocks. EAGAIN leaves the rest for the next writable round. *)
-let rec flush_client srv client =
-  if client.alive then
-    if client.out_off >= String.length client.out_cur then (
-      match Queue.take_opt client.outq with
-      | None -> ()
-      | Some frame ->
-          client.out_cur <- frame;
-          client.out_off <- 0;
-          flush_client srv client)
-    else
-      let remaining = String.length client.out_cur - client.out_off in
-      match
-        Unix.write_substring client.fd client.out_cur client.out_off remaining
-      with
-      | 0 -> ()
-      | n ->
-          client.out_off <- client.out_off + n;
-          client.out_pending <- client.out_pending - n;
-          srv.backlog <- srv.backlog - n;
-          flush_client srv client
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-          kill srv client
-
-let send srv client msg =
-  if client.alive then begin
-    match msg with
-    | Protocol.Event _ when srv.degraded ->
-        (* Shed streamed events first: watchers are best-effort, command
-           replies are not. *)
-        srv.n_shed <- srv.n_shed + 1;
-        Metrics.incr Instr.server_events_shed
-    | _ ->
-        let frame = Protocol.to_frame (Protocol.server_to_json msg) in
-        Queue.add frame client.outq;
-        client.out_pending <- client.out_pending + String.length frame;
-        srv.backlog <- srv.backlog + String.length frame;
-        flush_client srv client;
-        (* The per-client budget polices the unsolicited event stream: a
-           watcher that stops reading gets evicted. Replies the client
-           asked for (even a large Log) may exceed the budget — the client
-           is about to read them, and the global backlog limit still
-           bounds the total. *)
-        (match msg with
-        | Protocol.Event _ when client.out_pending > srv.client_buffer ->
-            evict srv client
-              (Printf.sprintf "%d bytes of output buffered, budget %d"
-                 client.out_pending srv.client_buffer)
-        | _ -> update_degraded srv)
-  end
-
-let health_json srv =
-  let watchers =
-    List.length (List.filter (fun c -> c.alive && c.watching) srv.clients)
-  in
-  let live = List.length (List.filter (fun c -> c.alive) srv.clients) in
-  J.Obj
-    [
-      ("ready", J.Bool (not srv.degraded));
-      ("degraded", J.Bool srv.degraded);
-      ("clients", int live);
-      ("watchers", int watchers);
-      ("backlog_bytes", int srv.backlog);
-      ("evicted", int srv.n_evicted);
-      ("events_shed", int srv.n_shed);
-      ("queue_depth", int (Engine.queue_depth srv.engine));
-      ("free_procs", int (Engine.free_procs srv.engine));
-      ("now", num (Engine.now srv.engine));
-      ( "journal_writable",
-        J.Bool
-          (match srv.journal with Some j -> Journal.writable j | None -> false)
-      );
-      ( "fault",
-        match srv.fault with Some f -> J.Str (Fault.spec f) | None -> J.Null );
-    ]
-
-let handle_msg srv client stop = function
-  | Protocol.Ping -> send srv client Protocol.Pong
-  | Protocol.Health -> send srv client (Protocol.Healthy (health_json srv))
-  | Protocol.Watch ->
-      if srv.degraded then
-        send srv client
-          (Protocol.Err "degraded: event streaming disabled until the \
-                         backlog clears")
-      else begin
-        client.watching <- true;
-        send srv client Protocol.Watching
-      end
-  | Protocol.Plan request -> (
-      let cluster = Engine.cluster srv.engine in
-      match
-        Server.Api.validate
-          ~n_procs:(Rats_platform.Cluster.n_procs cluster)
-          request
-      with
-      | Error e -> send srv client (Protocol.Err e)
-      | Ok k ->
-          let share = Server.Api.subcluster cluster k in
-          let schedule = Server.Api.plan ~cluster:share request in
-          let response =
-            Server.Api.response_of_schedule
-              ~job_name:(Server.Api.spec_name request.Server.Api.job)
-              ~strategy:(Core.Rats.strategy_name request.Server.Api.strategy)
-              schedule
-          in
-          send srv client
-            (Protocol.Placed (Server.Api.response_to_json response)))
-  | Protocol.Submit { at; request } -> (
-      match Engine.submit srv.engine ?at request with
-      | Ok id -> send srv client (Protocol.Ack { id })
-      | Error e -> send srv client (Protocol.Err e))
-  | Protocol.Drain ->
-      let end_time = Engine.drain srv.engine in
-      send srv client (Protocol.Drained { end_time })
-  | Protocol.Log ->
-      if srv.degraded then
-        send srv client
-          (Protocol.Err "degraded: log streaming disabled until the backlog \
-                         clears")
-      else send srv client (Protocol.Log (Engine.events srv.engine))
-  | Protocol.Stats ->
-      send srv client (Protocol.Stats (stats_json (Engine.stats srv.engine)))
-  | Protocol.Shutdown ->
-      send srv client Protocol.Bye;
-      stop := true
-
-let drain_frames srv client stop =
-  let rec go () =
-    match Protocol.Decoder.next client.decoder with
-    | Ok None -> ()
-    | Ok (Some doc) ->
-        client.msgs <- client.msgs + 1;
-        (match srv.fault with
-        | Some f
-          when Fault.fires f Fault.Crash ~site:"server.client"
-                 ~key:(Printf.sprintf "%d:%d" client.cid client.msgs) ->
-            (* Injected mid-session disconnect: the client sees a closed
-               socket, the daemon must shrug it off. *)
-            Metrics.incr Instr.fault_injections;
-            Printf.eprintf "ratsd: injected disconnect of client #%d\n%!"
-              client.cid;
-            kill srv client
-        | _ -> (
-            match Protocol.client_of_json doc with
-            | Ok msg -> handle_msg srv client stop msg
-            | Error e -> send srv client (Protocol.Err e)));
-        if client.alive && not !stop then go ()
-    | Error e ->
-        send srv client (Protocol.Err ("protocol error: " ^ e));
-        kill srv client
-  in
-  go ()
 
 (* --- startup probe ------------------------------------------------------- *)
 
@@ -343,22 +101,28 @@ let tune_sndbuf fd client_buffer =
   try Unix.setsockopt_int fd Unix.SO_SNDBUF (min client_buffer (256 * 1024))
   with Unix.Unix_error _ -> ()
 
-let final_flush srv =
+(* The connection's non-blocking writer, as Session sees it. *)
+let writer fd s off len =
+  match Unix.write_substring fd s off len with
+  | n -> `Wrote n
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> `Again
+  | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> `Closed
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let final_flush session conns =
   (* Best-effort, bounded: give slow-but-live clients ~1s to take the
      shutdown replies, then close regardless. *)
   let deadline = Instr.now_s () +. 1. in
-  let pending () =
-    List.filter (fun c -> c.alive && c.out_pending > 0) srv.clients
-  in
   let rec go () =
-    match pending () with
+    match List.filter (fun (_, c) -> Session.pending c > 0) conns with
     | [] -> ()
     | ps when Instr.now_s () < deadline ->
-        let fds = List.map (fun c -> c.fd) ps in
-        (match Unix.select [] fds [] 0.05 with
+        (match Unix.select [] (List.map fst ps) [] 0.05 with
         | _, writable, _ ->
             List.iter
-              (fun c -> if List.mem c.fd writable then flush_client srv c)
+              (fun (fd, c) ->
+                if List.mem fd writable then Session.flush session c)
               ps
         | exception Unix.Unix_error (EINTR, _, _) -> ());
         go ()
@@ -366,111 +130,63 @@ let final_flush srv =
   in
   go ()
 
-let serve srv socket_path =
+let serve session ~client_buffer socket_path =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX socket_path);
   Unix.listen lfd 64;
   Format.printf "ratsd: listening on %s@." socket_path;
-  (* Events stream synchronously to every watcher, including during a
-     drain triggered by another connection; send only buffers (and may
-     evict), it never blocks the loop. *)
-  Engine.subscribe srv.engine (fun ev ->
-      List.iter
-        (fun c -> if c.watching then send srv c (Protocol.Event ev))
-        srv.clients);
-  let stop = ref false in
+  (* Each accepted socket with its session client, in accept order. *)
+  let conns = ref [] in
   let buf = Bytes.create 65536 in
-  while not !stop do
+  while not (Session.stopped session) do
     let readable_fds =
       lfd
       :: List.filter_map
-           (fun c -> if c.alive then Some c.fd else None)
-           srv.clients
+           (fun (fd, c) -> if Session.alive c then Some fd else None)
+           !conns
     in
     let writable_fds =
       List.filter_map
-        (fun c -> if c.alive && c.out_pending > 0 then Some c.fd else None)
-        srv.clients
+        (fun (fd, c) -> if Session.pending c > 0 then Some fd else None)
+        !conns
     in
     (match Unix.select readable_fds writable_fds [] (-1.) with
     | readable, writable, _ ->
         List.iter
           (fun fd ->
-            match List.find_opt (fun c -> c.fd = fd) srv.clients with
-            | Some c when c.alive -> flush_client srv c
-            | _ -> ())
+            Option.iter (Session.flush session) (List.assoc_opt fd !conns))
           writable;
-        update_degraded srv;
+        Session.check_backlog session;
         List.iter
           (fun fd ->
             if fd = lfd then begin
               let cfd, _ = Unix.accept lfd in
               Unix.set_nonblock cfd;
-              tune_sndbuf cfd srv.client_buffer;
-              let cid = srv.next_cid in
-              srv.next_cid <- cid + 1;
-              srv.clients <-
-                srv.clients
-                @ [
-                    {
-                      cid;
-                      fd = cfd;
-                      decoder = Protocol.Decoder.create ();
-                      watching = false;
-                      alive = true;
-                      outq = Queue.create ();
-                      out_cur = "";
-                      out_off = 0;
-                      out_pending = 0;
-                      reads = 0;
-                      msgs = 0;
-                    };
-                  ]
+              tune_sndbuf cfd client_buffer;
+              conns := !conns @ [ (cfd, Session.connect session (writer cfd)) ]
             end
             else
-              match List.find_opt (fun c -> c.fd = fd) srv.clients with
-              | None -> ()
-              | Some client when not client.alive -> ()
-              | Some client -> (
+              match List.assoc_opt fd !conns with
+              | Some c when Session.alive c -> (
                   match Unix.read fd buf 0 (Bytes.length buf) with
-                  | 0 -> kill srv client
-                  | n ->
-                      client.reads <- client.reads + 1;
-                      let chunk = Bytes.sub_string buf 0 n in
-                      (* server.read: a corrupt chunk desynchronizes the
-                         frame stream; the decoder's sticky error drops
-                         exactly this client. *)
-                      let chunk =
-                        Fault.corrupt_payload srv.fault ~site:"server.read"
-                          ~key:
-                            (Printf.sprintf "%d:%d" client.cid client.reads)
-                          chunk
-                      in
-                      Protocol.Decoder.feed client.decoder
-                        (Bytes.of_string chunk) 0 (String.length chunk);
-                      drain_frames srv client stop
+                  | 0 -> Session.hang_up session c
+                  | n -> Session.receive session c (Bytes.sub_string buf 0 n)
                   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _)
                     ->
                       ()
                   | exception Unix.Unix_error (ECONNRESET, _, _) ->
-                      kill srv client))
+                      Session.hang_up session c)
+              | _ -> ())
           readable
     | exception Unix.Unix_error (EINTR, _, _) -> ());
-    srv.clients <-
+    conns :=
       List.filter
-        (fun c ->
-          if c.alive then true
-          else begin
-            (try Unix.close c.fd with Unix.Unix_error _ -> ());
-            false
-          end)
-        srv.clients
+        (fun (fd, c) -> Session.alive c || (close_quietly fd; false))
+        !conns
   done;
-  final_flush srv;
-  List.iter
-    (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-    srv.clients;
+  final_flush session !conns;
+  List.iter (fun (fd, _) -> close_quietly fd) !conns;
   Unix.close lfd;
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ())
 
@@ -563,24 +279,12 @@ let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
           let n = Engine.resume engine in
           Format.printf "ratsd: resumed %d journaled submission(s)@." n
         end;
-        let srv =
-          {
-            engine;
-            fault;
-            journal = Some journal;
-            client_buffer;
-            backlog_limit;
-            clients = [];
-            backlog = 0;
-            degraded = false;
-            n_evicted = 0;
-            n_shed = 0;
-            next_cid = 0;
-          }
+        let session =
+          Session.create ?fault ~journal ~client_buffer ~backlog_limit engine
         in
         Fun.protect
           ~finally:(fun () -> Journal.close journal)
-          (fun () -> serve srv socket)
+          (fun () -> serve session ~client_buffer socket)
   end
 
 let socket_term =

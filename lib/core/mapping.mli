@@ -17,7 +17,6 @@ val create : Problem.t -> alloc:int array -> t
 
 val problem : t -> Problem.t
 val alloc : t -> int -> int
-val is_mapped : t -> int -> bool
 val entry : t -> int -> Schedule.entry
 (** Raises [Invalid_argument] if the task is not mapped yet. *)
 

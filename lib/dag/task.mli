@@ -38,10 +38,6 @@ val is_virtual : t -> bool
 val random : Rats_util.Rng.t -> id:int -> name:string -> t
 (** Draws [m], [a], [α] from the paper's distributions. *)
 
-val random_with_elements : Rats_util.Rng.t -> id:int -> name:string -> data_elements:float -> t
-(** Like {!random} but with a fixed dataset size (used by layered generators
-    where all tasks of a level share the same cost). *)
-
 val data_bytes : t -> float
 (** [8 · m]: size of the task's dataset, and of each outgoing transfer. *)
 

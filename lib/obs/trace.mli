@@ -24,8 +24,6 @@
 type clock = unit -> float
 (** Monotonic time in microseconds. Only differences are meaningful. *)
 
-val default_clock : clock
-
 (** One recorded event. [ts] and [dur] are microseconds relative to the
     tracer's creation instant; [dur = 0.] for instants. [tid] is the
     recording domain's id. *)

@@ -70,12 +70,6 @@ type 'a outcome = {
   value : ('a, Retry.failure) result;
 }
 
-val run_task : t -> name:string -> (unit -> 'a) -> 'a outcome
-(** Run one task under the context's fault points (site ["worker"], keyed
-    by [name] and attempt number), retry policy and timeout, updating
-    {!stats}. In strict mode a final failure raises {!Task_failed}
-    instead. *)
-
 val keyed :
   t ->
   name:string ->
@@ -84,13 +78,15 @@ val keyed :
   decode:(string -> 'a option) ->
   (unit -> 'a) ->
   'a outcome
-(** {!run_task} behind the two persistence layers: a cache hit returns
+(** Runs one task behind the two persistence layers: a cache hit returns
     [From_cache]; otherwise a journal hit (a completed result of the
     interrupted run being resumed) returns [From_journal], counts toward
     [stats.resumed] and is promoted into the cache; otherwise the task is
-    computed and, on success, stored in the cache and appended to the
-    journal before returning. Keys are expected to come from
-    {!Cache.key}. *)
+    computed under the context's fault points (site ["worker"], keyed by
+    [name] and attempt number), retry policy and timeout, updating
+    {!stats} (in strict mode a final failure raises {!Task_failed}), and
+    on success stored in the cache and appended to the journal before
+    returning. Keys are expected to come from {!Cache.key}. *)
 
 val map :
   t ->
@@ -98,12 +94,14 @@ val map :
   f:('a -> 'b) ->
   'a list ->
   ('b, string * Retry.failure) result list
-(** {!map_outcome} of {!run_task} over a list; the result list is in input
-    order with one slot per element, failures carrying the task name. *)
+(** Runs [f] on every element as one uncached task each (fault points,
+    retries and timeout as in {!keyed}) through {!map_outcome}; the result
+    list is in input order with one slot per element, failures carrying
+    the task name. *)
 
 val map_outcome : t -> run:('a -> 'b outcome) -> 'a list -> 'b outcome list
 (** Pool-parallel outcome map, for callers that build their own per-item
-    work from {!keyed} or {!run_task} (and therefore need the
+    work from {!keyed} (and therefore need the
     cache/journal provenance of each slot). Output order matches input
     order for every worker count. In non-strict mode an exception escaping
     [run] itself (a bug rather than a task fault) is captured as a

@@ -125,18 +125,15 @@ let response_of_schedule ~job_name ~strategy schedule =
     placements;
   }
 
-let run_local ~cluster r =
+let place ~cluster r =
   match validate ~n_procs:(Cluster.n_procs cluster) r with
-  | Error msg -> invalid_arg ("Api.run_local: " ^ msg)
+  | Error _ as e -> e
   | Ok k ->
-      let share = subcluster cluster k in
-      let schedule = plan ~cluster:share r in
-      let response =
-        response_of_schedule ~job_name:(spec_name r.job)
-          ~strategy:(Core.Rats.strategy_name r.strategy)
-          schedule
-      in
-      (response, Core.Evaluate.run schedule)
+      let schedule = plan ~cluster:(subcluster cluster k) r in
+      Ok
+        (response_of_schedule ~job_name:(spec_name r.job)
+           ~strategy:(Core.Rats.strategy_name r.strategy)
+           schedule)
 
 (* --- events ------------------------------------------------------------- *)
 

@@ -11,7 +11,7 @@
     protocol, see docs/SERVER.md) with floats rendered exactly, so event
     logs can be diffed bit-for-bit across runs and resumes.
 
-    Scheduling itself ({!prepare}, {!plan}, {!run_local}) is a thin, pure
+    Scheduling itself ({!prepare}, {!plan}, {!place}) is a thin, pure
     composition of the existing pipeline — {!Rats_core.Problem.make},
     {!Rats_core.Hcpa.allocate}, {!Rats_core.Rats.schedule} — over the
     requested processor share. *)
@@ -48,13 +48,10 @@ type request = {
   procs : int;  (** Requested processor share; [0] means the whole platform. *)
 }
 
-val resolve_procs : n_procs:int -> int -> (int, string) result
-(** Resolves the share against the platform: [0 → n_procs]; out-of-range
-    values are errors. *)
-
 val validate : n_procs:int -> request -> (int, string) result
 (** Static (submission-time) validation: share in range, tenant non-empty,
-    spec well-formed. Returns the resolved processor count. *)
+    spec well-formed. Returns the resolved processor count ([0] resolves
+    to [n_procs]). *)
 
 (** {2 Scheduling} *)
 
@@ -94,11 +91,10 @@ val plan :
 val response_of_schedule :
   job_name:string -> strategy:string -> Rats_core.Schedule.t -> response
 
-val run_local :
-  cluster:Cluster.t -> request -> response * Rats_core.Evaluate.result
-(** One-shot offline path: resolve the share, schedule, then replay the
-    schedule alone on it ({!Rats_core.Evaluate.run}) — no daemon, no
-    contention with other jobs. *)
+val place : cluster:Cluster.t -> request -> (response, string) result
+(** [ratsd]'s [plan] request: {!validate} against the whole [cluster],
+    then {!plan} on the resolved {!subcluster} and
+    {!response_of_schedule}. No admission, no queue, no simulation. *)
 
 (** {2 Events} *)
 
@@ -109,8 +105,6 @@ type reject_reason =
       (** Load shed above the admission watermark; [retry_after] is a
           simulated-seconds backoff hint scaled by how far past the
           watermark the queue is. *)
-
-val reject_reason_name : reject_reason -> string
 
 type event =
   | Submitted of { procs : int; strategy : string; spec : string }
@@ -152,7 +146,6 @@ type stamped = {
     encoding is injective on the values the engine produces and two event
     logs are equal iff their JSON dumps are byte-identical. *)
 
-val job_spec_to_json : job_spec -> Rats_obs.Json.t
 val job_spec_of_json : Rats_obs.Json.t -> (job_spec, string) result
 
 val request_to_json : request -> Rats_obs.Json.t

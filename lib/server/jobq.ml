@@ -42,6 +42,3 @@ let remove t ~f =
         else go (e :: before) rest
   in
   go [] ordered
-
-let iter f t =
-  List.iter (fun e -> f ~tenant:e.tenant e.item) (List.rev t.entries)

@@ -30,6 +30,3 @@ val remove : 'a t -> f:('a -> bool) -> 'a option
 (** Removes and returns the first (oldest) job satisfying [f], preserving
     the order of the rest — deadline expiry uses this to drop a job
     without disturbing the queue. *)
-
-val iter : (tenant:string -> 'a -> unit) -> 'a t -> unit
-(** Front-to-back, for introspection. *)

@@ -155,15 +155,23 @@ let server_of_json j =
 
 let max_frame = 16 * 1024 * 1024
 
-let to_frame doc =
+let frame doc =
   let payload = J.to_string doc in
   let n = String.length payload in
   if n > max_frame then
-    invalid_arg (Printf.sprintf "Protocol.to_frame: %d-byte payload" n);
-  let b = Bytes.create (4 + n) in
-  Bytes.set_int32_be b 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 b 4 n;
-  Bytes.unsafe_to_string b
+    Error
+      (Printf.sprintf "%d-byte payload exceeds the %d MiB frame limit" n
+         (max_frame lsr 20))
+  else
+    let b = Bytes.create (4 + n) in
+    Bytes.set_int32_be b 0 (Int32.of_int n);
+    Bytes.blit_string payload 0 b 4 n;
+    Ok (Bytes.unsafe_to_string b)
+
+let to_frame doc =
+  match frame doc with
+  | Ok f -> f
+  | Error e -> invalid_arg ("Protocol.to_frame: " ^ e)
 
 module Decoder = struct
   type t = {

@@ -54,9 +54,12 @@ val server_of_json : Rats_obs.Json.t -> (server_msg, string) result
 val max_frame : int
 (** 16 MiB. *)
 
+val frame : Rats_obs.Json.t -> (string, string) result
+(** Length prefix + payload, ready to write. [Error] names the payload
+    size and the limit when the payload exceeds {!max_frame}. *)
+
 val to_frame : Rats_obs.Json.t -> string
-(** Length prefix + payload, ready to write. Raises [Invalid_argument] if
-    the payload exceeds {!max_frame}. *)
+(** {!frame}, raising [Invalid_argument] on an oversized payload. *)
 
 (** Incremental frame decoder: feed arbitrary byte chunks, pop complete
     documents. Framing or JSON errors are sticky — the stream has lost

@@ -37,5 +37,3 @@ val jain_fairness : float array -> float
 
 val fraction_below : float array -> float -> float
 (** [fraction_below xs x] is the fraction of elements strictly below [x]. *)
-
-val sorted_copy : float array -> float array

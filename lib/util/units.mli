@@ -12,9 +12,6 @@ val mega : float
 val giga : float
 (** 10{^9}, decimal giga for GFlop/s and Gb/s network rates. *)
 
-val gibi : float
-(** 2{^30}. *)
-
 val bytes_per_element : float
 (** Double-precision element size: 8 bytes. *)
 

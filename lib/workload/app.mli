@@ -31,10 +31,6 @@ type pipeline = {
   alpha : float;  (** Amdahl non-parallelizable fraction of every stage. *)
 }
 
-val validate_pipeline : pipeline -> unit
-(** Raises [Invalid_argument] on non-positive sizes or [alpha] outside
-    [0, 1]. *)
-
 val pipeline_task_params : pipeline -> (float * float * float) array
 (** Per-stage [(data_elements, flop, alpha)] triples; stage [i]'s flop is
     [flop · (1 + i mod 3)]. *)

@@ -9,7 +9,6 @@ type t =
       mean_off : float;
     }
   | Diurnal of { base : float; amplitude : float; period : float }
-  | Replay of { times : float array }
 
 let validate = function
   | Poisson { rate } ->
@@ -24,29 +23,14 @@ let validate = function
       if amplitude < 0. || amplitude > 1. then
         invalid_arg "Arrival: Diurnal amplitude outside [0, 1]";
       if period <= 0. then invalid_arg "Arrival: Diurnal period <= 0"
-  | Replay { times } ->
-      let n = Array.length times in
-      if n = 0 then invalid_arg "Arrival: Replay with no times";
-      if times.(0) < 0. then invalid_arg "Arrival: Replay time < 0";
-      for i = 1 to n - 1 do
-        if times.(i) < times.(i - 1) then
-          invalid_arg "Arrival: Replay times not sorted"
-      done
-
-let name = function
-  | Poisson _ -> "poisson"
-  | Bursty _ -> "bursty"
-  | Diurnal _ -> "diurnal"
-  | Replay _ -> "replay"
 
 type state = {
   t : float;  (* last arrival (or 0) *)
   on : bool;  (* Bursty: current phase *)
   phase_end : float;  (* Bursty: when the current phase ends *)
-  index : int;  (* Replay: next position *)
 }
 
-let start _ = { t = 0.; on = true; phase_end = 0.; index = 0 }
+let start _ = { t = 0.; on = true; phase_end = 0. }
 
 (* Exponential interarrival by inverse transform — the exact float
    expression of the historical load generator, so the poisson preset
@@ -98,15 +82,6 @@ let next process st rng =
       in
       let at = go st.t in
       ({ st with t = at }, at)
-  | Replay { times } ->
-      let n = Array.length times in
-      let span = times.(n - 1) in
-      let cycle =
-        if span > 0. then span +. (span /. float_of_int n) else 1.
-      in
-      let k = st.index / n and i = st.index mod n in
-      let at = times.(i) +. (float_of_int k *. cycle) in
-      ({ st with index = st.index + 1; t = at }, at)
 
 let times process rng ~n =
   validate process;

@@ -6,7 +6,7 @@
     is deterministic under a seed and adding tenants never perturbs the
     streams of existing ones.
 
-    The four process families cover the service-level study axes:
+    The three process families cover the service-level study axes:
 
     - {b Poisson}: memoryless arrivals at a constant [rate] (exponential
       interarrivals by inverse transform) — the classic open-loop load,
@@ -18,11 +18,7 @@
       flash crowds followed by quiet.
     - {b Diurnal}: a non-homogeneous Poisson process with sinusoidal rate
       [base · (1 + amplitude · sin (2πt/period))], sampled by thinning —
-      a day/night load curve.
-    - {b Replay}: arrivals at recorded absolute [times] (e.g. from an
-      on-disk trace, see {!Trace.load}); past the recorded span the
-      pattern repeats, shifted by the span plus one mean interarrival, so
-      a short recording can drive a long run. *)
+      a day/night load curve. *)
 
 type t =
   | Poisson of { rate : float }
@@ -33,16 +29,11 @@ type t =
       mean_off : float;
     }
   | Diurnal of { base : float; amplitude : float; period : float }
-  | Replay of { times : float array }
 
 val validate : t -> unit
 (** Raises [Invalid_argument] when a parameter leaves its domain:
     rates/means/periods must be positive ([rate_off] may be 0 but not
-    both rates), [amplitude ∈ \[0, 1\]], replay [times] non-empty,
-    non-negative and non-decreasing. *)
-
-val name : t -> string
-(** ["poisson"], ["bursty"], ["diurnal"] or ["replay"]. *)
+    both rates) and [amplitude ∈ \[0, 1\]]. *)
 
 type state
 (** Position of one tenant's stream inside its process (immutable). *)

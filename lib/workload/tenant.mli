@@ -11,9 +11,6 @@ type share =
   | Uniform of { lo : int; hi : int }
       (** Uniform integer draw in [\[lo, hi\]] (inclusive) per job. *)
 
-val share_range : share -> int * int
-(** [(lo, hi)] bounds of the distribution. *)
-
 type t = {
   name : string;
   arrival : Arrival.t;

@@ -1,7 +1,8 @@
 (* Tests for the online scheduling service (lib/server): API and protocol
    codecs, the admission/queueing discipline, online-engine determinism
-   (across runs, worker counts and journal resume), and agreement between
-   the shared-engine replay and the offline evaluator. *)
+   (across runs, worker counts and journal resume), agreement between the
+   shared-engine replay and the offline evaluator, and the daemon's
+   session state machine driven through buffer-backed writers. *)
 
 module Api = Rats_server.Api
 module Protocol = Rats_server.Protocol
@@ -9,6 +10,7 @@ module Admission = Rats_server.Admission
 module Jobq = Rats_server.Jobq
 module Engine = Rats_server.Engine
 module Load = Rats_server.Load
+module Session = Rats_server.Session
 module Profile = Rats_workload.Profile
 module Trace = Rats_workload.Trace
 module Suite = Rats_daggen.Suite
@@ -801,7 +803,7 @@ let test_engine_matches_evaluate () =
         (Core.Rats.strategy_name strategy) s
     in
     let r = request ~strategy (fft 4 1) in
-    let _, offline = Api.run_local ~cluster r in
+    let offline = Core.Evaluate.run (Api.plan ~cluster r) in
     let engine = Engine.create (config cluster) in
     (match Engine.submit engine ~at:0. r with
     | Ok (_ : int) -> ()
@@ -896,6 +898,536 @@ let test_journal_resume () =
   check Alcotest.bool "resumed log bit-identical" true
     (log_string resumed = reference)
 
+(* --- session: the daemon's protocol state machine ------------------------ *)
+
+(* One connection whose writer is a buffer. [room] is how many more bytes
+   the writer takes ([max_int] = never blocks, 0 = always [`Again]); with
+   [keep = false] the bytes are counted but not stored. *)
+type peer = {
+  client : Session.client;
+  out : Buffer.t;
+  room : int ref;
+  seen : int ref;  (* output bytes already decoded *)
+  dec : Protocol.Decoder.t;
+}
+
+let connect ?(room = max_int) ?(keep = true) s =
+  let out = Buffer.create 256 and room = ref room in
+  let write str off len =
+    if !room = 0 then `Again
+    else begin
+      let n = min len !room in
+      if keep then Buffer.add_substring out str off n;
+      if !room <> max_int then room := !room - n;
+      `Wrote n
+    end
+  in
+  {
+    client = Session.connect s write;
+    out;
+    room;
+    seen = ref 0;
+    dec = Protocol.Decoder.create ();
+  }
+
+(* Every reply frame written since the last call. *)
+let replies p =
+  let n = Buffer.length p.out - !(p.seen) in
+  Protocol.Decoder.feed p.dec
+    (Bytes.unsafe_of_string (Buffer.sub p.out !(p.seen) n))
+    0 n;
+  p.seen := Buffer.length p.out;
+  let rec pop acc =
+    match Protocol.Decoder.next p.dec with
+    | Ok None -> List.rev acc
+    | Ok (Some doc) -> (
+        match Protocol.server_of_json doc with
+        | Ok m -> pop (m :: acc)
+        | Error e -> Alcotest.failf "bad reply: %s" e)
+    | Error e -> Alcotest.failf "reply stream: %s" e
+  in
+  pop []
+
+let frame msg = Protocol.to_frame (Protocol.client_to_json msg)
+
+let ask s p msg =
+  Session.receive s p.client (frame msg);
+  replies p
+
+let reply_name = function
+  | Protocol.Pong -> "pong"
+  | Protocol.Ack _ -> "ack"
+  | Protocol.Placed _ -> "placed"
+  | Protocol.Watching -> "watching"
+  | Protocol.Event _ -> "event"
+  | Protocol.Drained _ -> "drained"
+  | Protocol.Log _ -> "log"
+  | Protocol.Stats _ -> "stats"
+  | Protocol.Healthy _ -> "health"
+  | Protocol.Bye -> "bye"
+  | Protocol.Err e -> "error: " ^ e
+
+let expect what want got =
+  check Alcotest.(list string) what want (List.map reply_name got)
+
+let ask_one s p msg =
+  match ask s p msg with
+  | [ reply ] -> reply
+  | got ->
+      Alcotest.failf "expected one reply, got [%s]"
+        (String.concat "; " (List.map reply_name got))
+
+let health s p =
+  match ask_one s p Protocol.Health with
+  | Protocol.Healthy h -> h
+  | r -> Alcotest.failf "health: got %s" (reply_name r)
+
+let health_int h key =
+  match Option.bind (J.member key h) J.to_int with
+  | Some n -> n
+  | None -> Alcotest.failf "health: no integer %S" key
+
+let health_bool h key =
+  match J.member key h with
+  | Some (J.Bool b) -> b
+  | _ -> Alcotest.failf "health: no boolean %S" key
+
+let is_err = function Protocol.Err _ -> true | _ -> false
+
+let session ?fault ?(client_buffer = 1 lsl 30) ?(backlog_limit = 1 lsl 30)
+    cluster =
+  Session.create ?fault ~client_buffer ~backlog_limit
+    (Engine.create (config cluster))
+
+(* Submits the small poisson trace through [p] and drains it. *)
+let load_and_drain s p =
+  List.iter
+    (fun (at, request) ->
+      match ask_one s p (Protocol.Submit { at = Some at; request }) with
+      | Protocol.Ack _ -> ()
+      | r -> Alcotest.failf "submit: got %s" (reply_name r))
+    (small_trace ~jobs:8 Cluster.chti);
+  ask_one s p Protocol.Drain
+
+let wire msg = J.to_string (Protocol.server_to_json msg)
+
+let test_session_evicts_stalled_watcher () =
+  let run ~watcher =
+    let s = session ~client_buffer:4096 Cluster.chti in
+    let w = if watcher then Some (connect ~room:0 s) else None in
+    Option.iter
+      (fun w -> expect "watch reply stays buffered" [] (ask s w Protocol.Watch))
+      w;
+    let a = connect s in
+    let evicted () =
+      Rats_obs.Metrics.counter_value Rats_obs.Instr.server_clients_evicted
+    in
+    let evicted0 = evicted () in
+    let drained = wire (load_and_drain s a) in
+    let log = wire (ask_one s a Protocol.Log) in
+    Option.iter
+      (fun w ->
+        let h = health s a in
+        check Alcotest.int "health evicted" 1 (health_int h "evicted");
+        check Alcotest.int "evicted counter" 1 (evicted () - evicted0);
+        check Alcotest.int "health watchers" 0 (health_int h "watchers");
+        check Alcotest.int "health clients" 1 (health_int h "clients");
+        check Alcotest.int "backlog freed" 0 (health_int h "backlog_bytes");
+        check Alcotest.bool "watcher dropped" false (Session.alive w.client))
+      w;
+    (drained, log)
+  in
+  let reference = run ~watcher:false in
+  check
+    Alcotest.(pair string string)
+    "drained reply and log unchanged" reference (run ~watcher:true)
+
+let test_session_degraded_mode () =
+  (* A stalled [log] reader holding a reply larger than the limit. *)
+  let limit = 4096 in
+  let s = session ~backlog_limit:limit Cluster.chti in
+  let a = connect s in
+  ignore (load_and_drain s a);
+  let stalled = connect ~room:0 s in
+  expect "log reply stays buffered" [] (ask s stalled Protocol.Log);
+  let h = health s a in
+  check Alcotest.bool "ready" false (health_bool h "ready");
+  check Alcotest.bool "degraded" true (health_bool h "degraded");
+  let backlog = health_int h "backlog_bytes" in
+  check Alcotest.bool "backlog past the limit" true (backlog > limit);
+  check Alcotest.bool "watch refused" true
+    (is_err (ask_one s a Protocol.Watch));
+  check Alcotest.bool "log refused" true (is_err (ask_one s a Protocol.Log));
+  expect "ping answered" [ "pong" ] (ask s a Protocol.Ping);
+  expect "stats answered" [ "stats" ] (ask s a Protocol.Stats);
+  (match
+     ask_one s a
+       (Protocol.Submit { at = None; request = request (fft 2 0) })
+   with
+  | Protocol.Ack _ -> ()
+  | r -> Alcotest.failf "submit while degraded: got %s" (reply_name r));
+  (* Drain the stalled reply down to exactly half the limit: still
+     degraded. *)
+  stalled.room := backlog - (limit / 2);
+  Session.flush s stalled.client;
+  Session.check_backlog s;
+  check Alcotest.int "backlog at half the limit" (limit / 2)
+    (Session.pending stalled.client);
+  check Alcotest.bool "still degraded at half the limit" false
+    (health_bool (health s a) "ready");
+  (* One byte more and it recovers. *)
+  stalled.room := 1;
+  Session.flush s stalled.client;
+  Session.check_backlog s;
+  check Alcotest.bool "recovered below half" true
+    (health_bool (health s a) "ready");
+  expect "watch accepted again" [ "watching" ] (ask s a Protocol.Watch);
+  (* The stalled reader finally gets its whole reply. *)
+  stalled.room := max_int;
+  Session.flush s stalled.client;
+  match replies stalled with
+  | [ Protocol.Log events ] ->
+      check Alcotest.bool "stalled log intact" true (events <> [])
+  | got ->
+      Alcotest.failf "stalled reader: [%s]"
+        (String.concat "; " (List.map reply_name got))
+
+let test_session_sheds_events_not_replies () =
+  let limit = 4096 in
+  let engine = Engine.create (config Cluster.chti) in
+  let s =
+    Session.create ~client_buffer:(1 lsl 30) ~backlog_limit:limit engine
+  in
+  let w = connect s in
+  expect "watching" [ "watching" ] (ask s w Protocol.Watch);
+  let a = connect s in
+  ignore (load_and_drain s a);
+  check Alcotest.int "every event streamed before degrading"
+    (List.length (Engine.events engine))
+    (List.length (replies w));
+  let stalled = connect ~room:0 s in
+  expect "log reply stays buffered" [] (ask s stalled Protocol.Log);
+  let h = health s a in
+  check Alcotest.bool "degraded" true (health_bool h "degraded");
+  let shed0 = health_int h "events_shed"
+  and counter0 =
+    Rats_obs.Metrics.counter_value Rats_obs.Instr.server_events_shed
+  and logged0 = List.length (Engine.events engine) in
+  (* More work while degraded: every reply arrives, no event does. *)
+  let at = Engine.now engine in
+  List.iter
+    (fun k ->
+      match
+        ask_one s a
+          (Protocol.Submit
+             { at = Some (at +. float_of_int k); request = request (fft 2 k) })
+      with
+      | Protocol.Ack _ -> ()
+      | r -> Alcotest.failf "submit while degraded: got %s" (reply_name r))
+    [ 0; 1; 2 ];
+  expect "drained while degraded" [ "drained" ] (ask s a Protocol.Drain);
+  let emitted = List.length (Engine.events engine) - logged0 in
+  check Alcotest.bool "the drain emitted events" true (emitted > 0);
+  expect "no event reached the watcher" [] (replies w);
+  check Alcotest.int "health counts the shed events" (shed0 + emitted)
+    (health_int (health s a) "events_shed");
+  check Alcotest.int "shed counter" emitted
+    (Rats_obs.Metrics.counter_value Rats_obs.Instr.server_events_shed
+    - counter0)
+
+(* Frames after a [shutdown] in the same chunk are left unanswered. *)
+let test_session_shutdown () =
+  let s = session Cluster.chti in
+  let a = connect s in
+  Session.receive s a.client
+    (String.concat ""
+       (List.map frame [ Protocol.Ping; Protocol.Shutdown; Protocol.Ping ]));
+  expect "ping, then bye" [ "pong"; "bye" ] (replies a);
+  check Alcotest.bool "stopped" true (Session.stopped s)
+
+(* [crash@server.client] keys on "cid:msgs", [corrupt@server.read] on
+   "cid:reads": replay that model with [Fault.fires] and check every client
+   against it. Two pings per chunk keep the two counters apart. *)
+let test_session_fault_sites () =
+  let fault =
+    match
+      Fault.parse "seed=7,crash@server.client=0.1,corrupt@server.read=0.1"
+    with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "fault spec: %s" e
+  in
+  let s = session ~fault Cluster.chti in
+  let n_clients = 12 and n_chunks = 4 in
+  let peers = List.init n_clients (fun _ -> connect s) in
+  let chunk = frame Protocol.Ping ^ frame Protocol.Ping in
+  for _ = 1 to n_chunks do
+    List.iter (fun p -> Session.receive s p.client chunk) peers
+  done;
+  (* The model: the replies a client should see, and how it ends. *)
+  let predict cid =
+    let key n = Printf.sprintf "%d:%d" cid n in
+    let rec go read msgs acc =
+      if read > n_chunks then (List.rev acc, `Kept)
+      else if
+        Fault.fires fault Fault.Corrupt ~site:"server.read" ~key:(key read)
+      then (List.rev ("error" :: acc), `Corrupted)
+      else
+        let rec frames k msgs acc =
+          if k = 0 then go (read + 1) msgs acc
+          else if
+            Fault.fires fault Fault.Crash ~site:"server.client"
+              ~key:(key (msgs + 1))
+          then (List.rev acc, `Crashed)
+          else frames (k - 1) (msgs + 1) ("pong" :: acc)
+        in
+        frames 2 msgs acc
+    in
+    go 1 0 []
+  in
+  let ends =
+    List.mapi
+      (fun cid p ->
+        let want, ends = predict cid in
+        let got =
+          List.map
+            (function Protocol.Err _ -> "error" | r -> reply_name r)
+            (replies p)
+        in
+        check Alcotest.(list string) (Printf.sprintf "client %d replies" cid)
+          want got;
+        check Alcotest.bool (Printf.sprintf "client %d alive" cid)
+          (ends = `Kept) (Session.alive p.client);
+        ends)
+      peers
+  in
+  let count e = List.length (List.filter (( = ) e) ends) in
+  check Alcotest.bool "both sites fired, some clients kept" true
+    (count `Corrupted > 0 && count `Crashed > 0 && count `Kept > 0);
+  check Alcotest.int "only the dropped clients are gone" (count `Kept + 1)
+    (health_int (health s (connect s)) "clients")
+
+(* An inline chain whose placement reply outgrows the frame limit: a name
+   4000 bytes short of 16 MiB, as in chaos-smoke. *)
+let huge_chain ~name_bytes n =
+  Api.Inline
+    {
+      name = String.make name_bytes 'a';
+      tasks =
+        Array.make n { Api.data_elements = 1e6; flop = 1e10; alpha = 0.1 };
+      edges =
+        List.init (n - 1) (fun i -> { Api.src = i; dst = i + 1; bytes = 8e6 });
+    }
+
+let test_session_frame_limit () =
+  let s = session Cluster.grillon in
+  let a = connect s in
+  let job = huge_chain ~name_bytes:(Protocol.max_frame - 4000) 40 in
+  (match ask s a (Protocol.Plan (request job)) with
+  | [ Protocol.Err e ] ->
+      check Alcotest.bool ("error names size and limit: " ^ e) true
+        (String.starts_with ~prefix:"reply too large: " e
+        && String.ends_with
+             ~suffix:"-byte payload exceeds the 16 MiB frame limit" e)
+  | got ->
+      Alcotest.failf "oversized plan: [%s]"
+        (String.concat "; " (List.map reply_name got)));
+  expect "still serving" [ "pong" ] (ask s a Protocol.Ping)
+
+(* A job whose [submitted] event (it carries the name twice) outgrows the
+   frame limit while every other event fits: that event is shed and the
+   session keeps serving. *)
+let test_session_oversized_event () =
+  let s = session Cluster.chti in
+  let w = connect ~keep:false s in
+  ignore (ask s w Protocol.Watch);
+  let a = connect s in
+  let shed0 =
+    Rats_obs.Metrics.counter_value Rats_obs.Instr.server_events_shed
+  in
+  let job = huge_chain ~name_bytes:(9 * 1024 * 1024) 1 in
+  (match
+     ask_one s a (Protocol.Submit { at = Some 0.; request = request job })
+   with
+  | Protocol.Ack _ -> ()
+  | r -> Alcotest.failf "submit: got %s" (reply_name r));
+  expect "drained" [ "drained" ] (ask s a Protocol.Drain);
+  check Alcotest.int "one event shed" 1
+    (Rats_obs.Metrics.counter_value Rats_obs.Instr.server_events_shed - shed0);
+  check Alcotest.bool "watcher kept" true (Session.alive w.client);
+  expect "still serving" [ "pong" ] (ask s a Protocol.Ping)
+
+(* Fuzz: seeded hostile streams through [Session.receive], cut at random
+   points. Every complete well-framed request gets exactly one reply, of
+   the expected kind; a framing error gets one [Err] and ends the
+   connection; nothing raises, and a fresh client is still served. *)
+type item =
+  | Req of string * bool  (* JSON payload, whether the reply must be Err *)
+  | Broken of string  (* bytes that break the framing *)
+
+let session_fuzz_test =
+  let open QCheck2 in
+  let n_procs = Cluster.n_procs Cluster.chti in
+  let task = { Api.data_elements = 1e6; flop = 1e9; alpha = 0.2 } in
+  let inline ?(tasks = [| task; task; task |]) edges =
+    Api.Inline
+      {
+        name = "fuzz";
+        tasks;
+        edges =
+          List.map (fun (src, dst, bytes) -> { Api.src; dst; bytes }) edges;
+      }
+  in
+  let json msg = J.to_string (Protocol.client_to_json msg) in
+  let good =
+    [
+      json Protocol.Ping;
+      json Protocol.Health;
+      json Protocol.Stats;
+      json Protocol.Watch;
+      json Protocol.Log;
+      json (Protocol.Plan (request (fft 2 0)));
+      json
+        (Protocol.Plan
+           (request ~procs:3 (inline [ (0, 1, 1e6); (1, 2, 0.) ])));
+      (* Disconnected tasks and zero-cost work are legal. *)
+      json (Protocol.Plan (request (inline [])));
+      json
+        (Protocol.Plan
+           (request
+              (inline
+                 ~tasks:
+                   [| { Api.data_elements = 0.; flop = 0.; alpha = 0. }; task |]
+                 [ (0, 1, 0.) ])));
+      json (Protocol.Submit { at = Some 1.; request = request (fft 2 1) });
+    ]
+  in
+  let malformed =
+    [
+      inline [ (0, 1, 1.); (1, 0, 1.) ];  (* cycle *)
+      inline [ (1, 1, 1.) ];  (* self loop *)
+      inline [ (0, 3, 1.) ];  (* edge out of range *)
+      inline [ (-1, 0, 1.) ];
+      inline [ (0, 1, -5.) ];  (* negative bytes *)
+      inline [ (0, 1, 1.); (0, 1, 2.) ];  (* duplicate edge *)
+      inline ~tasks:[||] [];  (* no tasks *)
+      inline ~tasks:[| { task with Api.alpha = 1.5 } |] [];
+      inline ~tasks:[| { task with Api.flop = -1. } |] [];
+    ]
+  in
+  let bad =
+    [
+      {|{"op":"teleport"}|};
+      {|{"op":7}|};
+      {|{"nop":"ping"}|};
+      {|[1,2,3]|};
+      {|"ping"|};
+      {|null|};
+      {|{"op":"plan"}|};
+      {|{"op":"submit","req":{"tenant":"t"}}|};
+      {|{"op":"plan","req":{"tenant":"t","job":{"kind":"fft","k":"x"}}}|};
+      json (Protocol.Plan (request ~procs:(n_procs + 1) (fft 2 0)));
+      json (Protocol.Plan (request ~procs:(-1) (fft 2 0)));
+      json
+        (Protocol.Submit { at = None; request = request ~tenant:"" (fft 2 0) });
+    ]
+    @ List.concat_map
+        (fun job ->
+          [
+            json (Protocol.Plan (request job));
+            json (Protocol.Submit { at = None; request = request job });
+          ])
+        malformed
+  in
+  let length n =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 n;
+    Bytes.to_string b
+  in
+  let framed payload = length (Int32.of_int (String.length payload)) ^ payload in
+  let broken =
+    [
+      length 0x7fffffffl ^ "{}";
+      length (-1l) ^ "{}";
+      length (Int32.of_int (Protocol.max_frame + 1)) ^ "{}";
+      framed "{\"op\":";
+      framed "not json";
+      framed "";
+    ]
+  in
+  let gen =
+    Gen.(
+      let pick l = map (List.nth l) (int_bound (List.length l - 1)) in
+      let* items =
+        list_size (int_range 1 12)
+          (frequency
+             [
+               (4, map (fun p -> Req (p, false)) (pick good));
+               (4, map (fun p -> Req (p, true)) (pick bad));
+               (1, map (fun b -> Broken b) (pick broken));
+             ])
+      in
+      let* truncated = opt (pick good) in
+      let* cuts = list_size (int_range 0 8) (int_range 0 8192) in
+      return (items, truncated, cuts))
+  in
+  let print (items, truncated, cuts) =
+    Printf.sprintf "items=[%s] truncated=%s cuts=[%s]"
+      (String.concat "; "
+         (List.map
+            (function
+              | Req (p, err) -> (if err then "!" else "") ^ p
+              | Broken b -> Printf.sprintf "broken %S" b)
+            items))
+      (Option.value truncated ~default:"-")
+      (String.concat "," (List.map string_of_int cuts))
+  in
+  let prop (items, truncated, cuts) =
+    let stream =
+      String.concat ""
+        (List.map (function Req (p, _) -> framed p | Broken b -> b) items
+        @
+        match truncated with
+        | Some p ->
+            let f = framed p in
+            [ String.sub f 0 (String.length f - 1) ]
+        | None -> [])
+    in
+    (* The replies the stream must produce: [true] = an [Err]. *)
+    let rec expected acc = function
+      | [] -> List.rev acc
+      | Req (_, err) :: rest -> expected (err :: acc) rest
+      | Broken _ :: _ -> List.rev (true :: acc)
+    in
+    let want = expected [] items in
+    let s = session Cluster.chti in
+    let p = connect s in
+    let len = String.length stream in
+    let splits =
+      List.sort_uniq compare (0 :: len :: List.filter (fun c -> c < len) cuts)
+    in
+    let rec feed = function
+      | a :: (b :: _ as rest) ->
+          Session.receive s p.client (String.sub stream a (b - a));
+          feed rest
+      | _ -> ()
+    in
+    feed splits;
+    let got = List.map is_err (replies p) in
+    if got <> want then
+      Test.fail_reportf "replies %s, expected %s"
+        (String.concat "" (List.map (fun e -> if e then "E" else ".") got))
+        (String.concat "" (List.map (fun e -> if e then "E" else ".") want));
+    let broken = List.exists (function Broken _ -> true | _ -> false) items in
+    if Session.alive p.client = broken then
+      Test.fail_report "connection state does not match the stream";
+    (match ask s (connect s) Protocol.Ping with
+    | [ Protocol.Pong ] -> ()
+    | _ -> Test.fail_report "a fresh client got no pong");
+    true
+  in
+  Seeded.to_alcotest
+    (Test.make ~name:"session fuzz (hostile frames)" ~count:200 ~print gen prop)
+
 let () =
   Alcotest.run "server"
     [
@@ -930,5 +1462,19 @@ let () =
           Alcotest.test_case "matches offline evaluator" `Quick
             test_engine_matches_evaluate;
           Alcotest.test_case "journal resume" `Quick test_journal_resume;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "stalled watcher evicted" `Quick
+            test_session_evicts_stalled_watcher;
+          Alcotest.test_case "degraded mode" `Quick test_session_degraded_mode;
+          Alcotest.test_case "sheds events, never replies" `Quick
+            test_session_sheds_events_not_replies;
+          Alcotest.test_case "shutdown" `Quick test_session_shutdown;
+          Alcotest.test_case "fault sites" `Quick test_session_fault_sites;
+          Alcotest.test_case "frame limit" `Quick test_session_frame_limit;
+          Alcotest.test_case "oversized event" `Quick
+            test_session_oversized_event;
+          session_fuzz_test;
         ] );
     ]

@@ -131,24 +131,13 @@ let prop_diurnal_sane =
       && mean_rate <= base *. 1.8
       && mean_rate >= base *. 0.5)
 
-let test_replay_wraps () =
-  let p = Arrival.Replay { times = [| 1.; 3.; 10. |] } in
-  let times = Arrival.times p (Rng.create 1) ~n:8 in
-  (* Cycle length: span + span/n = 10 + 10/3. *)
-  let cycle = 10. +. (10. /. 3.) in
-  let expected =
-    [| 1.; 3.; 10.; 1. +. cycle; 3. +. cycle; 10. +. cycle;
-       1. +. (2. *. cycle); 3. +. (2. *. cycle) |]
-  in
-  check Alcotest.bool "replay wraps with a gap" true (times = expected);
-  check Alcotest.bool "increasing" true (increasing times)
-
 let test_arrival_validate () =
   Alcotest.check_raises "poisson rate" (Invalid_argument "Arrival: Poisson rate <= 0")
     (fun () -> Arrival.validate (Arrival.Poisson { rate = 0. }));
-  Alcotest.check_raises "replay unsorted"
-    (Invalid_argument "Arrival: Replay times not sorted") (fun () ->
-      Arrival.validate (Arrival.Replay { times = [| 2.; 1. |] }))
+  Alcotest.check_raises "diurnal amplitude"
+    (Invalid_argument "Arrival: Diurnal amplitude outside [0, 1]") (fun () ->
+      Arrival.validate
+        (Arrival.Diurnal { base = 1.; amplitude = 1.5; period = 10. }))
 
 (* --- trace compilation --------------------------------------------------- *)
 
@@ -447,7 +436,6 @@ let () =
           qcheck prop_poisson_sane;
           qcheck prop_bursty_sane;
           qcheck prop_diurnal_sane;
-          Alcotest.test_case "replay wraps" `Quick test_replay_wraps;
           Alcotest.test_case "validation" `Quick test_arrival_validate;
         ] );
       ( "trace",

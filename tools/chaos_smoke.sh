@@ -22,9 +22,12 @@
 #   4. overload + deadlines: a burst (rate 50) against queue-limit 4 with a
 #      0.5 shed watermark and a 1 s queue-wait deadline — the log must show
 #      overloaded rejections carrying retry_after hints and expired events;
-#   5. hostile faults: corrupt@server.read + crash@server.client at p=0.3 —
-#      individual connections die (clients see clean failures, not hangs),
-#      the daemon itself must survive and still answer health;
+#   5. hostile inputs and faults: a plan whose placement reply outgrows the
+#      16 MiB frame limit must be a one-line error from the daemon, which
+#      keeps answering pings, and a request past the limit a one-line error
+#      from the client; then corrupt@server.read + crash@server.client at
+#      p=0.3 — individual connections die (clients see clean failures, not
+#      hangs), the daemon itself must survive and still answer health;
 #   6. load driver: ratsd --selftest (120 jobs from 4 tenants under both
 #      RATS and HCPA) must pass its determinism check and report throughput;
 #      a bad load parameter (--rate nan) must be a one-line usage error.
@@ -186,7 +189,7 @@ grep -q '"ev":"expired"' "$WORK/shed.jsonl" \
 wait $DPID 2>/dev/null || true
 echo "chaos-smoke: overload shedding and deadlines fire under burst load"
 
-# --- 5. hostile faults: the daemon outlives its connections ---------------- #
+# --- 5. hostile inputs and faults: the daemon outlives its connections ---- #
 
 # A non-socket path must never be claimed (checked here where no daemon is
 # running; nothing to clean up afterwards).
@@ -198,6 +201,54 @@ fi
 grep -q "not a socket" "$WORK/decoy.err" \
     || fail "non-socket refusal gave the wrong reason"
 [ -f "$WORK/decoy" ] || fail "daemon unlinked a non-socket path"
+
+# An inline 40-task chain whose name is $1 bytes long, written to $2.
+chain_dag() {
+    {
+        printf '{"kind":"inline","name":"'
+        head -c "$1" /dev/zero | tr '\0' a
+        printf '","tasks":['
+        for i in $(seq 0 39); do
+            if [ "$i" -gt 0 ]; then printf ','; fi
+            printf '{"data":1000000,"flop":1e10,"alpha":0.1}'
+        done
+        printf '],"edges":['
+        for i in $(seq 0 38); do
+            if [ "$i" -gt 0 ]; then printf ','; fi
+            printf '[%d,%d,8e6]' "$i" $((i + 1))
+        done
+        printf ']}'
+    } > "$2"
+}
+
+# The request fits in a frame (its name is 4000 bytes short of 16 MiB);
+# its placement reply, which repeats the name, does not.
+rm -f "$S"
+"$RATSD" --socket "$S" --journal-dir "$WORK/jbig" &
+DPID=$!
+wait_ready
+chain_dag $((16 * 1024 * 1024 - 4000)) "$WORK/big.json"
+RC=0
+"$CLIENT" --socket "$S" --op plan --dag "$WORK/big.json" --timeout 60 \
+    > /dev/null 2> "$WORK/big.err" || RC=$?
+[ "$RC" -eq 1 ] || fail "oversized placement reply: client exit $RC, not 1"
+[ "$(wc -l < "$WORK/big.err")" -eq 1 ] \
+    && grep -q '^ratsd: reply too large: .*16 MiB frame limit' "$WORK/big.err" \
+    || fail "an oversized reply was not a one-line ratsd: error"
+"$CLIENT" --socket "$S" --op ping --timeout 5 >/dev/null \
+    || fail "daemon stopped answering after an oversized reply"
+chain_dag $((17 * 1024 * 1024)) "$WORK/bigger.json"
+RC=0
+"$CLIENT" --socket "$S" --op plan --dag "$WORK/bigger.json" --timeout 60 \
+    > /dev/null 2> "$WORK/bigger.err" || RC=$?
+[ "$RC" -eq 1 ] || fail "oversized request: client exit $RC, not 1"
+[ "$(wc -l < "$WORK/bigger.err")" -eq 1 ] \
+    && grep -q '^rats_client: request too large' "$WORK/bigger.err" \
+    || fail "an oversized request was not a one-line client error"
+"$CLIENT" --socket "$S" --op shutdown >/dev/null
+wait $DPID 2>/dev/null || true
+rm -f "$WORK/big.json" "$WORK/bigger.json"
+echo "chaos-smoke: replies and requests past the frame limit are clean errors"
 
 rm -f "$S"
 RATS_FAULT="seed=7,corrupt@server.read=0.3,crash@server.client=0.3" \

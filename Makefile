@@ -40,8 +40,8 @@
 #                           past runs
 #   make salt-check         warn when code feeding cached results changed
 #                           (lib/{sim,core,dag,redist,daggen,platform,util,
-#                           exp}, lib/server/api.ml) without a Cache.version
-#                           bump (STRICT=1 to fail)
+#                           exp}) without a Cache.version bump (STRICT=1 to
+#                           fail)
 #   make check              build + tier-1 tests + lint + lint-smoke +
 #                           chaos-smoke + workload-smoke + studio-smoke +
 #                           flags-check + advisory salt-check

@@ -58,12 +58,12 @@ let connect ~retries ~timeout socket =
       end;
       { fd; decoder = Protocol.Decoder.create (); buf = Bytes.create 65536 }
 
-let send conn msg =
-  let frame =
-    match Protocol.frame (Protocol.client_to_json msg) with
-    | Ok frame -> frame
-    | Error e -> fail "rats_client: request too large: %s" e
-  in
+let frame msg =
+  match Protocol.frame (Protocol.client_to_json msg) with
+  | Ok frame -> frame
+  | Error e -> fail "rats_client: request too large: %s" e
+
+let send_frame conn frame =
   let n = String.length frame in
   let pos = ref 0 in
   try
@@ -72,6 +72,8 @@ let send conn msg =
     done
   with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
     fail "rats_client: send timed out (is ratsd wedged?)"
+
+let send conn msg = send_frame conn (frame msg)
 
 (* [None] = orderly EOF. Timeouts and protocol damage are fatal. *)
 let next_msg_opt conn =
@@ -173,8 +175,8 @@ let do_load conn json trace load_from load_to =
     lo hi n
 
 let run socket op tenant at procs follow drain json dag_file config algo
-    mindelta maxdelta minrho packing retries timeout stall cluster load_jobs
-    tenants rate seed load_from load_to =
+    mindelta maxdelta minrho packing retries timeout stall cluster load_params
+    load_from load_to =
   let strategy =
     match algo with
     | `Hcpa -> Core.Rats.Baseline
@@ -192,12 +194,17 @@ let run socket op tenant at procs follow drain json dag_file config algo
             | Ok spec -> spec
             | Error e -> fail "rats_client: %s: %s" path e))
   in
-  let request () = { Api.tenant; job = job (); strategy; procs } in
+  (* Everything that can fail on the client's side (the --dag file, the
+     frame limit, the load parameters) fails before a connection exists. *)
+  let request_frame =
+    let request () = { Api.tenant; job = job (); strategy; procs } in
+    match op with
+    | `Plan -> Some (frame (Protocol.Plan (request ())))
+    | `Submit -> Some (frame (Protocol.Submit { at; request = request () }))
+    | _ -> None
+  in
   let trace =
-    if op = `Load then
-      load_trace cluster { Profile.jobs = load_jobs; tenants; rate; seed }
-        strategy
-    else [||]
+    if op = `Load then load_trace cluster load_params strategy else [||]
   in
   let conn = connect ~retries ~timeout socket in
   (match op with
@@ -212,7 +219,7 @@ let run socket op tenant at procs follow drain json dag_file config algo
       | Protocol.Healthy h -> print_endline (J.to_string h)
       | _ -> fail "rats_client: unexpected reply to health")
   | `Plan -> (
-      send conn (Protocol.Plan (request ()));
+      Option.iter (send_frame conn) request_frame;
       match expect_ok conn json with
       | Protocol.Placed resp -> print_endline (J.to_string resp)
       | _ -> fail "rats_client: unexpected reply to plan")
@@ -223,7 +230,7 @@ let run socket op tenant at procs follow drain json dag_file config algo
         | Protocol.Watching -> ()
         | _ -> fail "rats_client: unexpected reply to watch"
       end;
-      send conn (Protocol.Submit { at; request = request () });
+      Option.iter (send_frame conn) request_frame;
       match expect_ok conn json with
       | Protocol.Ack { id } ->
           Format.printf "submitted: id %d@." id;
@@ -259,14 +266,6 @@ let run socket op tenant at procs follow drain json dag_file config algo
   Unix.close conn.fd
 
 (* --- command line -------------------------------------------------------- *)
-
-let socket_term =
-  Arg.(
-    value
-    & opt string "/tmp/ratsd.sock"
-    & info [ "socket" ] ~docv:"PATH"
-        ~env:(Cmd.Env.info "RATS_SOCKET")
-        ~doc:"Unix-domain socket ratsd listens on.")
 
 let op_term =
   Arg.(
@@ -364,32 +363,6 @@ let stall_term =
           "watch only: after subscribing, read nothing for $(docv) \
            seconds — a deliberately slow client, for testing eviction.")
 
-let load_jobs_term =
-  Arg.(
-    value
-    & opt int Profile.default_params.jobs
-    & info [ "load-jobs" ] ~docv:"N"
-        ~doc:"load: total jobs in the generated trace.")
-
-let tenants_term =
-  Arg.(
-    value
-    & opt int Profile.default_params.tenants
-    & info [ "tenants" ] ~docv:"N" ~doc:"load: number of tenants.")
-
-let rate_term =
-  Arg.(
-    value
-    & opt float Profile.default_params.rate
-    & info [ "rate" ] ~docv:"R"
-        ~doc:"load: aggregate arrival rate, jobs per simulated second.")
-
-let seed_term =
-  Arg.(
-    value
-    & opt int Profile.default_params.seed
-    & info [ "seed" ] ~docv:"S" ~doc:"load: arrival-trace random seed.")
-
 let load_from_term =
   Arg.(
     value & opt int 0
@@ -408,12 +381,11 @@ let cmd =
   Cmd.v
     (Cmd.info "rats_client" ~doc:"Client for the ratsd scheduling service")
     Term.(
-      const run $ socket_term $ op_term $ tenant_term $ at_term $ procs_term
-      $ follow_term $ drain_client_term $ json_term $ dag_term
+      const run $ Common.socket_term $ op_term $ tenant_term $ at_term
+      $ procs_term $ follow_term $ drain_client_term $ json_term $ dag_term
       $ Common.config_term $ algo_term $ Common.mindelta_term
       $ Common.maxdelta_term $ Common.minrho_term $ Common.packing_term
       $ retries_term $ timeout_term $ stall_term $ Common.cluster_term
-      $ load_jobs_term $ tenants_term $ rate_term $ seed_term $ load_from_term
-      $ load_to_term)
+      $ Common.load_params_term $ load_from_term $ load_to_term)
 
 let () = exit (Cmd.eval cmd)

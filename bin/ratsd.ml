@@ -244,7 +244,7 @@ let selftest config params =
 
 let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
     retry_after deadline client_buffer backlog_limit jobs journal_name
-    journal_dir resume load_jobs tenants rate seed obs =
+    journal_dir resume load_params obs =
   Common.start_obs obs;
   let fault = Fault.of_env () in
   let policy =
@@ -264,7 +264,7 @@ let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
   | Some f -> Printf.eprintf "ratsd: fault injection armed: %s\n%!" (Fault.spec f)
   | None -> ());
   if selftest_flag then
-    selftest config { Profile.jobs = load_jobs; tenants; rate; seed }
+    selftest config load_params
   else begin
     match claim_socket_path socket with
     | Error msg ->
@@ -286,14 +286,6 @@ let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
           ~finally:(fun () -> Journal.close journal)
           (fun () -> serve session ~client_buffer socket)
   end
-
-let socket_term =
-  Arg.(
-    value
-    & opt string "/tmp/ratsd.sock"
-    & info [ "socket" ] ~docv:"PATH"
-        ~env:(Cmd.Env.info "RATS_SOCKET")
-        ~doc:"Unix-domain socket to listen on.")
 
 let selftest_term =
   Arg.(
@@ -363,42 +355,16 @@ let resume_term =
           "Reload the journaled submissions of a previous run before \
            serving; a subsequent drain replays them bit-exactly.")
 
-let load_jobs_term =
-  Arg.(
-    value
-    & opt int Profile.default_params.jobs
-    & info [ "load-jobs" ] ~docv:"N" ~doc:"Selftest: total jobs to submit.")
-
-let tenants_term =
-  Arg.(
-    value
-    & opt int Profile.default_params.tenants
-    & info [ "tenants" ] ~docv:"N" ~doc:"Selftest: number of tenants.")
-
-let rate_term =
-  Arg.(
-    value
-    & opt float Profile.default_params.rate
-    & info [ "rate" ] ~docv:"R"
-        ~doc:"Selftest: aggregate arrival rate, jobs per simulated second.")
-
-let seed_term =
-  Arg.(
-    value
-    & opt int Profile.default_params.seed
-    & info [ "seed" ] ~docv:"S" ~doc:"Selftest: arrival-trace random seed.")
-
 let cmd =
   Cmd.v
     (Cmd.info "ratsd"
        ~doc:"Online RATS scheduling service over a Unix-domain socket")
     Term.(
-      const run $ Common.cluster_term $ socket_term $ selftest_term
+      const run $ Common.cluster_term $ Common.socket_term $ selftest_term
       $ Common.queue_limit_term $ Common.tenant_limit_term
       $ shed_watermark_term $ retry_after_term $ Common.deadline_term
       $ client_buffer_term $ backlog_limit_term $ Common.engine_jobs_term
       $ journal_term $ journal_dir_term
-      $ resume_term $ load_jobs_term $ tenants_term $ rate_term $ seed_term
-      $ Common.obs_term)
+      $ resume_term $ Common.load_params_term $ Common.obs_term)
 
 let () = exit (Cmd.eval cmd)

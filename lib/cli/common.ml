@@ -142,6 +142,40 @@ let engine_jobs_term =
               "Schedule-computation pool workers; 0 = pool default. Never \
                affects results."))
 
+(* The daemon's socket and the Poisson load trace that ratsd --selftest
+   plays and rats_client --op load submits. *)
+let socket_term =
+  Arg.(
+    value
+    & opt string "/tmp/ratsd.sock"
+    & info [ "socket" ] ~docv:"PATH"
+        ~env:(Cmd.Env.info "RATS_SOCKET")
+        ~doc:"Unix-domain socket ratsd listens on.")
+
+let load_params_term =
+  let module Profile = Rats_workload.Profile in
+  let d = Profile.default_params in
+  Term.(
+    const (fun jobs tenants rate seed -> { Profile.jobs; tenants; rate; seed })
+    $ Arg.(
+        value & opt int d.jobs
+        & info [ "load-jobs" ] ~docv:"N"
+            ~doc:"Load trace (selftest, load): total jobs.")
+    $ Arg.(
+        value & opt int d.tenants
+        & info [ "tenants" ] ~docv:"N"
+            ~doc:"Load trace (selftest, load): number of tenants.")
+    $ Arg.(
+        value & opt float d.rate
+        & info [ "rate" ] ~docv:"R"
+            ~doc:
+              "Load trace (selftest, load): aggregate arrival rate, jobs \
+               per simulated second.")
+    $ Arg.(
+        value & opt int d.seed
+        & info [ "seed" ] ~docv:"S"
+            ~doc:"Load trace (selftest, load): arrival-trace random seed."))
+
 type obs = { trace : string option; metrics : string option }
 
 let obs_term =

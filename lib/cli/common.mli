@@ -35,6 +35,17 @@ val engine_jobs_term : int option Term.t
 (** [--jobs N]: the engine's schedule-computation pool size; the default
     0 is [None], the pool default. *)
 
+(** {2 The ratsd socket and load trace ([ratsd], [rats_client])} *)
+
+val socket_term : string Term.t
+(** [--socket PATH] (or [RATS_SOCKET]): the Unix-domain socket ratsd
+    listens on; default [/tmp/ratsd.sock]. *)
+
+val load_params_term : Rats_workload.Profile.params Term.t
+(** [--load-jobs], [--tenants], [--rate] and [--seed]: the Poisson load
+    trace [ratsd --selftest] plays and [rats_client --op load] submits,
+    defaulting to {!Rats_workload.Profile.default_params}. *)
+
 (** {2 Tracing and metrics export} *)
 
 type obs = { trace : string option; metrics : string option }

@@ -149,13 +149,7 @@ let purity_study ?(exec = Exec.make ()) cluster configs =
     (fun () -> purity_rows ~exec cluster configs)
 
 (* A small, shape-diverse subset keeps the studies affordable. *)
-let study_configs scale =
-  let all = Suite.all scale in
-  let firsts = List.filter (fun c -> c.Suite.sample = 0) all in
-  let n = List.length firsts in
-  let cap = 20 in
-  if n <= cap then firsts
-  else List.filteri (fun i _ -> i * cap / n <> (i - 1) * cap / n) firsts
+let study_configs scale = Runner.first_samples ~cap:20 (Suite.all scale)
 
 let print_all ?exec ppf scale =
   let configs = study_configs scale in

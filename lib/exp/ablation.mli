@@ -57,8 +57,8 @@ val purity_study :
 
 val study_configs :
   Rats_daggen.Suite.scale -> Rats_daggen.Suite.config list
-(** The thinned, shape-diverse configuration subset (≤ 20) the combined
-    studies run on. *)
+(** The shape-diverse subset the combined studies run on: the suite's
+    first samples thinned by {!Runner.first_samples} to at most 20. *)
 
 val print_all :
   ?exec:Rats_runtime.Exec.t ->

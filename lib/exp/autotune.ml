@@ -43,36 +43,19 @@ let argmin_by f = function
         rest;
       !best
 
-let probe_delta problem =
-  let alloc = Core.Hcpa.allocate problem in
-  let candidates =
-    List.concat_map
-      (fun mindelta ->
-        List.map
-          (fun maxdelta -> { Core.Rats.mindelta; maxdelta })
-          Tuning.maxdelta_values)
-      Tuning.mindelta_values
-  in
+let probe_delta ~alloc problem =
   argmin_by
     (fun p -> estimated_makespan ~alloc problem (Core.Rats.Delta p))
-    candidates
+    Tuning.delta_grid
 
-let probe_timecost problem =
-  let alloc = Core.Hcpa.allocate problem in
-  let candidates =
-    List.concat_map
-      (fun packing ->
-        List.map (fun minrho -> { Core.Rats.minrho; packing }) Tuning.minrho_values)
-      [ false; true ]
-  in
+let probe_timecost ~alloc problem =
   argmin_by
     (fun p -> estimated_makespan ~alloc problem (Core.Rats.Timecost p))
-    candidates
+    Tuning.timecost_grid
 
-let probe problem =
-  let alloc = Core.Hcpa.allocate problem in
-  let d = Core.Rats.Delta (probe_delta problem) in
-  let t = Core.Rats.Timecost (probe_timecost problem) in
+let probe ~alloc problem =
+  let d = Core.Rats.Delta (probe_delta ~alloc problem) in
+  let t = Core.Rats.Timecost (probe_timecost ~alloc problem) in
   if estimated_makespan ~alloc problem d < estimated_makespan ~alloc problem t
   then d
   else t
@@ -102,43 +85,22 @@ let compute_selector_study ~exec cluster configs =
     [
       ("naive delta", fun _ -> Core.Rats.Delta Core.Rats.naive_delta);
       ("naive time-cost", fun _ -> Core.Rats.Timecost Core.Rats.naive_timecost);
-      ("probe", probe);
-      ("rules delta", fun p -> Core.Rats.Delta (rules_delta (features p)));
+      ("probe", fun (p : Runner.prepared) -> probe ~alloc:p.alloc p.problem);
+      ( "rules delta",
+        fun (p : Runner.prepared) ->
+          Core.Rats.Delta (rules_delta (features p.problem)) );
       ( "rules time-cost",
-        fun p -> Core.Rats.Timecost (rules_timecost (features p)) );
+        fun (p : Runner.prepared) ->
+          Core.Rats.Timecost (rules_timecost (features p.problem)) );
     ]
   in
-  (* A configuration whose baseline fails drops out of every selector's
+  (* A configuration whose preparation fails drops out of every selector's
      average (counted in [exec.stats]); the per-selector replays below are
      cheap and stay on the plain pool. *)
-  let prepared =
-    Exec.map exec
-      ~name:(fun c ->
-        "autotune.prepare/" ^ cluster.Rats_platform.Cluster.name ^ "/"
-        ^ Rats_daggen.Suite.name c)
-      ~f:(fun config ->
-        let dag = Rats_daggen.Suite.generate config in
-        let problem = Core.Problem.make ~dag ~cluster in
-        let alloc = Core.Hcpa.allocate problem in
-        let hcpa =
-          Core.Algorithms.makespan (Core.Algorithms.run ~alloc problem Core.Rats.Baseline)
-        in
-        (problem, alloc, hcpa))
-      configs
-    |> Exec.oks
-  in
+  let prepared = Tuning.prepare ~exec cluster configs in
   List.map
     (fun (name, select) ->
-      let ratios =
-        Rats_runtime.Pool.map ~jobs:exec.Exec.jobs
-          (fun (problem, alloc, hcpa) ->
-            let strategy = select problem in
-            Core.Algorithms.makespan (Core.Algorithms.run ~alloc problem strategy)
-            /. hcpa)
-          prepared
-        |> Array.of_list
-      in
-      (name, Rats_util.Stats.mean ratios))
+      (name, Tuning.average_relative ~jobs:exec.Exec.jobs prepared select))
     selectors
 
 (* The whole study is one cache entry: the rows depend only on the cluster,

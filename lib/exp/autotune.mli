@@ -29,13 +29,17 @@ type features = {
 
 val features : Rats_core.Problem.t -> features
 
-val probe_delta : Rats_core.Problem.t -> Rats_core.Rats.delta_params
-(** Grid arg-min of the {e estimated} makespan (shares the HCPA allocation
-    across probes). *)
+val probe_delta :
+  alloc:int array -> Rats_core.Problem.t -> Rats_core.Rats.delta_params
+(** Arg-min over {!Tuning.delta_grid} of the {e estimated} makespan of
+    mapping [alloc] (the problem's HCPA allocation, e.g.
+    {!Runner.prepared.alloc}). *)
 
-val probe_timecost : Rats_core.Problem.t -> Rats_core.Rats.timecost_params
+val probe_timecost :
+  alloc:int array -> Rats_core.Problem.t -> Rats_core.Rats.timecost_params
+(** The same over {!Tuning.timecost_grid}. *)
 
-val probe : Rats_core.Problem.t -> Rats_core.Rats.strategy
+val probe : alloc:int array -> Rats_core.Problem.t -> Rats_core.Rats.strategy
 (** The better of the two probed strategies, by estimated makespan. *)
 
 val rules_delta : features -> Rats_core.Rats.delta_params
@@ -47,8 +51,10 @@ val selector_study :
   (string * float) list
 (** Mean {e simulated} makespan relative to HCPA for each selector — naive
     delta, naive time-cost, probe, rules-delta, rules-time-cost — over the
-    given configurations. The evaluation of the automatic tuners. With a
-    cache the whole study is one {!Rats_runtime.Exec.cached} entry of
-    {!Payload} rows, keyed by cluster signature, probe grids
-    ({!Tuning.grid_signature}) and configuration set; it is only stored
-    when no configuration was lost to an injected or real fault. *)
+    given configurations, each prepared once by {!Tuning.prepare}: one HCPA
+    allocation per configuration serves every selector and probe. The
+    evaluation of the automatic tuners. With a cache the whole study is one
+    {!Rats_runtime.Exec.cached} entry of {!Payload} rows, keyed by cluster
+    signature, probe grids ({!Tuning.grid_signature}) and configuration
+    set; it is only stored when no configuration was lost to an injected
+    or real fault. *)

@@ -40,17 +40,15 @@ let decode_cell payload =
 
 let measure_cell cluster config flop_factor =
   let dag = scale_flop (Suite.generate config) flop_factor in
-  let problem = Core.Problem.make ~dag ~cluster in
-  let alloc = Core.Hcpa.allocate problem in
-  let m strategy =
-    (Core.Algorithms.run ~alloc problem strategy).Core.Algorithms.simulated
-      .Core.Evaluate.makespan
+  let p = Runner.prepare cluster dag in
+  let relative strategy =
+    (Runner.measure p strategy).Runner.makespan
+    /. p.Runner.baseline.Runner.makespan
   in
-  let hcpa = m Core.Rats.Baseline in
-  let ccr = (Autotune.features problem).Autotune.ccr in
+  let ccr = (Autotune.features p.Runner.problem).Autotune.ccr in
   ( ccr,
-    m (Core.Rats.Delta Core.Rats.naive_delta) /. hcpa,
-    m (Core.Rats.Timecost Core.Rats.naive_timecost) /. hcpa )
+    relative (Core.Rats.Delta Core.Rats.naive_delta),
+    relative (Core.Rats.Timecost Core.Rats.naive_timecost) )
 
 (* Each (configuration, factor) cell goes through the full stack — cache,
    journal, fault points, retries — so an interrupted sweep resumes at cell

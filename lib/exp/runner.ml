@@ -24,12 +24,34 @@ type failure = {
 
 type sweep = { results : result list; failed : failure list; total : int }
 
-let strategy_measurement ?alloc problem strategy =
-  let outcome = Core.Algorithms.run ?alloc problem strategy in
+type prepared = {
+  problem : Core.Problem.t;
+  alloc : int array;
+  baseline : measurement;
+}
+
+let simulate ~alloc problem strategy =
+  let outcome = Core.Algorithms.run ~alloc problem strategy in
   {
     makespan = Core.Algorithms.makespan outcome;
     work = Core.Algorithms.work outcome;
   }
+
+(* The paper's shared first step: every strategy maps the same HCPA
+   allocation and is measured against the HCPA schedule. *)
+let prepare cluster dag =
+  let problem = Core.Problem.make ~dag ~cluster in
+  let alloc = Core.Hcpa.allocate problem in
+  { problem; alloc; baseline = simulate ~alloc problem Core.Rats.Baseline }
+
+let measure p strategy = simulate ~alloc:p.alloc p.problem strategy
+
+(* Even thinning keeps the whole shape spectrum represented. *)
+let first_samples ~cap configs =
+  let firsts = List.filter (fun c -> c.Suite.sample = 0) configs in
+  let n = List.length firsts in
+  if n <= cap then firsts
+  else List.filteri (fun i _ -> i * cap / n <> (i - 1) * cap / n) firsts
 
 (* --- result cache ------------------------------------------------------- *)
 
@@ -71,18 +93,13 @@ let decode_result ~config ~cluster payload =
 (* --- execution ---------------------------------------------------------- *)
 
 let compute_config ~delta ~timecost cluster config =
-  (* Same pipeline as the online service (Server.Api): DAG generation,
-     problem construction, HCPA allocation — bit-identical to the historic
-     inline sequence. *)
-  let problem, alloc =
-    Rats_server.Api.prepare ~cluster (Rats_server.Api.Generated config)
-  in
+  let p = prepare cluster (Suite.generate config) in
   {
     config;
     cluster = cluster.Cluster.name;
-    hcpa = strategy_measurement ~alloc problem Core.Rats.Baseline;
-    delta = strategy_measurement ~alloc problem (Core.Rats.Delta delta);
-    timecost = strategy_measurement ~alloc problem (Core.Rats.Timecost timecost);
+    hcpa = p.baseline;
+    delta = measure p (Core.Rats.Delta delta);
+    timecost = measure p (Core.Rats.Timecost timecost);
   }
 
 let task_name cluster config = cluster.Cluster.name ^ "/" ^ Suite.name config

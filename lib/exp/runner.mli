@@ -1,9 +1,10 @@
 (** Experiment execution (paper §IV).
 
     For each application configuration the three algorithms share the same
-    HCPA allocation (RATS reconsiders it during mapping); every schedule is
-    replayed in the simulation engine and measured by simulated makespan and
-    total work, the paper's two metrics.
+    HCPA allocation (RATS reconsiders it during mapping), built once by
+    {!prepare}; every schedule is replayed in the simulation engine and
+    measured by simulated makespan and total work, the paper's two
+    metrics.
 
     Suites execute through an {!Rats_runtime.Exec} context: deterministic
     pool ordering (parallel output is identical to serial), a
@@ -86,10 +87,28 @@ val pp_failures : Format.formatter -> sweep -> unit
 (** Prints one line per failed configuration (name + structured error);
     prints nothing when the sweep fully succeeded. *)
 
-val strategy_measurement :
-  ?alloc:int array ->
-  Rats_core.Problem.t ->
-  Rats_core.Rats.strategy ->
-  measurement
-(** One algorithm on one prepared problem — the primitive {!Tuning} sweeps
-    use to avoid re-running the baseline for every parameter value. *)
+(** {2 The shared first step} *)
+
+type prepared = {
+  problem : Rats_core.Problem.t;
+  alloc : int array;  (** The HCPA allocation every strategy maps. *)
+  baseline : measurement;  (** The simulated HCPA schedule. *)
+}
+(** One application on one cluster, ready for any number of strategies. *)
+
+val prepare : Rats_platform.Cluster.t -> Rats_dag.Dag.t -> prepared
+(** Problem construction, HCPA allocation and the HCPA baseline
+    simulation: the first step of every comparison against HCPA.
+    {!run_config}, the {!Tuning} sweeps, {!Autotune.selector_study} and
+    the {!Ccr_sweep} cells all start here; the {!Ablation} studies, which
+    need no baseline, let {!Rats_core.Rats.schedule} allocate. *)
+
+val measure : prepared -> Rats_core.Rats.strategy -> measurement
+(** One strategy's mapping of the prepared allocation, simulated. *)
+
+val first_samples :
+  cap:int -> Rats_daggen.Suite.config list -> Rats_daggen.Suite.config list
+(** The first-sample configurations ([sample = 0]), evenly thinned to at
+    most [cap] so every shape stays represented — the subsets the tuning
+    sweeps ({!Tuning.tuning_configs}) and the extension studies
+    ({!Ablation.study_configs}) run on. *)

@@ -2,17 +2,24 @@ module Suite = Rats_daggen.Suite
 module Cluster = Rats_platform.Cluster
 module Core = Rats_core
 module Stats = Rats_util.Stats
+module Pool = Rats_runtime.Pool
 module Exec = Rats_runtime.Exec
 
 let mindelta_values = [ 0.; -0.25; -0.5; -0.75 ]
 let maxdelta_values = [ 0.; 0.25; 0.5; 0.75; 1. ]
 let minrho_values = [ 0.2; 0.4; 0.5; 0.6; 0.8; 1. ]
 
-type prepared = {
-  problem : Core.Problem.t;
-  alloc : int array;
-  hcpa_makespan : float;
-}
+let delta_grid =
+  List.concat_map
+    (fun mindelta ->
+      List.map (fun maxdelta -> { Core.Rats.mindelta; maxdelta }) maxdelta_values)
+    mindelta_values
+
+let timecost_grid =
+  List.concat_map
+    (fun packing ->
+      List.map (fun minrho -> { Core.Rats.minrho; packing }) minrho_values)
+    [ false; true ]
 
 (* A failed unit drops out of the average (counted and reported through
    [exec.stats], never silently): sweeps degrade gracefully instead of
@@ -21,38 +28,25 @@ let prepare ?(exec = Exec.make ()) cluster configs =
   Exec.map exec
     ~name:(fun c ->
       "tuning.prepare/" ^ cluster.Cluster.name ^ "/" ^ Suite.name c)
-    ~f:(fun config ->
-      let dag = Suite.generate config in
-      let problem = Core.Problem.make ~dag ~cluster in
-      let alloc = Core.Hcpa.allocate problem in
-      let hcpa =
-        Runner.strategy_measurement ~alloc problem Core.Rats.Baseline
-      in
-      { problem; alloc; hcpa_makespan = hcpa.Runner.makespan })
+    ~f:(fun config -> Runner.prepare cluster (Suite.generate config))
     configs
   |> Exec.oks
 
-let configs_of_kind scale kind =
-  List.filter (fun c -> Suite.kind c = kind) (Suite.all scale)
-
 let tuning_configs scale kind =
-  let firsts =
-    List.filter (fun c -> c.Suite.sample = 0) (configs_of_kind scale kind)
-  in
-  let n = List.length firsts in
-  let cap = 24 in
-  if n <= cap then firsts
-  else
-    (* Even thinning keeps the whole shape spectrum represented. *)
-    List.filteri (fun i _ -> i * cap / n <> (i - 1) * cap / n) firsts
+  Runner.first_samples ~cap:24
+    (List.filter (fun c -> Suite.kind c = kind) (Suite.all scale))
 
-let average_relative prepared strategy =
+(* The sweeps call this serially inside their grid-point tasks; the
+   selector study spreads it over the pool. *)
+let average_relative ?jobs prepared select =
+  let ratio (p : Runner.prepared) =
+    (Runner.measure p (select p)).Runner.makespan
+    /. p.Runner.baseline.Runner.makespan
+  in
   let ratios =
-    List.map
-      (fun p ->
-        let m = Runner.strategy_measurement ~alloc:p.alloc p.problem strategy in
-        m.Runner.makespan /. p.hcpa_makespan)
-      prepared
+    match jobs with
+    | None -> List.map ratio prepared
+    | Some jobs -> Pool.map ~jobs ratio prepared
   in
   Stats.mean (Array.of_list ratios)
 
@@ -67,22 +61,17 @@ type delta_point = {
    failed point is dropped; the figure printers render missing grid points
    as "-". *)
 let sweep_delta ?(exec = Exec.make ()) prepared =
-  let grid =
-    List.concat_map
-      (fun mindelta -> List.map (fun maxdelta -> (mindelta, maxdelta)) maxdelta_values)
-      mindelta_values
-  in
   Exec.map exec
-    ~name:(fun (mindelta, maxdelta) ->
-      Printf.sprintf "tuning.sweep_delta/min=%g,max=%g" mindelta maxdelta)
-    ~f:(fun (mindelta, maxdelta) ->
-      let strategy = Core.Rats.Delta { mindelta; maxdelta } in
+    ~name:(fun (d : Core.Rats.delta_params) ->
+      Printf.sprintf "tuning.sweep_delta/min=%g,max=%g" d.mindelta d.maxdelta)
+    ~f:(fun (d : Core.Rats.delta_params) ->
       {
-        mindelta;
-        maxdelta;
-        avg_relative_makespan = average_relative prepared strategy;
+        mindelta = d.mindelta;
+        maxdelta = d.maxdelta;
+        avg_relative_makespan =
+          average_relative prepared (fun _ -> Core.Rats.Delta d);
       })
-    grid
+    delta_grid
   |> Exec.oks
 
 type timecost_point = {
@@ -92,22 +81,18 @@ type timecost_point = {
 }
 
 let sweep_timecost ?(exec = Exec.make ()) prepared =
-  let grid =
-    List.concat_map
-      (fun packing -> List.map (fun minrho -> (packing, minrho)) minrho_values)
-      [ false; true ]
-  in
   Exec.map exec
-    ~name:(fun (packing, minrho) ->
-      Printf.sprintf "tuning.sweep_timecost/packing=%b,rho=%g" packing minrho)
-    ~f:(fun (packing, minrho) ->
-      let strategy = Core.Rats.Timecost { minrho; packing } in
+    ~name:(fun (t : Core.Rats.timecost_params) ->
+      Printf.sprintf "tuning.sweep_timecost/packing=%b,rho=%g" t.packing
+        t.minrho)
+    ~f:(fun (t : Core.Rats.timecost_params) ->
       {
-        packing;
-        minrho;
-        avg_relative_makespan = average_relative prepared strategy;
+        packing = t.packing;
+        minrho = t.minrho;
+        avg_relative_makespan =
+          average_relative prepared (fun _ -> Core.Rats.Timecost t);
       })
-    grid
+    timecost_grid
   |> Exec.oks
 
 let grid_signature =
@@ -117,7 +102,9 @@ let grid_signature =
 
 (* Cached whole-sweep variants: the full point list of a (cluster,
    configuration set) sweep is one cache entry, so a warm Figure 4/5
-   regeneration skips prepare and every grid replay. *)
+   regeneration skips prepare and every grid replay. Each entry prepares
+   inside its own computation, so a preparation that lost a configuration
+   also keeps that entry out of the cache. *)
 
 let sweep_delta_for ?(exec = Exec.make ()) cluster configs =
   Exec.cached exec
@@ -179,36 +166,20 @@ let best delta_points timecost_points =
       }
   | _ -> invalid_arg "Tuning.best: empty sweep"
 
-let kinds : Suite.app_kind list = [ `Fft; `Strassen; `Layered; `Irregular ]
+(* A Table IV cell is the arg-min of the two cached sweeps, so the grillon
+   FFT and irregular cells replay Figures 4 and 5. *)
+let tune_cell ?exec cluster configs =
+  let delta_points = sweep_delta_for ?exec cluster configs in
+  best delta_points (sweep_timecost_for ?exec cluster configs)
 
-(* One cache entry per (cluster, kind) cell of Table IV; a hit skips the
-   whole prepare + sweep pipeline for that cell. The key covers everything
-   the tuned values depend on: cluster, configuration set, and both grids. *)
-let tune_cell ?(exec = Exec.make ()) cluster kind configs =
-  Exec.cached exec
-    ~key:
-      (Payload.key "tuning.table4"
-         ~extra:(Suite.kind_name kind :: grid_signature)
-         cluster configs)
-    ~encode:(fun t ->
-      Payload.floats
-        [ t.delta.Core.Rats.mindelta; t.delta.Core.Rats.maxdelta; t.minrho ])
-    ~decode:(fun payload ->
-      match Payload.to_floats payload with
-      | Some [ mindelta; maxdelta; minrho ] ->
-          Some { delta = { Core.Rats.mindelta; maxdelta }; minrho }
-      | _ -> None)
-    (fun () ->
-      let prepared = prepare ~exec cluster configs in
-      best (sweep_delta ~exec prepared) (sweep_timecost ~exec prepared))
+let kinds : Suite.app_kind list = [ `Fft; `Strassen; `Layered; `Irregular ]
 
 let table4 ?exec scale =
   List.map
     (fun cluster ->
       let per_kind =
         List.map
-          (fun kind ->
-            (kind, tune_cell ?exec cluster kind (tuning_configs scale kind)))
+          (fun kind -> (kind, tune_cell ?exec cluster (tuning_configs scale kind)))
           kinds
       in
       (cluster.Cluster.name, per_kind))

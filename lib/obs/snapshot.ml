@@ -67,5 +67,4 @@ let of_file path =
       Result.map_error (fun msg -> path ^ ": " ^ msg) (of_json json))
 
 let counter t name = List.assoc_opt name t.counters
-let gauge t name = List.assoc_opt name t.gauges
 let histogram t name = List.assoc_opt name t.histograms

@@ -36,5 +36,4 @@ val of_file : string -> (t, string) result
     error names the file. *)
 
 val counter : t -> string -> int option
-val gauge : t -> string -> float option
 val histogram : t -> string -> hist option

@@ -2,7 +2,7 @@
 
     This module is the service's vocabulary, extracted from the batch
     pipeline so the daemon, the client, the online engine and the
-    experiment runner all speak the same types: a {!request} names a DAG
+    workload studies all speak the same types: a {!request} names a DAG
     (either a deterministic generator configuration of the paper's suite or
     an inline task/edge listing), a platform share, a scheduling strategy
     and a tenant; a {!response} is the resulting placement; {!event}s are
@@ -63,8 +63,11 @@ val subcluster : Cluster.t -> int -> Cluster.t
     shared simulation still routes flows through the real topology. *)
 
 val prepare : cluster:Cluster.t -> job_spec -> Rats_core.Problem.t * int array
-(** DAG generation, problem construction and HCPA allocation — the shared
-    first step of every strategy (also used by {!Rats_exp.Runner}). *)
+(** DAG generation, problem construction and HCPA allocation — the
+    service's first step for every strategy, used by {!plan} and by the
+    workload study's packing baseline. The batch experiments prepare
+    through {!Rats_exp.Runner.prepare}, the same sequence without the
+    job-spec layer. *)
 
 type placement = {
   task : int;

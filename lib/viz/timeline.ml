@@ -102,5 +102,3 @@ let render ?(title = "trace timeline") events =
       (Printf.sprintf "%.2fms" (ts /. 1e3))
   done;
   svg
-
-let save ?title events ~path = Svg.save (render ?title events) path

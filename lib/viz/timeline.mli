@@ -10,5 +10,3 @@ val render : ?title:string -> Rats_obs.Trace.event list -> Svg.t
 (** Lanes appear in increasing [tid] order; events are colored by
     category. An empty event list still renders a (captioned) empty
     chart. *)
-
-val save : ?title:string -> Rats_obs.Trace.event list -> path:string -> unit

@@ -73,10 +73,12 @@ let test_run_config_custom_params () =
 
 let test_strategy_measurement () =
   let config = List.hd small_configs in
-  let dag = Suite.generate config in
-  let problem = Rats_core.Problem.make ~dag ~cluster:Cluster.chti in
-  let m = Runner.strategy_measurement problem Rats.Baseline in
-  Alcotest.(check bool) "positive" true (m.Runner.makespan > 0. && m.Runner.work > 0.)
+  let p = Runner.prepare Cluster.chti (Suite.generate config) in
+  let m = Runner.measure p Rats.Baseline in
+  Alcotest.(check bool) "positive" true (m.Runner.makespan > 0. && m.Runner.work > 0.);
+  (* Mapping is deterministic: measuring HCPA again reproduces the
+     prepared baseline bit for bit. *)
+  check Alcotest.bool "baseline reproduced" true (m = p.Runner.baseline)
 
 (* --- Metrics ----------------------------------------------------------------- *)
 
@@ -376,12 +378,13 @@ let test_autotune_features () =
 
 let test_autotune_probe_in_grid () =
   let p = autotune_problem () in
-  let d = Autotune.probe_delta p in
+  let alloc = Rats_core.Hcpa.allocate p in
+  let d = Autotune.probe_delta ~alloc p in
   Alcotest.(check bool) "mindelta from grid" true
     (List.mem d.Rats.mindelta Tuning.mindelta_values);
   Alcotest.(check bool) "maxdelta from grid" true
     (List.mem d.Rats.maxdelta Tuning.maxdelta_values);
-  let t = Autotune.probe_timecost p in
+  let t = Autotune.probe_timecost ~alloc p in
   Alcotest.(check bool) "minrho from grid" true
     (List.mem t.Rats.minrho Tuning.minrho_values)
 
@@ -393,7 +396,7 @@ let test_autotune_probe_not_worse_by_estimate () =
   let est strategy =
     Rats_core.Schedule.makespan_estimated (Rats_core.Rats.schedule ~alloc p strategy)
   in
-  let probed = Autotune.probe_delta p in
+  let probed = Autotune.probe_delta ~alloc p in
   Alcotest.(check bool) "probe beats naive delta (estimated)" true
     (est (Rats.Delta probed) <= est (Rats.Delta Rats.naive_delta) +. 1e-9)
 
@@ -448,6 +451,7 @@ let whole_studies : (string * (Exec.t -> string)) list =
     ("purity_study", fun exec -> bits (Ablation.purity_study ~exec chti configs));
     ("window_study", fun exec -> bits (Ablation.window_study ~exec configs));
     ("selector_study", fun exec -> bits (Autotune.selector_study ~exec chti configs));
+    ("tune_cell", fun exec -> bits (Tuning.tune_cell ~exec chti configs));
   ]
 
 let test_whole_study_cache study () =
@@ -480,6 +484,33 @@ let test_whole_study_cache study () =
         (study (exec ~cache:clean ()) = reference);
       check Alcotest.bool "clean rerun recomputes" true (Cache.misses clean > 0))
 
+(* A Table IV cell owns no cache entry: it is the arg-min of the Figure 4/5
+   sweep entries, so it replays them when they are already stored. *)
+let test_tune_cell_replays_sweeps () =
+  let chti = Cluster.chti and configs = ablation_configs in
+  with_cache_dir (fun dir ->
+      let exec cache = Exec.make ~jobs:1 ~cache () in
+      let cold = exec (Cache.create ~dir ()) in
+      let delta = Tuning.sweep_delta_for ~exec:cold chti configs in
+      let timecost = Tuning.sweep_timecost_for ~exec:cold chti configs in
+      let warm = Cache.create ~dir () in
+      let cell = Tuning.tune_cell ~exec:(exec warm) chti configs in
+      check Alcotest.int "no misses" 0 (Cache.misses warm);
+      check Alcotest.int "both sweeps hit" 2 (Cache.hits warm);
+      check Alcotest.bool "the arg-min of the stored sweeps" true
+        (bits cell = bits (Tuning.best delta timecost)))
+
+(* The study prepares each configuration once: one HCPA allocation shared
+   by the baseline, every selector and every probe. *)
+let test_selector_study_allocates_once () =
+  let counter = Rats_obs.Instr.alloc_runs in
+  let before = Rats_obs.Metrics.counter_value counter in
+  ignore
+    (Autotune.selector_study ~exec:(Exec.make ~jobs:1 ()) Cluster.chti
+       ablation_configs);
+  check Alcotest.int "one allocation per configuration"
+    (List.length ablation_configs)
+    (Rats_obs.Metrics.counter_value counter - before)
 
 (* --- CCR sweep ----------------------------------------------------------------- *)
 
@@ -558,12 +589,18 @@ let () =
             test_autotune_probe_not_worse_by_estimate;
           Alcotest.test_case "rules domains" `Quick test_autotune_rules_domains;
           Alcotest.test_case "selector study" `Slow test_autotune_selector_study;
+          Alcotest.test_case "selector study allocates once" `Slow
+            test_selector_study_allocates_once;
         ] );
       ( "whole-study cache",
         List.map
           (fun (name, study) ->
             Alcotest.test_case name `Slow (test_whole_study_cache study))
-          whole_studies );
+          whole_studies
+        @ [
+            Alcotest.test_case "tune_cell replays the sweeps" `Slow
+              test_tune_cell_replays_sweeps;
+          ] );
       ( "ccr",
         [ Alcotest.test_case "sweep" `Slow test_ccr_sweep ] );
     ]

@@ -22,12 +22,15 @@
 #   4. overload + deadlines: a burst (rate 50) against queue-limit 4 with a
 #      0.5 shed watermark and a 1 s queue-wait deadline — the log must show
 #      overloaded rejections carrying retry_after hints and expired events;
-#   5. hostile inputs and faults: a plan whose placement reply outgrows the
-#      16 MiB frame limit must be a one-line error from the daemon, which
-#      keeps answering pings, and a request past the limit a one-line error
-#      from the client; then corrupt@server.read + crash@server.client at
-#      p=0.3 — individual connections die (clients see clean failures, not
-#      hangs), the daemon itself must survive and still answer health;
+#   5. hostile inputs and faults: with no daemon running, a missing --dag
+#      file and a request past the 16 MiB frame limit must each be a
+#      one-line client error (the client frames before it connects); a plan
+#      whose placement reply outgrows the limit must be a one-line error
+#      from the daemon, which keeps answering pings, and a request past the
+#      limit a one-line error from the client; then corrupt@server.read +
+#      crash@server.client at p=0.3 — individual connections die (clients
+#      see clean failures, not hangs), the daemon itself must survive and
+#      still answer health;
 #   6. load driver: ratsd --selftest (120 jobs from 4 tenants under both
 #      RATS and HCPA) must pass its determinism check and report throughput;
 #      a bad load parameter (--rate nan) must be a one-line usage error.
@@ -221,9 +224,30 @@ chain_dag() {
     } > "$2"
 }
 
+# The client reads, parses and frames a request before it connects, so
+# with no daemon listening a missing --dag file and a request past the
+# frame limit still fail with their own one-line errors, not a connection
+# error.
+rm -f "$S"
+chain_dag $((17 * 1024 * 1024)) "$WORK/bigger.json"
+RC=0
+"$CLIENT" --socket "$S" --op plan --dag "$WORK/missing.json" \
+    > /dev/null 2> "$WORK/missing.err" || RC=$?
+[ "$RC" -eq 1 ] || fail "missing --dag file: client exit $RC, not 1"
+[ "$(wc -l < "$WORK/missing.err")" -eq 1 ] \
+    && grep -q '^rats_client: .*missing\.json' "$WORK/missing.err" \
+    || fail "a missing --dag file was not a one-line client error naming it"
+RC=0
+"$CLIENT" --socket "$S" --op plan --dag "$WORK/bigger.json" \
+    > /dev/null 2> "$WORK/offline.err" || RC=$?
+[ "$RC" -eq 1 ] || fail "oversized request, no daemon: client exit $RC, not 1"
+[ "$(wc -l < "$WORK/offline.err")" -eq 1 ] \
+    && grep -q '^rats_client: request too large' "$WORK/offline.err" \
+    || fail "an oversized request was not refused before connecting"
+echo "chaos-smoke: bad --dag files fail before the client connects"
+
 # The request fits in a frame (its name is 4000 bytes short of 16 MiB);
 # its placement reply, which repeats the name, does not.
-rm -f "$S"
 "$RATSD" --socket "$S" --journal-dir "$WORK/jbig" &
 DPID=$!
 wait_ready
@@ -237,7 +261,6 @@ RC=0
     || fail "an oversized reply was not a one-line ratsd: error"
 "$CLIENT" --socket "$S" --op ping --timeout 5 >/dev/null \
     || fail "daemon stopped answering after an oversized reply"
-chain_dag $((17 * 1024 * 1024)) "$WORK/bigger.json"
 RC=0
 "$CLIENT" --socket "$S" --op plan --dag "$WORK/bigger.json" --timeout 60 \
     > /dev/null 2> "$WORK/bigger.err" || RC=$?

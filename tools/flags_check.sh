@@ -5,10 +5,10 @@
 #   1. every (flag, binary) cell in the table must match reality: a flag
 #      marked ✓ must appear in that binary's --help, a flag marked — must
 #      not;
-#   2. every option of bench/main.exe, bin/ratsd.exe, bin/rats_client.exe,
-#      bin/workload.exe and bin/studio.exe must have a table row (these
-#      binaries are documented exhaustively, so a flag added to any of them
-#      without a table edit fails the check).
+#   2. every option of bench/main.exe, bin/rats_run.exe, bin/ratsd.exe,
+#      bin/rats_client.exe, bin/workload.exe and bin/studio.exe must have a
+#      table row (these binaries are documented exhaustively, so a flag
+#      added to any of them without a table edit fails the check).
 #      bench and studio are subcommand binaries: their "help" is the
 #      concatenation of the top-level help and every subcommand's; bench's
 #      subcommands are read from its top-level COMMANDS section.
@@ -99,6 +99,7 @@ check_documented() { # $1 = binary name, $2 = help text
     done
 }
 check_documented "bench/main.exe" "$bench_help"
+check_documented "bin/rats_run.exe" "$run_help"
 check_documented "bin/ratsd.exe" "$ratsd_help"
 check_documented "bin/rats_client.exe" "$client_help"
 check_documented "bin/workload.exe" "$workload_help"

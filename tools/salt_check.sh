@@ -6,9 +6,10 @@
 # old code and the "bit-identical reruns" guarantee silently inverts into
 # "bit-identical wrong reruns". That code is simulation and scheduling
 # (lib/sim, lib/core, lib/dag, lib/redist), the DAG generator and its RNG
-# (lib/daggen, lib/util), routing (lib/platform), the shared problem setup
-# (lib/server/api.ml: Api.prepare) and the studies' own arithmetic, which
-# is stored whole (lib/exp).
+# (lib/daggen, lib/util), routing (lib/platform) and the experiment layer
+# (lib/exp): its shared problem setup (Runner.prepare) and the studies' own
+# arithmetic, which is stored whole. No cached computation links
+# lib/server.
 #
 # Usage: salt_check.sh [--strict] [--base REF]
 #
@@ -57,7 +58,7 @@ if [ "$auto_base" -eq 1 ] \
     fi
 fi
 
-salted_paths='^lib/(sim|core|dag|redist|daggen|platform|util|exp)/|^lib/server/api\.ml$'
+salted_paths='^lib/(sim|core|dag|redist|daggen|platform|util|exp)/'
 
 touched=$(git diff --name-only "$base" -- | grep -E "$salted_paths" || true)
 if [ -z "$touched" ]; then
@@ -72,7 +73,7 @@ fi
 
 cat >&2 <<EOF
 salt-check: code feeding cached results (lib/{sim,core,dag,redist,
-daggen,platform,util,exp} or lib/server/api.ml) changed since $base
+daggen,platform,util,exp}) changed since $base
 without a Cache.version bump in lib/runtime/cache.ml:
 $(printf '%s\n' "$touched" | sed 's/^/  /')
 

@@ -255,6 +255,25 @@ let micro_tests () =
   in
   let sender = Rats_util.Procset.range 0 8 in
   let receiver = Rats_util.Procset.range 4 12 in
+  let layered =
+    Core.Problem.make ~cluster:Cluster.grelon
+      ~dag:
+        (Suite.generate
+           {
+             Suite.spec =
+               Suite.Layered
+                 {
+                   n_tasks = 200;
+                   shape =
+                     Rats_daggen.Shape.make ~width:0.5 ~density:0.8
+                       ~regularity:0.8 ();
+                 };
+             sample = 0;
+           })
+  in
+  (* Four processors in grelon's first cabinet to four in its second. *)
+  let cabinet0 = Rats_util.Procset.range 0 4 in
+  let cabinet1 = Rats_util.Procset.range 24 4 in
   Test.make_grouped ~name:"rats"
     [
       Test.make ~name:"maxmin-128flows"
@@ -269,8 +288,15 @@ let micro_tests () =
       Test.make ~name:"redist-plan"
         (Staged.stage (fun () ->
              ignore (Rats_redist.Redistribution.plan ~sender ~receiver ~bytes:1e9 ())));
+      Test.make ~name:"redist-estimate-4x4-grelon"
+        (Staged.stage (fun () ->
+             ignore
+               (Rats_redist.Redistribution.estimate_between Cluster.grelon
+                  ~sender:cabinet0 ~receiver:cabinet1 ~bytes:1e9)));
       Test.make ~name:"hcpa-alloc-fft8"
         (Staged.stage (fun () -> ignore (Core.Hcpa.allocate problem)));
+      Test.make ~name:"hcpa-alloc-layered200-grelon"
+        (Staged.stage (fun () -> ignore (Core.Hcpa.allocate layered)));
       Test.make ~name:"rats-timecost-map-fft8"
         (Staged.stage (fun () ->
              ignore
@@ -300,7 +326,7 @@ let run_micro () =
            | Some (t :: _) -> t
            | _ -> nan
          in
-         Format.fprintf ppf "  %-28s %12.1f ns/run@." name ns)
+         Format.fprintf ppf "  %-34s %12.1f ns/run@." name ns)
 
 let targets =
   [

@@ -7,9 +7,17 @@
     [W] are both lower bounds on the makespan, so [C∞ = W] is the sweet spot
     where trading task parallelism for data parallelism stops paying.
 
-    Critical paths are priced with Amdahl task times under the current
-    allocation plus the {!Problem.edge_cost_estimate} of each edge. Virtual
-    entry/exit tasks always keep one processor. *)
+    The loop's critical paths are computation-only: Amdahl task times under
+    the current allocation, no edge costs, because redistribution costs
+    are unknown before mapping (paper §I). Virtual entry/exit tasks always
+    keep one processor.
+
+    One refinement changes one task's time, so the loop keeps the times in
+    an array and recomputes only the bottom levels, in one pass over the
+    DAG's stored topological order. [W] is kept as a running [Σω] that
+    only decides when [C∞] clearly exceeds it; every other stop test uses
+    the exact left-to-right {!average_area}. Allocations and refinement
+    counts are exactly those of recomputing everything each refinement. *)
 
 val allocate : Problem.t -> int array
 (** [allocate p] returns the per-task processor counts. *)

@@ -31,7 +31,10 @@ val from_pred_set : t -> pred_procs:Rats_util.Procset.t -> int -> Rats_util.Proc
 val estimate : t -> int -> Rats_util.Procset.t -> float * float
 (** [(start, finish)] of a task on a candidate set: all predecessors must be
     mapped; start = max(availability of the set, data arrival from each
-    predecessor = pred finish + redistribution estimate). *)
+    predecessor = pred finish + redistribution estimate). Only {!commit}
+    changes what this reads, so until the next commit a repeated call for
+    the same task and the same (physically equal) set returns the first
+    result without pricing the redistributions again. *)
 
 val baseline_choice : t -> int -> Rats_util.Procset.t
 (** The decoupled mapping step of CPA/HCPA: the [alloc t]-many
@@ -42,7 +45,8 @@ val baseline_choice : t -> int -> Rats_util.Procset.t
 
 val commit : t -> int -> Rats_util.Procset.t -> Schedule.entry
 (** Maps the task on the set: records the entry, marks the processors busy
-    until the estimated finish, updates the allocation to the set's size. *)
+    until the estimated finish (the {!estimate} a strategy already took for
+    this set is reused), updates the allocation to the set's size. *)
 
 val to_schedule : t -> Schedule.t
 (** Raises [Invalid_argument] when some task is still unmapped. *)

@@ -49,7 +49,7 @@ let delta_key st i =
   List.fold_left
     (fun acc (_, procs) ->
       let d = abs (Procset.size procs - np) in
-      if d > 0 then min acc d else acc)
+      if d > 0 then Int.min acc d else acc)
     max_int (strategy_preds st i)
 
 (* time-cost strategy: gain(t) = max (T(t,np) - T(t,np_pred)); tasks are
@@ -94,10 +94,10 @@ let decide_delta st i { mindelta; maxdelta } =
       preds
   in
   let delta_plus =
-    List.fold_left (fun acc (d, _, _) -> min acc d) max_int stretch
+    List.fold_left (fun acc (d, _, _) -> Int.min acc d) max_int stretch
   in
   let delta_minus =
-    List.fold_left (fun acc (d, _, _) -> max acc d) min_int pack
+    List.fold_left (fun acc (d, _, _) -> Int.max acc d) min_int pack
   in
   let stretch_ok = delta_plus <> max_int && delta_plus <= dmax in
   let pack_ok = delta_minus <> min_int && delta_minus >= dmin in
@@ -128,7 +128,7 @@ let decide_delta st i { mindelta; maxdelta } =
       in
       Option.map fst best
 
-let decide_timecost st i { minrho; packing } =
+let decide_timecost st i ~baseline { minrho; packing } =
   let problem = Mapping.problem st in
   let np = Mapping.alloc st i in
   let preds = strategy_preds st i in
@@ -163,36 +163,38 @@ let decide_timecost st i { minrho; packing } =
   match best_stretch with
   | Some (rho, procs) when rho >= minrho -> Some procs
   | _ when not packing -> None
-  | _ ->
+  | _ -> (
       (* Pack: allowed only if the task finishes no later than with the
          baseline mapping of its original allocation. *)
-      let _, baseline_finish = Mapping.estimate st i (Mapping.baseline_choice st i) in
-      let pack_cands =
-        List.filter_map
-          (fun (_, procs) ->
-            if Procset.size procs < np then begin
-              let _, finish = Mapping.estimate st i procs in
-              if finish <= baseline_finish +. 1e-12 then Some (finish, procs)
-              else None
-            end
-            else None)
-          preds
-      in
-      List.fold_left
-        (fun acc (finish, procs) ->
-          match acc with
-          | Some (bf, _) when bf <= finish -> acc
-          | _ -> Some (finish, procs))
-        None pack_cands
-      |> Option.map snd
+      match List.filter (fun (_, procs) -> Procset.size procs < np) preds with
+      | [] -> None
+      | smaller ->
+          let _, baseline_finish = Mapping.estimate st i (Lazy.force baseline) in
+          let pack_cands =
+            List.filter_map
+              (fun (_, procs) ->
+                let _, finish = Mapping.estimate st i procs in
+                if finish <= baseline_finish +. 1e-12 then Some (finish, procs)
+                else None)
+              smaller
+          in
+          List.fold_left
+            (fun acc (finish, procs) ->
+              match acc with
+              | Some (bf, _) when bf <= finish -> acc
+              | _ -> Some (finish, procs))
+            None pack_cands
+          |> Option.map snd)
 
-let decide strategy st i =
+(* [baseline] is the task's {!Mapping.baseline_choice}, computed at most
+   once: time-cost's pack test and the fallback share it. *)
+let decide strategy st i ~baseline =
   if Problem.is_virtual (Mapping.problem st) i then None
   else
     match strategy with
     | Baseline -> None
     | Delta params -> decide_delta st i params
-    | Timecost params -> decide_timecost st i params
+    | Timecost params -> decide_timecost st i ~baseline params
 
 type stats = { stretched : int; packed : int; unchanged : int }
 
@@ -237,8 +239,9 @@ let schedule_with_stats ?alloc problem strategy =
     List.iter
       (fun (i, _) ->
         let np = Mapping.alloc st i in
+        let baseline = lazy (Mapping.baseline_choice st i) in
         let set =
-          match decide strategy st i with
+          match decide strategy st i ~baseline with
           | Some procs ->
               if Procset.size procs > np then incr stretched
               else if Procset.size procs < np then incr packed
@@ -246,7 +249,7 @@ let schedule_with_stats ?alloc problem strategy =
               procs
           | None ->
               incr unchanged;
-              Mapping.baseline_choice st i
+              Lazy.force baseline
         in
         ignore (Mapping.commit st i set);
         List.iter

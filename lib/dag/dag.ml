@@ -2,6 +2,7 @@ type t = {
   tasks : Task.t array;
   succs : (int * float) list array;  (* insertion order *)
   preds : (int * float) list array;
+  order : int array;  (* topological, min id first among ready tasks *)
 }
 
 type edge = { src : int; dst : int; bytes : float }
@@ -32,6 +33,8 @@ module Builder = struct
     if dst < 0 || dst >= b.count then invalid_arg "Dag.Builder.add_edge: bad dst";
     if src = dst then invalid_arg "Dag.Builder.add_edge: self loop";
     if bytes < 0. then invalid_arg "Dag.Builder.add_edge: negative weight";
+    if not (Float.is_finite bytes) then
+      invalid_arg "Dag.Builder.add_edge: non-finite weight";
     if Hashtbl.mem b.edge_set (src, dst) then
       invalid_arg "Dag.Builder.add_edge: duplicate edge";
     Hashtbl.add b.edge_set (src, dst) ();
@@ -49,23 +52,27 @@ module Builder = struct
       edges;
     Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
     Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
-    let g = { tasks; succs; preds } in
-    (* Cycle check via Kahn: every node must be output. *)
+    (* Kahn's algorithm with a min-id-first ready set: the order is
+       deterministic, and a task never output means a cycle. *)
     let indeg = Array.map List.length preds in
-    let queue = Queue.create () in
-    Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
+    let module IS = Set.Make (Int) in
+    let ready = ref IS.empty in
+    Array.iteri (fun i d -> if d = 0 then ready := IS.add i !ready) indeg;
+    let order = Array.make n 0 in
     let seen = ref 0 in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
+    while not (IS.is_empty !ready) do
+      let u = IS.min_elt !ready in
+      ready := IS.remove u !ready;
+      order.(!seen) <- u;
       incr seen;
       List.iter
         (fun (v, _) ->
           indeg.(v) <- indeg.(v) - 1;
-          if indeg.(v) = 0 then Queue.add v queue)
+          if indeg.(v) = 0 then ready := IS.add v !ready)
         succs.(u)
     done;
     if !seen <> n then failwith "Dag.Builder.build: graph contains a cycle";
-    g
+    { tasks; succs; preds; order }
 end
 
 let n_tasks g = Array.length g.tasks
@@ -125,40 +132,15 @@ let ensure_single_entry_exit g =
         List.iter (fun x -> Builder.add_edge b ~src:x ~dst:exit_id ~bytes:0.) exs;
       Builder.build b
 
-let topological_order g =
-  let n = n_tasks g in
-  let indeg = Array.make n 0 in
-  Array.iteri
-    (fun _ l -> List.iter (fun (v, _) -> indeg.(v) <- indeg.(v) + 1) l)
-    g.succs;
-  (* Min-id-first ready set keeps the order deterministic. *)
-  let module IS = Set.Make (Int) in
-  let ready = ref IS.empty in
-  Array.iteri (fun i d -> if d = 0 then ready := IS.add i !ready) indeg;
-  let out = Array.make n 0 in
-  let w = ref 0 in
-  while not (IS.is_empty !ready) do
-    let u = IS.min_elt !ready in
-    ready := IS.remove u !ready;
-    out.(!w) <- u;
-    incr w;
-    List.iter
-      (fun (v, _) ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then ready := IS.add v !ready)
-      g.succs.(u)
-  done;
-  assert (!w = n);
-  out
+let topological_order g = Array.copy g.order
 
 let depths g =
-  let order = topological_order g in
   let d = Array.make (n_tasks g) 0 in
   Array.iter
     (fun u ->
       List.iter (fun (v, _) -> if d.(u) + 1 > d.(v) then d.(v) <- d.(u) + 1)
         g.succs.(u))
-    order;
+    g.order;
   d
 
 let level_groups g =
@@ -171,11 +153,10 @@ let level_groups g =
   groups
 
 let bottom_levels g ~task_cost ~edge_cost =
-  let order = topological_order g in
   let n = n_tasks g in
   let bl = Array.make n 0. in
   for k = n - 1 downto 0 do
-    let u = order.(k) in
+    let u = g.order.(k) in
     let best =
       List.fold_left
         (fun acc (v, bytes) -> Float.max acc (edge_cost u v bytes +. bl.(v)))
@@ -186,9 +167,7 @@ let bottom_levels g ~task_cost ~edge_cost =
   bl
 
 let top_levels g ~task_cost ~edge_cost =
-  let order = topological_order g in
-  let n = n_tasks g in
-  let tl = Array.make n 0. in
+  let tl = Array.make (n_tasks g) 0. in
   Array.iter
     (fun u ->
       List.iter
@@ -196,7 +175,7 @@ let top_levels g ~task_cost ~edge_cost =
           let candidate = tl.(u) +. task_cost u +. edge_cost u v bytes in
           if candidate > tl.(v) then tl.(v) <- candidate)
         g.succs.(u))
-    order;
+    g.order;
   tl
 
 let critical_path g ~task_cost ~edge_cost =

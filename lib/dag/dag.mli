@@ -23,11 +23,12 @@ module Builder : sig
       [Invalid_argument] otherwise. *)
 
   val add_edge : t -> src:int -> dst:int -> bytes:float -> unit
-  (** Raises [Invalid_argument] on unknown endpoints, negative weight,
-      self-loop, or duplicate edge. *)
+  (** Raises [Invalid_argument] on unknown endpoints, negative or
+      non-finite (NaN included) weight, self-loop, or duplicate edge. *)
 
   val build : t -> dag
-  (** Raises [Failure] if the graph contains a cycle. *)
+  (** Computes and stores the {!topological_order}. Raises [Failure] if the
+      graph contains a cycle. *)
 end
 
 val n_tasks : t -> int
@@ -56,7 +57,10 @@ val ensure_single_entry_exit : t -> t
     virtual tasks are appended and connected by zero-byte edges. *)
 
 val topological_order : t -> int array
-(** Kahn's algorithm; ties resolved by ascending task id (deterministic). *)
+(** Kahn's algorithm; ties resolved by ascending task id (deterministic).
+    The order is computed once by {!Builder.build} and stored in the DAG;
+    this returns a fresh copy, and {!depths}, {!bottom_levels} and
+    {!top_levels} read the stored order without recomputing it. *)
 
 val depths : t -> int array
 (** [depths g].(i) is the length of the longest edge path from an entry to

@@ -12,10 +12,15 @@ type t = {
 let min_elements = 4. *. Units.mega
 let max_elements = 121. *. Units.mega
 
+(* Each check is written so that NaN fails it. *)
 let make ~id ~name ~data_elements ~flop ~alpha =
   if data_elements < 0. then invalid_arg "Task.make: negative data size";
+  if not (Float.is_finite data_elements) then
+    invalid_arg "Task.make: non-finite data size";
   if flop < 0. then invalid_arg "Task.make: negative flop";
-  if alpha < 0. || alpha > 1. then invalid_arg "Task.make: alpha outside [0,1]";
+  if not (Float.is_finite flop) then invalid_arg "Task.make: non-finite flop";
+  if not (alpha >= 0. && alpha <= 1.) then
+    invalid_arg "Task.make: alpha outside [0,1]";
   { id; name; data_elements; flop; alpha }
 
 let virtual_task ~id ~name =

@@ -28,7 +28,8 @@ val max_elements : float
 
 val make :
   id:int -> name:string -> data_elements:float -> flop:float -> alpha:float -> t
-(** Raises [Invalid_argument] on negative sizes or [alpha] outside [0, 1]. *)
+(** Raises [Invalid_argument] on negative or non-finite [data_elements] or
+    [flop], and on an [alpha] outside [0, 1] (NaN included). *)
 
 val virtual_task : id:int -> name:string -> t
 (** Zero-cost, zero-data task used as synthetic single entry/exit point. *)

@@ -24,10 +24,14 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C formatter [Printf] itself calls for [%f] and [%g] conversions
+   (see [CamlinternalFormat.convert_float]): the same bytes as
+   [Printf.sprintf "%.0f"] and ["%.17g"], without interpreting a format. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let num_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+  if Float.is_integer v && Float.abs v < 1e15 then format_float "%.0f" v
+  else format_float "%.17g" v
 
 let rec render buf = function
   | Null -> Buffer.add_string buf "null"

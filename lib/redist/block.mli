@@ -22,6 +22,15 @@ val comm_matrix :
     entries, ordered by sender then receiver rank. The block structure makes
     it banded: at most [senders + receivers − 1] entries. *)
 
+val iter_comm : senders:int -> receivers:int -> (int -> int -> int -> unit) -> unit
+(** [iter_comm ~senders ~receivers f] calls [f i j units] on every entry of
+    {!comm_matrix}, in the same order, without building the list: the
+    entry's amount is [unit_amount ~amount ~senders ~receivers *. float_of_int units],
+    bit for bit. *)
+
+val unit_amount : amount:float -> senders:int -> receivers:int -> float
+(** [amount / (senders · receivers)], the amount one overlap unit carries. *)
+
 val row_sums : senders:int -> (int * int * float) list -> float array
 (** Amount leaving each sender rank. *)
 

@@ -30,7 +30,7 @@ let receiver_ranks ~sender ~receiver ~bytes =
         match Procset.rank proc sender with
         | None -> assert false
         | Some i ->
-            let j_lo = i * q / p and j_hi = min (q - 1) ((((i + 1) * q) - 1) / p) in
+            let j_lo = i * q / p and j_hi = Int.min (q - 1) ((((i + 1) * q) - 1) / p) in
             for j = j_lo to j_hi do
               let a = Block.overlap ~amount:bytes ~senders:p ~receivers:q i j in
               if a > 0. then candidates := (a, proc, j) :: !candidates
@@ -39,24 +39,25 @@ let receiver_ranks ~sender ~receiver ~bytes =
     let sorted =
       List.sort (fun (a, p1, j1) (b, p2, j2) ->
           (* Largest overlap first; deterministic tie-break. *)
-          match compare b a with 0 -> compare (p1, j1) (p2, j2) | c -> c)
+          match Float.compare b a with
+          | 0 -> ( match Int.compare p1 p2 with 0 -> Int.compare j1 j2 | c -> c)
+          | c -> c)
         !candidates
     in
     let place = Array.make q (-1) in
-    let placed = Hashtbl.create 16 in
+    (* [placed.(r)]: the [r]-th processor of [receiver] holds a rank. *)
+    let placed = Array.make q false in
     List.iter
       (fun (_, proc, j) ->
-        if place.(j) = -1 && not (Hashtbl.mem placed proc) then begin
+        let r = Option.get (Procset.rank proc receiver) in
+        if place.(j) = -1 && not placed.(r) then begin
           place.(j) <- proc;
-          Hashtbl.add placed proc ()
+          placed.(r) <- true
         end)
       sorted;
     (* Fill the holes with the unplaced processors, ascending. *)
     let rest =
-      Procset.fold
-        (fun proc acc -> if Hashtbl.mem placed proc then acc else proc :: acc)
-        receiver []
-      |> List.rev
+      List.filteri (fun r _ -> not placed.(r)) (Procset.to_list receiver)
     in
     let rest = ref rest in
     Array.iteri

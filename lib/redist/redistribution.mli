@@ -47,5 +47,9 @@ val estimate_between :
   receiver:Rats_util.Procset.t ->
   bytes:float ->
   float
-(** [estimate cluster (plan ~sender ~receiver ~bytes)], with the documented
-    zero fast-path when the sets are equal. *)
+(** Exactly the float [estimate cluster (plan ~sender ~receiver ~bytes ())]
+    returns (0 when the sets are equal or [bytes <= 0]), computed without
+    building the plan: one load accumulator per link a remote transfer
+    crosses, filled in plan order, and the receiver placement computed only
+    when the sets share a processor. Raises [Invalid_argument] when exactly
+    one set is empty and [bytes > 0]. *)

@@ -54,16 +54,19 @@ let resolve_procs ~n_procs procs =
          n_procs)
   else Ok procs
 
-let validate ~n_procs r =
+(* [validate], also returning the DAG it built for the caller to schedule. *)
+let validated ~n_procs r =
   if r.tenant = "" then Error "empty tenant id"
   else
     match resolve_procs ~n_procs r.procs with
-    | Error _ as e -> e
+    | Error e -> Error e
     | Ok k -> (
         match dag_of_spec r.job with
-        | (_ : Dag.t) -> Ok k
+        | dag -> Ok (k, dag)
         | exception (Invalid_argument msg | Failure msg) ->
             Error ("malformed DAG: " ^ msg))
+
+let validate ~n_procs r = Result.map fst (validated ~n_procs r)
 
 (* --- scheduling --------------------------------------------------------- *)
 
@@ -77,11 +80,11 @@ let subcluster c k =
       ~node_link:c.Cluster.node_link ~uplink:c.Cluster.uplink
       ~tcp_wmax:c.Cluster.tcp_wmax ()
 
-let prepare ~cluster spec =
-  let dag = dag_of_spec spec in
+let prepare_dag ~cluster dag =
   let problem = Core.Problem.make ~dag ~cluster in
-  let alloc = Core.Hcpa.allocate problem in
-  (problem, alloc)
+  (problem, Core.Hcpa.allocate problem)
+
+let prepare ~cluster spec = prepare_dag ~cluster (dag_of_spec spec)
 
 type placement = {
   task : int;
@@ -99,10 +102,13 @@ type response = {
   placements : placement array;
 }
 
-let plan ~cluster ?alloc r =
-  let problem, hcpa = prepare ~cluster r.job in
+let schedule_dag ~cluster ?alloc dag strategy =
+  let problem, hcpa = prepare_dag ~cluster dag in
   let alloc = match alloc with Some a -> a | None -> hcpa in
-  Core.Rats.schedule ~alloc problem r.strategy
+  Core.Rats.schedule ~alloc problem strategy
+
+let plan ~cluster ?alloc r =
+  schedule_dag ~cluster ?alloc (dag_of_spec r.job) r.strategy
 
 let response_of_schedule ~job_name ~strategy schedule =
   let placements =
@@ -126,10 +132,10 @@ let response_of_schedule ~job_name ~strategy schedule =
   }
 
 let place ~cluster r =
-  match validate ~n_procs:(Cluster.n_procs cluster) r with
-  | Error _ as e -> e
-  | Ok k ->
-      let schedule = plan ~cluster:(subcluster cluster k) r in
+  match validated ~n_procs:(Cluster.n_procs cluster) r with
+  | Error e -> Error e
+  | Ok (k, dag) ->
+      let schedule = schedule_dag ~cluster:(subcluster cluster k) dag r.strategy in
       Ok
         (response_of_schedule ~job_name:(spec_name r.job)
            ~strategy:(Core.Rats.strategy_name r.strategy)

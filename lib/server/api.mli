@@ -97,7 +97,9 @@ val response_of_schedule :
 val place : cluster:Cluster.t -> request -> (response, string) result
 (** [ratsd]'s [plan] request: {!validate} against the whole [cluster],
     then {!plan} on the resolved {!subcluster} and
-    {!response_of_schedule}. No admission, no queue, no simulation. *)
+    {!response_of_schedule}. The DAG {!validate} builds is the one
+    scheduled, so it is built once. No admission, no queue, no
+    simulation. *)
 
 (** {2 Events} *)
 

@@ -205,6 +205,134 @@ let test_hcpa_alloc_obeys_cap () =
         (Hcpa.allocate p))
     (sample_problems ())
 
+(* The CPA loop as it was before it kept state across refinements: every
+   refinement recomputes the computation-only critical path and Σω from
+   scratch. The oracle for [Cpa.allocate_capped], which must reach the same
+   allocation through the same number of refinements. *)
+let oracle_allocate_capped problem ~cap =
+  let area_procs = Problem.n_procs problem in
+  let cap i = min (cap i) area_procs in
+  let refinements = ref 0 in
+  let alloc = Array.make (Problem.n_tasks problem) 1 in
+  let continue = ref true in
+  while !continue do
+    let path, c_inf =
+      Dag.critical_path (Problem.dag problem)
+        ~task_cost:(fun i -> Problem.task_time problem i ~procs:alloc.(i))
+        ~edge_cost:(fun _ _ _ -> 0.)
+    in
+    let w = Cpa.average_area problem ~alloc ~area_procs in
+    if c_inf <= w then continue := false
+    else begin
+      let best = ref None in
+      List.iter
+        (fun i ->
+          if alloc.(i) < cap i && not (Problem.is_virtual problem i) then begin
+            let gain =
+              Problem.task_time problem i ~procs:alloc.(i)
+              -. Problem.task_time problem i ~procs:(alloc.(i) + 1)
+            in
+            match !best with
+            | Some (_, g) when g >= gain -> ()
+            | _ -> best := Some (i, gain)
+          end)
+        path;
+      match !best with
+      | Some (i, gain) when gain > 0. ->
+          alloc.(i) <- alloc.(i) + 1;
+          incr refinements
+      | _ -> continue := false
+    end
+  done;
+  (alloc, !refinements)
+
+(* [Cpa.allocate_capped] against the oracle, allocation and refinement
+   count ([rats_alloc_refinements_total]); [None] when both agree. *)
+let oracle_mismatch p ~cap =
+  let counter = Rats_obs.Instr.alloc_refinements in
+  let before = Rats_obs.Metrics.counter_value counter in
+  let alloc = Cpa.allocate_capped p ~cap in
+  let refinements = Rats_obs.Metrics.counter_value counter - before in
+  let want, want_refinements = oracle_allocate_capped p ~cap in
+  if alloc = want && refinements = want_refinements then None
+  else
+    Some
+      (Printf.sprintf "%d refinements, oracle %d%s" refinements want_refinements
+         (if alloc <> want then ", allocations differ" else ""))
+
+(* A suite DAG of any kind with 10-200 tasks, drawn from one integer. *)
+let suite_config_of_int k =
+  let pick l i = List.nth l (i mod List.length l) in
+  let shape jump =
+    Shape.make ~width:(pick [ 0.2; 0.5; 0.8 ] k)
+      ~density:(pick [ 0.2; 0.8 ] (k / 3))
+      ~regularity:(pick [ 0.2; 0.8 ] (k / 7)) ~jump ()
+  in
+  let n_tasks = 10 + (k / 4 mod 191) in
+  let spec =
+    match k mod 4 with
+    | 0 -> Suite.Layered { n_tasks; shape = shape 1 }
+    | 1 -> Suite.Irregular { n_tasks; shape = shape (pick [ 1; 2; 4 ] (k / 11)) }
+    | 2 -> Suite.Fft { k = pick [ 4; 8; 16 ] (k / 4) }
+    | _ -> Suite.Strassen
+  in
+  { Suite.spec; sample = k mod 5 }
+
+let flat_cluster p =
+  Cluster.make ~name:(Printf.sprintf "flat%d" p)
+    ~topology:(Rats_platform.Topology.Flat p) ~speed_gflops:3.379 ()
+
+let qcheck_cpa_matches_oracle =
+  QCheck.Test.make ~count:150
+    ~name:"cpa allocation equals the from-scratch loop (hcpa and mcpa caps)"
+    QCheck.(triple (int_range 0 100_000) (int_range 0 3) bool)
+    (fun (k, pi, level_caps) ->
+      let config = suite_config_of_int k in
+      let cluster =
+        match pi with
+        | 0 -> flat_cluster 1
+        | 1 -> Cluster.chti
+        | 2 -> Cluster.grillon
+        | _ -> Cluster.grelon
+      in
+      let p = Problem.make ~dag:(Suite.generate config) ~cluster in
+      let cap =
+        if level_caps then
+          let caps = Rats_core.Mcpa.level_caps p in
+          fun i -> caps.(i)
+        else
+          let c = Hcpa.max_per_task p in
+          fun _ -> c
+      in
+      match oracle_mismatch p ~cap with
+      | None -> true
+      | Some msg ->
+          QCheck.Test.fail_reportf "%s on %s: %s" (Suite.name config)
+            cluster.Cluster.name msg)
+
+(* Two identical tasks in a chain, beside [m] light independent ones: the
+   chain is the critical path, its two tasks tie on gain whenever their
+   allocations are equal, and the loop stops before the chain reaches P,
+   so the earliest-wins rule decides the allocation. *)
+let test_cpa_matches_oracle_on_ties () =
+  for m = 1 to 12 do
+    let b = Dag.Builder.create () in
+    Dag.Builder.add_task b (mk_task ~a:400. 0 "a1");
+    Dag.Builder.add_task b (mk_task ~a:400. 1 "a2");
+    Dag.Builder.add_edge b ~src:0 ~dst:1 ~bytes:8e6;
+    for i = 2 to m + 1 do
+      Dag.Builder.add_task b (mk_task ~a:(20. *. float_of_int i) i "light")
+    done;
+    let dag = Dag.ensure_single_entry_exit (Dag.Builder.build b) in
+    List.iter
+      (fun cluster ->
+        let p = Problem.make ~dag ~cluster in
+        match oracle_mismatch p ~cap:(fun _ -> Problem.n_procs p) with
+        | None -> ()
+        | Some msg -> Alcotest.failf "m = %d on %s: %s" m cluster.Cluster.name msg)
+      [ Cluster.chti; Cluster.grillon; Cluster.grelon ]
+  done
+
 (* --- Mapping -------------------------------------------------------------- *)
 
 let test_mapping_earliest_set () =
@@ -212,6 +340,68 @@ let test_mapping_earliest_set () =
   let st = Mapping.create p ~alloc:[| 2; 2; 2; 2 |] in
   Alcotest.(check (list int)) "lowest indices when all idle" [ 0; 1 ]
     (Procset.to_list (Mapping.earliest_set st 2))
+
+(* [earliest_set] and [from_pred_set] against a full sort of (availability,
+   index), with each processor's availability recomputed from the entries
+   committed so far. Random commits on random sets leave many ties. *)
+let qcheck_mapping_earliest_sets =
+  QCheck.Test.make ~count:100 ~name:"earliest sets equal a full sort"
+    QCheck.(pair (int_range 0 100_000) (int_range 0 3))
+    (fun (seed, ci) ->
+      let rng = Rats_util.Rng.create seed in
+      let cluster = [| Cluster.chti; Cluster.grillon; Cluster.grelon; flat_cluster 3 |].(ci) in
+      let p = Problem.make ~dag:(Suite.generate (suite_config_of_int seed)) ~cluster in
+      let n_procs = Problem.n_procs p in
+      let st = Mapping.create p ~alloc:(Array.make (Problem.n_tasks p) 1) in
+      (* Latest estimated finish of a committed entry on each processor. *)
+      let avail = Array.make n_procs 0. in
+      let earliest ~pool ~exclude np =
+        List.filter (fun q -> not (Procset.mem q exclude)) (Procset.to_list pool)
+        |> List.map (fun q -> (avail.(q), q))
+        |> List.sort compare
+        |> List.filteri (fun r _ -> r < np)
+        |> List.map snd |> Procset.of_list
+      in
+      let random_set () =
+        Procset.of_list
+          (List.init (1 + Rats_util.Rng.int rng n_procs) (fun _ ->
+               Rats_util.Rng.int rng n_procs))
+      in
+      let all = Cluster.all_procs cluster in
+      Array.for_all
+        (fun i ->
+          let np = 1 + Rats_util.Rng.int rng n_procs in
+          let pred_procs = random_set () in
+          let sz = Procset.size pred_procs in
+          let want_from_pred =
+            if sz = np then pred_procs
+            else if sz > np then earliest ~pool:pred_procs ~exclude:Procset.empty np
+            else
+              Procset.union pred_procs (earliest ~pool:all ~exclude:pred_procs (np - sz))
+          in
+          let ok =
+            Procset.equal (Mapping.earliest_set st np)
+              (earliest ~pool:all ~exclude:Procset.empty np)
+            && Procset.equal (Mapping.from_pred_set st ~pred_procs np) want_from_pred
+          in
+          let e = Mapping.commit st i (random_set ()) in
+          Procset.iter
+            (fun q -> avail.(q) <- Float.max avail.(q) e.Schedule.est_finish)
+            e.Schedule.procs;
+          ok)
+        (Dag.topological_order (Problem.dag p)))
+
+(* A repeated estimate on the same set must see a commit made in between. *)
+let test_mapping_estimate_after_commit () =
+  let p = Problem.make ~dag:(fork_dag 2) ~cluster:Cluster.chti in
+  let st = Mapping.create p ~alloc:(Array.make (Problem.n_tasks p) 1) in
+  ignore (Mapping.commit st (Problem.entry p) (Procset.of_list [ 0 ]));
+  let set = Procset.of_list [ 0; 1 ] in
+  let before, _ = Mapping.estimate st 0 set in
+  let e = Mapping.commit st 1 (Procset.of_list [ 1 ]) in
+  let after, _ = Mapping.estimate st 0 set in
+  checkf "idle set" 0. before;
+  checkf "waits for the committed task" e.Schedule.est_finish after
 
 let test_mapping_commit_updates_avail () =
   let p = chain_problem () in
@@ -845,11 +1035,17 @@ let () =
           Alcotest.test_case "hcpa chain" `Quick test_hcpa_chain_parallelism;
           Alcotest.test_case "hcpa fork" `Quick test_hcpa_fork_parallelism;
           Alcotest.test_case "hcpa cap obeyed" `Quick test_hcpa_alloc_obeys_cap;
+          Rats_test_support.Seeded.to_alcotest qcheck_cpa_matches_oracle;
+          Alcotest.test_case "cpa oracle on tied gains" `Quick
+            test_cpa_matches_oracle_on_ties;
         ] );
       ( "mapping",
         [
           Alcotest.test_case "earliest set" `Quick test_mapping_earliest_set;
+          Rats_test_support.Seeded.to_alcotest qcheck_mapping_earliest_sets;
           Alcotest.test_case "commit avail" `Quick test_mapping_commit_updates_avail;
+          Alcotest.test_case "estimate after commit" `Quick
+            test_mapping_estimate_after_commit;
           Alcotest.test_case "estimate data arrival" `Quick
             test_mapping_estimate_respects_data;
           Alcotest.test_case "from pred set" `Quick test_mapping_from_pred_set;

@@ -29,7 +29,18 @@ let test_task_validation () =
       ignore (Task.make ~id:0 ~name:"x" ~data_elements:1. ~flop:(-1.) ~alpha:0.));
   Alcotest.check_raises "alpha > 1"
     (Invalid_argument "Task.make: alpha outside [0,1]") (fun () ->
-      ignore (Task.make ~id:0 ~name:"x" ~data_elements:1. ~flop:1. ~alpha:1.5))
+      ignore (Task.make ~id:0 ~name:"x" ~data_elements:1. ~flop:1. ~alpha:1.5));
+  List.iter
+    (fun (what, msg, data_elements, flop, alpha) ->
+      Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+          ignore (Task.make ~id:0 ~name:"x" ~data_elements ~flop ~alpha)))
+    [
+      ("infinite data", "Task.make: non-finite data size", infinity, 1., 0.);
+      ("nan data", "Task.make: non-finite data size", nan, 1., 0.);
+      ("infinite flop", "Task.make: non-finite flop", 1., infinity, 0.);
+      ("nan flop", "Task.make: non-finite flop", 1., nan, 0.);
+      ("nan alpha", "Task.make: alpha outside [0,1]", 1., 1., nan);
+    ]
 
 let test_task_seq_time () =
   let t = mk_task 0 "t" in
@@ -132,6 +143,17 @@ let test_builder_bad_endpoint () =
     (Invalid_argument "Dag.Builder.add_edge: bad dst") (fun () ->
       Dag.Builder.add_edge b ~src:0 ~dst:7 ~bytes:1.)
 
+let test_builder_non_finite_weight () =
+  List.iter
+    (fun bytes ->
+      let b = Dag.Builder.create () in
+      Dag.Builder.add_task b (mk_task 0 "a");
+      Dag.Builder.add_task b (mk_task 1 "b");
+      Alcotest.check_raises (Printf.sprintf "%g bytes" bytes)
+        (Invalid_argument "Dag.Builder.add_edge: non-finite weight") (fun () ->
+          Dag.Builder.add_edge b ~src:0 ~dst:1 ~bytes))
+    [ infinity; nan ]
+
 let test_builder_cycle () =
   let b = Dag.Builder.create () in
   List.iteri (fun i n -> Dag.Builder.add_task b (mk_task i n)) [ "a"; "b"; "c" ];
@@ -170,6 +192,71 @@ let test_dag_topological_order () =
   let g = diamond () in
   Alcotest.(check (list int)) "topo order" [ 0; 1; 2; 3 ]
     (Array.to_list (Dag.topological_order g))
+
+(* A DAG on [n] tasks whose ids are a shuffle of a random forward order,
+   so that id order is rarely topological, plus its edge list. *)
+let shuffled_dag rng n =
+  let perm = Array.init n Fun.id in
+  Rng.shuffle rng perm;
+  let b = Dag.Builder.create () in
+  for i = 0 to n - 1 do
+    Dag.Builder.add_task b (mk_task i (string_of_int i))
+  done;
+  let edges = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Rng.int rng 4 = 0 then begin
+        Dag.Builder.add_edge b ~src:perm.(i) ~dst:perm.(j) ~bytes:1.;
+        edges := (perm.(i), perm.(j)) :: !edges
+      end
+    done
+  done;
+  (b, !edges)
+
+(* Kahn's algorithm the slow way: repeatedly output the smallest id whose
+   predecessors are all out. *)
+let reference_order n edges =
+  let out = Array.make n false in
+  List.init n (fun _ ->
+      let ready u =
+        (not out.(u))
+        && List.for_all (fun (src, dst) -> dst <> u || out.(src)) edges
+      in
+      let u = List.find ready (List.init n Fun.id) in
+      out.(u) <- true;
+      u)
+
+let qcheck_topological_order =
+  QCheck.Test.make ~count:200
+    ~name:"stored topological order is min-id-first Kahn"
+    QCheck.(pair (int_range 1 40) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let b, edges = shuffled_dag (Rng.create seed) n in
+      let g = Dag.Builder.build b in
+      let order = Dag.topological_order g in
+      let want = reference_order n edges in
+      (* The result is a copy: scribbling on it leaves the DAG intact. *)
+      Array.fill order 0 n 0;
+      Array.to_list (Dag.topological_order g) = want)
+
+let qcheck_cycle_rejected =
+  QCheck.Test.make ~count:100 ~name:"a back edge makes build fail"
+    QCheck.(pair (int_range 2 30) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let b, edges = shuffled_dag rng n in
+      (* The reverse of an existing edge closes a two-task cycle. *)
+      let src, dst =
+        match edges with
+        | e :: _ -> e
+        | [] ->
+            Dag.Builder.add_edge b ~src:0 ~dst:1 ~bytes:1.;
+            (0, 1)
+      in
+      Dag.Builder.add_edge b ~src:dst ~dst:src ~bytes:1.;
+      match Dag.Builder.build b with
+      | _ -> false
+      | exception Failure msg -> msg = "Dag.Builder.build: graph contains a cycle")
 
 let test_dag_depths () =
   let g = diamond () in
@@ -319,7 +406,10 @@ let () =
           Alcotest.test_case "self loop" `Quick test_builder_self_loop;
           Alcotest.test_case "duplicate edge" `Quick test_builder_duplicate_edge;
           Alcotest.test_case "bad endpoint" `Quick test_builder_bad_endpoint;
+          Alcotest.test_case "non-finite weight" `Quick
+            test_builder_non_finite_weight;
           Alcotest.test_case "cycle detection" `Quick test_builder_cycle;
+          qcheck qcheck_cycle_rejected;
         ] );
       ( "queries",
         [
@@ -327,6 +417,7 @@ let () =
           Alcotest.test_case "adjacency" `Quick test_dag_adjacency;
           Alcotest.test_case "entries/exits" `Quick test_dag_entries_exits;
           Alcotest.test_case "topological order" `Quick test_dag_topological_order;
+          qcheck qcheck_topological_order;
           Alcotest.test_case "depths and levels" `Quick test_dag_depths;
           Alcotest.test_case "bottom levels" `Quick test_dag_bottom_levels;
           Alcotest.test_case "bottom levels with edges" `Quick

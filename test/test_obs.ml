@@ -52,6 +52,33 @@ let test_json_non_finite () =
   | Ok (Json.Num v) -> check (Alcotest.float 0.) "underflow is zero" 0. v
   | _ -> Alcotest.fail "underflowing number rejected"
 
+(* The number formatter [Json.to_string] used while it went through
+   [Printf]; the C primitive it calls now must print every float the same. *)
+let printf_num v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.17g" v
+
+let test_json_number_format () =
+  List.iter
+    (fun v ->
+      check Alcotest.string (Printf.sprintf "%h" v) (printf_num v)
+        (Json.to_string (Json.Num v)))
+    [
+      0.; -0.; 1.; -1.; 0.1; -2.5; 1e-7; 123456789.125;
+      1e15 -. 1.; Float.pred 1e15; 999999999999999.5; 1e15; Float.succ 1e15;
+      1e15 +. 1.; -.(1e15 -. 1.); -1e15; 4503599627370496.; 9007199254740993.;
+      Float.min_float; Float.pred Float.min_float; 5e-324; -5e-324;
+      Float.max_float; -.Float.max_float; infinity; neg_infinity; nan;
+      Int64.float_of_bits 0xFFF8000000000001L;
+    ]
+
+let qcheck_json_number_format =
+  QCheck.Test.make ~count:5000 ~name:"json numbers print as Printf did"
+    QCheck.int64
+    (fun bits ->
+      let v = Int64.float_of_bits bits in
+      Json.to_string (Json.Num v) = printf_num v)
+
 let test_json_accessors () =
   match Json.parse {|{"xs": [1, 2, 3], "name": "n"}|} with
   | Error msg -> Alcotest.failf "parse: %s" msg
@@ -381,6 +408,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
+          Alcotest.test_case "number format" `Quick test_json_number_format;
+          Rats_test_support.Seeded.to_alcotest qcheck_json_number_format;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
       ( "trace",

@@ -218,6 +218,51 @@ let qcheck_estimate_nonnegative =
       in
       e >= 0. && Float.is_finite e)
 
+let cabinets3x4 =
+  Cluster.make ~name:"cab3x4"
+    ~topology:(Topology.Cabinets { cabinets = 3; per_cabinet = 4 })
+    ~speed_gflops:1. ()
+
+(* [estimate_between] prices a redistribution without building its plan;
+   [estimate] of the plan is the oracle, compared bit for bit. Set pairs:
+   arbitrary (mostly overlapping), equal, disjoint, a one-processor
+   receiver, and two one-processor sets. *)
+let qcheck_estimate_between_is_estimate_of_plan =
+  QCheck.Test.make ~count:2000
+    ~name:"estimate_between is estimate of the plan, bit for bit"
+    QCheck.(
+      quad (int_range 0 2) (int_range 0 4)
+        (pair
+           (list_of_size Gen.(1 -- 16) (int_bound 1000))
+           (list_of_size Gen.(1 -- 16) (int_bound 1000)))
+        (int_range 0 5))
+    (fun (ci, mode, (s, r), bi) ->
+      let cluster = [| flat8; cabinets3x4; Cluster.grelon |].(ci) in
+      let n = Cluster.n_procs cluster in
+      let set l = Procset.of_list (List.map (fun x -> x mod n) l) in
+      let one l = Procset.of_list [ List.hd l mod n ] in
+      let sender = if mode = 4 then one s else set s in
+      let receiver =
+        match mode with
+        | 1 -> sender
+        | 2 ->
+            let d = Procset.diff (set r) sender in
+            if Procset.is_empty d then set r else d
+        | 3 | 4 -> one r
+        | _ -> set r
+      in
+      let bytes = [| 0.; 1.; 4200.; 8e6; 1.25e8; 9.68e8 |].(bi) in
+      let got = Redistribution.estimate_between cluster ~sender ~receiver ~bytes in
+      let want =
+        Redistribution.estimate cluster
+          (Redistribution.plan ~sender ~receiver ~bytes ())
+      in
+      if Int64.bits_of_float got <> Int64.bits_of_float want then
+        QCheck.Test.fail_reportf "%s %a -> %a, %g bytes: %h, plan says %h"
+          cluster.Cluster.name Procset.pp sender Procset.pp receiver bytes got
+          want
+      else true)
+
 let () =
   Alcotest.run "rats_redist"
     [
@@ -257,5 +302,6 @@ let () =
             test_estimate_monotone_in_bytes;
           qcheck qcheck_plan_conservation;
           qcheck qcheck_estimate_nonnegative;
+          qcheck qcheck_estimate_between_is_estimate_of_plan;
         ] );
     ]

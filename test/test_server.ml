@@ -464,7 +464,71 @@ let test_validate () =
                 { Api.src = 0; dst = 1; bytes = 1. };
                 { Api.src = 1; dst = 0; bytes = 1. };
               ];
-          }))
+          }));
+  (* Non-finite task or edge values are malformed DAGs too: in-process
+     callers can build them, the JSON parser cannot. *)
+  let task = { Api.data_elements = 1e6; flop = 1e9; alpha = 0.1 } in
+  List.iter
+    (fun (what, tasks, bytes) ->
+      let r =
+        request
+          (Api.Inline
+             { name = what; tasks; edges = [ { Api.src = 0; dst = 1; bytes } ] })
+      in
+      match Api.validate ~n_procs r with
+      | Error e when String.starts_with ~prefix:"malformed DAG: " e -> ()
+      | Error e -> Alcotest.failf "%s: unexpected error %s" what e
+      | Ok _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("flop inf", [| { task with flop = infinity }; task |], 8e6);
+      ("flop nan", [| task; { task with flop = nan } |], 8e6);
+      ("alpha nan", [| { task with alpha = nan }; task |], 8e6);
+      ("data nan", [| { task with data_elements = nan }; task |], 8e6);
+      ("bytes nan", [| task; task |], nan);
+      ("bytes inf", [| task; task |], infinity);
+    ]
+
+(* The replies [Api.place] gives for fixed suite shapes, by cluster and
+   strategy, as the MD5 of their JSON. Any change of an allocation, a
+   mapping decision or an estimate changes a digest. *)
+let test_place_digests () =
+  let shape ?jump width density regularity =
+    Shape.make ~width ~density ~regularity ?jump ()
+  in
+  let configs =
+    List.map
+      (fun spec -> { Suite.spec; sample = 1 })
+      [
+        Suite.Layered { n_tasks = 50; shape = shape 0.5 0.8 0.8 };
+        Suite.Layered { n_tasks = 200; shape = shape 0.2 0.2 0.8 };
+        Suite.Irregular { n_tasks = 100; shape = shape ~jump:2 0.8 0.2 0.2 };
+        Suite.Irregular { n_tasks = 30; shape = shape ~jump:4 0.2 0.8 0.2 };
+        Suite.Fft { k = 8 };
+        Suite.Strassen;
+      ]
+  in
+  let digest cluster strategy =
+    List.map
+      (fun config ->
+        match Api.place ~cluster (request ~strategy (Api.Generated config)) with
+        | Ok resp -> J.to_string (Api.response_to_json resp)
+        | Error e -> Alcotest.failf "%s: %s" (Suite.name config) e)
+      configs
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  List.iter
+    (fun (cluster, strategy, want) ->
+      check Alcotest.string
+        (cluster.Cluster.name ^ " " ^ Core.Rats.strategy_name strategy)
+        want (digest cluster strategy))
+    [
+      (Cluster.grelon, Core.Rats.Baseline, "96dbbaf387bbbe88b431977329f1aa3d");
+      (Cluster.grelon, Core.Rats.Delta Core.Rats.naive_delta, "bdb05a7093dacae1f332dfa5d3f9ab1f");
+      (Cluster.grelon, Core.Rats.Timecost Core.Rats.naive_timecost, "7e39ccdc0ddcb8a26583ab767aa1ab78");
+      (Cluster.grillon, Core.Rats.Baseline, "e0e69644b662ce50b4fa3a96dcedb2b8");
+      (Cluster.grillon, Core.Rats.Delta Core.Rats.naive_delta, "030c0848531140681ac87eb9af04b47e");
+      (Cluster.grillon, Core.Rats.Timecost Core.Rats.naive_timecost, "5e7a7eef31b957f7584193d1e1b11402");
+    ]
 
 let test_admission_policy () =
   let policy = Admission.make ~queue_limit:3 ~tenant_limit:2 () in
@@ -1450,6 +1514,7 @@ let () =
           Alcotest.test_case "jobq" `Quick test_jobq;
           Alcotest.test_case "jobq remove" `Quick test_jobq_remove;
         ] );
+      ("plan", [ Alcotest.test_case "place digests" `Quick test_place_digests ]);
       ( "engine",
         [
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;

@@ -28,12 +28,12 @@
 #                           --help
 #   make lint               rats_lint whole-program static analysis
 #                           (determinism, taint, domain-safety rules —
-#                           docs/LINTING.md) against the committed baseline
-#                           tools/lint_baseline.txt; JSON report lands in
+#                           docs/LINTING.md); fails on any unsuppressed
+#                           finding; JSON report lands in
 #                           bench_results/lint.json
 #   make lint-smoke         analyzer acceptance: cold run under the 2s
-#                           budget, second run byte-identical, baseline
-#                           ratchet both directions, DOT graph export
+#                           budget, second run byte-identical, fixture tree
+#                           equal to its golden, DOT graph export
 #   make bench-archive      snapshot BENCH_runtime.json as
 #                           bench_results/archive/BENCH_runtime.<LABEL>.json
 #                           (LABEL=... required) so studio diffs can reach
@@ -116,8 +116,7 @@ flags-check: build
 	tools/flags_check.sh
 
 lint: build
-	dune exec --no-build bin/lint.exe -- --json bench_results/lint.json \
-	  --baseline tools/lint_baseline.txt
+	dune exec --no-build bin/lint.exe -- --json bench_results/lint.json
 
 lint-smoke: build
 	tools/lint_smoke.sh

@@ -1,18 +1,15 @@
 (* rats_lint driver: static determinism & hygiene analysis over the
    repo's OCaml sources, whole-program (cross-module taint, allow
-   staleness). Exit status: 0 clean, 1 unsuppressed findings (new ones
-   only under --baseline), 2 usage/IO error. See docs/LINTING.md for the
-   rule catalogue. *)
+   staleness). Exit status: 0 clean, 1 unsuppressed findings, 2 usage/IO
+   error. See docs/LINTING.md for the rule catalogue. *)
 
 let usage =
-  "usage: lint.exe [--root DIR] [--json FILE] [--baseline FILE] \
-   [--write-baseline FILE] [--graph FILE] [--list-allows] [--rules] [DIR ...]"
+  "usage: lint.exe [--root DIR] [--json FILE] [--graph FILE] [--list-allows] \
+   [--rules] [DIR ...]"
 
 let () =
   let root = ref "." in
   let json_out = ref "" in
-  let baseline = ref "" in
-  let write_baseline = ref "" in
   let graph_out = ref "" in
   let list_allows = ref false in
   let show_rules = ref false in
@@ -24,12 +21,6 @@ let () =
         Arg.Set_string json_out,
         "FILE also write the full report (findings, suppressed, allows) as \
          JSON" );
-      ( "--baseline",
-        Arg.Set_string baseline,
-        "FILE fail only on findings not recorded in FILE (the CI ratchet)" );
-      ( "--write-baseline",
-        Arg.Set_string write_baseline,
-        "FILE record the current findings as the accepted baseline and exit" );
       ( "--graph",
         Arg.Set_string graph_out,
         "FILE write the module-level call graph as Graphviz DOT ('-' for \
@@ -68,11 +59,7 @@ let () =
     exit 0
   end;
   if !graph_out <> "" then begin
-    let dot =
-      match report.graph with
-      | Some g -> Rats_lint.Callgraph.to_dot g
-      | None -> "digraph rats_callgraph {\n}\n"
-    in
+    let dot = Rats_lint.Callgraph.to_dot report.graph in
     if !graph_out = "-" then print_string dot
     else begin
       let oc = open_out !graph_out in
@@ -88,43 +75,10 @@ let () =
     output_char oc '\n';
     close_out oc
   end;
-  if !write_baseline <> "" then begin
-    Rats_lint.Baseline.save !write_baseline report.findings;
-    Printf.eprintf "rats_lint: wrote %d finding%s to baseline %s\n"
-      (List.length report.findings)
-      (if List.length report.findings = 1 then "" else "s")
-      !write_baseline;
-    exit 0
-  end;
-  let shown, stale =
-    if !baseline = "" then (report.findings, [])
-    else
-      match Rats_lint.Baseline.load !baseline with
-      | keys ->
-          let d = Rats_lint.Baseline.diff ~baseline:keys report.findings in
-          (d.Rats_lint.Baseline.fresh, d.Rats_lint.Baseline.stale)
-      | exception Sys_error msg ->
-          prerr_endline ("lint: " ^ msg);
-          exit 2
-  in
-  print_string
-    (String.concat ""
-       (List.map (fun f -> Rats_lint.Finding.to_human f ^ "\n") shown));
-  List.iter
-    (fun k -> Printf.eprintf "rats_lint: baseline entry no longer fires: %s\n" k)
-    stale;
-  if !baseline = "" then
-    Printf.eprintf "rats_lint: %d finding%s (%d suppressed) in %d files\n"
-      (List.length shown)
-      (if List.length shown = 1 then "" else "s")
-      (List.length report.suppressed)
-      (List.length report.files)
-  else
-    Printf.eprintf
-      "rats_lint: %d new finding%s (%d baselined, %d suppressed) in %d files\n"
-      (List.length shown)
-      (if List.length shown = 1 then "" else "s")
-      (List.length report.findings - List.length shown)
-      (List.length report.suppressed)
-      (List.length report.files);
-  exit (if shown = [] then 0 else 1)
+  print_string (Rats_lint.Engine.render report);
+  Printf.eprintf "rats_lint: %d finding%s (%d suppressed) in %d files\n"
+    (List.length report.findings)
+    (if List.length report.findings = 1 then "" else "s")
+    (List.length report.suppressed)
+    (List.length report.files);
+  exit (if report.findings = [] then 0 else 1)

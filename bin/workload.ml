@@ -15,7 +15,10 @@ open Cmdliner
 module Common = Rats_cli.Common
 module Cluster = Rats_platform.Cluster
 module Admission = Rats_server.Admission
+module Api = Rats_server.Api
 module Engine = Rats_server.Engine
+module Load = Rats_server.Load
+module App = Rats_workload.App
 module Profile = Rats_workload.Profile
 module Trace = Rats_workload.Trace
 module Report = Rats_workload.Report
@@ -30,6 +33,20 @@ let parse_arms s =
       | Ok arm -> arm
       | Error e -> die "%s" e)
     (String.split_on_char ',' s)
+
+(* A replayed trace is checked whole before any arm runs: the first job
+   [Engine.submit] would refuse, as submitted, ends the run. *)
+let check_replay ~cluster path trace =
+  Array.iteri
+    (fun i (job : Trace.job) ->
+      match
+        Api.validate ~n_procs:(Cluster.n_procs cluster) (Load.request_of_job job)
+      with
+      | Ok (_ : int) -> ()
+      | Error e ->
+          die "%s: job %d (%s, tenant %s): %s" path (i + 1)
+            (App.name job.Trace.app) job.Trace.tenant e)
+    trace
 
 let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
     csv save_trace replay obs =
@@ -74,6 +91,7 @@ let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
             match Trace.load path with
             | Error e -> die "%s" e
             | Ok trace ->
+                check_replay ~cluster path trace;
                 List.map
                   (fun arm -> fst (Study.run_arm config ~profile ~trace arm))
                   arms)

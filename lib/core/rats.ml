@@ -20,15 +20,23 @@ let strategy_name = function
   | Delta _ -> "delta"
   | Timecost _ -> "time-cost"
 
-let check_params = function
-  | Baseline -> ()
+(* Each test is written so that NaN and the infinities fail it. *)
+let check_strategy = function
+  | Baseline -> Ok ()
   | Delta { mindelta; maxdelta } ->
-      if mindelta > 0. || mindelta < -1. then
-        invalid_arg "Rats: mindelta outside [-1, 0]";
-      if maxdelta < 0. then invalid_arg "Rats: maxdelta negative"
+      if not (mindelta >= -1. && mindelta <= 0.) then
+        Error "mindelta outside [-1, 0]"
+      else if not (maxdelta >= 0. && maxdelta < infinity) then
+        Error "maxdelta outside [0, inf)"
+      else Ok ()
   | Timecost { minrho; _ } ->
-      if minrho <= 0. || minrho > 1. then
-        invalid_arg "Rats: minrho outside (0, 1]"
+      if not (minrho > 0. && minrho <= 1.) then Error "minrho outside (0, 1]"
+      else Ok ()
+
+let check_params strategy =
+  match check_strategy strategy with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Rats: " ^ e)
 
 (* Predecessors that can save a redistribution: mapped, data-carrying, not
    virtual. Returns (pred id, procset). *)

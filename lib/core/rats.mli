@@ -48,6 +48,11 @@ val naive_timecost : timecost_params
 
 val strategy_name : strategy -> string
 
+val check_strategy : strategy -> (unit, string) result
+(** [Error] names the first parameter outside its documented range; NaN
+    and the infinities are outside every range. {!schedule} raises
+    [Invalid_argument] on exactly these strategies. *)
+
 val schedule : ?alloc:int array -> Problem.t -> strategy -> Schedule.t
 (** [schedule p strategy] runs the two-step algorithm: HCPA allocation
     (unless [alloc] is supplied) followed by the strategy's mapping. *)

@@ -13,12 +13,6 @@
     the mixed-parallel schedulers from both sides and power the
     mixed-vs-pure ablation bench. *)
 
-val data_parallel_alloc : Problem.t -> int array
-(** Every non-virtual task gets all [P] processors. *)
-
-val task_parallel_alloc : Problem.t -> int array
-(** Every task gets exactly one processor. *)
-
 val data_parallel : Problem.t -> Schedule.t
 (** Pure data parallelism, mapped with the baseline list scheduler (all
     tasks share the full-machine processor set, so no redistribution is

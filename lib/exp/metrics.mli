@@ -40,5 +40,3 @@ type degradation = {
 
 val degradation_from_best : Runner.result list -> degradation list
 
-val equal_tolerance : float
-(** Relative tolerance under which two makespans count as equal (0.001). *)

@@ -1,20 +1,11 @@
 module Json = Rats_obs.Json
 
-type source = Comment | Attribute | File_wide
-
 type t = {
   file : string;
   line : int;
-  span : int * int;
   rules : string list;
   reason : string option;
-  source : source;
 }
-
-let source_to_string = function
-  | Comment -> "comment"
-  | Attribute -> "attribute"
-  | File_wide -> "file"
 
 let is_rule_id s =
   String.length s = 4
@@ -33,6 +24,8 @@ let strip_separators s =
   let i = go 0 in
   String.sub s i (n - i)
 
+(* Splits ["D001, D002 — reason"] into rule ids and the justification;
+   an absent or empty justification yields [None]. *)
 let parse_spec spec =
   let words =
     String.split_on_char ' ' (String.map (fun c -> if c = ',' then ' ' else c) spec)
@@ -75,27 +68,11 @@ let scan_comments ~file lines =
           in
           let rules, reason = parse_spec rest in
           if rules <> [] then
-            acc :=
-              {
-                file;
-                line = i + 1;
-                span = (i + 1, i + 1);
-                rules;
-                reason;
-                source = Comment;
-              }
-              :: !acc)
+            acc := { file; line = i + 1; rules; reason } :: !acc)
     lines;
   List.rev !acc
 
-let covers t ~rule_id ~line =
-  List.mem rule_id t.rules
-  &&
-  match t.source with
-  | File_wide -> true
-  | Comment | Attribute ->
-      let lo, hi = t.span in
-      line >= lo && line <= hi
+let covers t ~rule_id ~line = line = t.line && List.mem rule_id t.rules
 
 let compare a b =
   let c = String.compare a.file b.file in
@@ -117,5 +94,4 @@ let to_json t =
       ("rules", Json.Arr (List.map (fun r -> Json.Str r) t.rules));
       ( "reason",
         match t.reason with Some r -> Json.Str r | None -> Json.Null );
-      ("source", Json.Str (source_to_string t.source));
     ]

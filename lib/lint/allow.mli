@@ -1,38 +1,26 @@
 (** Explicit, auditable lint suppressions.
 
-    Two syntaxes, both carrying a written justification:
-
-    - a same-line comment: [(* lint: allow D002 — reason *)] placed on
-      the offending line; several ids may be listed ([D001, D003]);
-    - an attribute: [[@lint.allow "D002 — reason"]] on an expression or
-      value binding (suppresses matching findings anywhere in that
-      node's line span), or a floating [[@@@lint.allow "..."]] which
-      suppresses for the whole file.
+    One syntax: a same-line comment [(* lint: allow D002 — reason *)]
+    placed on the offending line; several ids may be listed
+    ([D001, D003]). The separator before the reason may be [—], [-] or
+    [:]. An allow covers exactly its own line.
 
     A suppression without a justification is itself reported (rule
     [A001]), so [--list-allows] is always a complete audit trail. *)
 
-type source = Comment | Attribute | File_wide
-
 type t = {
   file : string;
   line : int;  (** Where the suppression is written (1-based). *)
-  span : int * int;  (** Inclusive line range the suppression covers. *)
   rules : string list;  (** Rule ids this allow names. *)
   reason : string option;  (** [None] when no justification was written. *)
-  source : source;
 }
-
-val parse_spec : string -> string list * string option
-(** Splits ["D001, D002 — reason"] into rule ids and the justification
-    (separators [—], [-] and [:] are all accepted; an absent or empty
-    justification yields [None]). *)
 
 val scan_comments : file:string -> string array -> t list
 (** Finds every [lint: allow] comment in the file's lines (index 0 is
-    line 1). The resulting allow covers exactly its own line. *)
+    line 1). *)
 
 val covers : t -> rule_id:string -> line:int -> bool
+(** The allow names [rule_id] and is written on [line]. *)
 
 val compare : t -> t -> int
 

@@ -17,10 +17,6 @@ val build : Summary.t list -> t
 
 val summary : t -> string -> Summary.t option
 
-val resolve : t -> from_file:string -> from_def:string -> string -> node option
-(** Resolve one qualified reference appearing inside [from_def] of
-    [from_file]; [None] means external. *)
-
 val display : t -> node -> string
 (** ["Maxmin.solve"] — module-qualified name for findings and DOT. *)
 

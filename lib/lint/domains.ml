@@ -171,7 +171,7 @@ let first_positional args =
       match label with Asttypes.Nolabel -> Some e | _ -> None)
     args
 
-let check_structure cb structure =
+let check_structure finding structure =
   (* File-wide binding classification: name -> klass, last binding wins.
      Scoping is approximated — [free_vars] already keeps locally-bound
      names out, so the map only answers "what does this captured name
@@ -241,7 +241,7 @@ let check_structure cb structure =
             |> List.sort compare
           in
           if flagged <> [] then
-            cb.Rules.finding (Rules.rule "R001") loc
+            finding (Rules.rule "R001") loc
               (Printf.sprintf
                  "%s captured by the closure passed to %s — share via \
                   Atomic/Mutex or keep it domain-local"
@@ -298,7 +298,7 @@ let check_structure cb structure =
               ends_with ~suffix:"Mutex.lock" name
               && not (Hashtbl.mem handled_locks loc)
             then
-              cb.Rules.finding (Rules.rule "R002") loc
+              finding (Rules.rule "R002") loc
                 "Mutex.lock without a Fun.protect'd unlock — an exception \
                  before the unlock leaves the mutex held forever")
     | _ -> ());

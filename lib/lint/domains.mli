@@ -15,7 +15,6 @@
     Both checks are per-file and syntactic; like [Rules.check_structure],
     scope filtering and suppression happen in the engine. *)
 
-val check_structure : Rules.callbacks -> Parsetree.structure -> unit
+val check_structure : Rules.finding -> Parsetree.structure -> unit
 (** Walk one parsed file and report every R001/R002 violation through
-    [cb.finding] (the [allow] callback is unused here — attributes are
-    collected by [Rules.check_structure]). *)
+    the callback. *)

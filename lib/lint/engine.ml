@@ -4,8 +4,7 @@ module Json = Rats_obs.Json
    {!Summary.t} (per-file findings, allows, defs/refs). Pass 2 is
    whole-program: the summaries become a {!Callgraph.t}, the taint pass
    adds D005 findings, unused allows become A002 findings, and suppression
-   is applied over the union. [lint_file] stops after pass 1 — single-file
-   runs cannot see cross-module taint or prove an allow stale. *)
+   is applied over the union. *)
 
 type report = {
   root : string;
@@ -13,7 +12,7 @@ type report = {
   findings : Finding.t list;
   suppressed : Finding.t list;
   allows : Allow.t list;
-  graph : Callgraph.t option;
+  graph : Callgraph.t;
 }
 
 let default_dirs = [ "bench"; "bin"; "lib"; "test" ]
@@ -44,10 +43,10 @@ let a001_findings allows =
             })
     allows
 
-(* A002 (whole-program only): an allow no finding needed. Usage is
-   checked against every non-A002 finding, so an allow naming A002 can
-   suppress its own staleness report — that is the sanctioned way to keep
-   a deliberately stale fixture. *)
+(* A002: an allow no finding needed. Usage is checked against every
+   non-A002 finding, so an allow naming A002 can suppress its own
+   staleness report — that is the sanctioned way to keep a deliberately
+   stale fixture. *)
 let a002_findings ~used allows =
   let a002 = Rules.rule "A002" in
   List.filter_map
@@ -87,21 +86,6 @@ let apply_allows ~allows all =
       all
   in
   (findings, suppressed)
-
-let lint_file ~root file =
-  let s = Summary.scan ~file (read_file (Filename.concat root file)) in
-  let allows = s.Summary.s_allows in
-  let findings, suppressed =
-    apply_allows ~allows (a001_findings allows @ s.Summary.s_findings)
-  in
-  {
-    root;
-    files = [ file ];
-    findings;
-    suppressed;
-    allows;
-    graph = None;
-  }
 
 let rec walk root rel acc =
   let abs = if rel = "" then root else Filename.concat root rel in
@@ -150,14 +134,7 @@ let lint_tree ?(dirs = default_dirs) ~root () =
   in
   let all = non_a002 @ a002_findings ~used:non_a002 allows in
   let findings, suppressed = apply_allows ~allows all in
-  {
-    root;
-    files;
-    findings;
-    suppressed;
-    allows;
-    graph = Some graph;
-  }
+  { root; files; findings; suppressed; allows; graph }
 
 let render_list to_human items =
   String.concat "" (List.map (fun x -> to_human x ^ "\n") items)

@@ -13,25 +13,17 @@ type report = {
   findings : Finding.t list;  (** Unsuppressed, sorted; nonempty = fail. *)
   suppressed : Finding.t list;  (** Matched by an allow; kept for audit. *)
   allows : Allow.t list;  (** Every suppression found, used or not. *)
-  graph : Callgraph.t option;  (** Tree runs only — for [--graph]. *)
+  graph : Callgraph.t;  (** For [--graph]. *)
 }
 
 val default_dirs : string list
 (** [bench; bin; lib; test] — the dirs [lint.exe] scans by default. *)
 
-val skip_dir_names : string list
-(** Directory basenames never descended into ([_build], [.git],
-    [lint_fixtures] — the last holds deliberate violations for the
-    linter's own tests). *)
-
-val lint_file : root:string -> string -> report
-(** Lint a single root-relative file: per-file rules only. Cross-module
-    taint (D005) and allow staleness (A002) need the whole tree and are
-    not run. *)
-
 val lint_tree : ?dirs:string list -> root:string -> unit -> report
 (** Lint every [.ml] under [dirs] (existing ones; default
-    {!default_dirs}), or the whole root when [dirs] is [[]]. *)
+    {!default_dirs}), or the whole root when [dirs] is [[]]. Directories
+    named [_build], [.git] or [lint_fixtures] (the linter's own
+    deliberate violations) are never descended into. *)
 
 val render : report -> string
 (** Human findings, one per line ({!Finding.to_human}), golden-stable. *)

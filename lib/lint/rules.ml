@@ -146,10 +146,7 @@ let rule id =
   | Some r -> r
   | None -> invalid_arg ("Rules.rule: unknown id " ^ id)
 
-type callbacks = {
-  finding : Rule.t -> Location.t -> string -> unit;
-  allow : line:int -> span:int * int -> source:Allow.source -> string -> unit;
-}
+type finding = Rule.t -> Location.t -> string -> unit
 
 let rec dotted = function
   | Longident.Lident s -> s
@@ -222,45 +219,16 @@ let rec catch_all pat =
   | Ppat_or (a, b) -> catch_all a || catch_all b
   | _ -> false
 
-let allow_attr_spec attr =
-  if attr.attr_name.txt <> "lint.allow" then None
-  else
-    match attr.attr_payload with
-    | PStr
-        [
-          {
-            pstr_desc =
-              Pstr_eval
-                ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-            _;
-          };
-        ] ->
-        Some s
-    | _ -> Some ""
-
-let span_of_loc (loc : Location.t) =
-  (loc.loc_start.pos_lnum, loc.loc_end.pos_lnum)
-
-let scan_attrs cb ~span attrs =
-  List.iter
-    (fun attr ->
-      match allow_attr_spec attr with
-      | Some spec ->
-          cb.allow ~line:attr.attr_loc.loc_start.pos_lnum ~span
-            ~source:Allow.Attribute spec
-      | None -> ())
-    attrs
-
-let check_structure ~lines cb structure =
+let check_structure ~lines finding structure =
   let ident loc name =
     let name = normalize name in
-    if List.mem name d001_names then cb.finding (rule "D001") loc (name ^ ": hash traversal order is unspecified — fold into a list and sort it first")
-    else if List.mem name d002_names then cb.finding (rule "D002") loc (name ^ ": wall-clock/entropy outside lib/obs breaks replayable runs — use Rats_obs.Instr.now_s or route it through the obs layer")
-    else if List.mem name h002_names then cb.finding (rule "H002") loc (name ^ ": library code must not print to stdout — use Runtime.Progress/Report or take a formatter")
+    if List.mem name d001_names then finding (rule "D001") loc (name ^ ": hash traversal order is unspecified — fold into a list and sort it first")
+    else if List.mem name d002_names then finding (rule "D002") loc (name ^ ": wall-clock/entropy outside lib/obs breaks replayable runs — use Rats_obs.Instr.now_s or route it through the obs layer")
+    else if List.mem name h002_names then finding (rule "H002") loc (name ^ ": library code must not print to stdout — use Runtime.Progress/Report or take a formatter")
     else if List.mem name d003_names then begin
       let line = loc.Location.loc_start.pos_lnum in
       if not (sorted_nearby lines line) then
-        cb.finding (rule "D003") loc (name ^ ": listing order depends on the filesystem — sort the result before use")
+        finding (rule "D003") loc (name ^ ": listing order depends on the filesystem — sort the result before use")
     end
   in
   let handle_cases ~in_try cases =
@@ -270,7 +238,7 @@ let check_structure ~lines cb structure =
         | Some _ -> ()
         | None -> (
             let flag pat =
-              cb.finding (rule "H001") pat.ppat_loc
+              finding (rule "H001") pat.ppat_loc
                 "catch-all exception handler can swallow \
                  Out_of_memory/Stack_overflow — match specific exceptions or \
                  add a `when Fatal.recoverable e` guard"
@@ -282,7 +250,6 @@ let check_structure ~lines cb structure =
       cases
   in
   let expr_hook (it : Ast_iterator.iterator) e =
-    scan_attrs cb ~span:(span_of_loc e.pexp_loc) e.pexp_attributes;
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } -> ident loc (dotted txt)
     | Pexp_try (_, cases) -> handle_cases ~in_try:true cases
@@ -293,7 +260,7 @@ let check_structure ~lines cb structure =
         with
         | Some replacement
           when List.exists (fun (_, arg) -> float_evidence arg) args ->
-            cb.finding (rule "D004") loc
+            finding (rule "D004") loc
               (Printf.sprintf
                  "polymorphic %s on a float operand — use %s for explicit \
                   NaN/zero semantics"
@@ -302,27 +269,5 @@ let check_structure ~lines cb structure =
     | _ -> ());
     Ast_iterator.default_iterator.expr it e
   in
-  let value_binding_hook (it : Ast_iterator.iterator) vb =
-    scan_attrs cb ~span:(span_of_loc vb.pvb_loc) vb.pvb_attributes;
-    Ast_iterator.default_iterator.value_binding it vb
-  in
-  let structure_item_hook (it : Ast_iterator.iterator) item =
-    (match item.pstr_desc with
-    | Pstr_attribute attr -> (
-        match allow_attr_spec attr with
-        | Some spec ->
-            cb.allow ~line:attr.attr_loc.loc_start.pos_lnum
-              ~span:(1, Array.length lines) ~source:Allow.File_wide spec
-        | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.structure_item it item
-  in
-  let iterator =
-    {
-      Ast_iterator.default_iterator with
-      expr = expr_hook;
-      value_binding = value_binding_hook;
-      structure_item = structure_item_hook;
-    }
-  in
+  let iterator = { Ast_iterator.default_iterator with expr = expr_hook } in
   iterator.structure iterator structure

@@ -129,29 +129,18 @@ let defs_and_aliases structure =
 let scan ~file src =
   let lines = split_lines src in
   let raw = ref [] in
-  let allows = ref (Allow.scan_comments ~file lines) in
   let defs = ref [] and aliases = ref [] in
   (match parse_structure ~file src with
   | Error (loc, what) ->
       let rule = Rules.rule "E001" in
       raw := [ finding_of rule loc (what ^ " — file cannot be analyzed") ~file ]
   | Ok structure ->
-      let cb =
-        {
-          Rules.finding =
-            (fun rule loc message ->
-              if Rule.applies rule ~path:file then
-                raw := finding_of rule loc message ~file :: !raw);
-          allow =
-            (fun ~line ~span ~source spec ->
-              let rules, reason = Allow.parse_spec spec in
-              if rules <> [] then
-                allows :=
-                  { Allow.file; line; span; rules; reason; source } :: !allows);
-        }
+      let finding rule loc message =
+        if Rule.applies rule ~path:file then
+          raw := finding_of rule loc message ~file :: !raw
       in
-      Rules.check_structure ~lines cb structure;
-      Domains.check_structure cb structure;
+      Rules.check_structure ~lines finding structure;
+      Domains.check_structure finding structure;
       let d, a = defs_and_aliases structure in
       defs := d;
       aliases := a);
@@ -162,5 +151,5 @@ let scan ~file src =
     s_aliases = !aliases;
     s_defs = !defs;
     s_findings = List.sort_uniq Finding.compare !raw;
-    s_allows = List.sort Allow.compare !allows;
+    s_allows = Allow.scan_comments ~file lines;
   }

@@ -28,8 +28,6 @@ type t = {
   s_allows : Allow.t list;
 }
 
-val modname_of_file : string -> string
-
 val scan : file:string -> string -> t
 (** [scan ~file src] parses and summarizes one file. A file that does not
     parse yields an [E001] finding, comment-scanned allows, and no

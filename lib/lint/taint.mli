@@ -7,16 +7,6 @@
     full witness path in the message. lib/obs is the trust boundary:
     sources inside it do not seed and edges into it are not followed. *)
 
-val source_names : string list
-(** Dotted names whose reference seeds taint. *)
-
-type witness =
-  | Direct of string * int  (** source name, referencing line *)
-  | Via of Callgraph.node   (** next hop toward the source *)
-
-val analyze : Callgraph.t -> (Callgraph.node, witness) Hashtbl.t
-(** Map every tainted definition to the witness of its taint. *)
-
 val findings : Callgraph.t -> Finding.t list
 (** D005 findings at the taint frontier, sorted and deduplicated.
     0-hop wall-clock references already reported by D002 are skipped. *)

@@ -12,8 +12,9 @@ type t = {
 
 let make ~name ~topology ~speed_gflops ?(node_link = Link.gigabit)
     ?(uplink = Link.gigabit) ?(tcp_wmax = 4. *. 1048576.) () =
-  if speed_gflops <= 0. then invalid_arg "Cluster.make: non-positive speed";
-  if tcp_wmax <= 0. then invalid_arg "Cluster.make: non-positive tcp_wmax";
+  (* Written so that NaN fails them. *)
+  if not (speed_gflops > 0.) then invalid_arg "Cluster.make: non-positive speed";
+  if not (tcp_wmax > 0.) then invalid_arg "Cluster.make: non-positive tcp_wmax";
   { name; topology; speed = Units.gflops speed_gflops; node_link; uplink; tcp_wmax }
 
 let n_procs c = Topology.n_nodes c.topology

@@ -3,8 +3,9 @@ module Units = Rats_util.Units
 type t = { latency : float; bandwidth : float }
 
 let make ~latency ~bandwidth =
-  if latency < 0. then invalid_arg "Link.make: negative latency";
-  if bandwidth <= 0. then invalid_arg "Link.make: non-positive bandwidth";
+  (* Written so that NaN fails them. *)
+  if not (latency >= 0.) then invalid_arg "Link.make: negative latency";
+  if not (bandwidth > 0.) then invalid_arg "Link.make: non-positive bandwidth";
   { latency; bandwidth }
 
 let gigabit =

@@ -61,10 +61,13 @@ let validated ~n_procs r =
     match resolve_procs ~n_procs r.procs with
     | Error e -> Error e
     | Ok k -> (
-        match dag_of_spec r.job with
-        | dag -> Ok (k, dag)
-        | exception (Invalid_argument msg | Failure msg) ->
-            Error ("malformed DAG: " ^ msg))
+        match Core.Rats.check_strategy r.strategy with
+        | Error e -> Error e
+        | Ok () -> (
+            match dag_of_spec r.job with
+            | dag -> Ok (k, dag)
+            | exception (Invalid_argument msg | Failure msg) ->
+                Error ("malformed DAG: " ^ msg)))
 
 let validate ~n_procs r = Result.map fst (validated ~n_procs r)
 
@@ -79,12 +82,6 @@ let subcluster c k =
       ~speed_gflops:(c.Cluster.speed /. Rats_util.Units.gflops 1.)
       ~node_link:c.Cluster.node_link ~uplink:c.Cluster.uplink
       ~tcp_wmax:c.Cluster.tcp_wmax ()
-
-let prepare_dag ~cluster dag =
-  let problem = Core.Problem.make ~dag ~cluster in
-  (problem, Core.Hcpa.allocate problem)
-
-let prepare ~cluster spec = prepare_dag ~cluster (dag_of_spec spec)
 
 type placement = {
   task : int;
@@ -102,13 +99,11 @@ type response = {
   placements : placement array;
 }
 
-let schedule_dag ~cluster ?alloc dag strategy =
-  let problem, hcpa = prepare_dag ~cluster dag in
-  let alloc = match alloc with Some a -> a | None -> hcpa in
-  Core.Rats.schedule ~alloc problem strategy
+(* HCPA allocation, then the strategy's mapping. *)
+let schedule_dag ~cluster dag strategy =
+  Core.Rats.schedule (Core.Problem.make ~dag ~cluster) strategy
 
-let plan ~cluster ?alloc r =
-  schedule_dag ~cluster ?alloc (dag_of_spec r.job) r.strategy
+let plan ~cluster r = schedule_dag ~cluster (dag_of_spec r.job) r.strategy
 
 let response_of_schedule ~job_name ~strategy schedule =
   let placements =

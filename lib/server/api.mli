@@ -11,8 +11,8 @@
     protocol, see docs/SERVER.md) with floats rendered exactly, so event
     logs can be diffed bit-for-bit across runs and resumes.
 
-    Scheduling itself ({!prepare}, {!plan}, {!place}) is a thin, pure
-    composition of the existing pipeline — {!Rats_core.Problem.make},
+    Scheduling itself ({!plan}, {!place}) is a thin, pure composition of
+    the existing pipeline — {!Rats_core.Problem.make},
     {!Rats_core.Hcpa.allocate}, {!Rats_core.Rats.schedule} — over the
     requested processor share. *)
 
@@ -50,8 +50,9 @@ type request = {
 
 val validate : n_procs:int -> request -> (int, string) result
 (** Static (submission-time) validation: share in range, tenant non-empty,
-    spec well-formed. Returns the resolved processor count ([0] resolves
-    to [n_procs]). *)
+    strategy parameters in range ({!Rats_core.Rats.check_strategy}), spec
+    well-formed. Returns the resolved processor count ([0] resolves to
+    [n_procs]). *)
 
 (** {2 Scheduling} *)
 
@@ -61,13 +62,6 @@ val subcluster : Cluster.t -> int -> Cluster.t
     [k = n_procs c] it is [c] itself (bit-compatible with the batch
     pipeline). Hierarchical platforms are approximated as flat shares; the
     shared simulation still routes flows through the real topology. *)
-
-val prepare : cluster:Cluster.t -> job_spec -> Rats_core.Problem.t * int array
-(** DAG generation, problem construction and HCPA allocation — the
-    service's first step for every strategy, used by {!plan} and by the
-    workload study's packing baseline. The batch experiments prepare
-    through {!Rats_exp.Runner.prepare}, the same sequence without the
-    job-spec layer. *)
 
 type placement = {
   task : int;
@@ -85,11 +79,12 @@ type response = {
   placements : placement array;
 }
 
-val plan :
-  cluster:Cluster.t -> ?alloc:int array -> request -> Rats_core.Schedule.t
+val plan : cluster:Cluster.t -> request -> Rats_core.Schedule.t
 (** The pure submit-DAG → get-schedule function on [request.procs]
     processors of [cluster] (which must already be the share, see
-    {!subcluster}). *)
+    {!subcluster}): DAG generation, problem construction, HCPA allocation
+    and the strategy's mapping — the sequence the batch experiments run
+    through {!Rats_exp.Runner.prepare}. *)
 
 val response_of_schedule :
   job_name:string -> strategy:string -> Rats_core.Schedule.t -> response

@@ -3,7 +3,7 @@ module Problem = Rats_core.Problem
 module Rats = Rats_core.Rats
 
 let plan ~cluster (r : Api.request) =
-  let problem, _hcpa = Api.prepare ~cluster r.Api.job in
+  let problem = Problem.make ~dag:(Api.dag_of_spec r.Api.job) ~cluster in
   let n = Problem.n_procs problem in
   let demand = max 1 (n / 4) in
   let alloc =

@@ -139,7 +139,9 @@ let shape_of_json ?jump j =
   let* width = J.num_field "width" j in
   let* regularity = J.num_field "regularity" j in
   let* density = J.num_field "density" j in
-  Ok (Shape.make ~width ~regularity ~density ?jump ())
+  match Shape.make ~width ~regularity ~density ?jump () with
+  | s -> Ok s
+  | exception Invalid_argument msg -> Error msg
 
 let app_of_json j =
   let* kind = J.str_field "kind" j in

@@ -35,7 +35,9 @@ val save : string -> t -> unit
 (** Writes the JSON-lines representation to a file (overwrites). *)
 
 val load : string -> (t, string) result
-(** Parses a file written by {!save}; errors carry the line number. *)
+(** Parses a file written by {!save}. Every error, including a value a
+    constructor rejects (a shape parameter outside (0,1], say), reads
+    [FILE:LINE: …]. *)
 
 val strategy_to_json : Rats_core.Rats.strategy -> Rats_obs.Json.t
 (** [{"algo": "hcpa"}], [{"algo": "delta", "mindelta": _, "maxdelta": _}]

@@ -1,6 +1,6 @@
 (* D002 fixture: wall-clock read outside lib/obs; the suppressed case
-   uses the attribute syntax. Parsed by rats_lint's tests, never compiled. *)
+   carries a same-line allow. Parsed by rats_lint's tests, never compiled. *)
 
 let positive () = Unix.gettimeofday ()
 
-let suppressed () = (Unix.gettimeofday () [@lint.allow "D002 — fixture: coarse display timestamp only"])
+let suppressed () = (Unix.gettimeofday ()) (* lint: allow D002 — fixture: coarse display timestamp only *)

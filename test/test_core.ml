@@ -512,7 +512,30 @@ let test_rats_param_validation () =
       ignore (Rats.schedule p (Rats.Delta { Rats.mindelta = 0.1; maxdelta = 0.5 })));
   Alcotest.check_raises "minrho zero"
     (Invalid_argument "Rats: minrho outside (0, 1]") (fun () ->
-      ignore (Rats.schedule p (Rats.Timecost { Rats.minrho = 0.; packing = true })))
+      ignore (Rats.schedule p (Rats.Timecost { Rats.minrho = 0.; packing = true })));
+  (* NaN and the infinities are outside every range. *)
+  let refused strategy =
+    match Rats.check_strategy strategy with Error _ -> true | Ok () -> false
+  in
+  List.iter
+    (fun x ->
+      let name = Printf.sprintf "%h refused" x in
+      Alcotest.(check bool) ("mindelta " ^ name) true
+        (refused (Rats.Delta { Rats.mindelta = x; maxdelta = 0.5 }));
+      Alcotest.(check bool) ("maxdelta " ^ name) true
+        (refused (Rats.Delta { Rats.mindelta = -0.5; maxdelta = x }));
+      Alcotest.(check bool) ("minrho " ^ name) true
+        (refused (Rats.Timecost { Rats.minrho = x; packing = true })))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check bool) "range ends accepted" true
+    (List.for_all
+       (fun s -> Rats.check_strategy s = Ok ())
+       [
+         Rats.Baseline;
+         Rats.Delta { Rats.mindelta = -1.; maxdelta = 0. };
+         Rats.Delta { Rats.mindelta = 0.; maxdelta = 1e300 };
+         Rats.Timecost { Rats.minrho = 1.; packing = false };
+       ])
 
 let test_rats_strategy_names () =
   Alcotest.(check string) "baseline" "hcpa" (Rats.strategy_name Rats.Baseline);

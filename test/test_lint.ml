@@ -7,7 +7,6 @@ module Engine = Rats_lint.Engine
 module Rules = Rats_lint.Rules
 module Finding = Rats_lint.Finding
 module Allow = Rats_lint.Allow
-module Baseline = Rats_lint.Baseline
 module Callgraph = Rats_lint.Callgraph
 module Json = Rats_obs.Json
 
@@ -119,15 +118,10 @@ let test_catalogue_sorted_and_scoped () =
   check Alcotest.bool "D002 covers lib/runtime" true
     (Rats_lint.Rule.applies d002 ~path:"lib/runtime/progress.ml")
 
-(* D005's whole point: the per-file scan of the frontier file is clean;
-   only the whole-program pass sees the two-modules-away entropy draw,
-   and its finding carries the full call path. *)
+(* D005's whole point: the frontier file is clean on its own; the
+   whole-program pass sees the two-modules-away entropy draw, and its
+   finding carries the full call path. *)
 let test_d005_needs_whole_program () =
-  let per_file = Engine.lint_file ~root:fixture_root "lib/sim/d005_sampler.ml" in
-  check
-    Alcotest.(list string)
-    "per-file scan of the D005 fixture is clean" []
-    (List.map Finding.to_human (per_file.findings @ per_file.suppressed));
   let r = Lazy.force fixture_report in
   match List.filter (fun f -> f.Finding.rule_id = "D005") r.findings with
   | [ f ] ->
@@ -157,38 +151,42 @@ let test_a002_stale_allow () =
          && f.Finding.line = 8)
        r.suppressed)
 
-let test_baseline_roundtrip () =
-  let r = Lazy.force fixture_report in
-  let path = Filename.temp_file "rats_lint_baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Baseline.save path r.findings;
-      let keys = Baseline.load path in
-      check Alcotest.int "one key per finding" (List.length r.findings)
-        (List.length keys);
-      let d = Baseline.diff ~baseline:keys r.findings in
-      check Alcotest.int "round-trip: nothing fresh" 0 (List.length d.fresh);
-      check Alcotest.(list string) "round-trip: nothing stale" [] d.stale;
-      (* Dropping a stored entry makes that finding fresh again... *)
-      let d = Baseline.diff ~baseline:(List.tl keys) r.findings in
-      check Alcotest.int "removed entry turns fresh" 1 (List.length d.fresh);
-      (* ...and an entry nothing fires for is reported stale. *)
-      let bogus = "x.ml|D001|long gone" in
-      let d = Baseline.diff ~baseline:(bogus :: keys) r.findings in
-      check Alcotest.(list string) "dead entry reported stale" [ bogus ] d.stale)
-
 let test_graph_dot () =
-  let r = Lazy.force fixture_report in
-  match r.Engine.graph with
-  | None -> Alcotest.fail "tree run must carry the call graph"
-  | Some g ->
-      let dot = Callgraph.to_dot g in
-      check Alcotest.bool "DOT header" true
-        (contains ~sub:"digraph rats_callgraph" dot);
-      check Alcotest.bool "cross-module taint edge present" true
-        (contains ~sub:"\"Rats_sim.D005_sampler\" -> \"Rats_util.Sampling\""
-           dot)
+  let dot = Callgraph.to_dot (Lazy.force fixture_report).Engine.graph in
+  check Alcotest.bool "DOT header" true
+    (contains ~sub:"digraph rats_callgraph" dot);
+  check Alcotest.bool "cross-module taint edge present" true
+    (contains ~sub:"\"Rats_sim.D005_sampler\" -> \"Rats_util.Sampling\"" dot)
+
+(* An allow covers its own line only: the same hazard one line further
+   down, even inside the same expression, is still reported. *)
+let test_allow_covers_own_line () =
+  let root = Filename.temp_dir "rats_lint" "" in
+  let dir = Filename.concat root "lib" in
+  let file = Filename.concat dir "two_clocks.ml" in
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      Sys.rmdir dir;
+      Sys.rmdir root)
+    (fun () ->
+      (* The marker is split so that this file carries no allow itself. *)
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc
+            ("let pair () =\n  ( Unix.gettimeofday (), (* lint"
+           ^ ": allow D002 — test: this line only *)\n\
+              \    Unix.gettimeofday () )\n"));
+      let r = Engine.lint_tree ~dirs:[ "lib" ] ~root () in
+      let where fs =
+        List.map (fun f -> (f.Finding.rule_id, f.Finding.line)) fs
+      in
+      check
+        Alcotest.(list (pair string int))
+        "line 3 still reported" [ ("D002", 3) ] (where r.findings);
+      check
+        Alcotest.(list (pair string int))
+        "line 2 suppressed" [ ("D002", 2) ] (where r.suppressed))
 
 let test_repo_tree_clean () =
   match repo_root () with
@@ -215,18 +213,6 @@ let test_repo_allows_justified () =
              if a.reason = None then Some (Allow.to_human a) else None)
            r.allows)
 
-(* The committed CI baseline must stay empty: the ratchet exists for
-   landing new rules on a dirty tree, and the tree is clean. *)
-let test_repo_baseline_empty () =
-  match repo_root () with
-  | None -> Alcotest.fail "cannot locate repo root (no dune-project upward)"
-  | Some root ->
-      let path = Filename.concat root "tools/lint_baseline.txt" in
-      check Alcotest.bool "baseline file committed" true (Sys.file_exists path);
-      check
-        Alcotest.(list string)
-        "zero baselined findings" [] (Baseline.load path)
-
 let () =
   Alcotest.run "rats_lint"
     [
@@ -239,6 +225,8 @@ let () =
           Alcotest.test_case "unjustified allow reported" `Quick
             test_unjustified_allow_is_listed;
           Alcotest.test_case "json parse-back" `Quick test_json_parse_back;
+          Alcotest.test_case "allow covers its own line only" `Quick
+            test_allow_covers_own_line;
         ] );
       ( "catalogue",
         [
@@ -250,8 +238,6 @@ let () =
           Alcotest.test_case "d005 needs the whole program" `Quick
             test_d005_needs_whole_program;
           Alcotest.test_case "a002 stale allow" `Quick test_a002_stale_allow;
-          Alcotest.test_case "baseline round-trip" `Quick
-            test_baseline_roundtrip;
           Alcotest.test_case "call-graph dot" `Quick test_graph_dot;
         ] );
       ( "repo",
@@ -259,6 +245,5 @@ let () =
           Alcotest.test_case "tree lints clean" `Quick test_repo_tree_clean;
           Alcotest.test_case "allows justified" `Quick
             test_repo_allows_justified;
-          Alcotest.test_case "baseline empty" `Quick test_repo_baseline_empty;
         ] );
     ]

@@ -65,6 +65,23 @@ let test_cluster_validation () =
       ignore
         (Cluster.make ~name:"x" ~topology:(Topology.Flat 2) ~speed_gflops:0. ()))
 
+let test_nan_parameters () =
+  Alcotest.check_raises "nan speed"
+    (Invalid_argument "Cluster.make: non-positive speed") (fun () ->
+      ignore
+        (Cluster.make ~name:"x" ~topology:(Topology.Flat 2) ~speed_gflops:nan ()));
+  Alcotest.check_raises "nan tcp_wmax"
+    (Invalid_argument "Cluster.make: non-positive tcp_wmax") (fun () ->
+      ignore
+        (Cluster.make ~name:"x" ~topology:(Topology.Flat 2) ~speed_gflops:1.
+           ~tcp_wmax:nan ()));
+  Alcotest.check_raises "nan latency"
+    (Invalid_argument "Link.make: negative latency") (fun () ->
+      ignore (Link.make ~latency:nan ~bandwidth:1.));
+  Alcotest.check_raises "nan bandwidth"
+    (Invalid_argument "Link.make: non-positive bandwidth") (fun () ->
+      ignore (Link.make ~latency:0. ~bandwidth:nan))
+
 (* --- Routes -------------------------------------------------------------- *)
 
 let test_route_flat () =
@@ -139,6 +156,7 @@ let () =
         [
           Alcotest.test_case "Table II presets" `Quick test_presets_table2;
           Alcotest.test_case "validation" `Quick test_cluster_validation;
+          Alcotest.test_case "nan parameters" `Quick test_nan_parameters;
           Alcotest.test_case "flat routes" `Quick test_route_flat;
           Alcotest.test_case "hierarchical routes" `Quick test_route_hierarchical;
           Alcotest.test_case "route bounds" `Quick test_route_bounds;

@@ -1401,6 +1401,23 @@ let session_fuzz_test =
             json (Protocol.Submit { at = None; request = request job });
           ])
         malformed
+    @ List.concat_map
+        (fun strategy ->
+          [
+            json (Protocol.Plan (request ~strategy (fft 2 0)));
+            json
+              (Protocol.Submit
+                 { at = None; request = request ~strategy (fft 2 0) });
+          ])
+        (* Strategy parameters outside their ranges. *)
+        [
+          Core.Rats.Delta { mindelta = 5.; maxdelta = 0.5 };
+          Core.Rats.Delta { mindelta = 0.1; maxdelta = 0.5 };
+          Core.Rats.Delta { mindelta = -1.5; maxdelta = 0.5 };
+          Core.Rats.Delta { mindelta = -0.5; maxdelta = -1. };
+          Core.Rats.Timecost { minrho = 2.; packing = true };
+          Core.Rats.Timecost { minrho = 0.; packing = false };
+        ]
   in
   let length n =
     let b = Bytes.create 4 in
@@ -1416,6 +1433,13 @@ let session_fuzz_test =
       framed "{\"op\":";
       framed "not json";
       framed "";
+      (* Strategy parameters past the JSON number range do not decode. *)
+      framed
+        {|{"op":"plan","req":{"tenant":"t","job":{"kind":"fft","k":2,"sample":0},"strategy":{"algo":"delta","mindelta":1e400,"maxdelta":0.5},"procs":0}}|};
+      framed
+        {|{"op":"submit","req":{"tenant":"t","job":{"kind":"fft","k":2,"sample":0},"strategy":{"algo":"delta","mindelta":-0.5,"maxdelta":1e400},"procs":0}}|};
+      framed
+        {|{"op":"submit","req":{"tenant":"t","job":{"kind":"fft","k":2,"sample":0},"strategy":{"algo":"timecost","minrho":-1e400,"packing":true},"procs":0}}|};
     ]
   in
   let gen =

@@ -295,6 +295,43 @@ let test_trace_file_roundtrip () =
     | Error e -> String.length e > 0
     | Ok _ -> false)
 
+(* A value the JSON grammar accepts but a constructor refuses is a load
+   error at its line, not an exception. *)
+let test_trace_file_bad_value () =
+  let job width =
+    Printf.sprintf
+      {|{"at":1,"tenant":"t","app":{"kind":"layered","n_tasks":25,"width":%s,"regularity":0.8,"density":0.2,"sample":0},"procs":4,"strategy":{"algo":"hcpa"}}|}
+      width
+  in
+  let path = tmp_file () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (job "0.5" ^ "\n" ^ job "-1" ^ "\n"));
+      match Trace.load path with
+      | Ok _ -> Alcotest.fail "a width of -1 loaded"
+      | Error e ->
+          check Alcotest.string "file and line named"
+            (path ^ ":2: Shape.make: width outside (0,1]")
+            e)
+
+(* The packing arm fixes its own allocation, so it never runs HCPA. *)
+let test_packing_skips_hcpa () =
+  let r =
+    {
+      Api.tenant = "t";
+      job = Api.Generated { Suite.spec = Suite.Fft { k = 8 }; sample = 0 };
+      strategy = Rats.Baseline;
+      procs = 0;
+    }
+  in
+  let counter = Rats_obs.Instr.alloc_runs in
+  let before = Rats_obs.Metrics.counter_value counter in
+  ignore (Rats_workload_study.Packing.plan ~cluster:Cluster.grillon r);
+  check Alcotest.int "no allocation run" 0
+    (Rats_obs.Metrics.counter_value counter - before)
+
 (* --- study runner -------------------------------------------------------- *)
 
 let test_study_invariants () =
@@ -447,6 +484,8 @@ let () =
             test_trace_jobs_invariant;
           Alcotest.test_case "file round-trip" `Quick
             test_trace_file_roundtrip;
+          Alcotest.test_case "bad value names file and line" `Quick
+            test_trace_file_bad_value;
         ] );
       ( "study",
         [
@@ -456,6 +495,8 @@ let () =
           Alcotest.test_case "arm names" `Quick test_arm_names;
           Alcotest.test_case "rats arms log their strategy" `Quick
             test_arm_strategy_logged;
+          Alcotest.test_case "packing skips hcpa" `Quick
+            test_packing_skips_hcpa;
         ] );
       ( "profile",
         [ Alcotest.test_case "grammar" `Quick test_profile_grammar ] );

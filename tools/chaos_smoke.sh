@@ -25,9 +25,10 @@
 #   5. hostile inputs and faults: with no daemon running, a missing --dag
 #      file and a request past the 16 MiB frame limit must each be a
 #      one-line client error (the client frames before it connects); a plan
-#      whose placement reply outgrows the limit must be a one-line error
-#      from the daemon, which keeps answering pings, and a request past the
-#      limit a one-line error from the client; then corrupt@server.read +
+#      whose placement reply outgrows the limit and a plan whose --mindelta
+#      is out of range must each be a one-line error from the daemon, which
+#      keeps answering pings, and a request past the limit a one-line error
+#      from the client; then corrupt@server.read +
 #      crash@server.client at p=0.3 — individual connections die (clients
 #      see clean failures, not hangs), the daemon itself must survive and
 #      still answer health;
@@ -262,6 +263,15 @@ RC=0
 "$CLIENT" --socket "$S" --op ping --timeout 5 >/dev/null \
     || fail "daemon stopped answering after an oversized reply"
 RC=0
+"$CLIENT" --socket "$S" --op plan --kind fft --fft-k 4 --algo delta \
+    --mindelta 5 --timeout 10 > /dev/null 2> "$WORK/mindelta.err" || RC=$?
+[ "$RC" -eq 1 ] || fail "out-of-range --mindelta: client exit $RC, not 1"
+[ "$(wc -l < "$WORK/mindelta.err")" -eq 1 ] \
+    && grep -q '^ratsd: mindelta outside' "$WORK/mindelta.err" \
+    || fail "an out-of-range --mindelta was not a one-line ratsd: error"
+"$CLIENT" --socket "$S" --op ping --timeout 5 >/dev/null \
+    || fail "daemon stopped answering after an out-of-range --mindelta"
+RC=0
 "$CLIENT" --socket "$S" --op plan --dag "$WORK/bigger.json" --timeout 60 \
     > /dev/null 2> "$WORK/bigger.err" || RC=$?
 [ "$RC" -eq 1 ] || fail "oversized request: client exit $RC, not 1"
@@ -271,7 +281,7 @@ RC=0
 "$CLIENT" --socket "$S" --op shutdown >/dev/null
 wait $DPID 2>/dev/null || true
 rm -f "$WORK/big.json" "$WORK/bigger.json"
-echo "chaos-smoke: replies and requests past the frame limit are clean errors"
+echo "chaos-smoke: oversized replies and requests and bad strategy parameters are clean errors"
 
 rm -f "$S"
 RATS_FAULT="seed=7,corrupt@server.read=0.3,crash@server.client=0.3" \

@@ -3,9 +3,8 @@
 #
 #   1. cold run over the real tree under the 2s budget;
 #   2. a second run byte-identical to the first (determinism);
-#   3. baseline ratchet: fixture findings are all fresh against the empty
-#      committed baseline (exit 1) and all accepted against a baseline
-#      written from the same run (exit 0);
+#   3. the deliberately dirty fixture tree fails (exit 1) with exactly the
+#      golden findings of test/lint_fixtures/expected.txt;
 #   4. --graph emits a DOT call graph.
 #
 # Run from the repo root (or via `make lint-smoke`, which builds first).
@@ -25,18 +24,13 @@ echo "lint_smoke: cold whole-tree run ${elapsed_ms}ms"
 second_out=$($LINT 2>/dev/null) || fail "second run found findings or errored"
 [ "$cold_out" = "$second_out" ] || fail "second run's output differs from the first"
 
-# Baseline ratchet, both directions, driven by the deliberately dirty
-# fixture tree.
-if $LINT --root test/lint_fixtures --baseline tools/lint_baseline.txt lib >/dev/null 2>&1; then
-  fail "fixture findings must be fresh against the empty committed baseline"
-fi
-tmp=$WORK/baseline.txt
-$LINT --root test/lint_fixtures --write-baseline "$tmp" lib >/dev/null 2>&1 \
-  || fail "--write-baseline must exit 0"
-$LINT --root test/lint_fixtures --baseline "$tmp" lib >/dev/null 2>&1 \
-  || fail "baselined fixture findings must not fail the run"
+rc=0
+$LINT --root test/lint_fixtures lib > "$WORK/fixtures.txt" 2>/dev/null || rc=$?
+[ "$rc" -eq 1 ] || fail "fixture tree: exit $rc, not 1"
+same_bytes test/lint_fixtures/expected.txt "$WORK/fixtures.txt" \
+  "fixture findings differ from test/lint_fixtures/expected.txt"
 
 $LINT --graph - 2>/dev/null | grep -q "digraph rats_callgraph" \
   || fail "--graph did not emit a DOT digraph"
 
-echo "lint_smoke: OK (cold ${elapsed_ms}ms; determinism, baseline ratchet and graph export verified)"
+echo "lint_smoke: OK (cold ${elapsed_ms}ms; determinism, fixture golden and graph export verified)"

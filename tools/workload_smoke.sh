@@ -5,7 +5,9 @@
 #   1. determinism: a small three-arm study run twice with the same seed must
 #      produce byte-identical CSV comparison tables;
 #   2. trace round-trip: --save-trace followed by --replay of the written
-#      file must reproduce the direct run's CSV byte-for-byte;
+#      file must reproduce the direct run's CSV byte-for-byte, and replaying
+#      a trace with a negative share must be a one-line error (exit 2)
+#      naming the file and the job, before any arm runs;
 #   3. worker independence: the same study with --jobs 3 must not change a
 #      single byte of the CSV.
 #
@@ -44,6 +46,16 @@ run "$WORK/direct.csv" --save-trace "$WORK/trace.jsonl"
 run "$WORK/replayed.csv" --replay "$WORK/trace.jsonl"
 same_bytes "$WORK/direct.csv" "$WORK/replayed.csv" \
     "replayed trace changed the study result"
+
+sed '2s/"procs":[0-9]*/"procs":-5/' "$WORK/trace.jsonl" > "$WORK/procs.jsonl"
+RC=0
+run "$WORK/procs.csv" --replay "$WORK/procs.jsonl" 2> "$WORK/procs.err" || RC=$?
+[ "$RC" -eq 2 ] || fail "replay of a negative share: exit $RC, not 2"
+[ "$(wc -l < "$WORK/procs.err")" -eq 1 ] \
+    && grep -q "^workload: $WORK/procs.jsonl: job 2 (.*): procs must be non-negative" \
+        "$WORK/procs.err" \
+    || fail "a negative share was not a one-line workload: error naming the job"
+[ ! -e "$WORK/procs.csv" ] || fail "an arm ran on a trace with a bad job"
 
 # --- 3. worker count never affects results -------------------------------- #
 

@@ -153,9 +153,8 @@ let load_trace cluster params strategy =
       exit 2
   | Ok profile ->
       Array.map
-        (fun (job : Trace.job) ->
-          (job.Trace.at, { (Load.request_of_job job) with Api.strategy }))
-        (Trace.compile profile)
+        (fun (at, (r : Api.request)) -> (at, { r with Api.strategy }))
+        (Load.requests (Trace.compile profile))
 
 let do_load conn json trace load_from load_to =
   let n = Array.length trace in

@@ -201,7 +201,7 @@ let selftest config params =
         prerr_endline ("ratsd: " ^ e);
         exit 2
   in
-  let trace = Trace.compile profile in
+  let requests = Server.Load.requests (Trace.compile profile) in
   let log_bytes events =
     List.map (fun ev -> J.to_string (Server.Api.stamped_to_json ev)) events
   in
@@ -211,8 +211,8 @@ let selftest config params =
       let name = Study.arm_name arm in
       Format.printf "@.=== %s: %d jobs, %d tenants, %.3f jobs/s ===@." name
         params.Profile.jobs params.Profile.tenants params.Profile.rate;
-      let report, log1 = Study.run_arm config ~profile ~trace arm in
-      let _, log2 = Study.run_arm config ~profile ~trace arm in
+      let report, log1 = Study.run_arm config ~profile ~requests arm in
+      let _, log2 = Study.run_arm config ~profile ~requests arm in
       Format.printf "%a@." Report.pp report;
       if log_bytes log1 <> log_bytes log2 then begin
         incr failures;
@@ -276,8 +276,12 @@ let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
         in
         let engine = Engine.create ~journal config in
         if resume then begin
-          let n = Engine.resume engine in
-          Format.printf "ratsd: resumed %d journaled submission(s)@." n
+          match Engine.resume engine with
+          | Ok n -> Format.printf "ratsd: resumed %d journaled submission(s)@." n
+          | Error e ->
+              Journal.close journal;
+              prerr_endline ("ratsd: " ^ e);
+              exit 1
         end;
         let session =
           Session.create ?fault ~journal ~client_buffer ~backlog_limit engine

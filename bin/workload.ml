@@ -6,7 +6,7 @@
    over the same trace on a fresh engine, and prints per-arm service-level
    reports. [--csv] writes the comparison table in the byte-stable golden
    format; [--save-trace]/[--replay] round-trip the compiled trace through
-   a JSON-lines file.
+   a file of ratsd's journal records, one timed submission per line.
 
      dune exec bin/workload.exe -- --profile bursty:jobs=60 --arms delta,hcpa
 *)
@@ -18,7 +18,6 @@ module Admission = Rats_server.Admission
 module Api = Rats_server.Api
 module Engine = Rats_server.Engine
 module Load = Rats_server.Load
-module App = Rats_workload.App
 module Profile = Rats_workload.Profile
 module Trace = Rats_workload.Trace
 module Report = Rats_workload.Report
@@ -36,17 +35,15 @@ let parse_arms s =
 
 (* A replayed trace is checked whole before any arm runs: the first job
    [Engine.submit] would refuse, as submitted, ends the run. *)
-let check_replay ~cluster path trace =
+let check_replay ~cluster path requests =
   Array.iteri
-    (fun i (job : Trace.job) ->
-      match
-        Api.validate ~n_procs:(Cluster.n_procs cluster) (Load.request_of_job job)
-      with
+    (fun i ((_ : float), (r : Api.request)) ->
+      match Api.validate ~n_procs:(Cluster.n_procs cluster) r with
       | Ok (_ : int) -> ()
       | Error e ->
           die "%s: job %d (%s, tenant %s): %s" path (i + 1)
-            (App.name job.Trace.app) job.Trace.tenant e)
-    trace
+            (Api.spec_name r.Api.job) r.Api.tenant e)
+    requests
 
 let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
     csv save_trace replay obs =
@@ -80,7 +77,7 @@ let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
   | Some path -> (
       match profiles with
       | [ profile ] ->
-          Trace.save path (Trace.compile profile);
+          Load.save path (Load.requests (Trace.compile profile));
           Format.printf "(trace: %s)@." path
       | _ -> die "--save-trace needs exactly one --profile"));
   let reports =
@@ -88,12 +85,12 @@ let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
     | Some path -> (
         match profiles with
         | [ profile ] -> (
-            match Trace.load path with
+            match Load.load path with
             | Error e -> die "%s" e
-            | Ok trace ->
-                check_replay ~cluster path trace;
+            | Ok requests ->
+                check_replay ~cluster path requests;
                 List.map
-                  (fun arm -> fst (Study.run_arm config ~profile ~trace arm))
+                  (fun arm -> fst (Study.run_arm config ~profile ~requests arm))
                   arms)
         | _ -> die "--replay needs exactly one --profile")
     | None ->
@@ -146,8 +143,8 @@ let save_trace_term =
     & opt (some string) None
     & info [ "save-trace" ] ~docv:"FILE"
         ~doc:
-          "Compile the (single) profile's trace and write it to $(docv) as \
-           JSON lines.")
+          "Compile the (single) profile's trace and write it to $(docv), \
+           one ratsd journal record (arrival time and request) per line.")
 
 let replay_term =
   Arg.(

@@ -66,9 +66,10 @@ let sample_term =
     value & opt int 0
     & info [ "sample" ] ~docv:"S" ~doc:"Sample index (selects the random seed).")
 
+(* A shape [Shape.make] refuses is a usage error (exit 124), not a crash. *)
 let config_term =
   let build kind n_tasks width density regularity jump k sample =
-    let spec =
+    match
       match kind with
       | `Layered ->
           Suite.Layered
@@ -78,12 +79,14 @@ let config_term =
             { n_tasks; shape = Shape.make ~width ~regularity ~density ~jump () }
       | `Fft -> Suite.Fft { k }
       | `Strassen -> Suite.Strassen
-    in
-    { Suite.spec; sample }
+    with
+    | spec -> Ok { Suite.spec; sample }
+    | exception Invalid_argument msg -> Error msg
   in
-  Term.(
-    const build $ kind_term $ n_tasks_term $ width_term $ density_term
-    $ regularity_term $ jump_term $ fft_k_term $ sample_term)
+  Term.term_result' ~usage:true
+    Term.(
+      const build $ kind_term $ n_tasks_term $ width_term $ density_term
+      $ regularity_term $ jump_term $ fft_k_term $ sample_term)
 
 (* RATS strategy parameters (paper §III): delta's packing and stretching
    bounds, time-cost's ratio threshold and packing toggle. *)

@@ -9,7 +9,9 @@ val cluster_term : Rats_platform.Cluster.t Term.t
 
 val config_term : Rats_daggen.Suite.config Term.t
 (** One generated application: [--kind], [--tasks], [--width],
-    [--density], [--regularity], [--jump], [--fft-k] and [--sample]. *)
+    [--density], [--regularity], [--jump], [--fft-k] and [--sample]. A
+    shape {!Rats_daggen.Shape.make} refuses (a [--width] outside (0,1] or
+    NaN, say) is a usage error, exit 124. *)
 
 (** {2 RATS strategy parameters (paper §III)} *)
 

@@ -9,7 +9,7 @@ type t = {
 
 let make ~width ~regularity ~density ?(jump = 1) () =
   let check name v =
-    if v <= 0. || v > 1. then
+    if not (v > 0. && v <= 1.) then
       invalid_arg (Printf.sprintf "Shape.make: %s outside (0,1]" name)
   in
   check "width" width;

@@ -207,20 +207,18 @@ let run_tuned_suite ?(exec = Rats_runtime.Exec.make ()) scale table cluster =
   |> List.filter_map (fun o -> Result.to_option o.Exec.value)
 
 let write_csv path results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        "config,cluster,kind,hcpa_makespan,delta_makespan,timecost_makespan,\
-         hcpa_work,delta_work,timecost_work\n";
-      List.iter
-        (fun (r : Runner.result) ->
-          Printf.fprintf oc "%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
-            (Suite.name r.Runner.config)
-            r.Runner.cluster
-            (Suite.kind_name (Suite.kind r.Runner.config))
-            r.Runner.hcpa.Runner.makespan r.Runner.delta.Runner.makespan
-            r.Runner.timecost.Runner.makespan r.Runner.hcpa.Runner.work
-            r.Runner.delta.Runner.work r.Runner.timecost.Runner.work)
-        results)
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    "config,cluster,kind,hcpa_makespan,delta_makespan,timecost_makespan,\
+     hcpa_work,delta_work,timecost_work\n";
+  List.iter
+    (fun (r : Runner.result) ->
+      Printf.bprintf buf "%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
+        (Suite.name r.Runner.config)
+        r.Runner.cluster
+        (Suite.kind_name (Suite.kind r.Runner.config))
+        r.Runner.hcpa.Runner.makespan r.Runner.delta.Runner.makespan
+        r.Runner.timecost.Runner.makespan r.Runner.hcpa.Runner.work
+        r.Runner.delta.Runner.work r.Runner.timecost.Runner.work)
+    results;
+  Rats_obs.File.write_atomic path (Buffer.contents buf)

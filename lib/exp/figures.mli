@@ -59,4 +59,5 @@ val run_tuned_suite :
 
 val write_csv : string -> Runner.result list -> unit
 (** Full per-configuration data (makespans and works of the three
-    algorithms) for external plotting. *)
+    algorithms) for external plotting, written atomically
+    ({!Rats_obs.File.write_atomic}). *)

@@ -48,29 +48,32 @@ let find_sub ~sub s =
   in
   go 0
 
-let scan_comments ~file lines =
+let scan_comments ~file comments =
   let marker = "lint: allow" in
-  let acc = ref [] in
-  Array.iteri
-    (fun i line ->
-      match find_sub ~sub:marker line with
-      | None -> ()
-      | Some at ->
-          let rest = String.sub line (at + String.length marker)
-              (String.length line - at - String.length marker)
-          in
-          (* Stop at the comment terminator so trailing code on the same
-             line never leaks into the justification. *)
-          let rest =
-            match find_sub ~sub:"*)" rest with
-            | Some e -> String.sub rest 0 e
-            | None -> rest
-          in
-          let rules, reason = parse_spec rest in
-          if rules <> [] then
-            acc := { file; line = i + 1; rules; reason } :: !acc)
-    lines;
-  List.rev !acc
+  let scan_line line_no line =
+    match find_sub ~sub:marker line with
+    | None -> []
+    | Some at ->
+        let rest =
+          String.sub line (at + String.length marker)
+            (String.length line - at - String.length marker)
+        in
+        (* A nested comment's terminator ends the justification too. *)
+        let rest =
+          match find_sub ~sub:"*)" rest with
+          | Some e -> String.sub rest 0 e
+          | None -> rest
+        in
+        let rules, reason = parse_spec rest in
+        if rules = [] then [] else [ { file; line = line_no; rules; reason } ]
+  in
+  List.concat_map
+    (fun (first_line, text) ->
+      List.concat
+        (List.mapi
+           (fun i line -> scan_line (first_line + i) line)
+           (String.split_on_char '\n' text)))
+    comments
 
 let covers t ~rule_id ~line = line = t.line && List.mem rule_id t.rules
 

@@ -15,9 +15,11 @@ type t = {
   reason : string option;  (** [None] when no justification was written. *)
 }
 
-val scan_comments : file:string -> string array -> t list
-(** Finds every [lint: allow] comment in the file's lines (index 0 is
-    line 1). *)
+val scan_comments : file:string -> (int * string) list -> t list
+(** Finds every [lint: allow] marker in the file's comments, each given
+    as its first line (1-based) and its text as the lexer read it. Only
+    comments are scanned, so the marker inside a string literal
+    suppresses nothing. *)
 
 val covers : t -> rule_id:string -> line:int -> bool
 (** The allow names [rule_id] and is written on [line]. *)

@@ -39,14 +39,25 @@ let finding_of rule (loc : Location.t) message ~file =
     message;
   }
 
+(* The parse, and the comments the lexer collected during it, each with
+   its first line: allows are read from those comments alone. A file that
+   does not parse yields the comments lexed before the error. *)
 let parse_structure ~file src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | structure -> Ok structure
-  | exception Syntaxerr.Error err ->
-      Error (Syntaxerr.location_of_error err, "syntax error")
-  | exception Lexer.Error (_, loc) -> Error (loc, "lexer error")
+  let parsed =
+    match Parse.implementation lexbuf with
+    | structure -> Ok structure
+    | exception Syntaxerr.Error err ->
+        Error (Syntaxerr.location_of_error err, "syntax error")
+    | exception Lexer.Error (_, loc) -> Error (loc, "lexer error")
+  in
+  let comments =
+    List.map
+      (fun (text, (loc : Location.t)) -> (loc.loc_start.pos_lnum, text))
+      (Lexer.comments ())
+  in
+  (parsed, comments)
 
 (* --- definition / reference extraction --------------------------------- *)
 
@@ -130,7 +141,8 @@ let scan ~file src =
   let lines = split_lines src in
   let raw = ref [] in
   let defs = ref [] and aliases = ref [] in
-  (match parse_structure ~file src with
+  let parsed, comments = parse_structure ~file src in
+  (match parsed with
   | Error (loc, what) ->
       let rule = Rules.rule "E001" in
       raw := [ finding_of rule loc (what ^ " — file cannot be analyzed") ~file ]
@@ -151,5 +163,5 @@ let scan ~file src =
     s_aliases = !aliases;
     s_defs = !defs;
     s_findings = List.sort_uniq Finding.compare !raw;
-    s_allows = Allow.scan_comments ~file lines;
+    s_allows = Allow.scan_comments ~file comments;
   }

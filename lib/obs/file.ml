@@ -1,6 +1,7 @@
 let write_atomic path contents =
+  (* 0o666 under the umask: the permissions [open_out] gives a file. *)
   let tmp, oc =
-    Filename.open_temp_file ~mode:[ Open_binary ]
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
       ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
   in
   try

@@ -7,7 +7,6 @@ module Task = Rats_dag.Task
 module Core = Rats_core
 module Procset = Rats_util.Procset
 module J = Rats_obs.Json
-module Trace = Rats_workload.Trace
 
 type task_def = { data_elements : float; flop : float; alpha : float }
 type edge_def = { src : int; dst : int; bytes : float }
@@ -299,23 +298,64 @@ let job_spec_of_json j =
            })
   | other -> Error (Printf.sprintf "unknown job kind %S" other)
 
-(* --- request / response codecs ------------------------------------------ *)
+(* --- strategy codec ------------------------------------------------------ *)
+
+let strategy_to_json = function
+  | Core.Rats.Baseline -> J.Obj [ ("algo", J.Str "hcpa") ]
+  | Core.Rats.Delta { mindelta; maxdelta } ->
+      J.Obj
+        [
+          ("algo", J.Str "delta");
+          ("mindelta", num mindelta);
+          ("maxdelta", num maxdelta);
+        ]
+  | Core.Rats.Timecost { minrho; packing } ->
+      J.Obj
+        [
+          ("algo", J.Str "timecost");
+          ("minrho", num minrho);
+          ("packing", J.Bool packing);
+        ]
+
+let strategy_of_json j =
+  let* algo = J.str_field "algo" j in
+  match algo with
+  | "hcpa" -> Ok Core.Rats.Baseline
+  | "delta" ->
+      let* mindelta = J.num_field "mindelta" j in
+      let* maxdelta = J.num_field "maxdelta" j in
+      Ok (Core.Rats.Delta { mindelta; maxdelta })
+  | "timecost" ->
+      let* minrho = J.num_field "minrho" j in
+      let* packing = J.bool_field "packing" j in
+      Ok (Core.Rats.Timecost { minrho; packing })
+  | other -> Error (Printf.sprintf "unknown algo %S" other)
+
+(* --- request / submission / response codecs ----------------------------- *)
 
 let request_to_json (r : request) =
   J.Obj
     [
       ("tenant", J.Str r.tenant);
       ("job", job_spec_to_json r.job);
-      ("strategy", Trace.strategy_to_json r.strategy);
+      ("strategy", strategy_to_json r.strategy);
       ("procs", int r.procs);
     ]
 
 let request_of_json j =
   let* tenant = J.str_field "tenant" j in
   let* job = Result.bind (J.field "job" j) job_spec_of_json in
-  let* strategy = Result.bind (J.field "strategy" j) Trace.strategy_of_json in
+  let* strategy = Result.bind (J.field "strategy" j) strategy_of_json in
   let* procs = J.int_field "procs" j in
   Ok { tenant; job; strategy; procs }
+
+let submission_to_json ~at r =
+  J.Obj [ ("at", num at); ("req", request_to_json r) ]
+
+let submission_of_json j =
+  let* at = J.num_field "at" j in
+  let* request = Result.bind (J.field "req" j) request_of_json in
+  Ok (at, request)
 
 let response_to_json (r : response) =
   J.Obj

@@ -149,7 +149,20 @@ type stamped = {
 val job_spec_of_json : Rats_obs.Json.t -> (job_spec, string) result
 
 val request_to_json : request -> Rats_obs.Json.t
+(** The strategy is [{"algo": "hcpa"}],
+    [{"algo": "delta", "mindelta": _, "maxdelta": _}] or
+    [{"algo": "timecost", "minrho": _, "packing": _}]. *)
+
 val request_of_json : Rats_obs.Json.t -> (request, string) result
+(** A value a constructor refuses (a shape [width] outside (0,1], say) is
+    an [Error] carrying the constructor's message. *)
+
+val submission_to_json : at:float -> request -> Rats_obs.Json.t
+(** [{"at": at, "req": request}]: one timed submission, the record
+    [ratsd] journals and a saved workload trace holds on each line. *)
+
+val submission_of_json :
+  Rats_obs.Json.t -> (float * request, string) result
 
 val response_to_json : response -> Rats_obs.Json.t
 

@@ -269,18 +269,6 @@ let arrive t job =
 
 let journal_key id = Printf.sprintf "sub-%08d" id
 
-let submission_to_json ~at request =
-  J.Obj [ ("at", J.Num at); ("req", Api.request_to_json request) ]
-
-let submission_of_json j =
-  match (J.member "at" j, J.member "req" j) with
-  | Some at_j, Some req_j -> (
-      match (J.to_float at_j, Api.request_of_json req_j) with
-      | Some at, Ok req -> Ok (at, req)
-      | None, _ -> Error "submission: \"at\" is not a number"
-      | _, (Error _ as e) -> e)
-  | _ -> Error "submission: missing \"at\" or \"req\""
-
 let register t ~at ~id request ~n_procs =
   let job =
     {
@@ -307,45 +295,37 @@ let submit t ?at request =
       (match t.journal with
       | Some j ->
           Journal.append j ~key:(journal_key id)
-            (J.to_string (submission_to_json ~at request))
+            (J.to_string (Api.submission_to_json ~at request))
       | None -> ());
       register t ~at ~id request ~n_procs;
       Ok id
 
 let resume t =
   match t.journal with
-  | None -> 0
+  | None -> Ok 0
   | Some j ->
       let rec go id =
         match Journal.find j (journal_key id) with
-        | None -> id
-        | Some payload ->
-            (match J.parse payload with
+        | None -> Ok id
+        | Some payload -> (
+            match Result.bind (J.parse payload) Api.submission_of_json with
             | Error e ->
-                failwith
-                  (Printf.sprintf "ratsd journal: unparseable record %s: %s"
+                Error
+                  (Printf.sprintf "journal record %s is unreadable: %s"
                      (journal_key id) e)
-            | Ok json -> (
-                match submission_of_json json with
+            | Ok (at, request) -> (
+                match
+                  Api.validate ~n_procs:(Cluster.n_procs t.config.cluster)
+                    request
+                with
                 | Error e ->
-                    failwith
-                      (Printf.sprintf "ratsd journal: bad record %s: %s"
+                    Error
+                      (Printf.sprintf "journal record %s no longer valid: %s"
                          (journal_key id) e)
-                | Ok (at, request) -> (
-                    match
-                      Api.validate
-                        ~n_procs:(Cluster.n_procs t.config.cluster)
-                        request
-                    with
-                    | Error e ->
-                        failwith
-                          (Printf.sprintf
-                             "ratsd journal: record %s no longer valid: %s"
-                             (journal_key id) e)
-                    | Ok n_procs ->
-                        register t ~at ~id request ~n_procs;
-                        t.next_id <- id + 1)));
-            go (id + 1)
+                | Ok n_procs ->
+                    register t ~at ~id request ~n_procs;
+                    t.next_id <- id + 1;
+                    go (id + 1)))
       in
       go 0
 

@@ -83,11 +83,15 @@ val submit : t -> ?at:float -> Api.request -> (int, string) result
     The resolved arrival time is journaled, so resumed runs see the same
     trace. *)
 
-val resume : t -> int
+val resume : t -> (int, string) result
 (** Re-registers the submissions recorded in the engine's journal (in
     submission-id order, without re-journaling them) and returns how many
     were loaded. Call on a fresh engine opened with [resume:true], before
-    any new {!submit}. *)
+    any new {!submit}. A record that does not decode
+    ({!Api.submission_of_json}) or no longer passes {!Api.validate} stops
+    the resume with an [Error] naming its key, e.g.
+    ["journal record sub-00000003 no longer valid: minrho outside (0, 1]"];
+    the engine is then only partly loaded and should be discarded. *)
 
 val drain : t -> float
 (** Sorts pending arrivals by [(at, tenant, id)], injects them and runs the

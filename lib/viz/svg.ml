@@ -61,8 +61,4 @@ let to_string t =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
+let save t path = Rats_obs.File.write_atomic path (to_string t)

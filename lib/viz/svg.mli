@@ -27,4 +27,5 @@ val title : t -> x:float -> y:float -> string -> unit
 val to_string : t -> string
 
 val save : t -> string -> unit
-(** Writes the document to a file. *)
+(** Writes the document to a file atomically
+    ({!Rats_obs.File.write_atomic}). *)

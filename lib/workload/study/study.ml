@@ -46,21 +46,20 @@ type tally = {
   mutable rev_sojourns : float list;
 }
 
-let run_arm config ~(profile : Profile.t) ~(trace : Trace.t) arm =
+let run_arm config ~(profile : Profile.t) ~requests arm =
   let planner = if arm = Packing then Some Packing.plan else None in
   let engine = Engine.create { config with Engine.planner } in
   let request =
     match strategy arm with
-    | Some strategy ->
-        fun job -> { (Load.request_of_job job) with Api.strategy }
-    | None -> Load.request_of_job
+    | Some strategy -> fun (r : Api.request) -> { r with Api.strategy }
+    | None -> Fun.id
   in
   Array.iter
-    (fun (job : Trace.job) ->
-      match Engine.submit engine ~at:job.Trace.at (request job) with
+    (fun (at, r) ->
+      match Engine.submit engine ~at (request r) with
       | Ok (_ : int) -> ()
-      | Error e -> invalid_arg ("Study.run_arm: invalid trace job: " ^ e))
-    trace;
+      | Error e -> invalid_arg ("Study.run_arm: invalid request: " ^ e))
+    requests;
   let end_time = Engine.drain engine in
   let events = Engine.events engine in
   let tallies =
@@ -111,8 +110,8 @@ let run_arm config ~(profile : Profile.t) ~(trace : Trace.t) arm =
     events )
 
 let run ?(arms = default_arms) config profile =
-  let trace = Trace.compile profile in
-  List.map (fun arm -> fst (run_arm config ~profile ~trace arm)) arms
+  let requests = Load.requests (Trace.compile profile) in
+  List.map (fun arm -> fst (run_arm config ~profile ~requests arm)) arms
 
 let csv reports =
   let buf = Buffer.create 1024 in
@@ -125,8 +124,4 @@ let csv reports =
     reports;
   Buffer.contents buf
 
-let write_csv path reports =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (csv reports))
+let write_csv path reports = Rats_obs.File.write_atomic path (csv reports)

@@ -1,17 +1,17 @@
 (** The study runner: one compiled trace, several scheduler arms, one
     comparison table.
 
-    Every arm replays the {e same} arrival trace against a fresh online
+    Every arm replays the {e same} timed requests against a fresh online
     {!Rats_server.Engine} that pins all jobs to the arm's scheduler, so the
     arms differ in nothing but planning: identical arrivals, identical
     admission policy, identical platform. Reports are tallied per tenant
     from the engine's event log in profile tenant order, so a study is
     deterministic end to end — same profile, same seed, same policy ⇒
-    byte-identical CSV. {!run_arm} is the only driver of a compiled trace
-    through the engine; [ratsd --selftest] runs on it too. *)
+    byte-identical CSV. {!run_arm} is the only driver of a trace through
+    the engine, compiled ({!Rats_server.Load.requests}) or loaded from a
+    file ({!Rats_server.Load.load}); [ratsd --selftest] runs on it too. *)
 
 module Profile := Rats_workload.Profile
-module Trace := Rats_workload.Trace
 module Report := Rats_workload.Report
 
 type arm =
@@ -33,14 +33,16 @@ val all_arms : arm list
 val run_arm :
   Rats_server.Engine.config ->
   profile:Profile.t ->
-  trace:Trace.t ->
+  requests:(float * Rats_server.Api.request) array ->
   arm ->
   Report.t * Rats_server.Api.stamped list
-(** Submits [trace] to a fresh engine built from [config], drains it and
-    tallies the event log, which is returned beside the report. RATS arms
-    submit every job with the arm's strategy (so its [Submitted] events
-    name it) and plan with {!Rats_server.Api.plan}; the packing arm keeps
-    the trace's strategy and plans through {!Packing.plan}. The arm
+(** Submits every [(at, request)] to a fresh engine built from [config],
+    drains it and tallies the event log, which is returned beside the
+    report. RATS arms submit every request with the arm's strategy (so its
+    [Submitted] events name it) and plan with {!Rats_server.Api.plan}; the
+    packing arm keeps the request's strategy and plans through
+    {!Packing.plan}. Raises [Invalid_argument] on a request
+    {!Rats_server.Engine.submit} refuses. The arm
     decides [config.planner]; every other field (policy, workers, fault
     spec, clock) is the caller's. Bumps [rats_workload_arm_runs_total]. *)
 
@@ -54,3 +56,4 @@ val csv : Report.t list -> string
     golden format under [bench_results/]. *)
 
 val write_csv : string -> Report.t list -> unit
+(** {!csv}, written atomically ({!Rats_obs.File.write_atomic}). *)

@@ -9,9 +9,8 @@
     bit-compatibility with the historical load generator and the on-disk
     goldens depend on it.
 
-    Traces round-trip through a JSON-lines file ({!save} / {!load}), one
-    job object per line, floats rendered with the repo-wide [%.17g]
-    convention so replayed traces are bit-exact. *)
+    A trace is saved as the service requests it compiles to
+    ([Rats_server.Load.save]), not in a format of its own. *)
 
 type job = {
   at : float;  (** Arrival time, simulated seconds. *)
@@ -28,20 +27,3 @@ val compile : Profile.t -> t
 (** Validates the profile, draws every tenant's jobs and merges them into
     arrival order. Bumps the [rats_workload_traces_compiled_total] and
     [rats_workload_jobs_generated_total] counters. *)
-
-val equal : t -> t -> bool
-
-val save : string -> t -> unit
-(** Writes the JSON-lines representation to a file (overwrites). *)
-
-val load : string -> (t, string) result
-(** Parses a file written by {!save}. Every error, including a value a
-    constructor rejects (a shape parameter outside (0,1], say), reads
-    [FILE:LINE: …]. *)
-
-val strategy_to_json : Rats_core.Rats.strategy -> Rats_obs.Json.t
-(** [{"algo": "hcpa"}], [{"algo": "delta", "mindelta": _, "maxdelta": _}]
-    or [{"algo": "timecost", "minrho": _, "packing": _}] — the wire form
-    trace files and the service protocol share. *)
-
-val strategy_of_json : Rats_obs.Json.t -> (Rats_core.Rats.strategy, string) result

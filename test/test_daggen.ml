@@ -19,7 +19,19 @@ let test_shape_validation () =
     (fun () -> ignore (Shape.make ~width:0. ~regularity:0.5 ~density:0.5 ()));
   Alcotest.check_raises "jump 0" (Invalid_argument "Shape.make: jump < 1")
     (fun () ->
-      ignore (Shape.make ~width:0.5 ~regularity:0.5 ~density:0.5 ~jump:0 ()))
+      ignore (Shape.make ~width:0.5 ~regularity:0.5 ~density:0.5 ~jump:0 ()));
+  (* NaN fails every comparison, so the range test must be written to
+     fail on it. *)
+  List.iter
+    (fun (name, make) ->
+      Alcotest.check_raises (name ^ " nan")
+        (Invalid_argument (Printf.sprintf "Shape.make: %s outside (0,1]" name))
+        (fun () -> ignore (make nan)))
+    [
+      ("width", fun v -> Shape.make ~width:v ~regularity:0.5 ~density:0.5 ());
+      ("regularity", fun v -> Shape.make ~width:0.5 ~regularity:v ~density:0.5 ());
+      ("density", fun v -> Shape.make ~width:0.5 ~regularity:0.5 ~density:v ());
+    ]
 
 let test_level_sizes_sum () =
   let shape = Shape.make ~width:0.5 ~regularity:0.2 ~density:0.5 () in

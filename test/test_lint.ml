@@ -158,12 +158,11 @@ let test_graph_dot () =
   check Alcotest.bool "cross-module taint edge present" true
     (contains ~sub:"\"Rats_sim.D005_sampler\" -> \"Rats_util.Sampling\"" dot)
 
-(* An allow covers its own line only: the same hazard one line further
-   down, even inside the same expression, is still reported. *)
-let test_allow_covers_own_line () =
+(* Lints one source file, [lib/NAME], in a fresh temporary tree. *)
+let lint_one_file name src =
   let root = Filename.temp_dir "rats_lint" "" in
   let dir = Filename.concat root "lib" in
-  let file = Filename.concat dir "two_clocks.ml" in
+  let file = Filename.concat dir name in
   Sys.mkdir dir 0o755;
   Fun.protect
     ~finally:(fun () ->
@@ -171,22 +170,39 @@ let test_allow_covers_own_line () =
       Sys.rmdir dir;
       Sys.rmdir root)
     (fun () ->
-      (* The marker is split so that this file carries no allow itself. *)
-      Out_channel.with_open_bin file (fun oc ->
-          output_string oc
-            ("let pair () =\n  ( Unix.gettimeofday (), (* lint"
-           ^ ": allow D002 — test: this line only *)\n\
-              \    Unix.gettimeofday () )\n"));
-      let r = Engine.lint_tree ~dirs:[ "lib" ] ~root () in
-      let where fs =
-        List.map (fun f -> (f.Finding.rule_id, f.Finding.line)) fs
-      in
-      check
-        Alcotest.(list (pair string int))
-        "line 3 still reported" [ ("D002", 3) ] (where r.findings);
-      check
-        Alcotest.(list (pair string int))
-        "line 2 suppressed" [ ("D002", 2) ] (where r.suppressed))
+      Out_channel.with_open_bin file (fun oc -> output_string oc src);
+      Engine.lint_tree ~dirs:[ "lib" ] ~root ())
+
+let where fs = List.map (fun f -> (f.Finding.rule_id, f.Finding.line)) fs
+
+(* An allow covers its own line only: the same hazard one line further
+   down, even inside the same expression, is still reported. *)
+let test_allow_covers_own_line () =
+  let r =
+    lint_one_file "two_clocks.ml"
+      "let pair () =\n\
+      \  ( Unix.gettimeofday (), (* lint: allow D002 — test: this line only *)\n\
+      \    Unix.gettimeofday () )\n"
+  in
+  check
+    Alcotest.(list (pair string int))
+    "line 3 still reported" [ ("D002", 3) ] (where r.findings);
+  check
+    Alcotest.(list (pair string int))
+    "line 2 suppressed" [ ("D002", 2) ] (where r.suppressed)
+
+(* Allows come from comments only: the marker inside a string literal
+   suppresses nothing. *)
+let test_allow_in_string_ignored () =
+  let r =
+    lint_one_file "marker_string.ml"
+      "let stamp () =\n\
+      \  (\"(* lint: allow D002 — not a comment *)\", Unix.gettimeofday ())\n"
+  in
+  check
+    Alcotest.(list (pair string int))
+    "D002 still reported" [ ("D002", 2) ] (where r.findings);
+  check Alcotest.int "no allow read" 0 (List.length r.allows)
 
 let test_repo_tree_clean () =
   match repo_root () with
@@ -227,6 +243,8 @@ let () =
           Alcotest.test_case "json parse-back" `Quick test_json_parse_back;
           Alcotest.test_case "allow covers its own line only" `Quick
             test_allow_covers_own_line;
+          Alcotest.test_case "allow in a string ignored" `Quick
+            test_allow_in_string_ignored;
         ] );
       ( "catalogue",
         [

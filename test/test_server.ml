@@ -126,8 +126,11 @@ let test_request_roundtrip () =
     (fun job ->
       List.iter
         (fun strategy ->
-          roundtrip Api.request_to_json Api.request_of_json ( = ) "request"
-            (request ~tenant:"alice" ~strategy ~procs:7 job))
+          let r = request ~tenant:"alice" ~strategy ~procs:7 job in
+          roundtrip Api.request_to_json Api.request_of_json ( = ) "request" r;
+          roundtrip
+            (fun (at, r) -> Api.submission_to_json ~at r)
+            Api.submission_of_json ( = ) "submission" (12.5, r))
         strategies)
     specs
 
@@ -653,11 +656,7 @@ let small_trace ?(jobs = 16) cluster =
   let params = { Profile.jobs; tenants = 4; rate = 0.1; seed = 7 } in
   match Profile.preset ~cluster Profile.Poisson params with
   | Error e -> Alcotest.fail e
-  | Ok p ->
-      Array.to_list
-        (Array.map
-           (fun (job : Trace.job) -> (job.Trace.at, Load.request_of_job job))
-           (Trace.compile p))
+  | Ok p -> Array.to_list (Load.requests (Trace.compile p))
 
 (* Submits every arrival, drains, and returns the engine's stats. *)
 let play engine arrivals =
@@ -955,12 +954,44 @@ let test_journal_resume () =
      byte for byte. *)
   let journal = Journal.open_ ~dir ~name:"crash" ~resume:true () in
   let resumed = Engine.create ~journal (config cluster) in
-  let n = Engine.resume resumed in
-  check Alcotest.int "all submissions resumed" (List.length arrivals) n;
+  check
+    Alcotest.(result int string)
+    "all submissions resumed" (Ok (List.length arrivals))
+    (Engine.resume resumed);
   ignore (Engine.drain resumed);
   Journal.close journal;
   check Alcotest.bool "resumed log bit-identical" true
     (log_string resumed = reference)
+
+(* A journal written before a check existed, or damaged on disk, may hold
+   a record the engine cannot take back: resume names it in an [Error]
+   instead of raising. *)
+let test_journal_stale_record () =
+  with_dir @@ fun dir ->
+  let resume_from payload =
+    let journal = Journal.open_ ~dir ~name:"stale" ~resume:false () in
+    Journal.append journal ~key:"sub-00000000" payload;
+    Journal.close journal;
+    let journal = Journal.open_ ~dir ~name:"stale" ~resume:true () in
+    let engine = Engine.create ~journal (config Cluster.chti) in
+    Fun.protect
+      ~finally:(fun () -> Journal.close journal)
+      (fun () -> Engine.resume engine)
+  in
+  let stale =
+    request ~strategy:(Core.Rats.Timecost { minrho = 2.; packing = true })
+      (fft 4 0)
+  in
+  check
+    Alcotest.(result int string)
+    "out-of-range strategy"
+    (Error "journal record sub-00000000 no longer valid: minrho outside (0, 1]")
+    (resume_from (J.to_string (Api.submission_to_json ~at:0. stale)));
+  check
+    Alcotest.(result int string)
+    "record without a request"
+    (Error "journal record sub-00000000 is unreadable: missing field \"req\"")
+    (resume_from {|{"at":0}|})
 
 (* --- session: the daemon's protocol state machine ------------------------ *)
 
@@ -1551,6 +1582,8 @@ let () =
           Alcotest.test_case "matches offline evaluator" `Quick
             test_engine_matches_evaluate;
           Alcotest.test_case "journal resume" `Quick test_journal_resume;
+          Alcotest.test_case "journal stale record" `Quick
+            test_journal_stale_record;
         ] );
       ( "session",
         [

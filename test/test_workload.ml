@@ -153,19 +153,18 @@ let test_trace_deterministic () =
     (fun name ->
       let p = profile_of (name ^ ":jobs=30") in
       let t1 = Trace.compile p and t2 = Trace.compile p in
-      check Alcotest.bool (name ^ " same seed same trace") true
-        (Trace.equal t1 t2);
+      check Alcotest.bool (name ^ " same seed same trace") true (t1 = t2);
       check Alcotest.int (name ^ " job count") 30 (Array.length t1);
       check Alcotest.bool (name ^ " sorted") true
         (increasing (Array.map (fun j -> j.Trace.at) t1));
       let p' = profile_of (name ^ ":jobs=30,seed=43") in
       check Alcotest.bool (name ^ " different seed different trace") false
-        (Trace.equal t1 (Trace.compile p')))
+        (t1 = Trace.compile p'))
     [ "poisson"; "bursty"; "diurnal"; "pipeline"; "mixed" ]
 
 (* Replicates the pre-workload-engine load generator loop verbatim. The
    path ratsd and rats_client take (the poisson preset, [Trace.compile],
-   then [request_of_job] with the strategy set) must reproduce it draw for
+   then [Load.requests] with the strategy set) must reproduce it draw for
    draw, bit for bit. *)
 let legacy_trace ~cluster ~strategy (p : Profile.params) =
   let n = Cluster.n_procs cluster in
@@ -233,10 +232,8 @@ let test_load_path_byte_identical () =
         | Ok p ->
             Array.to_list
               (Array.map
-                 (fun (job : Trace.job) ->
-                   ( job.Trace.at,
-                     { (Load.request_of_job job) with Api.strategy } ))
-                 (Trace.compile p))
+                 (fun (at, (r : Api.request)) -> (at, { r with Api.strategy }))
+                 (Load.requests (Trace.compile p)))
       in
       check Alcotest.int "same length" (List.length legacy)
         (List.length served);
@@ -252,64 +249,87 @@ let test_load_path_byte_identical () =
         { Profile.default_params with jobs = 17; seed = 7; rate = 0.4 } );
     ]
 
+(* The CSV of every default arm run over [requests]. *)
+let study_csv ?(config = Engine.default_config cluster) p requests =
+  Study.csv
+    (List.map
+       (fun arm -> fst (Study.run_arm config ~profile:p ~requests arm))
+       Study.default_arms)
+
 let test_trace_jobs_invariant () =
   (* The engine's worker count must never leak into study results. *)
   let p = profile_of "mixed:jobs=20" in
-  let trace = Trace.compile p in
+  let requests = Load.requests (Trace.compile p) in
   let rows jobs =
-    Study.csv
-      (List.map
-         (fun arm ->
-           fst
-             (Study.run_arm
-                { (Engine.default_config cluster) with jobs = Some jobs }
-                ~profile:p ~trace arm))
-         Study.default_arms)
+    study_csv
+      ~config:{ (Engine.default_config cluster) with jobs = Some jobs }
+      p requests
   in
   check Alcotest.string "jobs=1 and jobs=4 byte-identical" (rows 1) (rows 4)
 
-let test_trace_file_roundtrip () =
-  (* The mixed profile covers every app kind, including pipelines. *)
-  let p = profile_of "mixed:jobs=40" in
-  let trace = Trace.compile p in
+let with_tmp_file f =
   let path = tmp_file () in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Trace.save path trace;
-      match Trace.load path with
+    (fun () -> f path)
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let read_lines path =
+  List.filter (( <> ) "")
+    (String.split_on_char '\n'
+       (In_channel.with_open_bin path In_channel.input_all))
+
+(* A saved trace is ratsd's journal: line for line the submission record
+   [Engine.submit] journals for the same request, and replaying it is
+   running the compiled trace. The mixed profile covers every app kind,
+   pipelines (as inline listings) included. *)
+let test_trace_file_roundtrip () =
+  let p = profile_of "mixed:jobs=40" in
+  let requests = Load.requests (Trace.compile p) in
+  with_tmp_file (fun path ->
+      Load.save path requests;
+      check
+        Alcotest.(list string)
+        "each line is the journal record"
+        (Array.to_list
+           (Array.map
+              (fun (at, r) ->
+                Rats_obs.Json.to_string (Api.submission_to_json ~at r))
+              requests))
+        (read_lines path);
+      check Alcotest.bool "pipelines stored inline" true
+        (Array.exists
+           (fun (_, (r : Api.request)) ->
+             match r.Api.job with Api.Inline _ -> true | _ -> false)
+           requests);
+      match Load.load path with
       | Error e -> Alcotest.failf "load: %s" e
-      | Ok trace' ->
+      | Ok loaded ->
           check Alcotest.bool "round-trip bit-identical" true
-            (Trace.equal trace trace'));
-  check Alcotest.bool "load error carries position" true
-    (match
-       Fun.protect
-         ~finally:(fun () -> Sys.remove path)
-         (fun () ->
-           let oc = open_out path in
-           output_string oc "{\"at\":1.0}\n";
-           close_out oc;
-           Trace.load path)
-     with
-    | Error e -> String.length e > 0
-    | Ok _ -> false)
+            (loaded = requests);
+          check Alcotest.string "loaded and compiled give one CSV"
+            (study_csv p requests) (study_csv p loaded));
+  with_tmp_file (fun path ->
+      write_file path "{\"at\":1.0}\n";
+      match Load.load path with
+      | Error e ->
+          check Alcotest.bool "load error carries position" true
+            (String.starts_with ~prefix:(path ^ ":1: ") e)
+      | Ok _ -> Alcotest.fail "a record without a request loaded")
 
 (* A value the JSON grammar accepts but a constructor refuses is a load
    error at its line, not an exception. *)
 let test_trace_file_bad_value () =
-  let job width =
+  let record width =
     Printf.sprintf
-      {|{"at":1,"tenant":"t","app":{"kind":"layered","n_tasks":25,"width":%s,"regularity":0.8,"density":0.2,"sample":0},"procs":4,"strategy":{"algo":"hcpa"}}|}
+      {|{"at":1,"req":{"tenant":"t","job":{"kind":"layered","n":25,"width":%s,"density":0.2,"regularity":0.8,"jump":1,"sample":0},"strategy":{"algo":"hcpa"},"procs":4}}|}
       width
   in
-  let path = tmp_file () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_bin path (fun oc ->
-          output_string oc (job "0.5" ^ "\n" ^ job "-1" ^ "\n"));
-      match Trace.load path with
+  with_tmp_file (fun path ->
+      write_file path (record "0.5" ^ "\n" ^ record "-1" ^ "\n");
+      match Load.load path with
       | Ok _ -> Alcotest.fail "a width of -1 loaded"
       | Error e ->
           check Alcotest.string "file and line named"
@@ -391,11 +411,11 @@ let test_arm_strategy_logged () =
   (* The engine logs a request's own strategy, so a RATS arm must submit
      with its strategy, not only plan with it. *)
   let p = profile_of "poisson:jobs=12,tenants=2" in
-  let trace = Trace.compile p in
+  let requests = Load.requests (Trace.compile p) in
   List.iter
     (fun arm ->
       let _, events =
-        Study.run_arm (Engine.default_config cluster) ~profile:p ~trace arm
+        Study.run_arm (Engine.default_config cluster) ~profile:p ~requests arm
       in
       let strategies =
         List.filter_map

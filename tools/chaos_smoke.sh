@@ -24,7 +24,8 @@
 #      overloaded rejections carrying retry_after hints and expired events;
 #   5. hostile inputs and faults: with no daemon running, a missing --dag
 #      file and a request past the 16 MiB frame limit must each be a
-#      one-line client error (the client frames before it connects); a plan
+#      one-line client error (the client frames before it connects) and a
+#      shape outside (0,1] (--width 2) a usage error, exit 124; a plan
 #      whose placement reply outgrows the limit and a plan whose --mindelta
 #      is out of range must each be a one-line error from the daemon, which
 #      keeps answering pings, and a request past the limit a one-line error
@@ -245,7 +246,13 @@ RC=0
 [ "$(wc -l < "$WORK/offline.err")" -eq 1 ] \
     && grep -q '^rats_client: request too large' "$WORK/offline.err" \
     || fail "an oversized request was not refused before connecting"
-echo "chaos-smoke: bad --dag files fail before the client connects"
+RC=0
+"$CLIENT" --socket "$S" --op plan --kind layered --width 2 \
+    > /dev/null 2> "$WORK/width.err" || RC=$?
+[ "$RC" -eq 124 ] || fail "--width 2, no daemon: client exit $RC, not 124"
+grep -q 'Shape.make: width outside (0,1]' "$WORK/width.err" \
+    || fail "--width 2 was not refused as a usage error"
+echo "chaos-smoke: bad --dag files and shapes fail before the client connects"
 
 # The request fits in a frame (its name is 4000 bytes short of 16 MiB);
 # its placement reply, which repeats the name, does not.

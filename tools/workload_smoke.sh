@@ -5,9 +5,11 @@
 #   1. determinism: a small three-arm study run twice with the same seed must
 #      produce byte-identical CSV comparison tables;
 #   2. trace round-trip: --save-trace followed by --replay of the written
-#      file must reproduce the direct run's CSV byte-for-byte, and replaying
-#      a trace with a negative share must be a one-line error (exit 2)
-#      naming the file and the job, before any arm runs;
+#      file (ratsd's journal records, one submission per line) must
+#      reproduce the direct run's CSV byte-for-byte; replaying a trace with
+#      a negative share must be a one-line error (exit 2) naming the file
+#      and the job, and one with a generated job of width 2 a one-line
+#      error naming the file and the line, each before any arm runs;
 #   3. worker independence: the same study with --jobs 3 must not change a
 #      single byte of the CSV.
 #
@@ -56,6 +58,17 @@ run "$WORK/procs.csv" --replay "$WORK/procs.jsonl" 2> "$WORK/procs.err" || RC=$?
         "$WORK/procs.err" \
     || fail "a negative share was not a one-line workload: error naming the job"
 [ ! -e "$WORK/procs.csv" ] || fail "an arm ran on a trace with a bad job"
+
+LINE=$(grep -n -m1 '"kind":"\(layered\|irregular\)"' "$WORK/trace.jsonl" | cut -d: -f1)
+[ -n "$LINE" ] || fail "the saved trace holds no layered or irregular job"
+sed "${LINE}s/\"width\":[^,]*/\"width\":2/" "$WORK/trace.jsonl" > "$WORK/width.jsonl"
+RC=0
+run "$WORK/width.csv" --replay "$WORK/width.jsonl" 2> "$WORK/width.err" || RC=$?
+[ "$RC" -eq 2 ] || fail "replay of a width-2 shape: exit $RC, not 2"
+[ "$(cat "$WORK/width.err")" = \
+    "workload: $WORK/width.jsonl:$LINE: Shape.make: width outside (0,1]" ] \
+    || fail "a width-2 shape was not one workload: error naming file and line"
+[ ! -e "$WORK/width.csv" ] || fail "an arm ran on a trace with a bad shape"
 
 # --- 3. worker count never affects results -------------------------------- #
 

@@ -35,13 +35,8 @@ let run config dot levels =
   match dot with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          let ppf = Format.formatter_of_out_channel oc in
-          Dag.pp_dot ppf dag;
-          Format.pp_print_flush ppf ());
+      Rats_obs.File.mkdir_p (Filename.dirname path);
+      Rats_obs.File.write_atomic path (Format.asprintf "%a" Dag.pp_dot dag);
       Format.printf "DOT written to %s@." path
 
 let dot_term =

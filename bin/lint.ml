@@ -58,23 +58,26 @@ let () =
       (List.length report.files);
     exit 0
   end;
+  (* Artifacts are written whole, missing parent directories included. *)
+  let write path contents =
+    try
+      Rats_obs.File.mkdir_p (Filename.dirname path);
+      Rats_obs.File.write_atomic path contents
+    with
+    | Sys_error msg ->
+        prerr_endline ("lint: " ^ msg);
+        exit 2
+    | Unix.Unix_error (e, _, arg) ->
+        prerr_endline ("lint: " ^ arg ^ ": " ^ Unix.error_message e);
+        exit 2
+  in
   if !graph_out <> "" then begin
     let dot = Rats_lint.Callgraph.to_dot report.graph in
-    if !graph_out = "-" then print_string dot
-    else begin
-      let oc = open_out !graph_out in
-      output_string oc dot;
-      close_out oc
-    end
+    if !graph_out = "-" then print_string dot else write !graph_out dot
   end;
-  if !json_out <> "" then begin
-    let dir = Filename.dirname !json_out in
-    if dir <> "." && not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    let oc = open_out !json_out in
-    output_string oc (Rats_obs.Json.to_string (Rats_lint.Engine.to_json report));
-    output_char oc '\n';
-    close_out oc
-  end;
+  if !json_out <> "" then
+    write !json_out
+      (Rats_obs.Json.to_string (Rats_lint.Engine.to_json report) ^ "\n");
   print_string (Rats_lint.Engine.render report);
   Printf.eprintf "rats_lint: %d finding%s (%d suppressed) in %d files\n"
     (List.length report.findings)

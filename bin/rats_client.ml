@@ -4,7 +4,8 @@
      dune exec bin/rats_client.exe -- --op ping
      dune exec bin/rats_client.exe -- --op submit --tenant alice --kind fft \
        --fft-k 4 --procs 16 --at 0 --drain --follow
-     dune exec bin/rats_client.exe -- --op load --load-jobs 40 --rate 0.1
+     dune exec bin/rats_client.exe -- --op load \
+       --profile poisson:jobs=40,rate=0.1
      dune exec bin/rats_client.exe -- --op watch --json
      dune exec bin/rats_client.exe -- --op log --json
      dune exec bin/rats_client.exe -- --op shutdown
@@ -144,10 +145,10 @@ let do_watch conn json stall =
   in
   go ()
 
-(* The poisson preset's trace, every job carrying the client's strategy.
-   Built before connecting, so bad parameters never reach the daemon. *)
-let load_trace cluster params strategy =
-  match Profile.preset ~cluster Profile.Poisson params with
+(* The --profile trace, every job carrying the client's strategy. Built
+   before connecting, so a bad spec never reaches the daemon. *)
+let load_trace cluster spec strategy =
+  match Profile.of_string ~cluster spec with
   | Error e ->
       prerr_endline ("rats_client: " ^ e);
       exit 2
@@ -174,7 +175,7 @@ let do_load conn json trace load_from load_to =
     lo hi n
 
 let run socket op tenant at procs follow drain json dag_file config algo
-    mindelta maxdelta minrho packing retries timeout stall cluster load_params
+    mindelta maxdelta minrho packing retries timeout stall cluster profile
     load_from load_to =
   let strategy =
     match algo with
@@ -194,7 +195,7 @@ let run socket op tenant at procs follow drain json dag_file config algo
             | Error e -> fail "rats_client: %s: %s" path e))
   in
   (* Everything that can fail on the client's side (the --dag file, the
-     frame limit, the load parameters) fails before a connection exists. *)
+     frame limit, the --profile spec) fails before a connection exists. *)
   let request_frame =
     let request () = { Api.tenant; job = job (); strategy; procs } in
     match op with
@@ -203,7 +204,7 @@ let run socket op tenant at procs follow drain json dag_file config algo
     | _ -> None
   in
   let trace =
-    if op = `Load then load_trace cluster load_params strategy else [||]
+    if op = `Load then load_trace cluster profile strategy else [||]
   in
   let conn = connect ~retries ~timeout socket in
   (match op with
@@ -281,7 +282,7 @@ let op_term =
           "Operation: ping, plan (pure schedule, no queueing), submit, \
            drain, log, stats, watch (stream events until the daemon goes \
            away), health (liveness/readiness snapshot), load (submit a \
-           slice of the Poisson load trace) or shutdown.")
+           slice of the $(b,--profile) load trace) or shutdown.")
 
 let tenant_term =
   Arg.(
@@ -385,6 +386,6 @@ let cmd =
       $ Common.config_term $ algo_term $ Common.mindelta_term
       $ Common.maxdelta_term $ Common.minrho_term $ Common.packing_term
       $ retries_term $ timeout_term $ stall_term $ Common.cluster_term
-      $ Common.load_params_term $ load_from_term $ load_to_term)
+      $ Common.profile_term $ load_from_term $ load_to_term)
 
 let () = exit (Cmd.eval cmd)

@@ -18,7 +18,7 @@
 
    Examples:
      dune exec bin/ratsd.exe -- --socket /tmp/ratsd.sock &
-     dune exec bin/ratsd.exe -- --selftest --load-jobs 200 --tenants 8
+     dune exec bin/ratsd.exe -- --selftest --profile poisson:jobs=200,tenants=8
      dune exec bin/ratsd.exe -- --resume --journal myrun *)
 
 open Cmdliner
@@ -190,12 +190,12 @@ let serve session ~client_buffer socket_path =
   Unix.close lfd;
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ())
 
-(* --- selftest: the poisson preset through the study runner ---------------- *)
+(* --- selftest: a load trace through the study runner ---------------------- *)
 
-let selftest config params =
+let selftest config spec =
   let cluster = config.Engine.cluster in
   let profile =
-    match Profile.preset ~cluster Profile.Poisson params with
+    match Profile.of_string ~cluster spec with
     | Ok profile -> profile
     | Error e ->
         prerr_endline ("ratsd: " ^ e);
@@ -209,8 +209,8 @@ let selftest config params =
   List.iter
     (fun arm ->
       let name = Study.arm_name arm in
-      Format.printf "@.=== %s: %d jobs, %d tenants, %.3f jobs/s ===@." name
-        params.Profile.jobs params.Profile.tenants params.Profile.rate;
+      Format.printf "@.=== %s: %s (%d jobs, %d tenants) ===@." name spec
+        profile.Profile.n_jobs (List.length profile.Profile.tenants);
       let report, log1 = Study.run_arm config ~profile ~requests arm in
       let _, log2 = Study.run_arm config ~profile ~requests arm in
       Format.printf "%a@." Report.pp report;
@@ -244,7 +244,7 @@ let selftest config params =
 
 let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
     retry_after deadline client_buffer backlog_limit jobs journal_name
-    journal_dir resume load_params obs =
+    journal_dir resume profile obs =
   Common.start_obs obs;
   let fault = Fault.of_env () in
   let policy =
@@ -264,7 +264,7 @@ let run cluster socket selftest_flag queue_limit tenant_limit shed_watermark
   | Some f -> Printf.eprintf "ratsd: fault injection armed: %s\n%!" (Fault.spec f)
   | None -> ());
   if selftest_flag then
-    selftest config load_params
+    selftest config profile
   else begin
     match claim_socket_path socket with
     | Error msg ->
@@ -296,8 +296,8 @@ let selftest_term =
     value & flag
     & info [ "selftest" ]
         ~doc:
-          "Run the simulated-time load driver instead of serving: Poisson \
-           arrivals from several tenants under both HCPA and RATS, with a \
+          "Run the simulated-time load driver instead of serving: the \
+           $(b,--profile) trace under both HCPA and RATS, with a \
            byte-identical re-run determinism check. Exits non-zero on any \
            failure.")
 
@@ -369,6 +369,6 @@ let cmd =
       $ shed_watermark_term $ retry_after_term $ Common.deadline_term
       $ client_buffer_term $ backlog_limit_term $ Common.engine_jobs_term
       $ journal_term $ journal_dir_term
-      $ resume_term $ Common.load_params_term $ Common.obs_term)
+      $ resume_term $ Common.profile_term $ Common.obs_term)
 
 let () = exit (Cmd.eval cmd)

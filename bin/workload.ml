@@ -45,8 +45,8 @@ let check_replay ~cluster path requests =
             (Api.spec_name r.Api.job) r.Api.tenant e)
     requests
 
-let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
-    csv save_trace replay obs =
+let run cluster profiles arms_s jobs queue_limit tenant_limit deadline csv
+    save_trace replay obs =
   Common.start_obs obs;
   let arms = parse_arms arms_s in
   let policy =
@@ -57,7 +57,7 @@ let run cluster profiles arms_s seed jobs queue_limit tenant_limit deadline
   let profiles =
     List.map
       (fun s ->
-        match Profile.of_string ~cluster ?seed s with
+        match Profile.of_string ~cluster s with
         | Ok p -> p
         | Error e -> die "%s" e)
       profiles
@@ -123,13 +123,6 @@ let arms_term =
           "Comma-separated scheduler arms to compare: delta, hcpa, \
            time-cost, packing.")
 
-let seed_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "seed" ] ~docv:"S"
-        ~doc:"Trace seed override (wins over the profile's seed= key).")
-
 let csv_term =
   Arg.(
     value
@@ -163,7 +156,7 @@ let cmd =
          "Trace-driven multi-tenant workload studies over the online RATS \
           engine")
     Term.(
-      const run $ Common.cluster_term $ profile_term $ arms_term $ seed_term
+      const run $ Common.cluster_term $ profile_term $ arms_term
       $ Common.engine_jobs_term $ Common.queue_limit_term
       $ Common.tenant_limit_term $ Common.deadline_term
       $ csv_term $ save_trace_term $ replay_term $ Common.obs_term)

@@ -145,8 +145,8 @@ let engine_jobs_term =
               "Schedule-computation pool workers; 0 = pool default. Never \
                affects results."))
 
-(* The daemon's socket and the Poisson load trace that ratsd --selftest
-   plays and rats_client --op load submits. *)
+(* The daemon's socket, and the load trace ratsd --selftest plays and
+   rats_client --op load submits. *)
 let socket_term =
   Arg.(
     value
@@ -155,29 +155,14 @@ let socket_term =
         ~env:(Cmd.Env.info "RATS_SOCKET")
         ~doc:"Unix-domain socket ratsd listens on.")
 
-let load_params_term =
-  let module Profile = Rats_workload.Profile in
-  let d = Profile.default_params in
-  Term.(
-    const (fun jobs tenants rate seed -> { Profile.jobs; tenants; rate; seed })
-    $ Arg.(
-        value & opt int d.jobs
-        & info [ "load-jobs" ] ~docv:"N"
-            ~doc:"Load trace (selftest, load): total jobs.")
-    $ Arg.(
-        value & opt int d.tenants
-        & info [ "tenants" ] ~docv:"N"
-            ~doc:"Load trace (selftest, load): number of tenants.")
-    $ Arg.(
-        value & opt float d.rate
-        & info [ "rate" ] ~docv:"R"
-            ~doc:
-              "Load trace (selftest, load): aggregate arrival rate, jobs \
-               per simulated second.")
-    $ Arg.(
-        value & opt int d.seed
-        & info [ "seed" ] ~docv:"S"
-            ~doc:"Load trace (selftest, load): arrival-trace random seed."))
+let profile_term =
+  Arg.(
+    value & opt string "poisson"
+    & info [ "profile" ] ~docv:"SPEC"
+        ~doc:
+          "Load trace (selftest, load): workload profile NAME[:key=val,…] \
+           with NAME one of poisson, bursty, diurnal, pipeline or mixed \
+           and keys jobs, tenants, rate, seed (see docs/WORKLOAD.md).")
 
 type obs = { trace : string option; metrics : string option }
 
@@ -202,15 +187,9 @@ let obs_term =
           "Dump the metrics registry to $(docv) at exit — JSON when $(docv) \
            ends in .json, Prometheus text otherwise.")
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_obs { trace; metrics } =
   let prepared path =
-    mkdir_p (Filename.dirname path);
+    Rats_obs.File.mkdir_p (Filename.dirname path);
     path
   in
   (match (trace, Rats_obs.Trace.installed ()) with

@@ -43,10 +43,11 @@ val socket_term : string Term.t
 (** [--socket PATH] (or [RATS_SOCKET]): the Unix-domain socket ratsd
     listens on; default [/tmp/ratsd.sock]. *)
 
-val load_params_term : Rats_workload.Profile.params Term.t
-(** [--load-jobs], [--tenants], [--rate] and [--seed]: the Poisson load
-    trace [ratsd --selftest] plays and [rats_client --op load] submits,
-    defaulting to {!Rats_workload.Profile.default_params}. *)
+val profile_term : string Term.t
+(** [--profile SPEC]: the load trace [ratsd --selftest] plays and
+    [rats_client --op load] submits, in the profile grammar of
+    {!Rats_workload.Profile.of_string}; default ["poisson"]. Each binary
+    parses it against its [--cluster] before anything connects or runs. *)
 
 (** {2 Tracing and metrics export} *)
 

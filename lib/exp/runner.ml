@@ -135,11 +135,7 @@ let run_sweep ?(delta = Core.Rats.naive_delta)
     Exec.map_outcome exec
       ~run:(fun config ->
         let o = run_config_outcome ~delta ~timecost ~exec cluster config in
-        Progress.step
-          ~cache_hit:(o.Exec.source = Exec.From_cache)
-          ~resumed:(o.Exec.source = Exec.From_journal)
-          ~failed:(Result.is_error o.Exec.value)
-          ~retries:(o.Exec.attempts - 1) reporter;
+        Progress.step reporter;
         o)
       configs
   in

@@ -1,3 +1,9 @@
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let write_atomic path contents =
   (* 0o666 under the umask: the permissions [open_out] gives a file. *)
   let tmp, oc =

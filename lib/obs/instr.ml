@@ -132,25 +132,6 @@ let fault_injections =
   Metrics.counter "rats_fault_injections_total"
     ~help:"Faults injected by Runtime.Fault across every site (crash, delay, corrupt)"
 
-(* --- progress ----------------------------------------------------------- *)
-
-let progress_completed =
-  Metrics.counter "rats_progress_completed_total" ~help:"Sweep configurations completed"
-
-let progress_cache_hits =
-  Metrics.counter "rats_progress_cache_hits_total"
-    ~help:"Sweep configurations answered from the cache"
-
-let progress_failed =
-  Metrics.counter "rats_progress_failed_total" ~help:"Sweep configurations that failed"
-
-let progress_retried =
-  Metrics.counter "rats_progress_retried_total" ~help:"Sweep retries observed by progress"
-
-let progress_resumed =
-  Metrics.counter "rats_progress_resumed_total"
-    ~help:"Sweep configurations replayed from the journal"
-
 (* --- server ------------------------------------------------------------- *)
 
 let server_jobs_submitted =

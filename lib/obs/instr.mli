@@ -84,14 +84,6 @@ val fault_injections : Metrics.counter
     sleeps, corrupted payloads), across every site. Zero in an unfaulted
     run — a chaos harness asserts it moved. *)
 
-(** {2 Progress (sweep-level, fed by [Runtime.Progress])} *)
-
-val progress_completed : Metrics.counter
-val progress_cache_hits : Metrics.counter
-val progress_failed : Metrics.counter
-val progress_retried : Metrics.counter
-val progress_resumed : Metrics.counter
-
 (** {2 Online service ([Server.Engine] via [ratsd])}
 
     Counters follow the engine's event stream (submitted = arrival events,

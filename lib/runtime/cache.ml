@@ -1,5 +1,6 @@
 module Metrics = Rats_obs.Metrics
 module Instr = Rats_obs.Instr
+module File = Rats_obs.File
 
 type t = {
   dir : string;
@@ -19,16 +20,10 @@ let default_dir = Filename.concat "bench_results" ".cache"
 
 let quarantine_subdir = "quarantine"
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?fault ?(dir = default_dir) () =
   (* An uncreatable directory (permissions, a file in the way) must not
      kill the run: the cache degrades to a pure miss machine. *)
-  (try mkdir_p dir with Sys_error _ | Unix.Unix_error _ -> ());
+  (try File.mkdir_p dir with Sys_error _ | Unix.Unix_error _ -> ());
   {
     dir;
     fault;
@@ -87,7 +82,7 @@ let quarantine t file =
   Metrics.incr Instr.cache_quarantined;
   let moved =
     try
-      mkdir_p (quarantine_dir t);
+      File.mkdir_p (quarantine_dir t);
       Sys.rename file
         (Filename.concat (quarantine_dir t) (Filename.basename file));
       true
@@ -127,7 +122,7 @@ let store t key payload =
   in
   let tmp = ref None in
   try
-    mkdir_p t.dir;
+    File.mkdir_p t.dir;
     let tmp_file, oc =
       Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:t.dir
         "entry" ".tmp"

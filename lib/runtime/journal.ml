@@ -12,12 +12,6 @@ let default_dir = Filename.concat "bench_results" ".journal"
 
 let header = "RATS-JOURNAL 1\n"
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let sanitize name =
   String.map
     (fun c ->
@@ -113,7 +107,7 @@ let read_tail path =
 let path t = t.path
 
 let open_ ?(dir = default_dir) ?fault ~name ~resume () =
-  mkdir_p dir;
+  Rats_obs.File.mkdir_p dir;
   let path = Filename.concat dir (sanitize name ^ ".journal") in
   let previous =
     if resume && Sys.file_exists path then

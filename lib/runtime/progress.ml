@@ -1,18 +1,18 @@
 module Metrics = Rats_obs.Metrics
 module Instr = Rats_obs.Instr
 
-(* The counts live in the process-wide metrics registry
-   ([rats_progress_*_total]); a reporter only remembers the counter values
-   at its creation and prints deltas, so its numbers restart at zero for
-   every sweep while the registry keeps the process totals. The mutex
-   serialises printing only — counter updates are atomic. *)
+(* A reporter counts its own completions; the cache and fault counts are
+   the deltas of the registry's [rats_cache_hits_total] and
+   [rats_exec_{failed,retried,resumed}_total] since its creation, so they
+   restart at zero for every sweep and can never disagree with the
+   registry. The mutex serialises printing only. *)
 type t = {
   label : string;
   total : int;
   enabled : bool;
   mutex : Mutex.t;
   start : float;
-  base_completed : int;
+  finished : int Atomic.t;
   base_hits : int;
   base_failed : int;
   base_retried : int;
@@ -30,19 +30,19 @@ let create ?(enabled = true) ~label ~total () =
     enabled;
     mutex = Mutex.create ();
     start = now;
-    base_completed = Metrics.counter_value Instr.progress_completed;
-    base_hits = Metrics.counter_value Instr.progress_cache_hits;
-    base_failed = Metrics.counter_value Instr.progress_failed;
-    base_retried = Metrics.counter_value Instr.progress_retried;
-    base_resumed = Metrics.counter_value Instr.progress_resumed;
+    finished = Atomic.make 0;
+    base_hits = Metrics.counter_value Instr.cache_hits;
+    base_failed = Metrics.counter_value Instr.exec_failed;
+    base_retried = Metrics.counter_value Instr.exec_retried;
+    base_resumed = Metrics.counter_value Instr.exec_resumed;
     last_print = now;
   }
 
-let completed t = Metrics.counter_value Instr.progress_completed - t.base_completed
-let cache_hits t = Metrics.counter_value Instr.progress_cache_hits - t.base_hits
-let failed t = Metrics.counter_value Instr.progress_failed - t.base_failed
-let retried t = Metrics.counter_value Instr.progress_retried - t.base_retried
-let resumed t = Metrics.counter_value Instr.progress_resumed - t.base_resumed
+let completed t = Atomic.get t.finished
+let cache_hits t = Metrics.counter_value Instr.cache_hits - t.base_hits
+let failed t = Metrics.counter_value Instr.exec_failed - t.base_failed
+let retried t = Metrics.counter_value Instr.exec_retried - t.base_retried
+let resumed t = Metrics.counter_value Instr.exec_resumed - t.base_resumed
 
 let rate t now =
   let dt = now -. t.start in
@@ -68,14 +68,9 @@ let print_line t now =
   Printf.eprintf "[%s] %d/%d  %.1f cfg/s  eta %s  cache-hit %d%%%s\n%!" t.label
     (completed t) t.total r eta (hit_pct t) (fault_suffix t)
 
-let step ?(cache_hit = false) ?(resumed = false) ?(failed = false)
-    ?(retries = 0) t =
+let step t =
   if t.enabled then begin
-    Metrics.incr Instr.progress_completed;
-    if cache_hit then Metrics.incr Instr.progress_cache_hits;
-    if resumed then Metrics.incr Instr.progress_resumed;
-    if failed then Metrics.incr Instr.progress_failed;
-    if retries > 0 then Metrics.add Instr.progress_retried retries;
+    Atomic.incr t.finished;
     Mutex.lock t.mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.mutex)

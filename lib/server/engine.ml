@@ -10,6 +10,7 @@ module Rats = Rats_core.Rats
 module J = Rats_obs.Json
 module Metrics = Rats_obs.Metrics
 module Instr = Rats_obs.Instr
+module Report = Rats_workload.Report
 
 type config = {
   cluster : Cluster.t;
@@ -50,6 +51,19 @@ type stats = {
   end_time : float;
   utilization : float;
   sojourns : float array;
+  tenants : Report.per_tenant list;
+}
+
+(* One tenant's share of the run: every count [stats] reports is a sum
+   over these, so the totals and the per-tenant rows cannot disagree. *)
+type ledger = {
+  tenant : string;
+  mutable outstanding : int;  (* queued + running *)
+  mutable submitted : int;
+  mutable rejected : int;
+  mutable completed : int;
+  mutable expired : int;
+  mutable rev_sojourns : float list;
 }
 
 type t = {
@@ -58,22 +72,17 @@ type t = {
   journal : Journal.t option;
   mutable free : Procset.t;
   queue : job Jobq.t;
-  outstanding : (string, int) Hashtbl.t;  (* tenant -> queued + running *)
+  ledgers : (string, ledger) Hashtbl.t;
+  mutable rev_ledgers : ledger list;  (* first arrival last *)
   mutable pending : (float * job) list;  (* submitted, not yet injected *)
   mutable next_id : int;
   mutable next_seq : int;
   mutable rev_events : Api.stamped list;
   mutable subscribers : (Api.stamped -> unit) list;
   (* statistics *)
-  mutable n_submitted : int;
-  mutable n_admitted : int;
-  mutable n_rejected : int;
-  mutable n_completed : int;
-  mutable n_expired : int;
   mutable queue_depth_max : int;
   mutable busy_time : float;
   mutable end_time : float;
-  mutable rev_sojourns : float list;
 }
 
 let create ?journal config =
@@ -83,21 +92,16 @@ let create ?journal config =
     journal;
     free = Procset.range 0 (Cluster.n_procs config.cluster);
     queue = Jobq.create ();
-    outstanding = Hashtbl.create 16;
+    ledgers = Hashtbl.create 16;
+    rev_ledgers = [];
     pending = [];
     next_id = 0;
     next_seq = 0;
     rev_events = [];
     subscribers = [];
-    n_submitted = 0;
-    n_admitted = 0;
-    n_rejected = 0;
-    n_completed = 0;
-    n_expired = 0;
     queue_depth_max = 0;
     busy_time = 0.;
     end_time = 0.;
-    rev_sojourns = [];
   }
 
 let cluster t = t.config.cluster
@@ -108,11 +112,25 @@ let queue_depth t = Jobq.depth t.queue
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 let events t = List.rev t.rev_events
 
-let outstanding_of t tenant =
-  Option.value (Hashtbl.find_opt t.outstanding tenant) ~default:0
-
-let adjust_outstanding t tenant d =
-  Hashtbl.replace t.outstanding tenant (outstanding_of t tenant + d)
+(* A tenant's ledger is opened at its first arrival. *)
+let ledger t tenant =
+  match Hashtbl.find_opt t.ledgers tenant with
+  | Some l -> l
+  | None ->
+      let l =
+        {
+          tenant;
+          outstanding = 0;
+          submitted = 0;
+          rejected = 0;
+          completed = 0;
+          expired = 0;
+          rev_sojourns = [];
+        }
+      in
+      Hashtbl.add t.ledgers tenant l;
+      t.rev_ledgers <- l :: t.rev_ledgers;
+      l
 
 let emit t job event =
   let seq = t.next_seq in
@@ -164,11 +182,12 @@ let rec start_job t job grant schedule =
     ~on_complete:(fun (r : Evaluate.result) ->
       let finish_time = Sim.now t.sim in
       t.free <- Procset.union t.free grant;
-      adjust_outstanding t job.request.Api.tenant (-1);
-      t.n_completed <- t.n_completed + 1;
+      let l = ledger t job.request.Api.tenant in
+      l.outstanding <- l.outstanding - 1;
+      l.completed <- l.completed + 1;
       Metrics.incr Instr.server_jobs_completed;
       let sojourn = finish_time -. job.arrival in
-      t.rev_sojourns <- sojourn :: t.rev_sojourns;
+      l.rev_sojourns <- sojourn :: l.rev_sojourns;
       t.busy_time <- t.busy_time +. (float_of_int job.n_procs *. r.makespan);
       Metrics.observe Instr.server_sojourn_seconds sojourn;
       emit t job
@@ -225,8 +244,9 @@ and expire t id =
   match Jobq.remove t.queue ~f:(fun j -> j.id = id) with
   | None -> ()
   | Some job ->
-      adjust_outstanding t job.request.Api.tenant (-1);
-      t.n_expired <- t.n_expired + 1;
+      let l = ledger t job.request.Api.tenant in
+      l.outstanding <- l.outstanding - 1;
+      l.expired <- l.expired + 1;
       Metrics.incr Instr.server_jobs_expired;
       emit t job (Api.Expired { waited = Sim.now t.sim -. job.arrival });
       note_queue_depth t;
@@ -237,23 +257,23 @@ and expire t id =
 (* --- arrivals ----------------------------------------------------------- *)
 
 let arrive t job =
-  t.n_submitted <- t.n_submitted + 1;
+  let l = ledger t job.request.Api.tenant in
+  l.submitted <- l.submitted + 1;
   Metrics.incr Instr.server_jobs_submitted;
   emit t job
     (Api.Submitted
        { procs = job.n_procs; strategy = job.strategy; spec = job.name });
   match
     Admission.decide t.config.policy ~queue_depth:(Jobq.depth t.queue)
-      ~tenant_outstanding:(outstanding_of t job.request.Api.tenant)
+      ~tenant_outstanding:l.outstanding
   with
   | Admission.Reject reason ->
-      t.n_rejected <- t.n_rejected + 1;
+      l.rejected <- l.rejected + 1;
       Metrics.incr Instr.server_jobs_rejected;
       emit t job (Api.Rejected { reason })
   | Admission.Accept ->
-      t.n_admitted <- t.n_admitted + 1;
       Metrics.incr Instr.server_jobs_admitted;
-      adjust_outstanding t job.request.Api.tenant 1;
+      l.outstanding <- l.outstanding + 1;
       emit t job Api.Admitted;
       Jobq.push t.queue ~tenant:job.request.Api.tenant job;
       emit t job (Api.Queued { depth = Jobq.depth t.queue });
@@ -347,13 +367,29 @@ let drain t =
   end_time
 
 let stats t =
+  let ledgers = List.rev t.rev_ledgers in
+  let sum f = List.fold_left (fun acc l -> acc + f l) 0 ledgers in
+  let tenants =
+    List.map
+      (fun l ->
+        {
+          Report.tenant = l.tenant;
+          submitted = l.submitted;
+          completed = l.completed;
+          rejected = l.rejected;
+          expired = l.expired;
+          sojourns = Array.of_list (List.rev l.rev_sojourns);
+        })
+      ledgers
+  in
   let n_procs = Cluster.n_procs t.config.cluster in
   {
-    submitted = t.n_submitted;
-    admitted = t.n_admitted;
-    rejected = t.n_rejected;
-    completed = t.n_completed;
-    expired = t.n_expired;
+    submitted = sum (fun l -> l.submitted);
+    (* Every admitted job is still outstanding, completed or expired. *)
+    admitted = sum (fun l -> l.outstanding + l.completed + l.expired);
+    rejected = sum (fun l -> l.rejected);
+    completed = sum (fun l -> l.completed);
+    expired = sum (fun l -> l.expired);
     queue_depth_max = t.queue_depth_max;
     busy_time = t.busy_time;
     end_time = t.end_time;
@@ -361,5 +397,6 @@ let stats t =
       (if t.end_time > 0. then
          t.busy_time /. (float_of_int n_procs *. t.end_time)
        else 0.);
-    sojourns = Array.of_list (List.rev t.rev_sojourns);
+    sojourns = Array.concat (List.map (fun pt -> pt.Report.sojourns) tenants);
+    tenants;
   }

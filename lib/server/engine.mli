@@ -107,7 +107,14 @@ val subscribe : t -> (Api.stamped -> unit) -> unit
 val events : t -> Api.stamped list
 (** Everything emitted so far, in emission (= [seq]) order. *)
 
-(** {2 Service-level statistics} *)
+(** {2 Service-level statistics}
+
+    The engine keeps one ledger per tenant, opened at the tenant's first
+    arrival and updated at every [submitted], [rejected], [completed] and
+    [expired] event. It is the only count of outcomes: admission reads a
+    tenant's outstanding jobs from it, and every total below is a sum over
+    it, so totals, per-tenant rows and the event log agree by
+    construction. *)
 
 type stats = {
   submitted : int;
@@ -124,7 +131,11 @@ type stats = {
   end_time : float;  (** Simulated time of the last drain's end. *)
   utilization : float;
       (** [busy_time / (n_procs × end_time)]; 0 before any drain. *)
-  sojourns : float array;  (** Per completed job, completion order. *)
+  sojourns : float array;
+      (** Per completed job: each tenant's sojourns in completion order,
+          tenants in {!field-tenants} order. *)
+  tenants : Rats_workload.Report.per_tenant list;
+      (** One row per tenant that has arrived, in first-arrival order. *)
 }
 
 val stats : t -> stats

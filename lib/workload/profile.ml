@@ -107,7 +107,7 @@ let check_params p =
     Error (Printf.sprintf "rate must be finite and > 0, got %g" p.rate)
   else Ok ()
 
-let preset ~cluster kind params =
+let preset ~cluster ~name kind params =
   Result.map
     (fun () ->
       let n = Cluster.n_procs cluster in
@@ -141,14 +141,14 @@ let preset ~cluster kind params =
         }
       in
       {
-        name = fst (List.find (fun (_, k) -> k = kind) presets);
+        name;
         seed = params.seed;
         n_jobs = params.jobs;
         tenants = List.init params.tenants tenant;
       })
     (check_params params)
 
-(* Values are only parsed here; {!preset} checks their ranges. *)
+(* Values are only parsed here; [check_params] checks their ranges. *)
 let parse_params base kvs =
   List.fold_left
     (fun acc kv ->
@@ -191,4 +191,4 @@ let of_string ~cluster ?seed spec =
   | Some kind ->
       Result.bind (parse_params default_params kvs) (fun params ->
           let seed = Option.value seed ~default:params.seed in
-          preset ~cluster kind { params with seed })
+          preset ~cluster ~name kind { params with seed })

@@ -7,9 +7,9 @@
 
     {2 Profile grammar}
 
-    [of_string] accepts [NAME\[:key=value{,key=value}\]] where [NAME] is
-    one of {!presets} and the optional keys override the preset's
-    defaults:
+    {!of_string}, the one constructor, accepts
+    [NAME\[:key=value{,key=value}\]] where [NAME] is one of the presets
+    below and the optional keys override the preset's defaults:
 
     - [jobs=N] — total jobs across tenants, at least 1 (default 120);
     - [tenants=K] — tenant count, at least 1 (default 4);
@@ -17,13 +17,21 @@
       finite and positive, split evenly across tenants (default 0.05);
     - [seed=S] — trace seed (default 42).
 
-    Example: ["bursty:jobs=240,tenants=6,seed=7"].
+    Example: ["bursty:jobs=240,tenants=6,seed=7"]. This grammar is the
+    one way to name a load trace: [workload --profile],
+    [ratsd --selftest --profile] and [rats_client --op load --profile]
+    all take it.
 
     {2 Presets}
 
+    Every preset names its tenants ["tenant-<i>"], draws 3 samples per
+    suite application and shares uniform between a quarter of the
+    platform and all of it, and bakes in the naive delta strategy.
+
     - [poisson] — every tenant an independent Poisson source over the
       small-configuration service mix: the classic open-loop load, and
-      the trace [ratsd --selftest] and [rats_client --op load] submit.
+      (with its defaults) the trace [ratsd --selftest] and
+      [rats_client --op load] submit.
     - [bursty] — on/off MMPP tenants: flash crowds against a quiet
       background.
     - [diurnal] — sinusoidal rate curve tenants (day/night).
@@ -47,35 +55,12 @@ val validate : t -> unit
 val jobs_per_tenant : t -> int array
 (** The round-robin split of [n_jobs] over the tenants, in order. *)
 
-type preset = Poisson | Bursty | Diurnal | Pipeline | Mixed
-
-val presets : (string * preset) list
-(** The grammar's preset names, in documentation order. *)
-
-type params = {
-  jobs : int;  (** Total jobs across tenants; at least 1. *)
-  tenants : int;  (** At least 1. *)
-  rate : float;
-      (** Aggregate arrival rate, jobs per simulated second, split evenly
-          across tenants; finite and positive. *)
-  seed : int;
-}
-
-val default_params : params
-(** 120 jobs from 4 tenants at 0.05 jobs/s, seed 42: the grammar's
-    defaults and those of [ratsd --selftest] and [rats_client --op load]. *)
-
-val preset :
-  cluster:Rats_platform.Cluster.t -> preset -> params -> (t, string) result
-(** The preset with [params]: tenants named ["tenant-<i>"], 3 samples per
-    suite application, shares uniform between a quarter of the platform
-    and all of it, the naive delta strategy baked in. An [Error] names the
-    first parameter out of range. *)
-
 val of_string :
   cluster:Rats_platform.Cluster.t ->
   ?seed:int ->
   string ->
   (t, string) result
-(** Parses the profile grammar above into {!preset}. [?seed] overrides
-    any seed from the string (the CLI's [--seed] flag). *)
+(** Parses the profile grammar above. An [Error] names the first unknown
+    preset, unknown key, unparsable value or value out of range (e.g.
+    ["rate must be finite and > 0, got nan"]). [?seed] overrides any seed
+    from the string, for callers that sweep seeds over one spec. *)

@@ -1,8 +1,9 @@
 (** Service-level study reports: one record per (profile, scheduler arm).
 
-    The study runner tallies the engine's event log into per-tenant
-    {!per_tenant} records (in the trace's tenant order, so output is
-    deterministic) and {!make} folds them into the service-level summary:
+    The online engine keeps one {!per_tenant} record per tenant
+    ([Rats_server.Engine.stats]); the study runner orders them (profile
+    tenants first, so output is deterministic) and {!make} folds them into
+    the service-level summary:
     throughput, sojourn moments ({!Rats_util.Stats.mean_std}) and tail
     percentiles (type-7, {!Rats_util.Stats.percentile}) over the pooled
     sojourns, and Jain's fairness index over per-tenant completion counts
@@ -39,7 +40,9 @@ type t = {
   fairness : float;  (** Jain's index over per-tenant completions. *)
   utilization : float;
   queue_depth_max : int;
-  tenants : per_tenant list;  (** Trace tenant order. *)
+  tenants : per_tenant list;
+      (** Profile tenants in profile order, then any others in
+          first-arrival order. *)
 }
 
 val make :

@@ -37,14 +37,26 @@ let strategy = function
   | Timecost -> Some (Rats.Timecost Rats.naive_timecost)
   | Packing -> None
 
-(* Mutable per-tenant tally, filled from the event log. *)
-type tally = {
-  mutable submitted : int;
-  mutable completed : int;
-  mutable rejected : int;
-  mutable expired : int;
-  mutable rev_sojourns : float list;
-}
+(* The engine's ledger rows: the profile's tenants in profile order (one
+   that never arrived reads zero), then the tenants the profile does not
+   name, in first-arrival order. *)
+let rows (profile : Profile.t) (ledger : Report.per_tenant list) =
+  let named = List.map (fun (t : Tenant.t) -> t.Tenant.name) profile.tenants in
+  let row tenant =
+    match List.find_opt (fun pt -> pt.Report.tenant = tenant) ledger with
+    | Some pt -> pt
+    | None ->
+        {
+          Report.tenant;
+          submitted = 0;
+          completed = 0;
+          rejected = 0;
+          expired = 0;
+          sojourns = [||];
+        }
+  in
+  List.map row named
+  @ List.filter (fun pt -> not (List.mem pt.Report.tenant named)) ledger
 
 let run_arm config ~(profile : Profile.t) ~requests arm =
   let planner = if arm = Packing then Some Packing.plan else None in
@@ -61,53 +73,13 @@ let run_arm config ~(profile : Profile.t) ~requests arm =
       | Error e -> invalid_arg ("Study.run_arm: invalid request: " ^ e))
     requests;
   let end_time = Engine.drain engine in
-  let events = Engine.events engine in
-  let tallies =
-    List.map
-      (fun (t : Tenant.t) ->
-        ( t.Tenant.name,
-          {
-            submitted = 0;
-            completed = 0;
-            rejected = 0;
-            expired = 0;
-            rev_sojourns = [];
-          } ))
-      profile.Profile.tenants
-  in
-  List.iter
-    (fun (ev : Api.stamped) ->
-      match List.assoc_opt ev.Api.tenant tallies with
-      | None -> ()
-      | Some tally -> (
-          match ev.Api.event with
-          | Api.Submitted _ -> tally.submitted <- tally.submitted + 1
-          | Api.Completed { sojourn; _ } ->
-              tally.completed <- tally.completed + 1;
-              tally.rev_sojourns <- sojourn :: tally.rev_sojourns
-          | Api.Rejected _ -> tally.rejected <- tally.rejected + 1
-          | Api.Expired _ -> tally.expired <- tally.expired + 1
-          | Api.Admitted | Api.Queued _ | Api.Started _
-          | Api.Redistribution _ ->
-              ()))
-    events;
   let s = Engine.stats engine in
   Metrics.incr Instr.workload_arm_runs;
   ( Report.make ~profile:profile.Profile.name ~arm:(arm_name arm) ~end_time
       ~utilization:s.Engine.utilization
       ~queue_depth_max:s.Engine.queue_depth_max
-      (List.map
-         (fun (tenant, tally) ->
-           {
-             Report.tenant;
-             submitted = tally.submitted;
-             completed = tally.completed;
-             rejected = tally.rejected;
-             expired = tally.expired;
-             sojourns = Array.of_list (List.rev tally.rev_sojourns);
-           })
-         tallies),
-    events )
+      (rows profile s.Engine.tenants),
+    Engine.events engine )
 
 let run ?(arms = default_arms) config profile =
   let requests = Load.requests (Trace.compile profile) in

@@ -4,10 +4,10 @@
     Every arm replays the {e same} timed requests against a fresh online
     {!Rats_server.Engine} that pins all jobs to the arm's scheduler, so the
     arms differ in nothing but planning: identical arrivals, identical
-    admission policy, identical platform. Reports are tallied per tenant
-    from the engine's event log in profile tenant order, so a study is
-    deterministic end to end — same profile, same seed, same policy ⇒
-    byte-identical CSV. {!run_arm} is the only driver of a trace through
+    admission policy, identical platform. A report's per-tenant rows are
+    the engine's own ledger ({!Rats_server.Engine.stats}), profile tenants
+    first in profile order, so a study is deterministic end to end — same
+    profile, same seed, same policy ⇒ byte-identical CSV. {!run_arm} is the only driver of a trace through
     the engine, compiled ({!Rats_server.Load.requests}) or loaded from a
     file ({!Rats_server.Load.load}); [ratsd --selftest] runs on it too. *)
 
@@ -37,8 +37,11 @@ val run_arm :
   arm ->
   Report.t * Rats_server.Api.stamped list
 (** Submits every [(at, request)] to a fresh engine built from [config],
-    drains it and tallies the event log, which is returned beside the
-    report. RATS arms submit every request with the arm's strategy (so its
+    drains it and reports the engine's per-tenant ledger; the event log is
+    returned beside the report. The rows list the profile's tenants in
+    profile order (zero for a tenant that never arrived), then every
+    tenant the profile does not name, in first-arrival order — a replayed
+    trace's jobs are all counted, whatever their tenants are called. RATS arms submit every request with the arm's strategy (so its
     [Submitted] events name it) and plan with {!Rats_server.Api.plan}; the
     packing arm keeps the request's strategy and plans through
     {!Packing.plan}. Raises [Invalid_argument] on a request

@@ -13,6 +13,7 @@ module Load = Rats_server.Load
 module Session = Rats_server.Session
 module Profile = Rats_workload.Profile
 module Trace = Rats_workload.Trace
+module Report = Rats_workload.Report
 module Suite = Rats_daggen.Suite
 module Shape = Rats_daggen.Shape
 module Cluster = Rats_platform.Cluster
@@ -651,10 +652,10 @@ let test_jobq_remove () =
 
 (* --- online engine ------------------------------------------------------- *)
 
-(* The poisson preset's trace, submitted as ratsd and rats_client do. *)
+(* A poisson trace, submitted as ratsd and rats_client do. *)
 let small_trace ?(jobs = 16) cluster =
-  let params = { Profile.jobs; tenants = 4; rate = 0.1; seed = 7 } in
-  match Profile.preset ~cluster Profile.Poisson params with
+  let spec = Printf.sprintf "poisson:jobs=%d,tenants=4,rate=0.1,seed=7" jobs in
+  match Profile.of_string ~cluster spec with
   | Error e -> Alcotest.fail e
   | Ok p -> Array.to_list (Load.requests (Trace.compile p))
 
@@ -745,6 +746,101 @@ let test_engine_invariants () =
           (Engine.events engine)));
   check Alcotest.bool "utilization in (0, 1]" true
     (stats.Engine.utilization > 0. && stats.Engine.utilization <= 1.)
+
+(* The engine's ledger against a tally of its own event log: per tenant,
+   in first-arrival order, submitted/completed/rejected/expired counts and
+   the sojourns of the completed events, bit for bit and in completion
+   order. The policy makes admission reject and expire jobs. *)
+type tally = {
+  mutable submitted : int;
+  mutable completed : int;
+  mutable rejected : int;
+  mutable expired : int;
+  mutable rev_sojourns : float list;
+}
+
+let test_engine_ledger_matches_log () =
+  let cluster = Cluster.grelon in
+  let policy =
+    Admission.make ~deadline_s:400. ~queue_limit:8 ~tenant_limit:4 ()
+  in
+  let engine = Engine.create { (config cluster) with Engine.policy } in
+  let stats =
+    match Profile.of_string ~cluster "mixed:jobs=60" with
+    | Error e -> Alcotest.fail e
+    | Ok p -> play engine (Array.to_list (Load.requests (Trace.compile p)))
+  in
+  let tallies = ref [] in
+  let tally tenant =
+    match List.assoc_opt tenant !tallies with
+    | Some t -> t
+    | None ->
+        let t =
+          {
+            submitted = 0;
+            completed = 0;
+            rejected = 0;
+            expired = 0;
+            rev_sojourns = [];
+          }
+        in
+        tallies := !tallies @ [ (tenant, t) ];
+        t
+  in
+  List.iter
+    (fun (ev : Api.stamped) ->
+      let t = tally ev.Api.tenant in
+      match ev.Api.event with
+      | Api.Submitted _ -> t.submitted <- t.submitted + 1
+      | Api.Completed { sojourn; _ } ->
+          t.completed <- t.completed + 1;
+          t.rev_sojourns <- sojourn :: t.rev_sojourns
+      | Api.Rejected _ -> t.rejected <- t.rejected + 1
+      | Api.Expired _ -> t.expired <- t.expired + 1
+      | Api.Admitted | Api.Queued _ | Api.Started _ | Api.Redistribution _ ->
+          ())
+    (Engine.events engine);
+  check Alcotest.bool "rejections exercised" true (stats.Engine.rejected > 0);
+  check Alcotest.bool "expiry exercised" true (stats.Engine.expired > 0);
+  let rows = stats.Engine.tenants in
+  check
+    Alcotest.(list string)
+    "tenants in first-arrival order" (List.map fst !tallies)
+    (List.map (fun pt -> pt.Report.tenant) rows);
+  let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+  List.iter2
+    (fun (tenant, t) (pt : Report.per_tenant) ->
+      check Alcotest.int (tenant ^ " submitted") t.submitted pt.submitted;
+      check Alcotest.int (tenant ^ " completed") t.completed pt.completed;
+      check Alcotest.int (tenant ^ " rejected") t.rejected pt.rejected;
+      check Alcotest.int (tenant ^ " expired") t.expired pt.expired;
+      check
+        Alcotest.(list int64)
+        (tenant ^ " sojourns")
+        (bits (Array.of_list (List.rev t.rev_sojourns)))
+        (bits pt.sojourns))
+    !tallies rows;
+  let sum f = List.fold_left (fun acc pt -> acc + f pt) 0 rows in
+  check Alcotest.int "submitted total" stats.Engine.submitted
+    (sum (fun pt -> pt.Report.submitted));
+  check Alcotest.int "completed total" stats.Engine.completed
+    (sum (fun pt -> pt.Report.completed));
+  check Alcotest.int "rejected total" stats.Engine.rejected
+    (sum (fun pt -> pt.Report.rejected));
+  check Alcotest.int "expired total" stats.Engine.expired
+    (sum (fun pt -> pt.Report.expired));
+  check Alcotest.int "admitted total" stats.Engine.admitted
+    (List.length
+       (List.filter
+          (fun ev -> ev.Api.event = Api.Admitted)
+          (Engine.events engine)));
+  check
+    Alcotest.(list int64)
+    "sojourns are the rows' sojourns"
+    (bits
+       (Array.concat
+          (List.map (fun pt -> pt.Report.sojourns) rows)))
+    (bits stats.Engine.sojourns)
 
 let test_engine_rejections () =
   let cluster = Cluster.chti in
@@ -1575,6 +1671,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "invariants" `Quick test_engine_invariants;
           Alcotest.test_case "rejections" `Quick test_engine_rejections;
+          Alcotest.test_case "ledger equals the event log" `Quick
+            test_engine_ledger_matches_log;
           Alcotest.test_case "deadline expiry" `Quick
             test_engine_deadline_expiry;
           Alcotest.test_case "delay faults log-invariant" `Quick

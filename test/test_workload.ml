@@ -163,10 +163,10 @@ let test_trace_deterministic () =
     [ "poisson"; "bursty"; "diurnal"; "pipeline"; "mixed" ]
 
 (* Replicates the pre-workload-engine load generator loop verbatim. The
-   path ratsd and rats_client take (the poisson preset, [Trace.compile],
-   then [Load.requests] with the strategy set) must reproduce it draw for
-   draw, bit for bit. *)
-let legacy_trace ~cluster ~strategy (p : Profile.params) =
+   path ratsd and rats_client take (a poisson spec through
+   [Profile.of_string], [Trace.compile], then [Load.requests] with the
+   strategy set) must reproduce it draw for draw, bit for bit. *)
+let legacy_trace ~cluster ~strategy ~jobs:n_jobs ~tenants ~rate ~seed =
   let n = Cluster.n_procs cluster in
   let procs_min = max 1 (n / 4) and procs_max = n in
   let spec_pool =
@@ -190,14 +190,13 @@ let legacy_trace ~cluster ~strategy (p : Profile.params) =
       Suite.Strassen;
     |]
   in
-  let per_tenant_rate = p.Profile.rate /. float_of_int p.Profile.tenants in
+  let per_tenant_rate = rate /. float_of_int tenants in
   let arrivals = ref [] in
-  for tenant = 0 to p.Profile.tenants - 1 do
-    let rng = Rng.create (p.Profile.seed + (7919 * tenant)) in
+  for tenant = 0 to tenants - 1 do
+    let rng = Rng.create (seed + (7919 * tenant)) in
     let tenant_name = Printf.sprintf "tenant-%d" tenant in
     let jobs =
-      (p.Profile.jobs / p.Profile.tenants)
-      + if tenant < p.Profile.jobs mod p.Profile.tenants then 1 else 0
+      (n_jobs / tenants) + if tenant < n_jobs mod tenants then 1 else 0
     in
     let t = ref 0. in
     for _ = 1 to jobs do
@@ -224,10 +223,10 @@ let legacy_trace ~cluster ~strategy (p : Profile.params) =
 
 let test_load_path_byte_identical () =
   List.iter
-    (fun (cluster, strategy, params) ->
-      let legacy = legacy_trace ~cluster ~strategy params in
+    (fun (cluster, strategy, spec, (jobs, tenants, rate, seed)) ->
+      let legacy = legacy_trace ~cluster ~strategy ~jobs ~tenants ~rate ~seed in
       let served =
-        match Profile.preset ~cluster Profile.Poisson params with
+        match Profile.of_string ~cluster spec with
         | Error e -> Alcotest.fail e
         | Ok p ->
             Array.to_list
@@ -235,18 +234,22 @@ let test_load_path_byte_identical () =
                  (fun (at, (r : Api.request)) -> (at, { r with Api.strategy }))
                  (Load.requests (Trace.compile p)))
       in
-      check Alcotest.int "same length" (List.length legacy)
+      check Alcotest.int (spec ^ " same length") (List.length legacy)
         (List.length served);
       (* Structural equality covers every float bit and every spec field. *)
-      check Alcotest.bool "trace bit-identical" true (legacy = served))
+      check Alcotest.bool (spec ^ " trace bit-identical") true
+        (legacy = served))
     [
-      (cluster, Rats.Delta Rats.naive_delta, Profile.default_params);
+      (* The spec, and the grammar's values spelled out for the oracle. *)
+      (cluster, Rats.Delta Rats.naive_delta, "poisson", (120, 4, 0.05, 42));
       ( cluster,
         Rats.Delta { Rats.mindelta = -0.3; maxdelta = 0.7 },
-        { Profile.default_params with jobs = 31; tenants = 3 } );
+        "poisson:jobs=31,tenants=3",
+        (31, 3, 0.05, 42) );
       ( Cluster.chti,
         Rats.Baseline,
-        { Profile.default_params with jobs = 17; seed = 7; rate = 0.4 } );
+        "poisson:jobs=17,seed=7,rate=0.4",
+        (17, 4, 0.4, 7) );
     ]
 
 (* The CSV of every default arm run over [requests]. *)
@@ -434,6 +437,40 @@ let test_arm_strategy_logged () =
         strategies)
     [ Study.Delta; Study.Hcpa; Study.Timecost ]
 
+(* A replayed trace may name tenants the profile does not: every job still
+   lands in a row. Renaming all of a poisson trace's tenants leaves the
+   profile's four rows at zero and puts the whole trace in one more. *)
+let test_study_unknown_tenants () =
+  let p = profile_of "poisson:jobs=40" in
+  let requests =
+    Array.map
+      (fun (at, (r : Api.request)) -> (at, { r with Api.tenant = "alice" }))
+      (Load.requests (Trace.compile p))
+  in
+  let r, _ =
+    Study.run_arm (Engine.default_config cluster) ~profile:p ~requests
+      Study.Hcpa
+  in
+  check Alcotest.int "jobs" 40 r.Report.jobs;
+  check
+    Alcotest.(list string)
+    "rows: profile tenants, then alice"
+    [ "tenant-0"; "tenant-1"; "tenant-2"; "tenant-3"; "alice" ]
+    (List.map (fun pt -> pt.Report.tenant) r.Report.tenants);
+  List.iter
+    (fun (pt : Report.per_tenant) ->
+      let outcomes =
+        pt.Report.completed + pt.Report.rejected + pt.Report.expired
+      in
+      if pt.Report.tenant = "alice" then begin
+        check Alcotest.int "alice submitted" 40 pt.Report.submitted;
+        check Alcotest.int "alice outcomes" 40 outcomes
+      end
+      else
+        check Alcotest.int (pt.Report.tenant ^ " is empty") 0
+          (pt.Report.submitted + outcomes + Array.length pt.Report.sojourns))
+    r.Report.tenants
+
 let test_arm_names () =
   List.iter
     (fun arm ->
@@ -513,6 +550,8 @@ let () =
           Alcotest.test_case "deterministic csv" `Quick
             test_study_deterministic_csv;
           Alcotest.test_case "arm names" `Quick test_arm_names;
+          Alcotest.test_case "unknown tenants reported" `Quick
+            test_study_unknown_tenants;
           Alcotest.test_case "rats arms log their strategy" `Quick
             test_arm_strategy_logged;
           Alcotest.test_case "packing skips hcpa" `Quick

@@ -5,10 +5,10 @@
 #
 # Six phases (docs/SERVER.md "Failure semantics" documents the semantics
 # each one exercises):
-#   1. reference: an unfaulted daemon plays a Poisson load trace to
-#      completion and answers stats; its event log (which must hold the
-#      submitted/admitted/started/completed lifecycle) is the oracle for
-#      phases 2 and 3;
+#   1. reference: an unfaulted daemon plays a Poisson load trace
+#      (--profile poisson:jobs=40) to completion and answers stats; its
+#      event log (which must hold the submitted/admitted/started/completed
+#      lifecycle) is the oracle for phases 2 and 3;
 #   2. chaos kill/resume: the same trace against a daemon with every delay
 #      site armed at p=1 (journal.append, engine.step, replay.task), killed
 #      -9 halfway through submission, restarted with --resume over the stale
@@ -19,9 +19,10 @@
 #      nothing, against a daemon with a tiny --client-buffer; the load must
 #      drain undisturbed (log again byte-identical), the watcher must be
 #      evicted (health reports it) and exit cleanly;
-#   4. overload + deadlines: a burst (rate 50) against queue-limit 4 with a
-#      0.5 shed watermark and a 1 s queue-wait deadline — the log must show
-#      overloaded rejections carrying retry_after hints and expired events;
+#   4. overload + deadlines: a burst (poisson:jobs=30,rate=50) against
+#      queue-limit 4 with a 0.5 shed watermark and a 1 s queue-wait
+#      deadline — the log must show overloaded rejections carrying
+#      retry_after hints and expired events;
 #   5. hostile inputs and faults: with no daemon running, a missing --dag
 #      file and a request past the 16 MiB frame limit must each be a
 #      one-line client error (the client frames before it connects) and a
@@ -33,9 +34,10 @@
 #      crash@server.client at p=0.3 — individual connections die (clients
 #      see clean failures, not hangs), the daemon itself must survive and
 #      still answer health;
-#   6. load driver: ratsd --selftest (120 jobs from 4 tenants under both
-#      RATS and HCPA) must pass its determinism check and report throughput;
-#      a bad load parameter (--rate nan) must be a one-line usage error.
+#   6. load driver: ratsd --selftest (the default poisson profile, 120
+#      jobs from 4 tenants, under both RATS and HCPA) must pass its
+#      determinism check and report throughput; a bad profile value
+#      (--profile poisson:rate=nan) must be a one-line error, exit 2.
 # Plus socket-claim checks woven in: a second daemon against a live socket
 # must refuse to start, a stale socket after kill -9 must be reclaimed, and
 # a non-socket path must never be unlinked.
@@ -51,6 +53,7 @@ S=$WORK/ratsd.sock
 DPID=0
 WPID=0
 JOBS=40
+LOAD=poisson:jobs=$JOBS
 # Never pass pid 0 to kill: that signals the whole process group.
 cleanup() {
     [ "$DPID" -gt 0 ] && kill -9 "$DPID" 2>/dev/null || true
@@ -73,7 +76,7 @@ wait_ready() { # wait for the daemon to answer a ping on its socket
 "$RATSD" --socket "$S" --journal-dir "$WORK/jref" &
 DPID=$!
 wait_ready
-"$CLIENT" --socket "$S" --op load --load-jobs $JOBS --timeout 30 >/dev/null
+"$CLIENT" --socket "$S" --op load --profile "$LOAD" --timeout 30 >/dev/null
 "$CLIENT" --socket "$S" --op drain --timeout 60 | grep -q drained
 "$CLIENT" --socket "$S" --op log --json --timeout 30 > "$WORK/ref.jsonl"
 "$CLIENT" --socket "$S" --op stats --timeout 10 | grep -q '"completed"' \
@@ -102,7 +105,7 @@ DPID=$!
 wait_ready
 grep -q "fault injection armed" "$WORK/chaos1.log" \
     || fail "daemon did not announce its fault spec"
-"$CLIENT" --socket "$S" --op load --load-jobs $JOBS \
+"$CLIENT" --socket "$S" --op load --profile "$LOAD" \
     --load-to $((JOBS / 2)) --timeout 30 >/dev/null
 
 kill -9 $DPID
@@ -124,7 +127,7 @@ fi
 grep -q "live daemon" "$WORK/dup.err" \
     || fail "live-socket refusal gave the wrong reason"
 
-"$CLIENT" --socket "$S" --op load --load-jobs $JOBS \
+"$CLIENT" --socket "$S" --op load --profile "$LOAD" \
     --load-from $((JOBS / 2)) --timeout 30 >/dev/null
 "$CLIENT" --socket "$S" --op drain --timeout 120 | grep -q drained
 "$CLIENT" --socket "$S" --op log --json --timeout 30 > "$WORK/chaos.jsonl"
@@ -152,7 +155,7 @@ wait_ready
 WPID=$!
 sleep 0.5
 
-"$CLIENT" --socket "$S" --op load --load-jobs $JOBS --timeout 30 >/dev/null
+"$CLIENT" --socket "$S" --op load --profile "$LOAD" --timeout 30 >/dev/null
 "$CLIENT" --socket "$S" --op drain --timeout 60 | grep -q drained
 "$CLIENT" --socket "$S" --op log --json --timeout 30 > "$WORK/slow.jsonl"
 "$CLIENT" --socket "$S" --op health --timeout 10 > "$WORK/health.json"
@@ -178,8 +181,8 @@ rm -f "$S"
     --shed-watermark 0.5 --retry-after 2 --deadline 1 &
 DPID=$!
 wait_ready
-"$CLIENT" --socket "$S" --op load --load-jobs 30 --rate 50 --timeout 30 \
-    >/dev/null
+"$CLIENT" --socket "$S" --op load --profile poisson:jobs=30,rate=50 \
+    --timeout 30 >/dev/null
 "$CLIENT" --socket "$S" --op drain --timeout 60 | grep -q drained
 "$CLIENT" --socket "$S" --op log --json --timeout 30 > "$WORK/shed.jsonl"
 grep -q '"reason":"overloaded"' "$WORK/shed.jsonl" \
@@ -331,10 +334,11 @@ grep -q 'selftest: OK' "$WORK/selftest.out" || fail "selftest did not pass"
 grep -q 'throughput' "$WORK/selftest.out" \
     || fail "selftest reported no throughput"
 sed 's/^/  /' "$WORK/selftest.out"
-if "$RATSD" --selftest --rate nan > /dev/null 2> "$WORK/nan.err"; then
-    fail "selftest accepted --rate nan"
-fi
+RC=0
+"$RATSD" --selftest --profile poisson:rate=nan > /dev/null 2> "$WORK/nan.err" \
+    || RC=$?
+[ "$RC" -eq 2 ] || fail "selftest --profile poisson:rate=nan: exit $RC, not 2"
 [ "$(wc -l < "$WORK/nan.err")" -eq 1 ] && grep -q '^ratsd: rate' "$WORK/nan.err" \
-    || fail "--rate nan was not a one-line usage error"
+    || fail "poisson:rate=nan was not a one-line usage error"
 
 echo "chaos-smoke: OK"

@@ -5,7 +5,8 @@
 #   2. a second run byte-identical to the first (determinism);
 #   3. the deliberately dirty fixture tree fails (exit 1) with exactly the
 #      golden findings of test/lint_fixtures/expected.txt;
-#   4. --graph emits a DOT call graph.
+#   4. --graph emits a DOT call graph, and --json writes its report into
+#      directories that do not exist yet.
 #
 # Run from the repo root (or via `make lint-smoke`, which builds first).
 set -euo pipefail
@@ -33,4 +34,9 @@ same_bytes test/lint_fixtures/expected.txt "$WORK/fixtures.txt" \
 $LINT --graph - 2>/dev/null | grep -q "digraph rats_callgraph" \
   || fail "--graph did not emit a DOT digraph"
 
-echo "lint_smoke: OK (cold ${elapsed_ms}ms; determinism, fixture golden and graph export verified)"
+$LINT --json "$WORK/a/b/lint.json" > /dev/null 2>&1 \
+  || fail "--json into two missing directory levels failed"
+grep -q '"findings"' "$WORK/a/b/lint.json" \
+  || fail "--json into two missing directory levels wrote no report"
+
+echo "lint_smoke: OK (cold ${elapsed_ms}ms; determinism, fixture golden, graph and JSON export verified)"

@@ -9,7 +9,9 @@
 #      reproduce the direct run's CSV byte-for-byte; replaying a trace with
 #      a negative share must be a one-line error (exit 2) naming the file
 #      and the job, and one with a generated job of width 2 a one-line
-#      error naming the file and the line, each before any arm runs;
+#      error naming the file and the line, each before any arm runs; a
+#      saved poisson:jobs=40 trace whose tenants are all renamed alice
+#      must report all 40 jobs, in an alice row;
 #   3. worker independence: the same study with --jobs 3 must not change a
 #      single byte of the CSV.
 #
@@ -69,6 +71,17 @@ run "$WORK/width.csv" --replay "$WORK/width.jsonl" 2> "$WORK/width.err" || RC=$?
     "workload: $WORK/width.jsonl:$LINE: Shape.make: width outside (0,1]" ] \
     || fail "a width-2 shape was not one workload: error naming file and line"
 [ ! -e "$WORK/width.csv" ] || fail "an arm ran on a trace with a bad shape"
+
+# Tenants the profile does not name still get counted, in their own rows.
+"$WORKLOAD" --profile poisson:jobs=40 --save-trace "$WORK/p40.jsonl" \
+    > /dev/null
+sed 's/"tenant":"[^"]*"/"tenant":"alice"/' "$WORK/p40.jsonl" > "$WORK/alice.jsonl"
+"$WORKLOAD" --profile poisson:jobs=40 --arms hcpa --replay "$WORK/alice.jsonl" \
+    --csv "$WORK/alice.csv" > "$WORK/alice.out"
+[ "$(cut -d, -f3 "$WORK/alice.csv" | tail -n 1)" = 40 ] \
+    || fail "a replay with renamed tenants did not count its 40 jobs"
+grep -q '^  alice  *submitted  40 ' "$WORK/alice.out" \
+    || fail "a replay with renamed tenants printed no alice row"
 
 # --- 3. worker count never affects results -------------------------------- #
 

@@ -15,7 +15,8 @@
 #                           selftest load driver
 #   make workload-smoke     workload.exe three-arm study: same-seed byte
 #                           determinism, save-trace/replay round-trip, worker
-#                           independence
+#                           independence, output files in missing
+#                           directories
 #   make studio-smoke       cold traced fig2 run, validated by studio check
 #                           (bench counters) and rendered by studio report
 #                           into a self-contained HTML report with its

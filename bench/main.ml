@@ -274,6 +274,36 @@ let micro_tests () =
   (* Four processors in grelon's first cabinet to four in its second. *)
   let cabinet0 = Rats_util.Procset.range 0 4 in
   let cabinet1 = Rats_util.Procset.range 24 4 in
+  (* 300 live flows on grelon routes (two links within a cabinet, four
+     across); each run replaces one with the next route of a fixed pool
+     and refreshes. *)
+  let churn =
+    let module Inc = Rats_sim.Maxmin.Incremental in
+    let c = Cluster.grelon in
+    let n = Cluster.n_procs c in
+    let rng = Rats_util.Rng.create 42 in
+    let routes =
+      Array.init 1000 (fun _ ->
+          let src = Rats_util.Rng.int rng n in
+          let dst = (src + 1 + Rats_util.Rng.int rng (n - 1)) mod n in
+          let route = Cluster.route c ~src ~dst in
+          (route, Cluster.flow_rate_cap c ~route))
+    in
+    let inc =
+      Inc.create ~n_links:(Cluster.n_links c) ~capacity:(fun l ->
+          (Cluster.link c l).Rats_platform.Link.bandwidth)
+    in
+    let add (links, rate_cap) = Inc.add inc ~links ~rate_cap in
+    let live = Array.init 300 (fun k -> add routes.(k)) in
+    Inc.refresh inc;
+    let runs = ref 0 in
+    fun () ->
+      let k = !runs mod 300 in
+      Inc.remove inc live.(k);
+      live.(k) <- add routes.((!runs + 300) mod 1000);
+      Inc.refresh inc;
+      incr runs
+  in
   Test.make_grouped ~name:"rats"
     [
       Test.make ~name:"maxmin-128flows"
@@ -282,6 +312,7 @@ let micro_tests () =
                (Rats_sim.Maxmin.solve ~n_links:47
                   ~capacity:(fun _ -> 1.25e8)
                   flows)));
+      Test.make ~name:"maxmin-refresh-300flows-grelon" (Staged.stage churn);
       Test.make ~name:"comm-matrix-32x24"
         (Staged.stage (fun () ->
              ignore (Rats_redist.Block.comm_matrix ~amount:1e9 ~senders:32 ~receivers:24)));

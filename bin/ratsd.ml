@@ -310,14 +310,23 @@ let shed_watermark_term =
            hint) once the queue is $(docv) full (fraction of the queue \
            limit, in (0,1]); 1 disables shedding.")
 
+(* Not finite and > 0 (NaN included) is a usage error, exit 124: every
+   overloaded rejection carries this hint on the wire. *)
 let retry_after_term =
-  Arg.(
-    value & opt float 1.
-    & info [ "retry-after" ] ~docv:"S"
-        ~doc:
-          "Admission: base retry-after hint in simulated seconds carried \
-           by overloaded rejections, scaled by how far past the watermark \
-           the queue is.")
+  let check s =
+    if s > 0. && s < infinity then Ok s
+    else Error (Printf.sprintf "--retry-after: %g is not a finite number > 0" s)
+  in
+  Term.term_result' ~usage:true
+    Term.(
+      const check
+      $ Arg.(
+          value & opt float 1.
+          & info [ "retry-after" ] ~docv:"S"
+              ~doc:
+                "Admission: base retry-after hint in simulated seconds \
+                 carried by overloaded rejections, scaled by how far past \
+                 the watermark the queue is."))
 
 let client_buffer_term =
   Arg.(

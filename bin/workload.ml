@@ -45,10 +45,20 @@ let check_replay ~cluster path requests =
             (Api.spec_name r.Api.job) r.Api.tenant e)
     requests
 
+(* The directory of an output file is made before any arm runs, so a path
+   that cannot be created ends the run at once, with one line. *)
+let prepare_output path =
+  let dir = Filename.dirname path in
+  (try Rats_obs.File.mkdir_p dir with
+  | Unix.Unix_error (e, _, arg) -> die "%s: %s" arg (Unix.error_message e));
+  if not (Sys.is_directory dir) then die "%s: Not a directory" dir
+
 let run cluster profiles arms_s jobs queue_limit tenant_limit deadline csv
     save_trace replay obs =
   Common.start_obs obs;
   let arms = parse_arms arms_s in
+  Option.iter prepare_output csv;
+  Option.iter prepare_output save_trace;
   let policy =
     Admission.make
       ?deadline_s:deadline

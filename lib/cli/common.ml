@@ -124,16 +124,23 @@ let tenant_limit_term =
         ~doc:
           "Admission: reject a tenant with $(docv) jobs queued or running.")
 
+(* A NaN deadline is a usage error (exit 124), not a disabled one. *)
 let deadline_term =
-  Term.(
-    const (fun s -> if s > 0. then Some s else None)
-    $ Arg.(
-        value & opt float 0.
-        & info [ "deadline" ] ~docv:"S"
-            ~doc:
-              "Admission: drop a queued job (expired event) if it has not \
-               started $(docv) simulated seconds after arrival; 0 \
-               disables."))
+  let check s =
+    if s > 0. then Ok (Some s)
+    else if s <= 0. then Ok None
+    else Error "--deadline: not a number"
+  in
+  Term.term_result' ~usage:true
+    Term.(
+      const check
+      $ Arg.(
+          value & opt float 0.
+          & info [ "deadline" ] ~docv:"S"
+              ~doc:
+                "Admission: drop a queued job (expired event) if it has not \
+                 started $(docv) simulated seconds after arrival; 0 \
+                 disables."))
 
 let engine_jobs_term =
   Term.(

@@ -21,10 +21,11 @@ let make ?(shed_watermark = 1.) ?(retry_after_s = 1.) ?deadline_s ~queue_limit
   if tenant_limit < 1 then invalid_arg "Admission.make: tenant_limit < 1";
   if not (shed_watermark > 0. && shed_watermark <= 1.) then
     invalid_arg "Admission.make: shed_watermark not in (0,1]";
-  if retry_after_s <= 0. then
-    invalid_arg "Admission.make: retry_after_s <= 0";
+  (* Each check is written so that NaN fails it. *)
+  if not (retry_after_s > 0. && retry_after_s < infinity) then
+    invalid_arg "Admission.make: retry_after_s not finite and > 0";
   (match deadline_s with
-  | Some d when d <= 0. -> invalid_arg "Admission.make: deadline_s <= 0"
+  | Some d when not (d > 0.) -> invalid_arg "Admission.make: deadline_s not > 0"
   | _ -> ());
   { queue_limit; tenant_limit; shed_watermark; retry_after_s; deadline_s }
 

@@ -47,8 +47,9 @@ val make :
   unit ->
   policy
 (** Raises [Invalid_argument] on non-positive limits, a watermark outside
-    (0,1], or non-positive [retry_after_s]/[deadline_s]. Defaults are
-    {!default}'s values. *)
+    (0,1], a [retry_after_s] that is not finite and > 0, or a
+    [deadline_s] that is not > 0 (NaN included; an infinite deadline never
+    fires). Defaults are {!default}'s values. *)
 
 val shed_threshold : policy -> int
 (** First queue depth at which arrivals shed,

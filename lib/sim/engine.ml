@@ -5,23 +5,22 @@ module Trace = Rats_obs.Trace
 module Instr = Rats_obs.Instr
 module Inc = Maxmin.Incremental
 
-type flow = {
-  links : int array;
-  rate_cap : float;
-  mutable remaining : float;
-  on_complete : t -> unit;
-  mutable handle : Inc.handle;  (* solver slot while active; -1 otherwise *)
-  mutable rate : float;  (* fair rate as of the last refresh *)
-}
-
-and t = {
+type t = {
   cluster : Cluster.t;
   mutable time : float;
   events : (t -> unit) Pqueue.t;
   solver : Inc.t;
-  mutable flows : flow array;  (* active, transferring: indices < n_flows,
-                                  in activation order *)
+  (* Active (transferring) flows as parallel arrays, indices < n_flows, in
+     activation order: the floats are unboxed, so a clock step writes no
+     pointer and allocates nothing. *)
+  mutable handle : Inc.handle array;  (* solver slot *)
+  mutable remaining : float array;  (* bytes still to transfer *)
+  mutable rate : float array;  (* fair rate as of the last refresh *)
+  mutable on_complete : (t -> unit) array;
   mutable n_flows : int;
+  (* Flows that finished in the current step, in activation order. *)
+  mutable done_handle : Inc.handle array;
+  mutable done_cb : (t -> unit) array;
   mutable rates_valid : bool;
   (* Plain (single-domain) observability counters; published to the global
      metrics registry once per [run] so the hot loop never touches an
@@ -31,15 +30,7 @@ and t = {
   mutable published_events : int;
 }
 
-let dummy_flow =
-  {
-    links = [||];
-    rate_cap = infinity;
-    remaining = 0.;
-    on_complete = (fun _ -> ());
-    handle = -1;
-    rate = 0.;
-  }
+let no_callback (_ : t) = ()
 
 let create cluster =
   {
@@ -50,8 +41,13 @@ let create cluster =
       Inc.create
         ~n_links:(Cluster.n_links cluster)
         ~capacity:(fun l -> (Cluster.link cluster l).Rats_platform.Link.bandwidth);
-    flows = Array.make 64 dummy_flow;
+    handle = Array.make 64 (-1);
+    remaining = Array.make 64 0.;
+    rate = Array.make 64 0.;
+    on_complete = Array.make 64 no_callback;
     n_flows = 0;
+    done_handle = Array.make 64 (-1);
+    done_cb = Array.make 64 no_callback;
     rates_valid = false;
     events_processed = 0;
     max_queue_depth = 0;
@@ -61,26 +57,45 @@ let create cluster =
 let cluster t = t.cluster
 let now t = t.time
 
+(* Written so that a NaN date fails the check. *)
 let at t time f =
-  if time < t.time -. 1e-12 then invalid_arg "Engine.at: time in the past";
+  if not (time >= t.time -. 1e-12) then
+    invalid_arg
+      (if Float.is_nan time then "Engine.at: NaN time"
+       else "Engine.at: time in the past");
   Pqueue.push t.events (Float.max time t.time) f;
   let depth = Pqueue.size t.events in
   if depth > t.max_queue_depth then t.max_queue_depth <- depth
 
-let after t delay f = at t (t.time +. Float.max 0. delay) f
+let after t delay f =
+  if Float.is_nan delay then invalid_arg "Engine.after: NaN delay";
+  at t (t.time +. Float.max 0. delay) f
 
-let activate_flow t flow =
-  flow.handle <- Inc.add t.solver ~links:flow.links ~rate_cap:flow.rate_cap;
-  if t.n_flows = Array.length t.flows then begin
-    let bigger = Array.make (2 * t.n_flows) dummy_flow in
-    Array.blit t.flows 0 bigger 0 t.n_flows;
-    t.flows <- bigger
+(* A copy of [a] twice as long, padded with [init]. *)
+let double a init =
+  let n = Array.length a in
+  let b = Array.make (2 * n) init in
+  Array.blit a 0 b 0 n;
+  b
+
+let activate_flow t links rate_cap bytes on_complete =
+  let k = t.n_flows in
+  if k = Array.length t.handle then begin
+    t.handle <- double t.handle (-1);
+    t.remaining <- double t.remaining 0.;
+    t.rate <- double t.rate 0.;
+    t.on_complete <- double t.on_complete no_callback
   end;
-  t.flows.(t.n_flows) <- flow;
-  t.n_flows <- t.n_flows + 1;
+  t.handle.(k) <- Inc.add t.solver ~links ~rate_cap;
+  t.remaining.(k) <- bytes;
+  t.rate.(k) <- 0.;
+  t.on_complete.(k) <- on_complete;
+  t.n_flows <- k + 1;
   t.rates_valid <- false
 
 let start_flow t ~src ~dst ~bytes ~on_complete =
+  if not (Float.abs bytes < infinity) then
+    invalid_arg "Engine.start_flow: non-finite bytes";
   let route = Cluster.route t.cluster ~src ~dst in
   if bytes <= 0. || Array.length route = 0 then
     (* Free transfer: local copy or empty payload. Completion still goes
@@ -89,19 +104,12 @@ let start_flow t ~src ~dst ~bytes ~on_complete =
   else begin
     let latency = Cluster.one_way_latency t.cluster ~route in
     let rate_cap = Cluster.flow_rate_cap t.cluster ~route in
-    let flow =
-      { links = route; rate_cap; remaining = bytes; on_complete;
-        handle = -1; rate = 0. }
-    in
-    after t latency (fun t -> activate_flow t flow)
+    after t latency (fun t -> activate_flow t route rate_cap bytes on_complete)
   end
 
 let refresh_rates t =
   Inc.refresh t.solver;
-  for i = 0 to t.n_flows - 1 do
-    let f = t.flows.(i) in
-    f.rate <- Inc.rate t.solver f.handle
-  done;
+  Inc.read_rates t.solver t.handle t.rate t.n_flows;
   t.rates_valid <- true
 
 (* A transferred remainder below this is rounding noise (sub-microbyte). *)
@@ -110,8 +118,9 @@ let eps_bytes = 1e-6
 let next_flow_completion t =
   let acc = ref infinity in
   for i = 0 to t.n_flows - 1 do
-    let f = t.flows.(i) in
-    if f.rate > 0. then acc := Float.min !acc (t.time +. (f.remaining /. f.rate))
+    let rate = t.rate.(i) in
+    if rate > 0. then
+      acc := Float.min !acc (t.time +. (t.remaining.(i) /. rate))
   done;
   !acc
 
@@ -123,39 +132,51 @@ let advance_to t date =
   let dt = date -. t.time in
   if dt > 0. then
     for i = 0 to t.n_flows - 1 do
-      let f = t.flows.(i) in
-      f.remaining <- f.remaining -. (f.rate *. dt)
+      t.remaining.(i) <- t.remaining.(i) -. (t.rate.(i) *. dt)
     done;
   t.time <- date;
-  (* Compact survivors in place; finished flows accumulate newest-first
-     (their completion callbacks historically ran in reverse activation
-     order, and schedule replay observes that order). *)
-  let finished = ref [] in
-  let live = ref 0 in
+  (* Compact survivors in place, keeping activation order; finished flows
+     go to the done arrays. *)
+  let live = ref 0 and finished = ref 0 in
   for i = 0 to t.n_flows - 1 do
-    let f = t.flows.(i) in
-    if f.remaining <= eps_bytes +. (f.rate *. 1e-9) then
-      finished := f :: !finished
+    if t.remaining.(i) <= eps_bytes +. (t.rate.(i) *. 1e-9) then begin
+      let d = !finished in
+      if d = Array.length t.done_handle then begin
+        t.done_handle <- double t.done_handle (-1);
+        t.done_cb <- double t.done_cb no_callback
+      end;
+      t.done_handle.(d) <- t.handle.(i);
+      t.done_cb.(d) <- t.on_complete.(i);
+      finished := d + 1
+    end
     else begin
-      t.flows.(!live) <- f;
-      incr live
+      let k = !live in
+      if k < i then begin
+        t.handle.(k) <- t.handle.(i);
+        t.remaining.(k) <- t.remaining.(i);
+        t.rate.(k) <- t.rate.(i);
+        t.on_complete.(k) <- t.on_complete.(i)
+      end;
+      live := k + 1
     end
   done;
-  match !finished with
-  | [] -> ()
-  | fin ->
-      for i = !live to t.n_flows - 1 do
-        t.flows.(i) <- dummy_flow
-      done;
-      t.n_flows <- !live;
-      t.rates_valid <- false;
-      List.iter
-        (fun f ->
-          Inc.remove t.solver f.handle;
-          f.handle <- -1;
-          t.events_processed <- t.events_processed + 1)
-        fin;
-      List.iter (fun f -> f.on_complete t) fin
+  let finished = !finished in
+  if finished > 0 then begin
+    Array.fill t.on_complete !live (t.n_flows - !live) no_callback;
+    t.n_flows <- !live;
+    t.rates_valid <- false;
+    (* Newest first: completion callbacks have always run in reverse
+       activation order, and schedule replay observes that order. *)
+    for d = finished - 1 downto 0 do
+      Inc.remove t.solver t.done_handle.(d);
+      t.events_processed <- t.events_processed + 1
+    done;
+    for d = finished - 1 downto 0 do
+      let f = t.done_cb.(d) in
+      t.done_cb.(d) <- no_callback;
+      f t
+    done
+  end
 
 let step t =
   if not t.rates_valid then refresh_rates t;
@@ -210,7 +231,8 @@ let run t =
       t.time)
 
 let run_until t date =
-  if date < t.time then invalid_arg "Engine.run_until: date in the past";
+  if not (date >= t.time && date < infinity) then
+    invalid_arg "Engine.run_until: date in the past or not finite";
   let continue = ref true in
   while !continue do
     if not t.rates_valid then refresh_rates t;

@@ -22,26 +22,30 @@ val cluster : t -> Rats_platform.Cluster.t
 val now : t -> float
 
 val at : t -> float -> (t -> unit) -> unit
-(** [at eng time f] schedules callback [f] at absolute [time] ≥ [now eng]
-    (raises [Invalid_argument] on past times). Callbacks at equal times run
-    in scheduling order. *)
+(** [at eng time f] schedules callback [f] at absolute [time] ≥ [now eng].
+    Raises [Invalid_argument] on a past or NaN [time]. Callbacks at equal
+    times run in scheduling order. *)
 
 val after : t -> float -> (t -> unit) -> unit
-(** [after eng delay f] = [at eng (now eng +. delay)]. *)
+(** [after eng delay f] = [at eng (now eng +. max 0 delay)]. Raises
+    [Invalid_argument] on a NaN [delay]. *)
 
 val start_flow :
   t -> src:int -> dst:int -> bytes:float ->
   on_complete:(t -> unit) -> unit
-(** Starts a flow now. [on_complete] fires when the last byte arrives. Zero
-    (or negative) payloads and self-flows complete at [now] (still through
-    the event queue, preserving causality). *)
+(** Starts a flow now. [on_complete] fires when the last byte arrives;
+    flows finishing at the same date complete newest first. Zero (or
+    negative) payloads and self-flows complete at [now] (still through the
+    event queue, preserving causality). Raises [Invalid_argument] on a NaN
+    or infinite [bytes], which would never drain. *)
 
 val run : t -> float
 (** Runs until no event or flow remains; returns the final simulated time. *)
 
 val run_until : t -> float -> unit
 (** Advances simulated time to exactly the given date, processing everything
-    scheduled before it. *)
+    scheduled before it. Raises [Invalid_argument] on a date that is in the
+    past, NaN or infinite. *)
 
 (** {2 Observability}
 

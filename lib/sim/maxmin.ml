@@ -99,47 +99,71 @@ module Incremental = struct
      observation that every unfrozen flow carries the same accumulated
      rate, so one cumulative level plus per-cap-class counts replaces the
      per-flow scans of the reference solver: a round costs O(component
-     links) instead of O(flows + n_links), and every freeze is O(flow
-     degree). The arithmetic per component is kept operation-for-operation
+     links + cap classes) instead of O(flows + n_links), and every freeze
+     is O(flow degree). The arithmetic per component is kept operation-for-operation
      identical to [solve] run on that component alone (min over the same
      margins, the same subtractions in the same order), so the rates are a
      pure function of the alive flow set, however it was reached. Against
      [solve] run on the *whole* flow set the rates agree only up to
      rounding: the reference accumulates globally-minimal levels across
-     components, a different float summation (see docs/ALGORITHMS.md). *)
+     components, a different float summation (see docs/ALGORITHMS.md).
+
+     The link -> flow adjacency is kept up to date by [add] and [remove]
+     (append, swap-remove), so the order of a link's slice, and with it
+     the order in which a component's flows and links are gathered,
+     depends on the add/remove history, and so does the order of the cap
+     classes. That order cannot change a rate: the level is a
+     [Float.min] over links and classes (commutative, signed zeros and
+     NaN included), each link's subtraction touches only that link, and a
+     round's freezes all set the same [cum] before the next level is
+     taken. The path-independence property in test_sim is the check. *)
 
   type t = {
     n_links : int;
     link_cap : float array;
-    (* Flow store: one slot per flow, reused through a free list. *)
+    link_eps : float array;  (* [eps_of] each link's capacity *)
+    (* Flow store: one slot per flow, reused through a free stack. *)
     mutable f_links : int array array;  (* [||] after free *)
+    mutable f_pos : int array array;
+        (* [f_pos.(i).(j)]: where link [f_links.(i).(j)]'s slice holds
+           flow [i]; kept for the slot's next flow *)
     mutable f_cap : float array;
     mutable f_rate : float array;
     mutable f_alive : bool array;
     mutable high : int;  (* slots ever handed out: ids < high *)
-    mutable free : int list;
+    mutable free : int array;  (* free slots: [free.(0 .. n_free - 1)] *)
+    mutable n_free : int;
     mutable n_alive : int;
     mutable n_linked : int;  (* alive flows crossing >= 1 link *)
-    (* Dirty links accumulated since the last refresh. *)
+    (* Links an add or remove crossed since the last refresh, each once. *)
     dirty_flag : bool array;
-    mutable dirty_links : int list;
-    (* link -> alive flows adjacency, rebuilt per refresh (counting sort). *)
-    adj_off : int array;  (* n_links + 1 *)
-    mutable adj : int array;
+    dirty : int array;
+    mutable n_dirty : int;
+    (* link -> alive flows: [adj.(l).(0 .. adj_len.(l) - 1)], one entry
+       per listing (a flow that lists a link twice is there twice). *)
+    adj : int array array;
+    adj_len : int array;
     (* Traversal stamps (per flow slot / per link), valid when = stamp. *)
     mutable flow_mark : int array;
     link_mark : int array;
     mutable stamp : int;
     (* Per-component solve scratch. *)
+    mutable comp_flows : int array;  (* >= high *)
+    comp_links : int array;  (* n_links *)
+    mutable comp_nf : int;
+    mutable comp_nl : int;
     rem : float array;  (* per link *)
     users : int array;  (* per link *)
     mutable frozen : int array;  (* per flow slot, stamp-valid *)
     mutable class_of : int array;  (* per flow slot, cap-class index *)
-    mutable comp_flows : int array;
-    mutable comp_links : int array;
-    mutable caps : float array;  (* distinct finite caps, ascending *)
+    mutable members : int array;  (* >= high: flows bucketed by cap class *)
+    mutable caps : float array;  (* distinct finite caps, first seen first *)
+    mutable cap_eps : float array;  (* [eps_of] each class's cap *)
     mutable cap_count : int array;  (* unfrozen flows per class *)
-    mutable cap_members : int list array;
+    mutable class_end : int array;
+        (* class [k]'s members are [members.(class_end.(k-1) ..
+           class_end.(k) - 1)], with [class_end.(-1)] read as 0 *)
+    mutable n_caps : int;
     (* Plain observability counters (an instance lives on one domain),
        flushed to the registry and zeroed by [publish]. *)
     mutable inc_refreshes : int;
@@ -157,30 +181,39 @@ module Incremental = struct
     {
       n_links;
       link_cap;
+      link_eps = Array.map eps_of link_cap;
       f_links = Array.make 16 [||];
+      f_pos = Array.make 16 [||];
       f_cap = Array.make 16 0.;
       f_rate = Array.make 16 0.;
       f_alive = Array.make 16 false;
       high = 0;
-      free = [];
+      free = Array.make 16 0;
+      n_free = 0;
       n_alive = 0;
       n_linked = 0;
       dirty_flag = Array.make n_links false;
-      dirty_links = [];
-      adj_off = Array.make (n_links + 1) 0;
-      adj = Array.make 16 0;
+      dirty = Array.make n_links 0;
+      n_dirty = 0;
+      adj = Array.make n_links [||];
+      adj_len = Array.make n_links 0;
       flow_mark = Array.make 16 0;
       link_mark = Array.make n_links 0;
       stamp = 0;
+      comp_flows = Array.make 16 0;
+      comp_links = Array.make n_links 0;
+      comp_nf = 0;
+      comp_nl = 0;
       rem = Array.make n_links 0.;
       users = Array.make n_links 0;
       frozen = Array.make 16 0;
       class_of = Array.make 16 (-1);
-      comp_flows = Array.make 16 0;
-      comp_links = Array.make 16 0;
+      members = Array.make 16 0;
       caps = Array.make 8 0.;
+      cap_eps = Array.make 8 0.;
       cap_count = Array.make 8 0;
-      cap_members = Array.make 8 [];
+      class_end = Array.make 8 0;
+      n_caps = 0;
       inc_refreshes = 0;
       full_refreshes = 0;
       component_solves = 0;
@@ -205,213 +238,245 @@ module Incremental = struct
 
   let grow_slots t len =
     t.f_links <- grow t.f_links len [||];
+    t.f_pos <- grow t.f_pos len [||];
     t.f_cap <- grow t.f_cap len 0.;
     t.f_rate <- grow t.f_rate len 0.;
     t.f_alive <- grow t.f_alive len false;
+    t.free <- grow t.free len 0;
     t.flow_mark <- grow t.flow_mark len 0;
+    t.comp_flows <- grow t.comp_flows len 0;
     t.frozen <- grow t.frozen len 0;
-    t.class_of <- grow t.class_of len (-1)
+    t.class_of <- grow t.class_of len (-1);
+    t.members <- grow t.members len 0
 
   let mark_link_dirty t l =
     if not t.dirty_flag.(l) then begin
       t.dirty_flag.(l) <- true;
-      t.dirty_links <- l :: t.dirty_links
+      t.dirty.(t.n_dirty) <- l;
+      t.n_dirty <- t.n_dirty + 1
     end
 
   let add t ~links ~rate_cap =
     if rate_cap <= 0. then invalid_arg "Maxmin.Incremental.add: non-positive cap";
-    Array.iter
-      (fun l ->
-        if l < 0 || l >= t.n_links then invalid_arg "Maxmin.Incremental.add: bad link";
-        if t.link_cap.(l) <= 0. then
-          invalid_arg "Maxmin.Incremental.add: non-positive capacity")
-      links;
+    for j = 0 to Array.length links - 1 do
+      let l = links.(j) in
+      if l < 0 || l >= t.n_links then invalid_arg "Maxmin.Incremental.add: bad link";
+      if t.link_cap.(l) <= 0. then
+        invalid_arg "Maxmin.Incremental.add: non-positive capacity"
+    done;
     let i =
-      match t.free with
-      | i :: rest ->
-          t.free <- rest;
-          i
-      | [] ->
-          let i = t.high in
-          grow_slots t (i + 1);
-          t.high <- i + 1;
-          i
+      if t.n_free > 0 then begin
+        t.n_free <- t.n_free - 1;
+        t.free.(t.n_free)
+      end
+      else begin
+        let i = t.high in
+        grow_slots t (i + 1);
+        t.high <- i + 1;
+        i
+      end
     in
+    let degree = Array.length links in
     t.f_links.(i) <- links;
     t.f_cap.(i) <- rate_cap;
     t.f_alive.(i) <- true;
     t.n_alive <- t.n_alive + 1;
-    if Array.length links = 0 then
+    if degree = 0 then
       (* No link interaction: the flow's fair rate is its own cap. *)
       t.f_rate.(i) <- rate_cap
     else begin
       t.f_rate.(i) <- 0.;
       t.n_linked <- t.n_linked + 1;
-      Array.iter (fun l -> mark_link_dirty t l) links
+      if Array.length t.f_pos.(i) < degree then t.f_pos.(i) <- Array.make degree 0;
+      let pos = t.f_pos.(i) in
+      for j = 0 to degree - 1 do
+        let l = links.(j) in
+        let n = t.adj_len.(l) in
+        if n = Array.length t.adj.(l) then t.adj.(l) <- grow t.adj.(l) (n + 1) 0;
+        t.adj.(l).(n) <- i;
+        t.adj_len.(l) <- n + 1;
+        pos.(j) <- n;
+        mark_link_dirty t l
+      done
     end;
     i
+
+  (* Take flow [i]'s [j]-th listing out of its link's slice: the slice's
+     last entry moves into the hole, and the listing it belongs to (found
+     by link and old position, so a flow listing the link twice is told
+     apart) learns its new place. *)
+  let unlink t i j =
+    let l = t.f_links.(i).(j) in
+    let p = t.f_pos.(i).(j) in
+    let last = t.adj_len.(l) - 1 in
+    let slice = t.adj.(l) in
+    let m = slice.(last) in
+    slice.(p) <- m;
+    t.adj_len.(l) <- last;
+    if p <> last then begin
+      let m_links = t.f_links.(m) and m_pos = t.f_pos.(m) in
+      let k = ref 0 in
+      while not (m_links.(!k) = l && m_pos.(!k) = last) do
+        incr k
+      done;
+      m_pos.(!k) <- p
+    end
 
   let remove t i =
     if i < 0 || i >= t.high || not t.f_alive.(i) then
       invalid_arg "Maxmin.Incremental.remove: dead handle";
     t.f_alive.(i) <- false;
     t.n_alive <- t.n_alive - 1;
-    if Array.length t.f_links.(i) > 0 then begin
+    let links = t.f_links.(i) in
+    if Array.length links > 0 then begin
       t.n_linked <- t.n_linked - 1;
-      Array.iter (fun l -> mark_link_dirty t l) t.f_links.(i)
+      for j = 0 to Array.length links - 1 do
+        unlink t i j;
+        mark_link_dirty t links.(j)
+      done
     end;
     t.f_links.(i) <- [||];
-    t.free <- i :: t.free
+    t.free.(t.n_free) <- i;
+    t.n_free <- t.n_free + 1
 
-  let rate t i =
-    if i < 0 || i >= t.high then invalid_arg "Maxmin.Incremental.rate: bad handle";
-    t.f_rate.(i)
-
-  (* Rebuild the link -> alive-flow adjacency in two counting passes. *)
-  let rebuild_adjacency t =
-    let off = t.adj_off in
-    Array.fill off 0 (t.n_links + 1) 0;
-    let total = ref 0 in
-    for i = 0 to t.high - 1 do
-      if t.f_alive.(i) then begin
-        let links = t.f_links.(i) in
-        total := !total + Array.length links;
-        Array.iter (fun l -> off.(l + 1) <- off.(l + 1) + 1) links
-      end
-    done;
-    for l = 1 to t.n_links do
-      off.(l) <- off.(l) + off.(l - 1)
-    done;
-    t.adj <- grow t.adj !total 0;
-    (* Ascending flow ids within each link's slice. *)
-    let cursor = Array.copy off in
-    for i = 0 to t.high - 1 do
-      if t.f_alive.(i) then
-        Array.iter
-          (fun l ->
-            t.adj.(cursor.(l)) <- i;
-            cursor.(l) <- cursor.(l) + 1)
-          t.f_links.(i)
+  let read_rates t handles rates n =
+    for k = 0 to n - 1 do
+      let i = handles.(k) in
+      if i < 0 || i >= t.high then
+        invalid_arg "Maxmin.Incremental.read_rates: bad handle";
+      rates.(k) <- t.f_rate.(i)
     done
 
   (* --- one component ----------------------------------------------------- *)
 
   (* Collect the connected component containing flow [seed] into
-     [comp_flows]/[comp_links] (stamp-marking visited flows and links) and
-     return (n_flows, n_links) of the component. *)
+     [comp_flows.(0 .. comp_nf - 1)] and [comp_links.(0 .. comp_nl - 1)],
+     stamp-marking visited flows and links. *)
   let collect_component t seed =
-    let nf = ref 0 and nl = ref 0 in
-    let push_flow i =
-      t.flow_mark.(i) <- t.stamp;
-      t.comp_flows <- grow t.comp_flows (!nf + 1) 0;
-      t.comp_flows.(!nf) <- i;
-      incr nf
-    in
-    let push_link l =
-      t.link_mark.(l) <- t.stamp;
-      t.comp_links <- grow t.comp_links (!nl + 1) 0;
-      t.comp_links.(!nl) <- l;
-      incr nl
-    in
-    push_flow seed;
-    let head = ref 0 in
+    let stamp = t.stamp in
+    t.flow_mark.(seed) <- stamp;
+    t.comp_flows.(0) <- seed;
+    let nf = ref 1 and nl = ref 0 and head = ref 0 in
     while !head < !nf do
-      let i = t.comp_flows.(!head) in
+      let links = t.f_links.(t.comp_flows.(!head)) in
       incr head;
-      Array.iter
-        (fun l ->
-          if t.link_mark.(l) <> t.stamp then begin
-            push_link l;
-            for k = t.adj_off.(l) to t.adj_off.(l + 1) - 1 do
-              let j = t.adj.(k) in
-              if t.flow_mark.(j) <> t.stamp then push_flow j
-            done
-          end)
-        t.f_links.(i);
+      for j = 0 to Array.length links - 1 do
+        let l = links.(j) in
+        if t.link_mark.(l) <> stamp then begin
+          t.link_mark.(l) <- stamp;
+          t.comp_links.(!nl) <- l;
+          incr nl;
+          let slice = t.adj.(l) in
+          for k = 0 to t.adj_len.(l) - 1 do
+            let f = slice.(k) in
+            if t.flow_mark.(f) <> stamp then begin
+              t.flow_mark.(f) <- stamp;
+              t.comp_flows.(!nf) <- f;
+              incr nf
+            end
+          done
+        end
+      done
     done;
-    (!nf, !nl)
+    t.comp_nf <- !nf;
+    t.comp_nl <- !nl
 
-  (* Water-fill one component. Arithmetic is identical to [solve] run on the
-     component's flows alone: every unfrozen flow has accumulated exactly
-     [cum], so the reference's per-flow margin min equals
-     [smallest unfrozen cap -. cum] (float subtraction is monotonic), and
-     rates/remaining-capacity updates perform the same operations in the
-     same order. *)
-  let solve_component t nf nl =
+  (* The class of flow [i]'s (finite) cap among the component's distinct
+     caps, in first-seen order; a new cap opens a class. Flows are passed
+     by slot, never by their cap: a float argument would be boxed. *)
+  let cap_class t i =
+    let cap = t.f_cap.(i) and n = t.n_caps in
+    let k = ref 0 in
+    while !k < n && t.caps.(!k) <> cap do
+      incr k
+    done;
+    if !k = n then begin
+      t.caps <- grow t.caps (n + 1) 0.;
+      t.cap_eps <- grow t.cap_eps (n + 1) 0.;
+      t.cap_count <- grow t.cap_count (n + 1) 0;
+      t.class_end <- grow t.class_end (n + 1) 0;
+      t.caps.(n) <- cap;
+      t.cap_eps.(n) <- eps_of cap;
+      t.cap_count.(n) <- 0;
+      t.n_caps <- n + 1
+    end;
+    !k
+
+  (* Freeze flow [i]; the caller sets its rate to the current level. *)
+  let freeze t i =
+    t.frozen.(i) <- t.stamp;
+    let links = t.f_links.(i) in
+    for j = 0 to Array.length links - 1 do
+      let l = links.(j) in
+      t.users.(l) <- t.users.(l) - 1
+    done;
+    let k = t.class_of.(i) in
+    if k >= 0 then t.cap_count.(k) <- t.cap_count.(k) - 1
+
+  (* Water-fill the collected component. Arithmetic is identical to [solve]
+     run on the component's flows alone: every unfrozen flow has
+     accumulated exactly [cum], so the reference's per-flow cap margin
+     [rate_cap -. rate] is [cap -. cum] for its class, and its per-flow
+     at-cap test is the class's; rates/remaining-capacity updates perform
+     the same operations in the same order. *)
+  let solve_component t =
     t.component_solves <- t.component_solves + 1;
+    let nf = t.comp_nf and nl = t.comp_nl and stamp = t.stamp in
     (* Reset per-link state for the component's links. *)
     for k = 0 to nl - 1 do
       let l = t.comp_links.(k) in
       t.rem.(l) <- t.link_cap.(l);
       t.users.(l) <- 0
     done;
-    (* Distinct finite caps, kept ascending (components see few distinct
-       caps: routes of equal length share one). *)
-    let ncaps = ref 0 in
-    let class_index cap =
-      let rec find k = if k < !ncaps && t.caps.(k) < cap then find (k + 1) else k in
-      let k = find 0 in
-      if k < !ncaps && t.caps.(k) = cap then k
-      else begin
-        t.caps <- grow t.caps (!ncaps + 1) 0.;
-        t.cap_count <- grow t.cap_count (!ncaps + 1) 0;
-        t.cap_members <- grow t.cap_members (!ncaps + 1) [];
-        for j = !ncaps downto k + 1 do
-          t.caps.(j) <- t.caps.(j - 1);
-          t.cap_count.(j) <- t.cap_count.(j - 1);
-          t.cap_members.(j) <- t.cap_members.(j - 1)
-        done;
-        t.caps.(k) <- cap;
-        t.cap_count.(k) <- 0;
-        t.cap_members.(k) <- [];
-        incr ncaps;
-        (* Shift the class index of already-registered flows. *)
-        if k < !ncaps - 1 then
-          for m = 0 to nf - 1 do
-            let i = t.comp_flows.(m) in
-            if t.class_of.(i) >= k && t.frozen.(i) <> t.stamp then
-              t.class_of.(i) <- t.class_of.(i) + 1
-          done;
-        k
-      end
-    in
+    (* Link users, cap classes (components see few distinct caps: routes
+       of equal length share one), then the flows bucketed by class. *)
+    t.n_caps <- 0;
     for m = 0 to nf - 1 do
       let i = t.comp_flows.(m) in
       t.frozen.(i) <- 0;
       (* not frozen at this stamp *)
-      Array.iter (fun l -> t.users.(l) <- t.users.(l) + 1) t.f_links.(i);
+      let links = t.f_links.(i) in
+      for j = 0 to Array.length links - 1 do
+        let l = links.(j) in
+        t.users.(l) <- t.users.(l) + 1
+      done;
       if t.f_cap.(i) < infinity then begin
-        let k = class_index t.f_cap.(i) in
+        let k = cap_class t i in
         t.class_of.(i) <- k;
-        t.cap_count.(k) <- t.cap_count.(k) + 1;
-        t.cap_members.(k) <- i :: t.cap_members.(k)
+        t.cap_count.(k) <- t.cap_count.(k) + 1
       end
       else t.class_of.(i) <- -1
     done;
+    let ncaps = t.n_caps in
+    let fill = ref 0 in
+    for k = 0 to ncaps - 1 do
+      t.class_end.(k) <- !fill;
+      fill := !fill + t.cap_count.(k)
+    done;
+    for m = 0 to nf - 1 do
+      let i = t.comp_flows.(m) in
+      let k = t.class_of.(i) in
+      if k >= 0 then begin
+        t.members.(t.class_end.(k)) <- i;
+        t.class_end.(k) <- t.class_end.(k) + 1
+      end
+    done;
     let active = ref nf in
     let cum = ref 0. in
-    let cap_ptr = ref 0 in
-    let freeze i =
-      t.frozen.(i) <- t.stamp;
-      decr active;
-      t.f_rate.(i) <- !cum;
-      Array.iter (fun l -> t.users.(l) <- t.users.(l) - 1) t.f_links.(i);
-      let k = t.class_of.(i) in
-      if k >= 0 then t.cap_count.(k) <- t.cap_count.(k) - 1
-    in
     while !active > 0 do
       t.rounds <- t.rounds + 1;
+      (* The level is a min over links and live classes; rounding is
+         monotonic, so the classes' min is [smallest live cap -. cum]. *)
       let level = ref infinity in
       for k = 0 to nl - 1 do
         let l = t.comp_links.(k) in
         if t.users.(l) > 0 then
           level := Float.min !level (t.rem.(l) /. float_of_int t.users.(l))
       done;
-      while !cap_ptr < !ncaps && t.cap_count.(!cap_ptr) = 0 do
-        incr cap_ptr
+      for k = 0 to ncaps - 1 do
+        if t.cap_count.(k) > 0 then
+          level := Float.min !level (t.caps.(k) -. !cum)
       done;
-      if !cap_ptr < !ncaps then
-        level := Float.min !level (t.caps.(!cap_ptr) -. !cum);
       if !level = infinity then
         invalid_arg "Maxmin.Incremental: unbounded flow";
       let level = !level in
@@ -424,31 +489,30 @@ module Incremental = struct
       (* Freeze flows on saturated links... *)
       for k = 0 to nl - 1 do
         let l = t.comp_links.(k) in
-        if t.users.(l) > 0 && t.rem.(l) <= eps_of t.link_cap.(l) then
-          for a = t.adj_off.(l) to t.adj_off.(l + 1) - 1 do
-            let i = t.adj.(a) in
-            if t.frozen.(i) <> t.stamp then freeze i
+        if t.users.(l) > 0 && t.rem.(l) <= t.link_eps.(l) then begin
+          let slice = t.adj.(l) in
+          for a = 0 to t.adj_len.(l) - 1 do
+            let i = slice.(a) in
+            if t.frozen.(i) <> stamp then begin
+              t.f_rate.(i) <- !cum;
+              freeze t i;
+              decr active
+            end
           done
+        end
       done;
       (* ... and whole cap classes that reached their bound. *)
-      let continue = ref true in
-      while !continue do
-        while !cap_ptr < !ncaps && t.cap_count.(!cap_ptr) = 0 do
-          incr cap_ptr
-        done;
-        if
-          !cap_ptr < !ncaps
-          && t.caps.(!cap_ptr) -. !cum <= eps_of t.caps.(!cap_ptr)
-        then
-          List.iter
-            (fun i -> if t.frozen.(i) <> t.stamp then freeze i)
-            t.cap_members.(!cap_ptr)
-        else continue := false
+      for k = 0 to ncaps - 1 do
+        if t.cap_count.(k) > 0 && t.caps.(k) -. !cum <= t.cap_eps.(k) then
+          for a = (if k = 0 then 0 else t.class_end.(k - 1)) to t.class_end.(k) - 1 do
+            let i = t.members.(a) in
+            if t.frozen.(i) <> stamp then begin
+              t.f_rate.(i) <- !cum;
+              freeze t i;
+              decr active
+            end
+          done
       done
-    done;
-    (* Release member lists so dead flows aren't retained. *)
-    for k = 0 to !ncaps - 1 do
-      t.cap_members.(k) <- []
     done
 
   (* --- refresh ----------------------------------------------------------- *)
@@ -456,33 +520,33 @@ module Incremental = struct
   (* Re-solve the component of each alive flow on a changed link, once:
      [collect_component] stamps every flow it gathers, so a flow already
      stamped at this refresh was solved with an earlier link's component.
-     Components no changed link reaches keep their rates. *)
+     Components no changed link reaches keep their rates. Changed links
+     are walked newest first. *)
   let refresh t =
-    match t.dirty_links with
-    | [] -> ()
-    | dirty ->
-        t.dirty_links <- [];
-        List.iter (fun l -> t.dirty_flag.(l) <- false) dirty;
-        rebuild_adjacency t;
-        t.stamp <- t.stamp + 1;
-        let solved = ref 0 in
-        List.iter
-          (fun l ->
-            for k = t.adj_off.(l) to t.adj_off.(l + 1) - 1 do
-              let i = t.adj.(k) in
-              if t.flow_mark.(i) <> t.stamp then begin
-                let nf, nl = collect_component t i in
-                solve_component t nf nl;
-                solved := !solved + nf
-              end
-            done)
-          dirty;
-        let solved = !solved in
-        if solved = t.n_linked then t.full_refreshes <- t.full_refreshes + 1
-        else t.inc_refreshes <- t.inc_refreshes + 1;
-        t.dirty_flows <- t.dirty_flows + solved;
-        t.skipped_flows <- t.skipped_flows + (t.n_linked - solved);
-        if solved > t.dirty_set_max then t.dirty_set_max <- solved
+    if t.n_dirty > 0 then begin
+      t.stamp <- t.stamp + 1;
+      let solved = ref 0 in
+      for d = t.n_dirty - 1 downto 0 do
+        let l = t.dirty.(d) in
+        t.dirty_flag.(l) <- false;
+        let slice = t.adj.(l) in
+        for k = 0 to t.adj_len.(l) - 1 do
+          let i = slice.(k) in
+          if t.flow_mark.(i) <> t.stamp then begin
+            collect_component t i;
+            solve_component t;
+            solved := !solved + t.comp_nf
+          end
+        done
+      done;
+      t.n_dirty <- 0;
+      let solved = !solved in
+      if solved = t.n_linked then t.full_refreshes <- t.full_refreshes + 1
+      else t.inc_refreshes <- t.inc_refreshes + 1;
+      t.dirty_flows <- t.dirty_flows + solved;
+      t.skipped_flows <- t.skipped_flows + (t.n_linked - solved);
+      if solved > t.dirty_set_max then t.dirty_set_max <- solved
+    end
 
   let publish t =
     let flush counter n = if n > 0 then Metrics.add counter n in

@@ -35,11 +35,12 @@ val utilization :
 
 (** Incremental max-min solver.
 
-    Holds the live flow set and its rate vector across [add]/[remove]
-    calls; [refresh] brings the rates up to date by re-solving exactly the
-    connected components (of the flow–link sharing graph) that hold a flow
-    on a link some added or removed flow crosses. Every other component
-    keeps its rates untouched.
+    Holds the live flow set, its link→flow adjacency and its rate vector
+    across [add]/[remove] calls; [refresh] brings the rates up to date by
+    re-solving exactly the connected components (of the flow–link sharing
+    graph) that hold a flow on a link some added or removed flow crosses.
+    Every other component keeps its rates untouched. Once its scratch
+    arrays have grown, a refresh allocates nothing.
 
     The rate vector is a {e pure function of the alive flow set}: any
     sequence of adds and removes reaching the same set yields bit-identical
@@ -59,13 +60,16 @@ module Incremental : sig
       creation. *)
 
   val add : t -> links:int array -> rate_cap:float -> handle
-  (** Registers a flow. Validation matches {!solve}: raises
-      [Invalid_argument] on a non-positive cap, out-of-range link or
-      non-positive link capacity. The new flow's rate (and its component's)
-      is stale until the next {!refresh}. *)
+  (** Registers a flow and appends it to each of its links' adjacency,
+      [O(route)]. Validation matches {!solve}: raises [Invalid_argument]
+      on a non-positive cap, out-of-range link or non-positive link
+      capacity. A link listed twice counts twice, as in {!solve}. The new
+      flow's rate (and its component's) is stale until the next
+      {!refresh}. The solver keeps [links]; do not mutate it. *)
 
   val remove : t -> handle -> unit
-  (** Unregisters a flow. Raises [Invalid_argument] on a dead handle. *)
+  (** Unregisters a flow, swap-removing it from its links' adjacency,
+      [O(route)]. Raises [Invalid_argument] on a dead handle. *)
 
   val refresh : t -> unit
   (** Re-solves, once each, the components holding a flow on a link that a
@@ -75,9 +79,12 @@ module Incremental : sig
       component has no finite constraint (cannot happen when every link
       capacity is finite). *)
 
-  val rate : t -> handle -> float
-  (** The flow's rate as of the last {!refresh} ([add] of a linkless flow
-      sets its final rate immediately). *)
+  val read_rates : t -> handle array -> float array -> int -> unit
+  (** [read_rates t handles rates n] sets [rates.(k)] to the rate of flow
+      [handles.(k)] as of the last {!refresh}, for every [k < n] ([add] of
+      a linkless flow sets its final rate immediately). The rates land in
+      the caller's float array, so none is boxed. Raises
+      [Invalid_argument] on a handle never returned by {!add}. *)
 
   val n_flows : t -> int
   (** Live flows currently registered. *)

@@ -706,6 +706,90 @@ let test_evaluate_deterministic () =
   checkf "same makespan" r1.Evaluate.makespan r2.Evaluate.makespan;
   checkf "same traffic" r1.Evaluate.remote_bytes r2.Evaluate.remote_bytes
 
+(* The simulated replays of fixed suite schedules, by cluster and strategy:
+   the MD5 over the bits of every start, finish, paid span date and
+   makespan, and the exact simulator work they cost. A rate that moves by
+   one ulp changes a digest; one extra refresh or water-fill round changes
+   a count. *)
+let test_evaluate_replay_digests () =
+  let module Metrics = Rats_obs.Metrics in
+  let module Instr = Rats_obs.Instr in
+  let shape ?jump width density regularity =
+    Shape.make ~width ~density ~regularity ?jump ()
+  in
+  let configs =
+    List.map
+      (fun (spec, sample) -> { Suite.spec; sample })
+      [
+        (Suite.Layered { n_tasks = 20; shape = shape 0.5 0.5 0.5 }, 0);
+        (Suite.Layered { n_tasks = 50; shape = shape 0.2 0.8 0.8 }, 1);
+        (Suite.Layered { n_tasks = 30; shape = shape 0.8 0.2 0.5 }, 3);
+        (Suite.Irregular { n_tasks = 30; shape = shape ~jump:2 0.5 0.2 0.2 }, 0);
+        (Suite.Irregular { n_tasks = 50; shape = shape ~jump:4 0.8 0.8 0.2 }, 2);
+        (Suite.Fft { k = 4 }, 0);
+        (Suite.Fft { k = 8 }, 1);
+        (Suite.Strassen, 0);
+      ]
+  in
+  let counters =
+    Instr.
+      [
+        sim_events;
+        maxmin_inc_refreshes;
+        maxmin_full_refreshes;
+        maxmin_component_solves;
+        maxmin_inc_iterations;
+        maxmin_dirty_flows;
+        maxmin_skipped_flows;
+      ]
+  in
+  let replay cluster strategy =
+    let before = List.map Metrics.counter_value counters in
+    let buf = Buffer.create 4096 in
+    let add x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+    List.iter
+      (fun config ->
+        let p = Problem.make ~dag:(Suite.generate config) ~cluster in
+        let r = Evaluate.run (Rats.schedule ~alloc:(Hcpa.allocate p) p strategy) in
+        Array.iter add r.Evaluate.starts;
+        Array.iter add r.Evaluate.finishes;
+        List.iter
+          (fun s ->
+            add s.Evaluate.span_start;
+            add s.Evaluate.span_finish)
+          r.Evaluate.spans;
+        add r.Evaluate.makespan)
+      configs;
+    ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+      List.map2 (fun c n -> Metrics.counter_value c - n) counters before )
+  in
+  List.iter
+    (fun (cluster, strategy, want_digest, want_counts) ->
+      let name = cluster.Cluster.name ^ " " ^ Rats.strategy_name strategy in
+      let digest, counts = replay cluster strategy in
+      check Alcotest.string (name ^ ": digest") want_digest digest;
+      check Alcotest.(list int)
+        (name ^ ": events, inc/full refreshes, solves, rounds, dirty/skipped flows")
+        want_counts counts)
+    [
+      ( Cluster.grillon, Rats.Baseline, "adeeba0532d3d13e82a2a58653db919c",
+        [ 11546; 1060; 2115; 3998; 40048; 721039; 15425 ] );
+      ( Cluster.grillon, Rats.Delta Rats.naive_delta,
+        "249f06964880b7db65809021478d763a",
+        [ 6587; 95; 1013; 1656; 14948; 401422; 1503 ] );
+      ( Cluster.grillon, Rats.Timecost Rats.naive_timecost,
+        "b32d0524358ad6ff3492319e9cf1ed49",
+        [ 9665; 318; 1134; 2551; 12156; 607529; 4323 ] );
+      ( Cluster.grelon, Rats.Baseline, "8f719897cc6726d81670f2a79f7fef29",
+        [ 27598; 769; 4117; 5341; 39591; 1408520; 29875 ] );
+      ( Cluster.grelon, Rats.Delta Rats.naive_delta,
+        "ec8c8ef4a21fb22cd1b6c60ff65de8ad",
+        [ 12686; 26; 929; 1041; 6868; 642073; 1527 ] );
+      ( Cluster.grelon, Rats.Timecost Rats.naive_timecost,
+        "b9f65c9502fd06a4941b9d7779ac3ced",
+        [ 19717; 102; 1440; 1852; 11191; 1113976; 5384 ] );
+    ]
+
 let test_evaluate_chain_same_set_no_traffic () =
   (* Force the whole chain onto one identical processor set: every
      redistribution is local, so no bytes cross the network. *)
@@ -1103,6 +1187,7 @@ let () =
         [
           Alcotest.test_case "invariants on samples" `Slow test_evaluate_invariants;
           Alcotest.test_case "deterministic" `Quick test_evaluate_deterministic;
+          Alcotest.test_case "replay digests" `Quick test_evaluate_replay_digests;
           Alcotest.test_case "same-set chain is free" `Quick
             test_evaluate_chain_same_set_no_traffic;
           Alcotest.test_case "counts redistributions" `Quick

@@ -602,6 +602,25 @@ let test_admission_shedding () =
     (Admission.decide policy ~queue_depth:7 ~tenant_outstanding:10
     = Admission.Reject Api.Tenant_quota)
 
+(* A NaN passes a [<= 0.] check. A NaN deadline would make
+   [Engine.drain] spin forever, and a NaN retry-after would put
+   ["retry_after":nan] on the wire, which [Json.parse] refuses. *)
+let test_admission_nan_policy () =
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | (_ : Admission.policy) -> Alcotest.failf "%s accepted" what
+  in
+  refused "deadline nan" (fun () ->
+      Admission.make ~deadline_s:nan ~queue_limit:1 ~tenant_limit:1 ());
+  List.iter
+    (fun r ->
+      refused (Printf.sprintf "retry_after %g" r) (fun () ->
+          Admission.make ~retry_after_s:r ~queue_limit:1 ~tenant_limit:1 ()))
+    [ nan; infinity; neg_infinity ];
+  (* An infinite deadline is no deadline: it stays legal. *)
+  ignore (Admission.make ~deadline_s:infinity ~queue_limit:1 ~tenant_limit:1 ())
+
 let test_jobq () =
   let q = Jobq.create () in
   Jobq.push q ~tenant:"a" 1;
@@ -1662,6 +1681,7 @@ let () =
           Alcotest.test_case "validate" `Quick test_validate;
           Alcotest.test_case "policy" `Quick test_admission_policy;
           Alcotest.test_case "shedding" `Quick test_admission_shedding;
+          Alcotest.test_case "nan policy" `Quick test_admission_nan_policy;
           Alcotest.test_case "jobq" `Quick test_jobq;
           Alcotest.test_case "jobq remove" `Quick test_jobq_remove;
         ] );

@@ -134,22 +134,40 @@ let qcheck_maxmin_saturated =
 
 module Inc = Maxmin.Incremental
 
+let rate inc h =
+  let r = [| nan |] in
+  Inc.read_rates inc [| h |] r 1;
+  r.(0)
+
 let inc_create () = Inc.create ~n_links:10 ~capacity:(fun _ -> 50.)
 
-(* Random op sequences over the incremental solver. [`Remove k] removes the
-   [k mod alive]-th live flow; [`Refresh] forces a mid-sequence solve so
-   refreshes see both small and large changed sets. *)
+(* Random op sequences over the incremental solver. An add lists up to
+   four links, and one add in four lists its first link a second time.
+   [`Remove k] removes the [k mod alive]-th live flow; [`Remove_on (l,
+   pick)] removes the first, a middle or the last flow of link [l]'s
+   slice; [`Refresh] forces a mid-sequence solve so refreshes see both
+   small and large changed sets. *)
 let ops_gen =
   QCheck.Gen.(
     list_size (1 -- 60)
       (frequency
          [
            ( 3,
-             map
-               (fun (ls, cap) -> `Add (List.sort_uniq compare ls, cap))
-               (pair (list_size (0 -- 4) (int_bound 9)) (float_range 1. 1000.))
-           );
+             map3
+               (fun twice ls cap ->
+                 let ls = List.sort_uniq compare ls in
+                 match ls with
+                 | l :: _ when twice -> `Add (ls @ [ l ], cap)
+                 | _ -> `Add (ls, cap))
+               (frequencyl [ (1, true); (3, false) ])
+               (list_size (0 -- 4) (int_bound 9))
+               (float_range 1. 1000.) );
            (2, map (fun k -> `Remove k) (int_bound 100));
+           ( 2,
+             map2
+               (fun l pick -> `Remove_on (l, pick))
+               (int_bound 9)
+               (oneofl [ `First; `Middle; `Last ]) );
            (1, return `Refresh);
          ]))
 
@@ -157,29 +175,58 @@ let pp_op = function
   | `Add (ls, cap) ->
       Printf.sprintf "add[%s]@%g" (String.concat ";" (List.map string_of_int ls)) cap
   | `Remove k -> Printf.sprintf "rm%d" k
+  | `Remove_on (l, pick) ->
+      Printf.sprintf "rm-%s@%d"
+        (match pick with `First -> "first" | `Middle -> "middle" | `Last -> "last")
+        l
   | `Refresh -> "refresh"
 
 let random_ops =
   QCheck.make ops_gen ~print:(fun ops -> String.concat " " (List.map pp_op ops))
 
 (* Replay [ops] on [inc]; returns the live (handle, flow) list, newest
-   first. A final refresh is always applied. *)
+   first. A final refresh is always applied. [slices] mirrors the
+   solver's link slices, (handle, listing) entries in slice order: an add
+   appends one entry per listing, a remove takes each listing out in turn
+   and moves the slice's last entry into its place. *)
 let run_ops inc ops =
   let alive = ref [] in
+  let slices = Array.make 10 [||] in
+  let remove h =
+    Inc.remove inc h;
+    let f = List.assoc h !alive in
+    Array.iteri
+      (fun j l ->
+        let s = slices.(l) in
+        let last = Array.length s - 1 in
+        let p = ref 0 in
+        while s.(!p) <> (h, j) do
+          incr p
+        done;
+        s.(!p) <- s.(last);
+        slices.(l) <- Array.sub s 0 last)
+      f.Maxmin.links;
+    alive := List.filter (fun (h', _) -> h' <> h) !alive
+  in
   List.iter
     (fun op ->
       match op with
       | `Add (ls, cap) ->
           let links = Array.of_list ls in
           let h = Inc.add inc ~links ~rate_cap:cap in
+          Array.iteri (fun j l -> slices.(l) <- Array.append slices.(l) [| (h, j) |]) links;
           alive := (h, { Maxmin.links; rate_cap = cap }) :: !alive
       | `Remove k -> (
           match !alive with
           | [] -> ()
-          | l ->
-              let k = k mod List.length l in
-              Inc.remove inc (fst (List.nth l k));
-              alive := List.filteri (fun i _ -> i <> k) l)
+          | l -> remove (fst (List.nth l (k mod List.length l))))
+      | `Remove_on (l, pick) -> (
+          let s = slices.(l) in
+          match Array.length s with
+          | 0 -> ()
+          | n ->
+              let p = match pick with `First -> 0 | `Middle -> n / 2 | `Last -> n - 1 in
+              remove (fst s.(p)))
       | `Refresh -> Inc.refresh inc)
     ops;
   Inc.refresh inc;
@@ -197,7 +244,7 @@ let qcheck_inc_matches_reference =
       let expected = Maxmin.solve ~n_links:10 ~capacity:(fun _ -> 50.) flows in
       List.for_all2
         (fun (h, _) exp ->
-          let got = Inc.rate inc h in
+          let got = rate inc h in
           if exp = infinity then got = infinity
           else Float.abs (got -. exp) <= 1e-7 *. Float.max 1. (Float.abs exp))
         alive (Array.to_list expected))
@@ -219,21 +266,21 @@ let qcheck_inc_path_independent =
       in
       Inc.refresh fresh;
       List.for_all
-        (fun (h, h') -> same_float (Inc.rate inc h) (Inc.rate fresh h'))
+        (fun (h, h') -> same_float (rate inc h) (rate fresh h'))
         readded)
 
 let test_inc_basics () =
   let inc = inc_create () in
   let a = Inc.add inc ~links:[| 0 |] ~rate_cap:infinity in
   Inc.refresh inc;
-  checkf "full capacity" 50. (Inc.rate inc a);
+  checkf "full capacity" 50. (rate inc a);
   let b = Inc.add inc ~links:[| 0 |] ~rate_cap:infinity in
   Inc.refresh inc;
-  checkf "half (a)" 25. (Inc.rate inc a);
-  checkf "half (b)" 25. (Inc.rate inc b);
+  checkf "half (a)" 25. (rate inc a);
+  checkf "half (b)" 25. (rate inc b);
   Inc.remove inc b;
   Inc.refresh inc;
-  checkf "back to full" 50. (Inc.rate inc a);
+  checkf "back to full" 50. (rate inc a);
   Alcotest.(check int) "one live flow" 1 (Inc.n_flows inc)
 
 let test_inc_untouched_component_stable () =
@@ -243,12 +290,12 @@ let test_inc_untouched_component_stable () =
   let a = Inc.add inc ~links:[| 0 |] ~rate_cap:infinity in
   let b = Inc.add inc ~links:[| 1 |] ~rate_cap:7. in
   Inc.refresh inc;
-  let ra = Inc.rate inc a and rb = Inc.rate inc b in
+  let ra = rate inc a and rb = rate inc b in
   let c = Inc.add inc ~links:[| 2; 3 |] ~rate_cap:infinity in
   Inc.refresh inc;
-  Alcotest.(check bool) "a untouched" true (same_float ra (Inc.rate inc a));
-  Alcotest.(check bool) "b untouched" true (same_float rb (Inc.rate inc b));
-  checkf "c solved" 50. (Inc.rate inc c)
+  Alcotest.(check bool) "a untouched" true (same_float ra (rate inc a));
+  Alcotest.(check bool) "b untouched" true (same_float rb (rate inc b));
+  checkf "c solved" 50. (rate inc c)
 
 let test_inc_refresh_reaches_only_changed () =
   (* Three of five linked flows are new, all on link 2: the refresh must
@@ -261,7 +308,7 @@ let test_inc_refresh_reaches_only_changed () =
   let b = Inc.add inc ~links:[| 1 |] ~rate_cap:7. in
   Inc.refresh inc;
   Inc.publish inc;
-  let ra = Inc.rate inc a and rb = Inc.rate inc b in
+  let ra = rate inc a and rb = rate inc b in
   let counters =
     Instr.[ maxmin_component_solves; maxmin_dirty_flows; maxmin_skipped_flows ]
   in
@@ -274,16 +321,50 @@ let test_inc_refresh_reaches_only_changed () =
   Alcotest.(check (list int))
     "component solves, dirty flows, skipped flows" [ 1; 3; 2 ]
     (List.map2 (fun c n -> Metrics.counter_value c - n) counters before);
-  Alcotest.(check bool) "a untouched" true (same_float ra (Inc.rate inc a));
-  Alcotest.(check bool) "b untouched" true (same_float rb (Inc.rate inc b))
+  Alcotest.(check bool) "a untouched" true (same_float ra (rate inc a));
+  Alcotest.(check bool) "b untouched" true (same_float rb (rate inc b))
 
 let test_inc_linkless () =
   let inc = inc_create () in
   let free = Inc.add inc ~links:[||] ~rate_cap:infinity in
   let capped = Inc.add inc ~links:[||] ~rate_cap:42. in
   (* Linkless rates are final immediately, no refresh needed. *)
-  checkf "infinite" infinity (Inc.rate inc free);
-  checkf "cap, exactly" 42. (Inc.rate inc capped)
+  checkf "infinite" infinity (rate inc free);
+  checkf "cap, exactly" 42. (rate inc capped)
+
+(* 300 flows on grelon routes (two NIC links within a cabinet, four links
+   across cabinets), then 5 000 cycles of remove one, add one, refresh.
+   Once its scratch arrays have grown, a refresh is arithmetic on the
+   solver's own arrays: no closure, no list, no boxed float. *)
+let test_inc_warm_refresh_allocates_nothing () =
+  let cluster = Cluster.grelon in
+  let n = Cluster.n_procs cluster in
+  let rng = Rats_util.Rng.create 42 in
+  let inc =
+    Inc.create ~n_links:(Cluster.n_links cluster) ~capacity:(fun l ->
+        (Cluster.link cluster l).Link.bandwidth)
+  in
+  let add () =
+    let src = Rats_util.Rng.int rng n in
+    let dst = (src + 1 + Rats_util.Rng.int rng (n - 1)) mod n in
+    let route = Cluster.route cluster ~src ~dst in
+    Inc.add inc ~links:route ~rate_cap:(Cluster.flow_rate_cap cluster ~route)
+  in
+  let live = Array.init 300 (fun _ -> add ()) in
+  Inc.refresh inc;
+  let cycles = 5000 in
+  let words = ref 0. in
+  for _ = 1 to cycles do
+    let k = Rats_util.Rng.int rng 300 in
+    Inc.remove inc live.(k);
+    live.(k) <- add ();
+    let before = Gc.minor_words () in
+    Inc.refresh inc;
+    words := !words +. (Gc.minor_words () -. before)
+  done;
+  let per_refresh = !words /. float_of_int cycles in
+  if per_refresh > 64. then
+    Alcotest.failf "%.1f words allocated per refresh (bound 64)" per_refresh
 
 let test_inc_validation () =
   let inc = inc_create () in
@@ -377,6 +458,33 @@ let test_engine_past_event_rejected () =
       Alcotest.check_raises "past" (Invalid_argument "Engine.at: time in the past")
         (fun () -> Engine.at eng 0.5 (fun _ -> ())));
   ignore (Engine.run eng)
+
+(* A NaN clock makes no event due, so [Engine.run] would spin forever, and
+   an infinite payload never drains, so the run would end with its flow in
+   flight. Each is refused where it enters. *)
+let test_engine_non_finite_inputs () =
+  let eng = Engine.create flat4 in
+  let nop _ = () in
+  Alcotest.check_raises "at nan" (Invalid_argument "Engine.at: NaN time")
+    (fun () -> Engine.at eng nan nop);
+  Alcotest.check_raises "after nan" (Invalid_argument "Engine.after: NaN delay")
+    (fun () -> Engine.after eng nan nop);
+  List.iter
+    (fun bytes ->
+      Alcotest.check_raises
+        (Printf.sprintf "start_flow ~bytes:%g" bytes)
+        (Invalid_argument "Engine.start_flow: non-finite bytes")
+        (fun () -> Engine.start_flow eng ~src:0 ~dst:1 ~bytes ~on_complete:nop))
+    [ nan; infinity; neg_infinity ];
+  List.iter
+    (fun date ->
+      Alcotest.check_raises
+        (Printf.sprintf "run_until %g" date)
+        (Invalid_argument "Engine.run_until: date in the past or not finite")
+        (fun () -> Engine.run_until eng date))
+    [ nan; infinity ];
+  (* Nothing was queued: the run ends at once. *)
+  checkf "nothing queued" 0. (Engine.run eng)
 
 let test_engine_run_until () =
   let eng = Engine.create flat4 in
@@ -575,6 +683,8 @@ let () =
             test_inc_refresh_reaches_only_changed;
           Alcotest.test_case "linkless flows" `Quick test_inc_linkless;
           Alcotest.test_case "validation" `Quick test_inc_validation;
+          Alcotest.test_case "warm refresh allocates nothing" `Quick
+            test_inc_warm_refresh_allocates_nothing;
           qcheck qcheck_inc_matches_reference;
           qcheck qcheck_inc_path_independent;
         ] );
@@ -591,6 +701,8 @@ let () =
           Alcotest.test_case "fifo same date" `Quick test_engine_same_time_fifo;
           Alcotest.test_case "past event rejected" `Quick
             test_engine_past_event_rejected;
+          Alcotest.test_case "non-finite inputs" `Quick
+            test_engine_non_finite_inputs;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "dynamic rate change" `Quick
             test_engine_dynamic_rate_change;

@@ -37,7 +37,9 @@
 #   6. load driver: ratsd --selftest (the default poisson profile, 120
 #      jobs from 4 tenants, under both RATS and HCPA) must pass its
 #      determinism check and report throughput; a bad profile value
-#      (--profile poisson:rate=nan) must be a one-line error, exit 2.
+#      (--profile poisson:rate=nan) must be a one-line error, exit 2, and
+#      --deadline nan or --retry-after nan a usage error, exit 124 (run
+#      under timeout: a NaN that got through could hang the engine).
 # Plus socket-claim checks woven in: a second daemon against a live socket
 # must refuse to start, a stale socket after kill -9 must be reclaimed, and
 # a non-socket path must never be unlinked.
@@ -340,5 +342,13 @@ RC=0
 [ "$RC" -eq 2 ] || fail "selftest --profile poisson:rate=nan: exit $RC, not 2"
 [ "$(wc -l < "$WORK/nan.err")" -eq 1 ] && grep -q '^ratsd: rate' "$WORK/nan.err" \
     || fail "poisson:rate=nan was not a one-line usage error"
+for opt in --deadline --retry-after; do
+    RC=0
+    timeout 60 "$RATSD" --selftest "$opt" nan > /dev/null 2> "$WORK/flag.err" \
+        || RC=$?
+    [ "$RC" -eq 124 ] || fail "selftest $opt nan: exit $RC, not 124"
+    grep -q "^ratsd: $opt: " "$WORK/flag.err" && grep -q '^Usage: ratsd' "$WORK/flag.err" \
+        || fail "$opt nan was not a usage error"
+done
 
 echo "chaos-smoke: OK"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the trace-driven workload engine (bin/workload.exe).
 #
-# Three parts:
+# Four parts:
 #   1. determinism: a small three-arm study run twice with the same seed must
 #      produce byte-identical CSV comparison tables;
 #   2. trace round-trip: --save-trace followed by --replay of the written
@@ -13,7 +13,10 @@
 #      saved poisson:jobs=40 trace whose tenants are all renamed alice
 #      must report all 40 jobs, in an alice row;
 #   3. worker independence: the same study with --jobs 3 must not change a
-#      single byte of the CSV.
+#      single byte of the CSV;
+#   4. output paths: --csv and --save-trace create missing parent
+#      directories, and a parent that is a plain file is a one-line error
+#      (exit 2) before any arm runs.
 #
 # Binaries are expected to be built already (make workload-smoke builds
 # first).
@@ -88,4 +91,21 @@ grep -q '^  alice  *submitted  40 ' "$WORK/alice.out" \
 run "$WORK/j3.csv" --jobs 3
 same_bytes "$WORK/a.csv" "$WORK/j3.csv" "--jobs 3 changed the study result"
 
-echo "workload-smoke: OK (determinism, trace round-trip, worker independence)"
+# --- 4. output files in directories that do not exist yet ---------------- #
+
+"$WORKLOAD" --profile poisson:jobs=4 --arms hcpa --csv "$WORK/a/b/w.csv" \
+    > /dev/null
+[ -s "$WORK/a/b/w.csv" ] || fail "--csv did not create its directories"
+"$WORKLOAD" --profile poisson:jobs=4 --arms hcpa \
+    --save-trace "$WORK/c/d/t.jsonl" > /dev/null
+[ -s "$WORK/c/d/t.jsonl" ] || fail "--save-trace did not create its directories"
+touch "$WORK/plain"
+RC=0
+"$WORKLOAD" --profile poisson:jobs=4 --arms hcpa --csv "$WORK/plain/w.csv" \
+    > "$WORK/plain.out" 2> "$WORK/plain.err" || RC=$?
+[ "$RC" -eq 2 ] || fail "--csv under a plain file: exit $RC, not 2"
+[ "$(cat "$WORK/plain.err")" = "workload: $WORK/plain: Not a directory" ] \
+    || fail "--csv under a plain file was not one workload: line"
+[ ! -s "$WORK/plain.out" ] || fail "an arm ran before the --csv path was checked"
+
+echo "workload-smoke: OK (determinism, trace round-trip, worker independence, output paths)"

@@ -16,7 +16,7 @@
 #   make workload-smoke     workload.exe three-arm study: same-seed byte
 #                           determinism, save-trace/replay round-trip, worker
 #                           independence, output files in missing
-#                           directories
+#                           directories, --queue-limit 0 a usage error
 #   make studio-smoke       cold traced fig2 run, validated by studio check
 #                           (bench counters) and rendered by studio report
 #                           into a self-contained HTML report with its

@@ -304,6 +304,34 @@ let micro_tests () =
       Inc.refresh inc;
       incr runs
   in
+  (* 400 live flows on distinct pairs of grillon's 47 NICs, a window of
+     the 1 081 pairs (i, i + d mod 47) in order of d = 1 .. 23; 47 is
+     prime, so every ring of one d connects all NICs and the window is one
+     component. Each run drops the window's oldest pair, adds the next
+     and refreshes: the component walk stops on every refresh. *)
+  let flat_churn =
+    let module Inc = Rats_sim.Maxmin.Incremental in
+    let c = Cluster.grillon in
+    let inc =
+      Inc.create ~n_links:(Cluster.n_links c) ~capacity:(fun l ->
+          (Cluster.link c l).Rats_platform.Link.bandwidth)
+    in
+    let add p =
+      let p = p mod (47 * 23) in
+      let src = p mod 47 in
+      let route = Cluster.route c ~src ~dst:((src + 1 + (p / 47)) mod 47) in
+      Inc.add inc ~links:route ~rate_cap:(Cluster.flow_rate_cap c ~route)
+    in
+    let live = Array.init 400 add in
+    Inc.refresh inc;
+    let runs = ref 0 in
+    fun () ->
+      let k = !runs mod 400 in
+      Inc.remove inc live.(k);
+      live.(k) <- add (!runs + 400);
+      Inc.refresh inc;
+      incr runs
+  in
   Test.make_grouped ~name:"rats"
     [
       Test.make ~name:"maxmin-128flows"
@@ -313,6 +341,7 @@ let micro_tests () =
                   ~capacity:(fun _ -> 1.25e8)
                   flows)));
       Test.make ~name:"maxmin-refresh-300flows-grelon" (Staged.stage churn);
+      Test.make ~name:"maxmin-refresh-400flows-grillon" (Staged.stage flat_churn);
       Test.make ~name:"comm-matrix-32x24"
         (Staged.stage (fun () ->
              ignore (Rats_redist.Block.comm_matrix ~amount:1e9 ~senders:32 ~receivers:24)));

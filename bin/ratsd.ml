@@ -301,14 +301,23 @@ let selftest_term =
            byte-identical re-run determinism check. Exits non-zero on any \
            failure.")
 
+(* Outside (0,1] (NaN included) is a usage error, exit 124. *)
 let shed_watermark_term =
-  Arg.(
-    value & opt float 1.
-    & info [ "shed-watermark" ] ~docv:"F"
-        ~doc:
-          "Admission: shed arrivals (reject overloaded, with a retry-after \
-           hint) once the queue is $(docv) full (fraction of the queue \
-           limit, in (0,1]); 1 disables shedding.")
+  let check f =
+    if f > 0. && f <= 1. then Ok f
+    else Error (Printf.sprintf "--shed-watermark: %g is not in (0,1]" f)
+  in
+  Term.term_result' ~usage:true
+    Term.(
+      const check
+      $ Arg.(
+          value & opt float 1.
+          & info [ "shed-watermark" ] ~docv:"F"
+              ~doc:
+                "Admission: shed arrivals (reject overloaded, with a \
+                 retry-after hint) once the queue is $(docv) full \
+                 (fraction of the queue limit, in (0,1]); 1 disables \
+                 shedding."))
 
 (* Not finite and > 0 (NaN included) is a usage error, exit 124: every
    overloaded rejection carries this hint on the wire. *)

@@ -110,19 +110,29 @@ let packing_term =
     value & opt bool true
     & info [ "packing" ] ~docv:"BOOL" ~doc:"Time-cost packing toggle.")
 
-(* Engine and admission flags of ratsd and workload. *)
+(* Engine and admission flags of ratsd and workload. A limit below 1 is
+   a usage error (exit 124) before any arm runs or any socket is claimed,
+   not an [Admission.make] exception. *)
+let at_least_one name arg =
+  let check n =
+    if n >= 1 then Ok n else Error (Printf.sprintf "--%s: %d is not >= 1" name n)
+  in
+  Term.term_result' ~usage:true Term.(const check $ arg)
+
 let queue_limit_term =
-  Arg.(
-    value & opt int 256
-    & info [ "queue-limit" ] ~docv:"N"
-        ~doc:"Admission: reject when the waiting queue holds $(docv) jobs.")
+  at_least_one "queue-limit"
+    Arg.(
+      value & opt int 256
+      & info [ "queue-limit" ] ~docv:"N"
+          ~doc:"Admission: reject when the waiting queue holds $(docv) jobs.")
 
 let tenant_limit_term =
-  Arg.(
-    value & opt int 64
-    & info [ "tenant-limit" ] ~docv:"N"
-        ~doc:
-          "Admission: reject a tenant with $(docv) jobs queued or running.")
+  at_least_one "tenant-limit"
+    Arg.(
+      value & opt int 64
+      & info [ "tenant-limit" ] ~docv:"N"
+          ~doc:
+            "Admission: reject a tenant with $(docv) jobs queued or running.")
 
 (* A NaN deadline is a usage error (exit 124), not a disabled one. *)
 let deadline_term =

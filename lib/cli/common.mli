@@ -23,11 +23,12 @@ val packing_term : bool Term.t
 (** {2 Engine and admission ([ratsd], [workload])} *)
 
 val queue_limit_term : int Term.t
-(** [--queue-limit N]: reject arrivals once N jobs wait; default 256. *)
+(** [--queue-limit N]: reject arrivals once N jobs wait; default 256. An
+    N below 1 is a usage error. *)
 
 val tenant_limit_term : int Term.t
 (** [--tenant-limit N]: reject a tenant with N jobs queued or running;
-    default 64. *)
+    default 64. An N below 1 is a usage error. *)
 
 val deadline_term : float option Term.t
 (** [--deadline S]: expire a job still queued S simulated seconds after

@@ -29,6 +29,10 @@ let maxmin_component_solves =
   Metrics.counter "rats_sim_maxmin_component_solves_total"
     ~help:"Per-component water-fills run by the incremental solver"
 
+let maxmin_walk_stops =
+  Metrics.counter "rats_sim_maxmin_walk_stops_total"
+    ~help:"Component walks that stopped on reaching every loaded link"
+
 let maxmin_inc_iterations =
   Metrics.counter "rats_sim_maxmin_inc_iterations_total"
     ~help:"Water-filling rounds across all incremental component solves"

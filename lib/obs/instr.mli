@@ -30,11 +30,14 @@ val maxmin_iterations : Metrics.counter  (** Water-filling rounds across all sol
     untouched, so [dirty + skipped] sums the linked flows over all
     refreshes and [skipped / (dirty + skipped)] is the fraction of rate
     computations the incremental solver avoided. [dirty_set_max] is the
-    most flows one refresh re-solved. *)
+    most flows one refresh re-solved. [walk_stops] counts the component
+    walks that stopped once they had reached every link some flow
+    crosses, so that their component was every linked flow. *)
 
 val maxmin_inc_refreshes : Metrics.counter
 val maxmin_full_refreshes : Metrics.counter
 val maxmin_component_solves : Metrics.counter
+val maxmin_walk_stops : Metrics.counter
 val maxmin_inc_iterations : Metrics.counter
 val maxmin_dirty_flows : Metrics.counter
 val maxmin_skipped_flows : Metrics.counter

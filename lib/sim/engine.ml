@@ -130,16 +130,15 @@ let next_flow_completion t =
    the simulation (time would stop advancing). *)
 let advance_to t date =
   let dt = date -. t.time in
-  if dt > 0. then
-    for i = 0 to t.n_flows - 1 do
-      t.remaining.(i) <- t.remaining.(i) -. (t.rate.(i) *. dt)
-    done;
   t.time <- date;
-  (* Compact survivors in place, keeping activation order; finished flows
-     go to the done arrays. *)
+  (* Drain each flow and compact survivors in place, in one pass, keeping
+     activation order; finished flows go to the done arrays. *)
   let live = ref 0 and finished = ref 0 in
   for i = 0 to t.n_flows - 1 do
-    if t.remaining.(i) <= eps_bytes +. (t.rate.(i) *. 1e-9) then begin
+    let remaining =
+      if dt > 0. then t.remaining.(i) -. (t.rate.(i) *. dt) else t.remaining.(i)
+    in
+    if remaining <= eps_bytes +. (t.rate.(i) *. 1e-9) then begin
       let d = !finished in
       if d = Array.length t.done_handle then begin
         t.done_handle <- double t.done_handle (-1);
@@ -151,9 +150,9 @@ let advance_to t date =
     end
     else begin
       let k = !live in
+      t.remaining.(k) <- remaining;
       if k < i then begin
         t.handle.(k) <- t.handle.(i);
-        t.remaining.(k) <- t.remaining.(i);
         t.rate.(k) <- t.rate.(i);
         t.on_complete.(k) <- t.on_complete.(i)
       end;

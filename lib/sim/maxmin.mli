@@ -39,8 +39,10 @@ val utilization :
     across [add]/[remove] calls; [refresh] brings the rates up to date by
     re-solving exactly the connected components (of the flow–link sharing
     graph) that hold a flow on a link some added or removed flow crosses.
-    Every other component keeps its rates untouched. Once its scratch
-    arrays have grown, a refresh allocates nothing.
+    Every other component keeps its rates untouched. A component is
+    gathered by a walk over links that stops once it has reached every
+    link some flow crosses, the usual case in the simulator. Once its
+    scratch arrays have grown, a refresh allocates nothing.
 
     The rate vector is a {e pure function of the alive flow set}: any
     sequence of adds and removes reaching the same set yields bit-identical
@@ -95,8 +97,10 @@ module Incremental : sig
       if it re-solved every linked flow (one crossing a link), else
       [Instr.maxmin_inc_refreshes]; the flows it re-solved
       ([..._dirty_flows]) and the linked flows it left untouched
-      ([..._skipped_flows]); plus [..._component_solves] and
-      [..._inc_iterations]. Folds this solver's largest per-refresh
-      re-solve into the [Instr.maxmin_dirty_set_max] gauge. Counts are
-      plain ints in between — the hot path never touches an atomic. *)
+      ([..._skipped_flows]); plus [..._component_solves],
+      [..._walk_stops] (the component walks that stopped on reaching
+      every link a flow crosses) and [..._inc_iterations]. Folds this
+      solver's largest per-refresh re-solve into the
+      [Instr.maxmin_dirty_set_max] gauge. Counts are plain ints in between
+      — the hot path never touches an atomic. *)
 end

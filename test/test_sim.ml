@@ -141,13 +141,13 @@ let rate inc h =
 
 let inc_create () = Inc.create ~n_links:10 ~capacity:(fun _ -> 50.)
 
-(* Random op sequences over the incremental solver. An add lists up to
-   four links, and one add in four lists its first link a second time.
-   [`Remove k] removes the [k mod alive]-th live flow; [`Remove_on (l,
-   pick)] removes the first, a middle or the last flow of link [l]'s
-   slice; [`Refresh] forces a mid-sequence solve so refreshes see both
-   small and large changed sets. *)
-let ops_gen =
+(* Random op sequences over the incremental solver, on links
+   [0 .. n_links - 1]. An add lists up to four links, and one add in four
+   lists its first link a second time. [`Remove k] removes the [k mod
+   alive]-th live flow; [`Remove_on (l, pick)] removes the first, a middle
+   or the last flow of link [l]'s slice; [`Refresh] forces a mid-sequence
+   solve so refreshes see both small and large changed sets. *)
+let ops_over n_links =
   QCheck.Gen.(
     list_size (1 -- 60)
       (frequency
@@ -160,16 +160,22 @@ let ops_gen =
                  | l :: _ when twice -> `Add (ls @ [ l ], cap)
                  | _ -> `Add (ls, cap))
                (frequencyl [ (1, true); (3, false) ])
-               (list_size (0 -- 4) (int_bound 9))
+               (list_size (0 -- 4) (int_bound (n_links - 1)))
                (float_range 1. 1000.) );
            (2, map (fun k -> `Remove k) (int_bound 100));
            ( 2,
              map2
                (fun l pick -> `Remove_on (l, pick))
-               (int_bound 9)
+               (int_bound (n_links - 1))
                (oneofl [ `First; `Middle; `Last ]) );
            (1, return `Refresh);
          ]))
+
+(* Half the sequences spread over all ten links; the other half crowd
+   three or four links, so that the component walk stops early on most
+   refreshes (56% over 300 sequences, against 48% with a dense third). *)
+let ops_gen =
+  QCheck.Gen.(frequency [ (1, ops_over 10); (1, int_range 3 4 >>= ops_over) ])
 
 let pp_op = function
   | `Add (ls, cap) ->
@@ -300,7 +306,9 @@ let test_inc_untouched_component_stable () =
 let test_inc_refresh_reaches_only_changed () =
   (* Three of five linked flows are new, all on link 2: the refresh must
      re-solve their one component and leave the components of links 0 and
-     1 alone, however large the changed share of the flows. *)
+     1 alone, however large the changed share of the flows. No walk stops
+     early until the flows of links 0 and 1 are gone: then link 2's
+     component is every linked flow. *)
   let module Metrics = Rats_obs.Metrics in
   let module Instr = Rats_obs.Instr in
   let inc = inc_create () in
@@ -310,19 +318,33 @@ let test_inc_refresh_reaches_only_changed () =
   Inc.publish inc;
   let ra = rate inc a and rb = rate inc b in
   let counters =
-    Instr.[ maxmin_component_solves; maxmin_dirty_flows; maxmin_skipped_flows ]
+    Instr.
+      [
+        maxmin_component_solves;
+        maxmin_dirty_flows;
+        maxmin_skipped_flows;
+        maxmin_walk_stops;
+      ]
   in
-  let before = List.map Metrics.counter_value counters in
+  let deltas () =
+    let before = List.map Metrics.counter_value counters in
+    Inc.refresh inc;
+    Inc.publish inc;
+    List.map2 (fun c n -> Metrics.counter_value c - n) counters before
+  in
   for _ = 1 to 3 do
     ignore (Inc.add inc ~links:[| 2 |] ~rate_cap:infinity)
   done;
-  Inc.refresh inc;
-  Inc.publish inc;
   Alcotest.(check (list int))
-    "component solves, dirty flows, skipped flows" [ 1; 3; 2 ]
-    (List.map2 (fun c n -> Metrics.counter_value c - n) counters before);
+    "component solves, dirty flows, skipped flows, walk stops" [ 1; 3; 2; 0 ]
+    (deltas ());
   Alcotest.(check bool) "a untouched" true (same_float ra (rate inc a));
-  Alcotest.(check bool) "b untouched" true (same_float rb (rate inc b))
+  Alcotest.(check bool) "b untouched" true (same_float rb (rate inc b));
+  Inc.remove inc a;
+  Inc.remove inc b;
+  ignore (Inc.add inc ~links:[| 2 |] ~rate_cap:infinity);
+  Alcotest.(check (list int))
+    "after the other links emptied: one walk, stopped" [ 1; 4; 0; 1 ] (deltas ())
 
 let test_inc_linkless () =
   let inc = inc_create () in
@@ -332,32 +354,115 @@ let test_inc_linkless () =
   checkf "infinite" infinity (rate inc free);
   checkf "cap, exactly" 42. (rate inc capped)
 
-(* 300 flows on grelon routes (two NIC links within a cabinet, four links
-   across cabinets), then 5 000 cycles of remove one, add one, refresh.
-   Once its scratch arrays have grown, a refresh is arithmetic on the
-   solver's own arrays: no closure, no list, no boxed float. *)
-let test_inc_warm_refresh_allocates_nothing () =
-  let cluster = Cluster.grelon in
-  let n = Cluster.n_procs cluster in
-  let rng = Rats_util.Rng.create 42 in
-  let inc =
-    Inc.create ~n_links:(Cluster.n_links cluster) ~capacity:(fun l ->
-        (Cluster.link cluster l).Link.bandwidth)
+(* Each rate of [groups], a partition of the live flows into their
+   components, is bit for bit the rate [Maxmin.solve] gives the flow's
+   component alone: the incremental water-fill makes the reference's
+   operations, component by component. *)
+let check_components inc groups =
+  List.iteri
+    (fun g group ->
+      let flows = Array.of_list (List.map snd group) in
+      let expected = Maxmin.solve ~n_links:10 ~capacity:(fun _ -> 50.) flows in
+      List.iteri
+        (fun k (h, _) ->
+          let got = rate inc h in
+          if not (same_float got expected.(k)) then
+            Alcotest.failf "component %d, flow %d: rate %h, reference %h" g k got
+              expected.(k))
+        group)
+    groups
+
+let add_flow inc links rate_cap =
+  let links = Array.of_list links in
+  (Inc.add inc ~links ~rate_cap, { Maxmin.links; rate_cap })
+
+(* Remove the [k]-th flow of [group] and add it back. *)
+let readd inc group k =
+  List.mapi
+    (fun k' (h, f) ->
+      if k' <> k then (h, f)
+      else begin
+        Inc.remove inc h;
+        (Inc.add inc ~links:f.Maxmin.links ~rate_cap:f.Maxmin.rate_cap, f)
+      end)
+    group
+
+let component_solves inc =
+  Inc.publish inc;
+  Rats_obs.Metrics.counter_value Rats_obs.Instr.maxmin_component_solves
+
+(* A walk may stop once it has queued every link some flow crosses, and
+   only then. (a) One chained component over links 0-4, each link also
+   carrying a flow of its own, so a walk that left any link out would
+   leave a flow that never freezes. (b) The same set plus a flow on two
+   otherwise unused links, changed in the same refresh: two components,
+   and the first walk must not stop. (c) One component in which a flow's
+   cap is below every fair share, so its class freezes before any link
+   saturates; the flow is added first, so the newest changed link's walk
+   reaches every link before it stamps that flow. (d) One component
+   holding a flow that lists a link twice. *)
+let test_inc_walk_stops_on_whole_component () =
+  let inc = inc_create () in
+  let chain =
+    List.map
+      (fun (links, cap) -> add_flow inc links cap)
+      [
+        ([ 0; 1 ], infinity);
+        ([ 1; 2 ], infinity);
+        ([ 2; 3 ], 30.);
+        ([ 3; 4 ], infinity);
+        ([ 0 ], infinity);
+        ([ 1 ], infinity);
+        ([ 2 ], 12.);
+        ([ 3 ], infinity);
+        ([ 4 ], infinity);
+      ]
   in
-  let add () =
-    let src = Rats_util.Rng.int rng n in
-    let dst = (src + 1 + Rats_util.Rng.int rng (n - 1)) mod n in
-    let route = Cluster.route cluster ~src ~dst in
-    Inc.add inc ~links:route ~rate_cap:(Cluster.flow_rate_cap cluster ~route)
-  in
-  let live = Array.init 300 (fun _ -> add ()) in
   Inc.refresh inc;
-  let cycles = 5000 in
+  check_components inc [ chain ];
+  let before = component_solves inc in
+  let chain = readd inc chain 1 in
+  Inc.refresh inc;
+  Alcotest.(check int) "(a) one solve" 1 (component_solves inc - before);
+  check_components inc [ chain ];
+  let before = component_solves inc in
+  let chain = readd inc chain 3 in
+  let lone = add_flow inc [ 7; 8 ] infinity in
+  Inc.refresh inc;
+  Alcotest.(check int) "(b) two solves" 2 (component_solves inc - before);
+  check_components inc [ chain; [ lone ] ];
+  let capped = inc_create () in
+  let low = add_flow capped [ 2 ] 1. in
+  let mid = add_flow capped [ 1; 2 ] infinity in
+  let top = add_flow capped [ 0; 1 ] infinity in
+  let before = component_solves capped in
+  Inc.refresh capped;
+  Alcotest.(check int) "(c) one solve" 1 (component_solves capped - before);
+  check_components capped [ [ low; mid; top ] ];
+  checkf "(c) the capped flow" 1. (rate capped (fst low));
+  let twice = inc_create () in
+  let group =
+    [
+      add_flow twice [ 3 ] infinity;
+      add_flow twice [ 3; 3; 4 ] infinity;
+      add_flow twice [ 4 ] infinity;
+    ]
+  in
+  Inc.refresh twice;
+  let group = readd twice group 0 in
+  let before = component_solves twice in
+  Inc.refresh twice;
+  Alcotest.(check int) "(d) one solve" 1 (component_solves twice - before);
+  check_components twice [ group ]
+
+(* Mean minor words per refresh over [cycles] rounds of [step c] (one
+   remove and one add) followed by a refresh. Once its scratch arrays
+   have grown, a refresh is arithmetic on the solver's own arrays: no
+   closure, no list, no boxed float. *)
+let check_refresh_words inc ~cycles step =
   let words = ref 0. in
-  for _ = 1 to cycles do
-    let k = Rats_util.Rng.int rng 300 in
-    Inc.remove inc live.(k);
-    live.(k) <- add ();
+  for c = 0 to cycles - 1 do
+    step c;
     let before = Gc.minor_words () in
     Inc.refresh inc;
     words := !words +. (Gc.minor_words () -. before)
@@ -365,6 +470,51 @@ let test_inc_warm_refresh_allocates_nothing () =
   let per_refresh = !words /. float_of_int cycles in
   if per_refresh > 64. then
     Alcotest.failf "%.1f words allocated per refresh (bound 64)" per_refresh
+
+let cluster_solver cluster =
+  Inc.create ~n_links:(Cluster.n_links cluster) ~capacity:(fun l ->
+      (Cluster.link cluster l).Link.bandwidth)
+
+let add_route inc cluster ~src ~dst =
+  let route = Cluster.route cluster ~src ~dst in
+  Inc.add inc ~links:route ~rate_cap:(Cluster.flow_rate_cap cluster ~route)
+
+(* 300 flows on grelon routes (two NIC links within a cabinet, four links
+   across cabinets), then 5 000 cycles that replace a random flow with a
+   random route. And 400 flows on distinct pairs of grillon's 47 NICs:
+   each of the 1 081 pairs [(i, i + d mod 47)], d = 1 .. 23, in order of
+   d; 47 is prime, so each ring of one d connects every NIC, and a window
+   of 400 consecutive pairs, which holds a whole ring, is one component.
+   Its 5 000 cycles drop the window's oldest pair and add the next, so
+   every refresh's walk stops on reaching every loaded link. *)
+let test_inc_warm_refresh_allocates_nothing () =
+  let grelon = Cluster.grelon in
+  let n = Cluster.n_procs grelon in
+  let rng = Rats_util.Rng.create 42 in
+  let inc = cluster_solver grelon in
+  let add () =
+    let src = Rats_util.Rng.int rng n in
+    let dst = (src + 1 + Rats_util.Rng.int rng (n - 1)) mod n in
+    add_route inc grelon ~src ~dst
+  in
+  let live = Array.init 300 (fun _ -> add ()) in
+  Inc.refresh inc;
+  check_refresh_words inc ~cycles:5000 (fun _ ->
+      let k = Rats_util.Rng.int rng 300 in
+      Inc.remove inc live.(k);
+      live.(k) <- add ());
+  let grillon = Cluster.grillon in
+  let inc = cluster_solver grillon in
+  let add p =
+    let p = p mod (47 * 23) in
+    let src = p mod 47 in
+    add_route inc grillon ~src ~dst:((src + 1 + (p / 47)) mod 47)
+  in
+  let live = Array.init 400 add in
+  Inc.refresh inc;
+  check_refresh_words inc ~cycles:5000 (fun c ->
+      Inc.remove inc live.(c mod 400);
+      live.(c mod 400) <- add (c + 400))
 
 let test_inc_validation () =
   let inc = inc_create () in
@@ -685,6 +835,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_inc_validation;
           Alcotest.test_case "warm refresh allocates nothing" `Quick
             test_inc_warm_refresh_allocates_nothing;
+          Alcotest.test_case "walk stops only on a whole component" `Quick
+            test_inc_walk_stops_on_whole_component;
           qcheck qcheck_inc_matches_reference;
           qcheck qcheck_inc_path_independent;
         ] );

@@ -39,7 +39,9 @@
 #      determinism check and report throughput; a bad profile value
 #      (--profile poisson:rate=nan) must be a one-line error, exit 2, and
 #      --deadline nan or --retry-after nan a usage error, exit 124 (run
-#      under timeout: a NaN that got through could hang the engine).
+#      under timeout: a NaN that got through could hang the engine), and
+#      so must be --queue-limit 0, --tenant-limit 0, --shed-watermark 2
+#      and --shed-watermark nan, admission values Admission.make refuses.
 # Plus socket-claim checks woven in: a second daemon against a live socket
 # must refuse to start, a stale socket after kill -9 must be reclaimed, and
 # a non-socket path must never be unlinked.
@@ -349,6 +351,17 @@ for opt in --deadline --retry-after; do
     [ "$RC" -eq 124 ] || fail "selftest $opt nan: exit $RC, not 124"
     grep -q "^ratsd: $opt: " "$WORK/flag.err" && grep -q '^Usage: ratsd' "$WORK/flag.err" \
         || fail "$opt nan was not a usage error"
+done
+for arg in "--queue-limit 0" "--tenant-limit 0" "--shed-watermark 2" \
+    "--shed-watermark nan"; do
+    RC=0
+    # $arg is an option and its value: split it.
+    timeout 60 "$RATSD" --selftest $arg > /dev/null 2> "$WORK/flag.err" \
+        || RC=$?
+    [ "$RC" -eq 124 ] || fail "selftest $arg: exit $RC, not 124"
+    grep -q "^ratsd: ${arg%% *}: " "$WORK/flag.err" \
+        && grep -q '^Usage: ratsd' "$WORK/flag.err" \
+        || fail "$arg was not a usage error"
 done
 
 echo "chaos-smoke: OK"

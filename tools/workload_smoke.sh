@@ -16,7 +16,8 @@
 #      single byte of the CSV;
 #   4. output paths: --csv and --save-trace create missing parent
 #      directories, and a parent that is a plain file is a one-line error
-#      (exit 2) before any arm runs.
+#      (exit 2) before any arm runs; --queue-limit 0 is a usage error
+#      (exit 124) that writes no CSV.
 #
 # Binaries are expected to be built already (make workload-smoke builds
 # first).
@@ -107,5 +108,12 @@ RC=0
 [ "$(cat "$WORK/plain.err")" = "workload: $WORK/plain: Not a directory" ] \
     || fail "--csv under a plain file was not one workload: line"
 [ ! -s "$WORK/plain.out" ] || fail "an arm ran before the --csv path was checked"
+RC=0
+"$WORKLOAD" --profile poisson:jobs=2 --arms hcpa --queue-limit 0 \
+    --csv "$WORK/q.csv" > /dev/null 2> "$WORK/q.err" || RC=$?
+[ "$RC" -eq 124 ] || fail "--queue-limit 0: exit $RC, not 124"
+grep -q '^workload: --queue-limit: ' "$WORK/q.err" \
+    || fail "--queue-limit 0 was not a usage error"
+[ ! -e "$WORK/q.csv" ] || fail "--queue-limit 0 wrote a CSV"
 
-echo "workload-smoke: OK (determinism, trace round-trip, worker independence, output paths)"
+echo "workload-smoke: OK (determinism, trace round-trip, worker independence, output paths, admission flags)"

@@ -131,7 +131,7 @@ let run_fig4 () =
   let points =
     timed "delta sweep on FFT/grillon" (fun () ->
         let configs = Exp.Tuning.tuning_configs scale `Fft in
-        Exp.Tuning.sweep_delta_for ~exec:!exec Cluster.grillon configs)
+        Exp.Tuning.sweep_delta ~exec:!exec Cluster.grillon configs)
   in
   Exp.Figures.fig4 ppf points
 
@@ -139,7 +139,7 @@ let run_fig5 () =
   let points =
     timed "time-cost sweep on irregular/grillon" (fun () ->
         let configs = Exp.Tuning.tuning_configs scale `Irregular in
-        Exp.Tuning.sweep_timecost_for ~exec:!exec Cluster.grillon configs)
+        Exp.Tuning.sweep_timecost ~exec:!exec Cluster.grillon configs)
   in
   Exp.Figures.fig5 ppf points
 
@@ -189,7 +189,10 @@ let run_autotune () =
     "mean makespan relative to HCPA over %d configurations (grillon):@."
     (List.length configs);
   List.iter
-    (fun (name, v) -> Format.fprintf ppf "  %-18s %.3f@." name v)
+    (fun (name, v) ->
+      Format.fprintf ppf "  %-18s %a@." name
+        (Exp.Figures.pp_value (fun ppf -> Format.fprintf ppf "%.3f"))
+        v)
     rows
 
 (* --- Workload studies --------------------------------------------------- *)

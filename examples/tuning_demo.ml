@@ -27,19 +27,18 @@ let () =
           [ 0; 1 ])
       [ 0.2; 0.5 ]
   in
-  Format.printf "preparing %d workflows on grillon...@."
-    (List.length configs);
-  let prepared = Exp.Tuning.prepare Cluster.grillon configs in
-
-  let delta_points = Exp.Tuning.sweep_delta prepared in
+  Format.printf "sweeping %d workflows on grillon...@." (List.length configs);
+  let delta_points = Exp.Tuning.sweep_delta Cluster.grillon configs in
   Exp.Figures.fig4 Format.std_formatter delta_points;
 
   Format.printf "@.";
-  let timecost_points = Exp.Tuning.sweep_timecost prepared in
+  let timecost_points = Exp.Tuning.sweep_timecost Cluster.grillon configs in
   Exp.Figures.fig5 Format.std_formatter timecost_points;
 
-  let tuned = Exp.Tuning.best delta_points timecost_points in
-  Format.printf
-    "@.best parameters here: mindelta=%.2f maxdelta=%.2f minrho=%.2f@."
-    tuned.Exp.Tuning.delta.Rats_core.Rats.mindelta
-    tuned.Exp.Tuning.delta.Rats_core.Rats.maxdelta tuned.Exp.Tuning.minrho
+  match Exp.Tuning.best delta_points timecost_points with
+  | Some tuned ->
+      Format.printf
+        "@.best parameters here: mindelta=%.2f maxdelta=%.2f minrho=%.2f@."
+        tuned.Exp.Tuning.delta.Rats_core.Rats.mindelta
+        tuned.Exp.Tuning.delta.Rats_core.Rats.maxdelta tuned.Exp.Tuning.minrho
+  | None -> Format.printf "@.no grid point survived@."

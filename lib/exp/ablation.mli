@@ -16,42 +16,44 @@
       pure data parallelism and pure task parallelism (the motivation of
       the paper's reference [1]).
 
-    Studies run through an optional {!Rats_runtime.Exec} context (default:
-    serial, no cache, no faults). Under fault injection a configuration
-    that exhausts its retries drops out of the study averages (counted in
-    [exec.stats]). With a cache each study persists as one aggregate entry
-    ({!window_study}: one per window) through {!Rats_runtime.Exec.cached},
-    in the {!Payload} grammar, so a study that lost any configuration is
-    never stored. *)
+    Each study names its cells and runs them as one {!Runner.run_cells}
+    batch, parallel over configurations: placement and replay are the
+    cells' replay flags, the window is the cell's cluster, and the pure
+    corners are reference arms. Cells any other study measured are not
+    simulated again. Studies take an optional {!Rats_runtime.Exec} context
+    (default: serial, no cache, no faults). Under fault injection a
+    configuration whose record failed drops out of the study's values
+    (counted in [exec.stats]); a value no configuration survived is
+    [None]. *)
 
-type ratio_row = {
-  label : string;
+type ratios = {
   mean_ratio : float;  (** ablated / full, > 1 means the mechanism helps. *)
   max_ratio : float;
 }
 
 val placement_study :
   ?exec:Rats_runtime.Exec.t ->
-  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> ratio_row list
-(** One row per mapping strategy (HCPA baseline and time-cost RATS). All
-    studies execute on the context's worker pool and, when it carries a
-    cache, persist their full result as one entry keyed by study name,
-    cluster signature and configuration set ({!Payload.key}). *)
+  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list ->
+  (string * ratios option) list
+(** One row per mapping strategy (HCPA baseline and time-cost RATS):
+    optimized placement against natural receiver order. *)
 
 val replay_study :
   ?exec:Rats_runtime.Exec.t ->
-  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> ratio_row list
+  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list ->
+  (string * ratios option) list
+(** The same rows: work-conserving replay against strict order. *)
 
 val window_study :
   ?exec:Rats_runtime.Exec.t ->
-  Rats_daggen.Suite.config list -> (float * float) list
+  Rats_daggen.Suite.config list -> (float * float option) list
 (** [(tcp_wmax bytes, mean simulated makespan)] of HCPA schedules on a
     grelon-like hierarchical cluster, for windows from 16 KiB to 4 MiB. *)
 
 val purity_study :
   ?exec:Rats_runtime.Exec.t ->
   Rats_platform.Cluster.t -> Rats_daggen.Suite.config list ->
-  (string * float) list
+  (string * float option) list
 (** Mean simulated makespan of each strategy — time-cost RATS, HCPA, pure
     data-parallel, pure task-parallel — normalized to time-cost RATS. *)
 
@@ -63,4 +65,5 @@ val study_configs :
 val print_all :
   ?exec:Rats_runtime.Exec.t ->
   Format.formatter -> Rats_daggen.Suite.scale -> unit
-(** Runs all four studies on {!study_configs} and prints them. *)
+(** Runs all four studies on {!study_configs} and prints them; a value no
+    configuration survived prints ["-"]. *)

@@ -1,6 +1,5 @@
 module Core = Rats_core
 module Dag = Rats_dag.Dag
-module Exec = Rats_runtime.Exec
 
 type features = {
   avg_parallelism : float;
@@ -80,40 +79,37 @@ let rules_timecost f =
     packing = true;
   }
 
-let compute_selector_study ~exec cluster configs =
-  let selectors =
-    [
-      ("naive delta", fun _ -> Core.Rats.Delta Core.Rats.naive_delta);
-      ("naive time-cost", fun _ -> Core.Rats.Timecost Core.Rats.naive_timecost);
-      ("probe", fun (p : Runner.prepared) -> probe ~alloc:p.alloc p.problem);
-      ( "rules delta",
-        fun (p : Runner.prepared) ->
-          Core.Rats.Delta (rules_delta (features p.problem)) );
-      ( "rules time-cost",
-        fun (p : Runner.prepared) ->
-          Core.Rats.Timecost (rules_timecost (features p.problem)) );
-    ]
+let selectors =
+  let strategy name select =
+    Runner.arm ~name (fun (p : Runner.prepared) ->
+        Core.Rats.schedule ~alloc:p.alloc p.problem (select p))
   in
-  (* A configuration whose preparation fails drops out of every selector's
-     average (counted in [exec.stats]); the per-selector replays below are
-     cheap and stay on the plain pool. *)
-  let prepared = Tuning.prepare ~exec cluster configs in
-  List.map
-    (fun (name, select) ->
-      (name, Tuning.average_relative ~jobs:exec.Exec.jobs prepared select))
-    selectors
+  [
+    ("naive delta", Runner.mapped (Core.Rats.Delta Core.Rats.naive_delta));
+    ( "naive time-cost",
+      Runner.mapped (Core.Rats.Timecost Core.Rats.naive_timecost) );
+    ( "probe",
+      strategy
+        (String.concat " " ("probe" :: Tuning.grid_signature))
+        (fun p -> probe ~alloc:p.alloc p.problem) );
+    ( "rules delta",
+      strategy "rules delta" (fun p ->
+          Core.Rats.Delta (rules_delta (features p.problem))) );
+    ( "rules time-cost",
+      strategy "rules time-cost" (fun p ->
+          Core.Rats.Timecost (rules_timecost (features p.problem))) );
+  ]
 
-(* The whole study is one cache entry: the rows depend only on the cluster,
-   the configuration set and the probe grids (shared with Tuning). *)
-let selector_study ?(exec = Exec.make ()) cluster configs =
-  Exec.cached exec
-    ~key:
-      (Payload.key "autotune.selector_study" ~extra:Tuning.grid_signature
-         cluster configs)
-    ~encode:(Payload.lines (fun (label, v) -> Payload.row label [ v ]))
-    ~decode:
-      (Payload.to_lines (fun line ->
-           match Payload.to_row line with
-           | Some (label, [ v ]) -> Some (label, v)
-           | _ -> None))
-    (fun () -> compute_selector_study ~exec cluster configs)
+let selector_study ?exec cluster configs =
+  let lookup =
+    Runner.run_cells ?exec
+      (List.concat_map
+         (fun config ->
+           List.map (Runner.cell cluster config)
+             (Runner.hcpa :: List.map snd selectors))
+         configs)
+  in
+  List.map
+    (fun (name, arm) ->
+      (name, Runner.relative_makespan lookup cluster configs arm))
+    selectors

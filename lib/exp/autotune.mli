@@ -48,13 +48,12 @@ val rules_timecost : features -> Rats_core.Rats.timecost_params
 val selector_study :
   ?exec:Rats_runtime.Exec.t ->
   Rats_platform.Cluster.t -> Rats_daggen.Suite.config list ->
-  (string * float) list
+  (string * float option) list
 (** Mean {e simulated} makespan relative to HCPA for each selector — naive
     delta, naive time-cost, probe, rules-delta, rules-time-cost — over the
-    given configurations, each prepared once by {!Tuning.prepare}: one HCPA
-    allocation per configuration serves every selector and probe. The
-    evaluation of the automatic tuners. With a cache the whole study is one
-    {!Rats_runtime.Exec.cached} entry of {!Payload} rows, keyed by cluster
-    signature, probe grids ({!Tuning.grid_signature}) and configuration
-    set; it is only stored when no configuration was lost to an injected
-    or real fault. *)
+    given configurations: the evaluation of the automatic tuners. Each
+    selector is an arm of {!Runner.run_cells}, so one HCPA allocation per
+    configuration serves every selector and probe, and the naive arms are
+    Figure 2's cells. The probe's arm name includes
+    {!Tuning.grid_signature}. A configuration whose record failed drops out
+    of every mean; a selector no configuration survived is [None]. *)

@@ -22,10 +22,12 @@ type point = {
 val run :
   ?exec:Rats_runtime.Exec.t ->
   Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> point list
-(** Parallel over configurations within each flop factor; with a cache, the
-    (ccr, delta, time-cost) triple of every (configuration, factor) cell is
-    cached — and journaled — individually, so an interrupted sweep resumes
-    at cell granularity. Failed cells drop out of their factor's averages;
-    a factor that lost every cell yields no point. *)
+(** HCPA, naive delta and naive time-cost cells of every (configuration,
+    factor), as one {!Runner.run_cells} batch: parallel over those pairs,
+    each one record with the factor on its cells, so an interrupted sweep
+    resumes per pair and factor 1 replays Figure 2's cells. The CCR column
+    is computed from each problem, not stored. A failed pair drops out of
+    its factor's averages; a factor that lost every pair yields no
+    point. *)
 
 val print : Format.formatter -> point list -> unit

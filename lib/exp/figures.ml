@@ -43,20 +43,23 @@ let print_series ppf title series =
   Format.fprintf ppf "%s@." title;
   List.iter
     (fun (s : Metrics.series) ->
-      let mean, wins = Metrics.mean_and_win_fraction s in
       let n = Array.length s.Metrics.values in
-      Format.fprintf ppf "  %-10s n=%d mean=%.3f improved-in=%.0f%%@."
-        s.Metrics.label n mean (100. *. wins);
-      Format.fprintf ppf "    percentiles:";
       (* A sweep whose every configuration failed has nothing to rank. *)
-      if n = 0 then Format.fprintf ppf " none"
-      else
+      if n = 0 then
+        Format.fprintf ppf "  %-10s n=0 mean=- improved-in=-@.    percentiles: none@."
+          s.Metrics.label
+      else begin
+        let mean, wins = Metrics.mean_and_win_fraction s in
+        Format.fprintf ppf "  %-10s n=%d mean=%.3f improved-in=%.0f%%@."
+          s.Metrics.label n mean (100. *. wins);
+        Format.fprintf ppf "    percentiles:";
         List.iter
           (fun p ->
             let idx = min (n - 1) (p * (n - 1) / 100) in
             Format.fprintf ppf " p%d=%.3f" p s.Metrics.values.(idx))
           [ 0; 10; 25; 50; 75; 90; 100 ];
-      Format.fprintf ppf "@.")
+        Format.fprintf ppf "@."
+      end)
     series
 
 let fig2 ppf results =
@@ -110,7 +113,7 @@ let fig5 ppf points =
           | Some p ->
               Format.fprintf ppf " rho=%.1f:%.3f" minrho
                 p.Tuning.avg_relative_makespan
-          | None -> ())
+          | None -> Format.fprintf ppf " rho=%.1f:-" minrho)
         Tuning.minrho_values;
       Format.fprintf ppf "@.")
     [ false; true ]
@@ -128,10 +131,11 @@ let table4 ppf table =
       Format.fprintf ppf "  %-8s" cluster;
       List.iter
         (fun kind ->
-          let t = List.assoc kind per_kind in
-          Format.fprintf ppf " (%5.2f,%5.2f,%4.2f)"
-            t.Tuning.delta.Core.Rats.mindelta t.Tuning.delta.Core.Rats.maxdelta
-            t.Tuning.minrho)
+          match List.assoc kind per_kind with
+          | Some (t : Tuning.tuned) ->
+              Format.fprintf ppf " (%5.2f,%5.2f,%4.2f)"
+                t.delta.Core.Rats.mindelta t.delta.Core.Rats.maxdelta t.minrho
+          | None -> Format.fprintf ppf " %18s" "-")
         [ `Fft; `Strassen; `Layered; `Irregular ];
       Format.fprintf ppf "@.")
     table
@@ -196,15 +200,23 @@ let run_tuned_suite ?(exec = Rats_runtime.Exec.make ()) scale table cluster =
   let module Exec = Rats_runtime.Exec in
   Exec.map_outcome exec
     ~run:(fun config ->
-      let tuned =
-        Tuning.tuned_for table ~cluster:cluster.Cluster.name
-          ~kind:(Suite.kind config)
-      in
-      Runner.run_config_outcome ~delta:tuned.Tuning.delta
-        ~timecost:{ Core.Rats.minrho = tuned.Tuning.minrho; packing = true }
-        ~exec cluster config)
+      let kind = Suite.kind config in
+      match Tuning.tuned_for table ~cluster:cluster.Cluster.name ~kind with
+      | Some tuned ->
+          Runner.run_config_outcome ~delta:tuned.Tuning.delta
+            ~timecost:{ Core.Rats.minrho = tuned.Tuning.minrho; packing = true }
+            ~exec cluster config
+      | None ->
+          (* Captured by [map_outcome] as this configuration's failure. *)
+          failwith
+            (Printf.sprintf "no tuned parameters for %s on %s"
+               (Suite.kind_name kind) cluster.Cluster.name))
     (Suite.all scale)
   |> List.filter_map (fun o -> Result.to_option o.Exec.value)
+
+let pp_value pp ppf = function
+  | Some v -> pp ppf v
+  | None -> Format.pp_print_string ppf "-"
 
 let write_csv path results =
   let buf = Buffer.create 4096 in

@@ -30,8 +30,9 @@ val fig5 : Format.formatter -> Tuning.timecost_point list -> unit
 
 val table4 :
   Format.formatter ->
-  (string * (Rats_daggen.Suite.app_kind * Tuning.tuned) list) list ->
+  (string * (Rats_daggen.Suite.app_kind * Tuning.tuned option) list) list ->
   unit
+(** A cell without tuned parameters prints ["-"]. *)
 
 val fig6 : Format.formatter -> Runner.result list -> unit
 (** Tuned relative makespan. *)
@@ -48,14 +49,19 @@ val table6 : Format.formatter -> (string * Runner.result list) list -> unit
 val run_tuned_suite :
   ?exec:Rats_runtime.Exec.t ->
   Rats_daggen.Suite.scale ->
-  (string * (Rats_daggen.Suite.app_kind * Tuning.tuned) list) list ->
+  (string * (Rats_daggen.Suite.app_kind * Tuning.tuned option) list) list ->
   Rats_platform.Cluster.t ->
   Runner.result list
 (** Suite run where every configuration uses its application kind's tuned
     parameters on that cluster (§IV-D). Executes through the context
     exactly like {!Runner.run_sweep} (cache, journal, fault points);
-    configurations that exhaust their retries are dropped from the result
-    list and counted in [exec.stats]. *)
+    configurations that exhaust their retries, or whose kind has no tuned
+    parameters, are dropped from the result list and counted in
+    [exec.stats]. *)
+
+val pp_value :
+  (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a option -> unit
+(** A study value, or ["-"] when no measurement survived. *)
 
 val write_csv : string -> Runner.result list -> unit
 (** Full per-configuration data (makespans and works of the three

@@ -1,9 +1,6 @@
 module Suite = Rats_daggen.Suite
 module Cluster = Rats_platform.Cluster
 module Core = Rats_core
-module Stats = Rats_util.Stats
-module Pool = Rats_runtime.Pool
-module Exec = Rats_runtime.Exec
 
 let mindelta_values = [ 0.; -0.25; -0.5; -0.75 ]
 let maxdelta_values = [ 0.; 0.25; 0.5; 0.75; 1. ]
@@ -21,34 +18,14 @@ let timecost_grid =
       List.map (fun minrho -> { Core.Rats.minrho; packing }) minrho_values)
     [ false; true ]
 
-(* A failed unit drops out of the average (counted and reported through
-   [exec.stats], never silently): sweeps degrade gracefully instead of
-   losing hours of grid replays to one bad configuration. *)
-let prepare ?(exec = Exec.make ()) cluster configs =
-  Exec.map exec
-    ~name:(fun c ->
-      "tuning.prepare/" ^ cluster.Cluster.name ^ "/" ^ Suite.name c)
-    ~f:(fun config -> Runner.prepare cluster (Suite.generate config))
-    configs
-  |> Exec.oks
+let grid_signature =
+  List.map
+    (fun values -> String.concat "," (List.map (Printf.sprintf "%h") values))
+    [ mindelta_values; maxdelta_values; minrho_values ]
 
 let tuning_configs scale kind =
   Runner.first_samples ~cap:24
     (List.filter (fun c -> Suite.kind c = kind) (Suite.all scale))
-
-(* The sweeps call this serially inside their grid-point tasks; the
-   selector study spreads it over the pool. *)
-let average_relative ?jobs prepared select =
-  let ratio (p : Runner.prepared) =
-    (Runner.measure p (select p)).Runner.makespan
-    /. p.Runner.baseline.Runner.makespan
-  in
-  let ratios =
-    match jobs with
-    | None -> List.map ratio prepared
-    | Some jobs -> Pool.map ~jobs ratio prepared
-  in
-  Stats.mean (Array.of_list ratios)
 
 type delta_point = {
   mindelta : float;
@@ -56,86 +33,54 @@ type delta_point = {
   avg_relative_makespan : float;
 }
 
-(* The sweeps parallelize over grid points — each point replays every
-   prepared configuration, so points are the coarsest independent unit. A
-   failed point is dropped; the figure printers render missing grid points
-   as "-". *)
-let sweep_delta ?(exec = Exec.make ()) prepared =
-  Exec.map exec
-    ~name:(fun (d : Core.Rats.delta_params) ->
-      Printf.sprintf "tuning.sweep_delta/min=%g,max=%g" d.mindelta d.maxdelta)
-    ~f:(fun (d : Core.Rats.delta_params) ->
-      {
-        mindelta = d.mindelta;
-        maxdelta = d.maxdelta;
-        avg_relative_makespan =
-          average_relative prepared (fun _ -> Core.Rats.Delta d);
-      })
-    delta_grid
-  |> Exec.oks
-
 type timecost_point = {
   packing : bool;
   minrho : float;
   avg_relative_makespan : float;
 }
 
-let sweep_timecost ?(exec = Exec.make ()) prepared =
-  Exec.map exec
-    ~name:(fun (t : Core.Rats.timecost_params) ->
-      Printf.sprintf "tuning.sweep_timecost/packing=%b,rho=%g" t.packing
-        t.minrho)
-    ~f:(fun (t : Core.Rats.timecost_params) ->
-      {
-        packing = t.packing;
-        minrho = t.minrho;
-        avg_relative_makespan =
-          average_relative prepared (fun _ -> Core.Rats.Timecost t);
-      })
+let delta_arm d = Runner.mapped (Core.Rats.Delta d)
+let timecost_arm t = Runner.mapped (Core.Rats.Timecost t)
+
+(* Every configuration's HCPA cell and one cell per grid point. *)
+let cells arms cluster configs =
+  List.concat_map
+    (fun config -> List.map (Runner.cell cluster config) (Runner.hcpa :: arms))
+    configs
+
+let delta_cells = cells (List.map delta_arm delta_grid)
+let timecost_cells = cells (List.map timecost_arm timecost_grid)
+let tuning_cells cluster configs =
+  delta_cells cluster configs @ timecost_cells cluster configs
+
+(* A grid point that no configuration survived is dropped; the figure
+   printers render it as "-". *)
+let delta_points lookup cluster configs =
+  List.filter_map
+    (fun (d : Core.Rats.delta_params) ->
+      Option.map
+        (fun avg_relative_makespan ->
+          { mindelta = d.mindelta; maxdelta = d.maxdelta; avg_relative_makespan })
+        (Runner.relative_makespan lookup cluster configs (delta_arm d)))
+    delta_grid
+
+let timecost_points lookup cluster configs =
+  List.filter_map
+    (fun (t : Core.Rats.timecost_params) ->
+      Option.map
+        (fun avg_relative_makespan ->
+          { packing = t.packing; minrho = t.minrho; avg_relative_makespan })
+        (Runner.relative_makespan lookup cluster configs (timecost_arm t)))
     timecost_grid
-  |> Exec.oks
 
-let grid_signature =
-  List.map
-    (fun values -> String.concat "," (List.map (Printf.sprintf "%h") values))
-    [ mindelta_values; maxdelta_values; minrho_values ]
+let sweep_delta ?exec cluster configs =
+  delta_points (Runner.run_cells ?exec (delta_cells cluster configs)) cluster
+    configs
 
-(* Cached whole-sweep variants: the full point list of a (cluster,
-   configuration set) sweep is one cache entry, so a warm Figure 4/5
-   regeneration skips prepare and every grid replay. Each entry prepares
-   inside its own computation, so a preparation that lost a configuration
-   also keeps that entry out of the cache. *)
-
-let sweep_delta_for ?(exec = Exec.make ()) cluster configs =
-  Exec.cached exec
-    ~key:
-      (Payload.key "tuning.sweep_delta" ~extra:grid_signature cluster configs)
-    ~encode:
-      (Payload.lines (fun (p : delta_point) ->
-           Payload.floats [ p.mindelta; p.maxdelta; p.avg_relative_makespan ]))
-    ~decode:
-      (Payload.to_lines (fun line ->
-           match Payload.to_floats line with
-           | Some [ mindelta; maxdelta; avg_relative_makespan ] ->
-               Some { mindelta; maxdelta; avg_relative_makespan }
-           | _ -> None))
-    (fun () -> sweep_delta ~exec (prepare ~exec cluster configs))
-
-let sweep_timecost_for ?(exec = Exec.make ()) cluster configs =
-  Exec.cached exec
-    ~key:
-      (Payload.key "tuning.sweep_timecost" ~extra:grid_signature cluster
-         configs)
-    ~encode:
-      (Payload.lines (fun (p : timecost_point) ->
-           Payload.flagged p.packing [ p.minrho; p.avg_relative_makespan ]))
-    ~decode:
-      (Payload.to_lines (fun line ->
-           match Payload.to_flagged line with
-           | Some (packing, [ minrho; avg_relative_makespan ]) ->
-               Some { packing; minrho; avg_relative_makespan }
-           | _ -> None))
-    (fun () -> sweep_timecost ~exec (prepare ~exec cluster configs))
+let sweep_timecost ?exec cluster configs =
+  timecost_points
+    (Runner.run_cells ?exec (timecost_cells cluster configs))
+    cluster configs
 
 type tuned = { delta : Core.Rats.delta_params; minrho : float }
 
@@ -160,29 +105,40 @@ let best delta_points timecost_points =
   in
   match (best_delta, best_tc) with
   | Some d, Some t ->
-      {
-        delta = { Core.Rats.mindelta = d.mindelta; maxdelta = d.maxdelta };
-        minrho = t.minrho;
-      }
-  | _ -> invalid_arg "Tuning.best: empty sweep"
+      Some
+        {
+          delta = { Core.Rats.mindelta = d.mindelta; maxdelta = d.maxdelta };
+          minrho = t.minrho;
+        }
+  | _ -> None
 
-(* A Table IV cell is the arg-min of the two cached sweeps, so the grillon
-   FFT and irregular cells replay Figures 4 and 5. *)
+let tune lookup cluster configs =
+  best
+    (delta_points lookup cluster configs)
+    (timecost_points lookup cluster configs)
+
 let tune_cell ?exec cluster configs =
-  let delta_points = sweep_delta_for ?exec cluster configs in
-  best delta_points (sweep_timecost_for ?exec cluster configs)
+  tune (Runner.run_cells ?exec (tuning_cells cluster configs)) cluster configs
 
 let kinds : Suite.app_kind list = [ `Fft; `Strassen; `Layered; `Irregular ]
 
+(* One batch for the whole table, so the one-configuration Strassen cells
+   run beside the others. *)
 let table4 ?exec scale =
+  let per_kind =
+    List.map (fun kind -> (kind, tuning_configs scale kind)) kinds
+  in
+  let lookup =
+    Runner.run_cells ?exec
+      (List.concat_map
+         (fun cluster ->
+           List.concat_map (fun (_, c) -> tuning_cells cluster c) per_kind)
+         Cluster.presets)
+  in
   List.map
     (fun cluster ->
-      let per_kind =
-        List.map
-          (fun kind -> (kind, tune_cell ?exec cluster (tuning_configs scale kind)))
-          kinds
-      in
-      (cluster.Cluster.name, per_kind))
+      ( cluster.Cluster.name,
+        List.map (fun (kind, c) -> (kind, tune lookup cluster c)) per_kind ))
     Cluster.presets
 
 let tuned_for table ~cluster ~kind = List.assoc kind (List.assoc cluster table)

@@ -1,21 +1,19 @@
 (** Parameter sweeps of §IV-C: Figures 4 and 5, Table IV.
 
-    Each application configuration is prepared once per sweep
-    ({!Runner.prepare}: DAG, HCPA allocation, HCPA baseline makespan);
-    every grid point then only pays its own RATS mapping + simulation.
-    Averages are arithmetic means of the per-configuration relative
-    makespans, as in the paper.
+    A sweep names, for every configuration, its HCPA cell and one cell per
+    grid point, and runs them through {!Runner.run_cells}: parallel over
+    configurations, each prepared once (DAG, HCPA allocation) however many
+    grid points it serves. Averages are arithmetic means of the
+    per-configuration relative makespans, as in the paper. Sweeps share
+    their cells with every other study, so a Table IV cell replays Figures
+    4 and 5, and Figure 2's naive cells serve as grid points.
 
     All entry points take an optional {!Rats_runtime.Exec} context
     (default: plain serial execution, no cache, no faults). Under fault
-    injection a failed configuration or grid point is dropped from the
-    averages — counted in [exec.stats], reported by the CLIs. The cached
-    entry points ({!sweep_delta_for}, {!sweep_timecost_for}) persist whole
-    sweeps through {!Rats_runtime.Exec.cached}, in the {!Payload} grammar
-    under a {!Payload.key} that names the grids: a sweep that lost any unit
-    is never stored, so degraded data cannot be replayed as complete on a
-    later warm run. A Table IV cell ({!tune_cell}) is built from those two
-    entries, so Figures 4 and 5 and Table IV share them. *)
+    injection a configuration whose record failed drops out of every
+    average (counted in [exec.stats], reported by the CLIs); a grid point
+    no configuration survived is dropped, and a Table IV cell without
+    points is [None]. *)
 
 val mindelta_values : float list
 (** {0, −0.25, −0.5, −0.75} — 0 disables packing. *)
@@ -35,25 +33,8 @@ val timecost_grid : Rats_core.Rats.timecost_params list
     {!Autotune.probe_timecost} visit it in this order. *)
 
 val grid_signature : string list
-(** The three value lists above as cache-key parts; every cached result
-    computed over them (Figures 4 and 5, {!Autotune.selector_study}) names
-    them in its key. *)
-
-val prepare :
-  ?exec:Rats_runtime.Exec.t ->
-  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list ->
-  Runner.prepared list
-(** {!Runner.prepare} per configuration, on the context's worker pool; a
-    configuration that fails drops out of the list. *)
-
-val average_relative :
-  ?jobs:int ->
-  Runner.prepared list -> (Runner.prepared -> Rats_core.Rats.strategy) ->
-  float
-(** Mean over the prepared configurations of (makespan of the strategy
-    picked for it / HCPA makespan). With [jobs] the configurations run on a
-    pool of that size, otherwise serially in the caller; the value is the
-    same either way. *)
+(** The three value lists above as name parts; the probe selector of
+    {!Autotune}, which searches both grids, names them. *)
 
 val tuning_configs :
   Rats_daggen.Suite.scale -> Rats_daggen.Suite.app_kind ->
@@ -69,8 +50,9 @@ type delta_point = {
 }
 
 val sweep_delta :
-  ?exec:Rats_runtime.Exec.t -> Runner.prepared list -> delta_point list
-(** The full {!delta_grid} (Figure 4), parallel over grid points. *)
+  ?exec:Rats_runtime.Exec.t ->
+  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> delta_point list
+(** The full {!delta_grid} (Figure 4), in grid order. *)
 
 type timecost_point = {
   packing : bool;
@@ -79,45 +61,35 @@ type timecost_point = {
 }
 
 val sweep_timecost :
-  ?exec:Rats_runtime.Exec.t -> Runner.prepared list -> timecost_point list
-(** The full {!timecost_grid} (Figure 5), parallel over grid points. *)
-
-val sweep_delta_for :
-  ?exec:Rats_runtime.Exec.t ->
-  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> delta_point list
-(** {!prepare} + {!sweep_delta}, with the whole point list as one cache
-    entry — a warm Figure 4 regeneration skips every replay. *)
-
-val sweep_timecost_for :
   ?exec:Rats_runtime.Exec.t ->
   Rats_platform.Cluster.t -> Rats_daggen.Suite.config list ->
   timecost_point list
-(** {!prepare} + {!sweep_timecost} as one cache entry (Figure 5). *)
+(** The full {!timecost_grid} (Figure 5), in grid order. *)
 
 type tuned = { delta : Rats_core.Rats.delta_params; minrho : float }
 
-val best : delta_point list -> timecost_point list -> tuned
-(** Arg-min of each sweep; time-cost packing is always enabled in the tuned
-    setting (the paper observes packing always helps). *)
+val best : delta_point list -> timecost_point list -> tuned option
+(** Arg-min of each sweep, [None] when either has no point; time-cost
+    packing is always enabled in the tuned setting (the paper observes
+    packing always helps). *)
 
 val tune_cell :
   ?exec:Rats_runtime.Exec.t ->
-  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> tuned
-(** One Table IV cell: {!best} of {!sweep_delta_for} and
-    {!sweep_timecost_for} on the same cluster and configurations. It has no
-    cache entry of its own, so the grillon FFT and irregular cells replay
-    Figures 4 and 5. *)
+  Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> tuned option
+(** One Table IV cell: {!best} of both sweeps on the same cluster and
+    configurations, as one batch. *)
 
 val table4 :
   ?exec:Rats_runtime.Exec.t ->
   Rats_daggen.Suite.scale ->
-  (string * (Rats_daggen.Suite.app_kind * tuned) list) list
-(** For every cluster, the tuned parameters per application kind
-    ({!tune_cell} on {!tuning_configs}) — the reproduction of Table IV. *)
+  (string * (Rats_daggen.Suite.app_kind * tuned option) list) list
+(** For every cluster, the tuned parameters per application kind (a
+    {!tune_cell} on {!tuning_configs}), all twelve cells as one batch — the
+    reproduction of Table IV. *)
 
 val tuned_for :
-  (string * (Rats_daggen.Suite.app_kind * tuned) list) list ->
+  (string * (Rats_daggen.Suite.app_kind * tuned option) list) list ->
   cluster:string ->
   kind:Rats_daggen.Suite.app_kind ->
-  tuned
+  tuned option
 (** Lookup helper; raises [Not_found] on unknown keys. *)

@@ -57,7 +57,7 @@ type 'a outcome = {
 
 let site = "worker"
 
-let run_task t ~name f =
+let run t ~name f =
   let task ~attempt =
     (* The attempt number is part of the fault key: an injected crash is a
        fresh draw on retry, so retry-until-success is testable. *)
@@ -94,43 +94,45 @@ let run_task t ~name f =
   | Ok _ -> ());
   { source = Computed; attempts; value }
 
-let keyed t ~name ~key ~encode ~decode f =
-  let cached =
-    match t.cache with
-    | None -> None
-    | Some c -> Option.bind (Cache.find c key) decode
+let lookup t ~name ~key ~decode =
+  let journaled payload v =
+    (match t.journal with
+    | Some j when Journal.resumes j key ->
+        (* Only a record of the interrupted run counts as resumed; one this
+           run appended is served without being counted. *)
+        Atomic.incr t.stats.resumed;
+        Metrics.incr Instr.exec_resumed;
+        Trace.instant ~cat:"fault"
+          ~args:(fun () -> [ ("task", name) ])
+          "exec:resumed"
+    | _ -> ());
+    (* Promote into the cache so the next run hits the fast path. *)
+    Option.iter (fun c -> Cache.store c key payload) t.cache;
+    (v, From_journal)
   in
-  match cached with
-  | Some v -> { source = From_cache; attempts = 1; value = Ok v }
+  let cached c = Option.bind (Cache.find c key) decode in
+  match Option.bind t.cache cached with
+  | Some v -> Some (v, From_cache)
   | None -> (
-      let journaled =
-        match t.journal with
-        | None -> None
-        | Some j -> Option.bind (Journal.find j key) decode
-      in
-      match journaled with
-      | Some v ->
-          Atomic.incr t.stats.resumed;
-          Metrics.incr Instr.exec_resumed;
-          Trace.instant ~cat:"fault"
-            ~args:(fun () -> [ ("task", name) ])
-            "exec:resumed";
-          (* Promote into the cache so the next run hits the fast path. *)
-          Option.iter (fun c -> Cache.store c key (encode v)) t.cache;
-          { source = From_journal; attempts = 1; value = Ok v }
-      | None ->
-          let outcome = run_task t ~name f in
-          (match outcome.value with
-          | Ok v ->
-              let payload = encode v in
-              Option.iter (fun c -> Cache.store c key payload) t.cache;
-              Option.iter (fun j -> Journal.append j ~key payload) t.journal
-          | Error _ -> ());
-          outcome)
+      match Option.bind t.journal (fun j -> Journal.find j key) with
+      | Some payload -> Option.map (journaled payload) (decode payload)
+      | None -> None)
+
+let store t ~key payload =
+  Option.iter (fun c -> Cache.store c key payload) t.cache;
+  Option.iter (fun j -> Journal.append j ~key payload) t.journal
+
+let keyed t ~name ~key ~encode ~decode f =
+  match lookup t ~name ~key ~decode with
+  | Some (v, source) -> { source; attempts = 1; value = Ok v }
+  | None ->
+      let outcome = run t ~name f in
+      Result.iter (fun v -> store t ~key (encode v)) outcome.value;
+      outcome
 
 let map_outcome t ~run l =
   if t.strict then
-    (* [run] is built from [run_task]/[keyed], which raise [Task_failed] in
+    (* [run] is built from {!run}/{!keyed}, which raise [Task_failed] in
        strict mode; the pool stops claiming work and re-raises here. *)
     Pool.map ~jobs:t.jobs run l
   else
@@ -156,29 +158,3 @@ let map_outcome t ~run l =
                      });
             })
       (Pool.map_result ~jobs:t.jobs run l)
-
-let map t ~name ~f l =
-  List.map2
-    (fun x o -> Result.map_error (fun failure -> (name x, failure)) o.value)
-    l
-    (map_outcome t ~run:(fun x -> run_task t ~name:(name x) (fun () -> f x)) l)
-
-let cached t ~key ~encode ~decode compute =
-  match t.cache with
-  | None -> compute ()
-  | Some c -> (
-      match Option.bind (Cache.find c key) decode with
-      | Some v -> v
-      | None ->
-          (* An aggregate computed while units were failing holds degraded
-             values; storing it would replay them as complete. *)
-          let failed = Atomic.get t.stats.failed in
-          let v = compute () in
-          if Atomic.get t.stats.failed = failed then
-            Cache.store c key (encode v);
-          v)
-
-let oks l = List.filter_map (function Ok v -> Some v | Error _ -> None) l
-
-let failures l =
-  List.filter_map (function Ok _ -> None | Error e -> Some e) l

@@ -7,10 +7,11 @@
     no retries, no journal, non-strict) makes every combinator an ordinary
     call — the happy path is unchanged.
 
-    Two persistence paths, which differ by contract: {!keyed} runs one
-    unit of work behind the cache and the journal, under fault points and
-    retries; {!cached} persists one aggregate (a whole sweep or study)
-    built from many units, and stores it only when none of them failed.
+    One persistence contract: a unit's result is persisted only when the
+    unit succeeded. {!keyed} runs one unit behind the cache and the
+    journal; callers that must see a stale result before computing (the
+    experiment layer's per-configuration records) use the three parts it
+    is built from, {!lookup}, {!run} and {!store}.
 
     Failure contract: in the default (non-strict) mode a task that keeps
     failing after its retries becomes a structured {!Retry.failure} in its
@@ -70,6 +71,29 @@ type 'a outcome = {
   value : ('a, Retry.failure) result;
 }
 
+val lookup :
+  t ->
+  name:string ->
+  key:string ->
+  decode:(string -> 'a option) ->
+  ('a * source) option
+(** The persisted result under [key]: the cache's copy ([From_cache]),
+    otherwise the journal's ([From_journal]), which is promoted into the
+    cache. A journal record counts toward [stats.resumed] only when the
+    run being resumed wrote it ({!Journal.resumes}), not when this run
+    appended it. One cache lookup; a payload that does not decode is a
+    miss. *)
+
+val run : t -> name:string -> (unit -> 'a) -> 'a outcome
+(** Computes one unit under the context's fault points (site ["worker"],
+    keyed by [name] and attempt number), retry policy and timeout,
+    updating {!stats}. The source is [Computed]; in strict mode a final
+    failure raises {!Task_failed}. *)
+
+val store : t -> key:string -> string -> unit
+(** Persists a computed payload: stored in the cache, then appended to the
+    journal. *)
+
 val keyed :
   t ->
   name:string ->
@@ -78,51 +102,13 @@ val keyed :
   decode:(string -> 'a option) ->
   (unit -> 'a) ->
   'a outcome
-(** Runs one task behind the two persistence layers: a cache hit returns
-    [From_cache]; otherwise a journal hit (a completed result of the
-    interrupted run being resumed) returns [From_journal], counts toward
-    [stats.resumed] and is promoted into the cache; otherwise the task is
-    computed under the context's fault points (site ["worker"], keyed by
-    [name] and attempt number), retry policy and timeout, updating
-    {!stats} (in strict mode a final failure raises {!Task_failed}), and
-    on success stored in the cache and appended to the journal before
-    returning. Keys are expected to come from {!Cache.key}. *)
-
-val map :
-  t ->
-  name:('a -> string) ->
-  f:('a -> 'b) ->
-  'a list ->
-  ('b, string * Retry.failure) result list
-(** Runs [f] on every element as one uncached task each (fault points,
-    retries and timeout as in {!keyed}) through {!map_outcome}; the result
-    list is in input order with one slot per element, failures carrying
-    the task name. *)
+(** {!lookup}, otherwise {!run}, and on success {!store} of the encoded
+    result. Keys are expected to come from {!Cache.key}. *)
 
 val map_outcome : t -> run:('a -> 'b outcome) -> 'a list -> 'b outcome list
-(** Pool-parallel outcome map, for callers that build their own per-item
-    work from {!keyed} (and therefore need the
-    cache/journal provenance of each slot). Output order matches input
-    order for every worker count. In non-strict mode an exception escaping
-    [run] itself (a bug rather than a task fault) is captured as a
-    [Crashed] failure in its slot and counted in [stats.failed]. *)
-
-val cached :
-  t ->
-  key:string ->
-  encode:('a -> string) ->
-  decode:(string -> 'a option) ->
-  (unit -> 'a) ->
-  'a
-(** [cached t ~key ~encode ~decode compute] is cache-aside for one
-    aggregate entry: a whole sweep or study that [compute] builds from many
-    units (each run through {!map} or {!keyed}). Without a cache it is
-    [compute ()]; a hit returns the decoded payload; a miss computes and
-    stores the payload only when [stats.failed] did not move meanwhile, so
-    a later warm run never replays degraded averages as if complete.
-    Unlike {!keyed} it adds no fault point, retry or journal record of its
-    own: an exception from [compute] propagates and nothing is stored. *)
-
-val oks : ('b, 'e) result list -> 'b list
-
-val failures : ('b, 'e) result list -> 'e list
+(** Pool-parallel outcome map, for callers that build their per-item work
+    from {!keyed} or {!run} (and therefore need the cache/journal
+    provenance of each slot). Output order matches input order for every
+    worker count. In non-strict mode an exception escaping [run] itself
+    (a bug rather than a task fault) is captured as a [Crashed] failure in
+    its slot and counted in [stats.failed]. *)

@@ -1,10 +1,15 @@
 type t = {
   path : string;
   mutable fd : Unix.file_descr option;
-  entries : (string, string) Hashtbl.t;
+  entries : (string, string * bool) Hashtbl.t;
+      (** Payload per key, and whether the run being resumed wrote it;
+          guarded by [table]. *)
   loaded : int;
   mutable appended : int;
-  mutex : Mutex.t;
+  mutex : Mutex.t;  (** Serialises appends and [close]. *)
+  table : Mutex.t;
+      (** Never held across I/O, so a lookup does not wait for another
+          worker's fsync. *)
   fault : Fault.t option;
 }
 
@@ -70,7 +75,9 @@ let parse_records contents =
 
 let entries_of_records records =
   let entries = Hashtbl.create 256 in
-  List.iter (fun (key, payload) -> Hashtbl.replace entries key payload) records;
+  List.iter
+    (fun (key, payload) -> Hashtbl.replace entries key (payload, true))
+    records;
   entries
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -136,9 +143,18 @@ let open_ ?(dir = default_dir) ?fault ~name ~resume () =
         Unix.fsync fd;
         (Hashtbl.create 256, 0)
   in
-  { path; fd = Some fd; entries; loaded; appended = 0; mutex = Mutex.create (); fault }
+  let mutex = Mutex.create () and table = Mutex.create () in
+  { path; fd = Some fd; entries; loaded; appended = 0; mutex; table; fault }
 
-let find t key = Hashtbl.find_opt t.entries key
+let locked m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+let entry t key = locked t.table (fun () -> Hashtbl.find_opt t.entries key)
+
+let find t key = Option.map fst (entry t key)
+
+let resumes t key = match entry t key with Some (_, r) -> r | None -> false
 
 let loaded t = t.loaded
 
@@ -158,10 +174,7 @@ let append t ~key payload =
   (* Outside the lock: an injected stall must not serialise other
      appenders behind the sleep. *)
   Fault.delay_point t.fault ~site ~key;
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  locked t.mutex (fun () ->
       match t.fd with
       | None -> ()
       | Some fd -> (
@@ -173,7 +186,8 @@ let append t ~key payload =
             | _ -> ());
             write_all fd (encode_record key payload);
             Unix.fsync fd;
-            Hashtbl.replace t.entries key payload;
+            locked t.table (fun () ->
+                Hashtbl.replace t.entries key (payload, false));
             t.appended <- t.appended + 1
           with Unix.Unix_error (e, _, _) ->
             Printf.eprintf
@@ -184,17 +198,10 @@ let append t ~key payload =
             (try Unix.close fd with Unix.Unix_error _ -> ());
             t.fd <- None))
 
-let writable t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () -> t.fd <> None)
+let writable t = locked t.mutex (fun () -> t.fd <> None)
 
 let close t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  locked t.mutex (fun () ->
       match t.fd with
       | Some fd ->
           (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -42,7 +42,13 @@ val open_ : ?dir:string -> ?fault:Fault.t -> name:string -> resume:bool -> unit 
     below without a real full disk. *)
 
 val find : t -> string -> string option
-(** Payload recorded under the key by the run being resumed. *)
+(** Payload recorded under the key, by the run being resumed or by this
+    run's own appends (the latest write wins). *)
+
+val resumes : t -> string -> bool
+(** [true] when the payload {!find} returns for the key was loaded at open
+    time — written by the run being resumed — and this run has not
+    replaced it since. *)
 
 val loaded : t -> int
 (** Number of records replayed from a previous run at open time. *)

@@ -83,8 +83,8 @@ val plan : cluster:Cluster.t -> request -> Rats_core.Schedule.t
 (** The pure submit-DAG → get-schedule function on [request.procs]
     processors of [cluster] (which must already be the share, see
     {!subcluster}): DAG generation, problem construction, HCPA allocation
-    and the strategy's mapping — the sequence the batch experiments run
-    through {!Rats_exp.Runner.prepare}. *)
+    and the strategy's mapping — the sequence each record unit of the
+    batch experiments runs ({!Rats_exp.Runner.run_cells}). *)
 
 val response_of_schedule :
   job_name:string -> strategy:string -> Rats_core.Schedule.t -> response

@@ -71,14 +71,105 @@ let test_run_config_custom_params () =
   in
   checkf "delta = hcpa" r.Runner.hcpa.Runner.makespan r.Runner.delta.Runner.makespan
 
+module Exec = Rats_runtime.Exec
+module Cache = Rats_runtime.Cache
+module Journal = Rats_runtime.Journal
+module Counters = Rats_obs.Metrics
+module Instr = Rats_obs.Instr
+
+let counted counter f =
+  let before = Counters.counter_value counter in
+  let v = f () in
+  (v, Counters.counter_value counter - before)
+
+(* Bit for bit: Marshal writes floats as their raw IEEE bytes. *)
+let bits v = Marshal.to_string v [ Marshal.No_sharing ]
+
+let naive_arms =
+  [ Runner.hcpa; Runner.mapped (Rats.Delta Rats.naive_delta);
+    Runner.mapped (Rats.Timecost Rats.naive_timecost) ]
+
+(* Each cell measures what {!Runner.run_config} measures, bit for bit. *)
 let test_strategy_measurement () =
   let config = List.hd small_configs in
-  let p = Runner.prepare Cluster.chti (Suite.generate config) in
-  let m = Runner.measure p Rats.Baseline in
-  Alcotest.(check bool) "positive" true (m.Runner.makespan > 0. && m.Runner.work > 0.);
-  (* Mapping is deterministic: measuring HCPA again reproduces the
-     prepared baseline bit for bit. *)
-  check Alcotest.bool "baseline reproduced" true (m = p.Runner.baseline)
+  let lookup =
+    Runner.run_cells (List.map (Runner.cell Cluster.chti config) naive_arms)
+  in
+  let r = Runner.run_config Cluster.chti config in
+  check Alcotest.bool "cells equal run_config's measurements" true
+    (bits (List.map (fun arm -> lookup (Runner.cell Cluster.chti config arm)) naive_arms)
+    = bits [ Some r.Runner.hcpa; Some r.Runner.delta; Some r.Runner.timecost ])
+
+(* A request that names cells twice simulates each distinct cell once. *)
+let test_duplicate_cells_once () =
+  let configs = [ List.nth small_configs 0; List.nth small_configs 2 ] in
+  let cells =
+    List.concat_map
+      (fun config -> List.map (Runner.cell Cluster.chti config) naive_arms)
+      configs
+  in
+  let lookup, sims =
+    counted Instr.sim_runs (fun () ->
+        Runner.run_cells ~exec:(Exec.make ~jobs:2 ()) (cells @ List.rev cells))
+  in
+  check Alcotest.int "one simulation per distinct cell" (List.length cells) sims;
+  check Alcotest.bool "every cell found" true
+    (List.for_all (fun c -> Option.is_some (lookup c)) cells)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f))
+      (Sys.readdir path) (* lint: allow D003 — deletion order is irrelevant *);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_cache_dir f =
+  let dir = Filename.temp_dir "rats_study_cache" "" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () -> f dir)
+
+let cache_files dir =
+  let files = Sys.readdir dir in
+  Array.sort String.compare files;
+  List.filter (fun f -> Filename.check_suffix f ".cache") (Array.to_list files)
+
+(* A record only grows: after a configuration's three cells, HCPA plus one
+   tuned arm costs one simulation and one stored record. *)
+let test_record_grows () =
+  with_cache_dir (fun dir ->
+      let config = List.hd small_configs in
+      let cache = Cache.create ~dir:(Filename.concat dir "cache") () in
+      let journal =
+        Journal.open_ ~dir:(Filename.concat dir "journal") ~name:"grow"
+          ~resume:false ()
+      in
+      let exec = Exec.make ~jobs:1 ~cache ~journal () in
+      ignore (Runner.run_config_outcome ~exec Cluster.chti config);
+      let tuned = Runner.mapped (Rats.Delta { Rats.mindelta = 0.; maxdelta = 1. }) in
+      let lookup, sims =
+        counted Instr.sim_runs (fun () ->
+            Runner.run_cells ~exec
+              (List.map (Runner.cell Cluster.chti config) [ Runner.hcpa; tuned ]))
+      in
+      check Alcotest.int "one simulation" 1 sims;
+      check Alcotest.int "one record appended per request" 2
+        (Journal.appended journal);
+      check Alcotest.int "one cache entry, replaced" 1
+        (List.length (cache_files (Filename.concat dir "cache")));
+      check Alcotest.bool "both cells found" true
+        (Option.is_some (lookup (Runner.cell Cluster.chti config tuned))
+        && Option.is_some (lookup (Runner.cell Cluster.chti config Runner.hcpa)));
+      Journal.close journal;
+      (* The stored record holds all four cells. *)
+      let warm = Cache.create ~dir:(Filename.concat dir "cache") () in
+      let (_ : Runner.lookup), sims =
+        counted Instr.sim_runs (fun () ->
+            Runner.run_cells ~exec:(Exec.make ~jobs:1 ~cache:warm ())
+              (List.map (Runner.cell Cluster.chti config) (tuned :: naive_arms)))
+      in
+      check Alcotest.int "replayed without simulating" 0 sims;
+      check Alcotest.int "one hit" 1 (Cache.hits warm))
 
 (* --- Metrics ----------------------------------------------------------------- *)
 
@@ -178,14 +269,12 @@ let test_equal_tolerance () =
 
 (* --- Tuning ------------------------------------------------------------------ *)
 
-let tiny_prepared =
-  lazy
-    (Tuning.prepare Cluster.chti
-       [ { Suite.spec = Suite.Fft { k = 2 }; sample = 0 };
-         { Suite.spec = Suite.Strassen; sample = 1 } ])
+let tiny_configs =
+  [ { Suite.spec = Suite.Fft { k = 2 }; sample = 0 };
+    { Suite.spec = Suite.Strassen; sample = 1 } ]
 
 let test_sweep_delta_grid () =
-  let points = Tuning.sweep_delta (Lazy.force tiny_prepared) in
+  let points = Tuning.sweep_delta Cluster.chti tiny_configs in
   check Alcotest.int "4 x 5 grid" 20 (List.length points);
   List.iter
     (fun (pt : Tuning.delta_point) ->
@@ -194,7 +283,7 @@ let test_sweep_delta_grid () =
     points
 
 let test_sweep_timecost_grid () =
-  let points = Tuning.sweep_timecost (Lazy.force tiny_prepared) in
+  let points = Tuning.sweep_timecost Cluster.chti tiny_configs in
   check Alcotest.int "2 x 6 grid" 12 (List.length points);
   let on = List.filter (fun (p : Tuning.timecost_point) -> p.Tuning.packing) points in
   check Alcotest.int "half with packing" 6 (List.length on)
@@ -203,7 +292,7 @@ let test_no_modification_point_is_neutral () =
   (* (mindelta, maxdelta) = (0, 0) forbids every allocation change; only the
      delta ready-list ordering may still differ from the baseline, so the
      relative makespan sits close to 1. *)
-  let points = Tuning.sweep_delta (Lazy.force tiny_prepared) in
+  let points = Tuning.sweep_delta Cluster.chti tiny_configs in
   match
     List.find_opt
       (fun (p : Tuning.delta_point) ->
@@ -229,11 +318,12 @@ let test_best_picks_minimum () =
       { Tuning.packing = true; minrho = 0.6; avg_relative_makespan = 0.9 };
     ]
   in
-  let t = Tuning.best dp tp in
+  let t = Option.get (Tuning.best dp tp) in
   checkf "best mindelta" (-0.5) t.Tuning.delta.Rats.mindelta;
   checkf "best maxdelta" 1. t.Tuning.delta.Rats.maxdelta;
   (* Packing-off points are ignored: the tuned setting always packs. *)
-  checkf "best minrho among packing" 0.4 t.Tuning.minrho
+  checkf "best minrho among packing" 0.4 t.Tuning.minrho;
+  check Alcotest.bool "no point, no tuned cell" true (Tuning.best dp [] = None)
 
 let test_tuning_configs_subsample () =
   List.iter
@@ -249,8 +339,8 @@ let test_tuned_for_lookup () =
   let tuned =
     { Tuning.delta = { Rats.mindelta = 0.; maxdelta = 1. }; minrho = 0.4 }
   in
-  let table = [ ("chti", [ (`Fft, tuned) ]) ] in
-  let t = Tuning.tuned_for table ~cluster:"chti" ~kind:`Fft in
+  let table = [ ("chti", [ (`Fft, Some tuned) ]) ] in
+  let t = Option.get (Tuning.tuned_for table ~cluster:"chti" ~kind:`Fft) in
   checkf "lookup" 0.4 t.Tuning.minrho
 
 (* --- Figures ------------------------------------------------------------------ *)
@@ -277,7 +367,7 @@ let test_empty_series_printers () =
     (fun (name, fig) ->
       Alcotest.(check bool)
         (name ^ " of a sweep with no results") true
-        (contains (print fig) "n=0"))
+        (contains (print fig) "n=0 mean=- improved-in=-"))
     [ ("fig2", Figures.fig2); ("fig3", Figures.fig3) ]
 
 let test_table5_table6_printers () =
@@ -316,7 +406,8 @@ let test_ablation_placement () =
   let rows = Ablation.placement_study Cluster.chti ablation_configs in
   check Alcotest.int "two strategies" 2 (List.length rows);
   List.iter
-    (fun (r : Ablation.ratio_row) ->
+    (fun (_, r) ->
+      let r = Option.get r in
       Alcotest.(check bool) "ratios sane" true
         (r.Ablation.mean_ratio > 0.3 && r.Ablation.mean_ratio < 5.
         && r.Ablation.max_ratio >= r.Ablation.mean_ratio -. 1e-9))
@@ -325,15 +416,18 @@ let test_ablation_placement () =
 let test_ablation_replay () =
   let rows = Ablation.replay_study Cluster.chti ablation_configs in
   List.iter
-    (fun (r : Ablation.ratio_row) ->
+    (fun (_, r) ->
       Alcotest.(check bool) "strict not hugely faster" true
-        (r.Ablation.mean_ratio > 0.8))
+        ((Option.get r).Ablation.mean_ratio > 0.8))
     rows
 
 let test_ablation_window_monotone () =
   (* A larger TCP window can only help (weakly): mean makespans must be
      non-increasing along the sweep. *)
-  let rows = Ablation.window_study ablation_configs in
+  let rows =
+    List.map (fun (w, m) -> (w, Option.get m))
+      (Ablation.window_study ablation_configs)
+  in
   check Alcotest.int "five windows" 5 (List.length rows);
   let rec monotone = function
     | (_, a) :: ((_, b) :: _ as rest) -> a >= b -. 1e-6 && monotone rest
@@ -345,11 +439,11 @@ let test_ablation_purity () =
   let rows = Ablation.purity_study Cluster.chti ablation_configs in
   check Alcotest.int "four rows" 4 (List.length rows);
   (match rows with
-  | ("time-cost RATS", v) :: _ ->
+  | ("time-cost RATS", Some v) :: _ ->
       Alcotest.(check (float 1e-9)) "normalized to itself" 1. v
   | _ -> Alcotest.fail "unexpected ordering");
   List.iter
-    (fun (_, v) -> Alcotest.(check bool) "positive" true (v > 0.))
+    (fun (_, v) -> Alcotest.(check bool) "positive" true (Option.get v > 0.))
     rows
 
 let test_ablation_study_configs () =
@@ -415,46 +509,37 @@ let test_autotune_selector_study () =
   let rows = Autotune.selector_study Cluster.chti ablation_configs in
   check Alcotest.int "five selectors" 5 (List.length rows);
   List.iter
-    (fun (_, v) -> Alcotest.(check bool) "sane ratio" true (v > 0.2 && v < 5.))
+    (fun (_, v) ->
+      let v = Option.get v in
+      Alcotest.(check bool) "sane ratio" true (v > 0.2 && v < 5.))
     rows
 
 
-(* --- Whole-study cache entries ------------------------------------------------ *)
+(* --- Studies through the cell executor ---------------------------------------- *)
 
-module Cache = Rats_runtime.Cache
-module Exec = Rats_runtime.Exec
+module Ccr_sweep = Rats_exp.Ccr_sweep
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f))
-      (Sys.readdir path) (* lint: allow D003 — deletion order is irrelevant *);
-    Sys.rmdir path
-  end
-  else Sys.remove path
+let fault_of_spec spec =
+  match Rats_runtime.Fault.parse spec with
+  | Ok f -> f
+  | Error reason -> Alcotest.fail reason
 
-let with_cache_dir f =
-  let dir = Filename.temp_dir "rats_study_cache" "" in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    (fun () -> f dir)
-
-(* Bit for bit: Marshal writes floats as their raw IEEE bytes. *)
-let bits v = Marshal.to_string v [ Marshal.No_sharing ]
-
-(* Every study stored as aggregate cache entries, rather than per unit. *)
-let whole_studies : (string * (Exec.t -> string)) list =
+(* Every study, run on the given context. *)
+let studies : (string * (Exec.t -> string)) list =
   let chti = Cluster.chti and configs = ablation_configs in
   [
-    ("sweep_delta_for", fun exec -> bits (Tuning.sweep_delta_for ~exec chti configs));
-    ("sweep_timecost_for", fun exec -> bits (Tuning.sweep_timecost_for ~exec chti configs));
+    ("sweep_delta", fun exec -> bits (Tuning.sweep_delta ~exec chti configs));
+    ("sweep_timecost", fun exec -> bits (Tuning.sweep_timecost ~exec chti configs));
+    ("tune_cell", fun exec -> bits (Tuning.tune_cell ~exec chti configs));
     ("placement_study", fun exec -> bits (Ablation.placement_study ~exec chti configs));
     ("replay_study", fun exec -> bits (Ablation.replay_study ~exec chti configs));
     ("purity_study", fun exec -> bits (Ablation.purity_study ~exec chti configs));
     ("window_study", fun exec -> bits (Ablation.window_study ~exec configs));
     ("selector_study", fun exec -> bits (Autotune.selector_study ~exec chti configs));
-    ("tune_cell", fun exec -> bits (Tuning.tune_cell ~exec chti configs));
+    ("ccr", fun exec -> bits (Ccr_sweep.run ~exec chti configs));
   ]
 
-let test_whole_study_cache study () =
+let test_study_cache study () =
   let exec ?cache ?fault () = Exec.make ~jobs:1 ?cache ?fault () in
   let reference = study (exec ()) in
   (* Warm replay: a cold run stores what the uncached run computes, and a
@@ -467,54 +552,115 @@ let test_whole_study_cache study () =
         (study (exec ~cache:warm ()) = reference);
       check Alcotest.int "warm replay misses" 0 (Cache.misses warm);
       check Alcotest.bool "warm replay hits" true (Cache.hits warm > 0));
-  (* No degraded store: an aggregate computed while units were failing
-     must not be replayed as complete. *)
+  (* No degraded store: a record whose unit failed is not stored, so a
+     clean rerun recomputes it and matches the uncached run. Seed 1 fails
+     one of the two configurations in every study. *)
   with_cache_dir (fun dir ->
-      let fault =
-        match Rats_runtime.Fault.parse "seed=3,crash@worker=0.5" with
-        | Ok f -> f
-        | Error reason -> Alcotest.fail reason
+      let faulty =
+        exec ~cache:(Cache.create ~dir ())
+          ~fault:(fault_of_spec "seed=1,crash@worker=0.5") ()
       in
-      let faulty = exec ~cache:(Cache.create ~dir ()) ~fault () in
       ignore (study faulty);
       check Alcotest.bool "the faulty run lost units" true
         (Atomic.get faulty.Exec.stats.Exec.failed > 0);
       let clean = Cache.create ~dir () in
       check Alcotest.bool "clean rerun = uncached run" true
         (study (exec ~cache:clean ()) = reference);
-      check Alcotest.bool "clean rerun recomputes" true (Cache.misses clean > 0))
+      check Alcotest.bool "clean rerun recomputes" true (Cache.misses clean > 0);
+      check Alcotest.bool "the surviving records were stored" true
+        (Cache.hits clean > 0))
 
-(* A Table IV cell owns no cache entry: it is the arg-min of the Figure 4/5
-   sweep entries, so it replays them when they are already stored. *)
+(* Under a crash on every unit each study still returns: a value with no
+   surviving measurement is absent, and nothing raises. *)
+let test_study_all_failed () =
+  let exec () =
+    Exec.make ~jobs:1 ~fault:(fault_of_spec "crash@worker=1") ()
+  in
+  let chti = Cluster.chti and configs = ablation_configs in
+  check Alcotest.int "no delta point" 0
+    (List.length (Tuning.sweep_delta ~exec:(exec ()) chti configs));
+  check Alcotest.int "no time-cost point" 0
+    (List.length (Tuning.sweep_timecost ~exec:(exec ()) chti configs));
+  check Alcotest.bool "no tuned cell" true
+    (Tuning.tune_cell ~exec:(exec ()) chti configs = None);
+  List.iter
+    (fun (study, rows) ->
+      check Alcotest.bool (study ^ ": every row empty") true
+        (List.for_all (fun (_, r) -> r = None) rows))
+    [
+      ("placement", Ablation.placement_study ~exec:(exec ()) chti configs);
+      ("replay", Ablation.replay_study ~exec:(exec ()) chti configs);
+    ];
+  check Alcotest.bool "window: every mean empty" true
+    (List.for_all (fun (_, m) -> m = None)
+       (Ablation.window_study ~exec:(exec ()) configs));
+  check Alcotest.bool "purity: every row empty" true
+    (List.for_all (fun (_, v) -> v = None)
+       (Ablation.purity_study ~exec:(exec ()) chti configs));
+  check Alcotest.bool "selectors: every mean empty" true
+    (List.for_all (fun (_, v) -> v = None)
+       (Autotune.selector_study ~exec:(exec ()) chti configs));
+  check Alcotest.int "no ccr point" 0
+    (List.length (Ccr_sweep.run ~exec:(exec ()) chti configs));
+  let printed =
+    Format.asprintf "%a"
+      (fun ppf () -> Rats_exp.Ablation.print_all ~exec:(exec ()) ppf Suite.Smoke)
+      ()
+  in
+  check Alcotest.bool "the ablation report prints dashes" true
+    (contains printed "hcpa         -" && contains printed "mean makespan -");
+  (* A Table IV cell without points fails its tuned-suite configurations,
+     even on a context without faults. *)
+  let exec = Exec.make ~jobs:1 () in
+  let table =
+    [ ("chti", List.map (fun kind -> (kind, None)) [ `Fft; `Strassen; `Layered; `Irregular ]) ]
+  in
+  check Alcotest.int "no tuned result" 0
+    (List.length (Figures.run_tuned_suite ~exec Suite.Smoke table Cluster.chti));
+  check Alcotest.int "every configuration counted as failed"
+    (Suite.n_configs Suite.Smoke)
+    (Atomic.get exec.Exec.stats.Exec.failed)
+
+(* A Table IV cell is one batch over both sweeps' cells, so it replays the
+   records Figures 4 and 5 stored: one hit per configuration. *)
 let test_tune_cell_replays_sweeps () =
   let chti = Cluster.chti and configs = ablation_configs in
   with_cache_dir (fun dir ->
       let exec cache = Exec.make ~jobs:1 ~cache () in
       let cold = exec (Cache.create ~dir ()) in
-      let delta = Tuning.sweep_delta_for ~exec:cold chti configs in
-      let timecost = Tuning.sweep_timecost_for ~exec:cold chti configs in
+      let delta = Tuning.sweep_delta ~exec:cold chti configs in
+      let timecost = Tuning.sweep_timecost ~exec:cold chti configs in
       let warm = Cache.create ~dir () in
       let cell = Tuning.tune_cell ~exec:(exec warm) chti configs in
       check Alcotest.int "no misses" 0 (Cache.misses warm);
-      check Alcotest.int "both sweeps hit" 2 (Cache.hits warm);
+      check Alcotest.int "one hit per configuration" (List.length configs)
+        (Cache.hits warm);
       check Alcotest.bool "the arg-min of the stored sweeps" true
         (bits cell = bits (Tuning.best delta timecost)))
 
 (* The study prepares each configuration once: one HCPA allocation shared
    by the baseline, every selector and every probe. *)
 let test_selector_study_allocates_once () =
-  let counter = Rats_obs.Instr.alloc_runs in
-  let before = Rats_obs.Metrics.counter_value counter in
-  ignore
-    (Autotune.selector_study ~exec:(Exec.make ~jobs:1 ()) Cluster.chti
-       ablation_configs);
+  let (_ : (string * float option) list), allocs =
+    counted Instr.alloc_runs (fun () ->
+        Autotune.selector_study ~exec:(Exec.make ~jobs:1 ()) Cluster.chti
+          ablation_configs)
+  in
   check Alcotest.int "one allocation per configuration"
-    (List.length ablation_configs)
-    (Rats_obs.Metrics.counter_value counter - before)
+    (List.length ablation_configs) allocs
+
+(* A Table IV cell allocates each configuration once, although both its
+   sweeps map it. *)
+let test_tune_cell_allocates_once () =
+  let _, allocs =
+    counted Instr.alloc_runs (fun () ->
+        Tuning.tune_cell ~exec:(Exec.make ~jobs:1 ()) Cluster.chti
+          ablation_configs)
+  in
+  check Alcotest.int "one allocation per configuration"
+    (List.length ablation_configs) allocs
 
 (* --- CCR sweep ----------------------------------------------------------------- *)
-
-module Ccr_sweep = Rats_exp.Ccr_sweep
 
 let test_ccr_sweep () =
   let points = Ccr_sweep.run Cluster.chti [ List.hd ablation_configs ] in
@@ -544,6 +690,9 @@ let () =
           Alcotest.test_case "measurements positive" `Slow test_run_config_positive;
           Alcotest.test_case "custom parameters" `Quick test_run_config_custom_params;
           Alcotest.test_case "strategy measurement" `Quick test_strategy_measurement;
+          Alcotest.test_case "duplicate cells simulated once" `Quick
+            test_duplicate_cells_once;
+          Alcotest.test_case "a record grows" `Quick test_record_grows;
         ] );
       ( "metrics",
         [
@@ -565,6 +714,8 @@ let () =
           Alcotest.test_case "best picks minimum" `Quick test_best_picks_minimum;
           Alcotest.test_case "tuning subsample" `Quick test_tuning_configs_subsample;
           Alcotest.test_case "tuned_for lookup" `Quick test_tuned_for_lookup;
+          Alcotest.test_case "tune_cell allocates once" `Slow
+            test_tune_cell_allocates_once;
         ] );
       ( "figures",
         [
@@ -595,12 +746,17 @@ let () =
       ( "whole-study cache",
         List.map
           (fun (name, study) ->
-            Alcotest.test_case name `Slow (test_whole_study_cache study))
-          whole_studies
+            Alcotest.test_case name `Slow (test_study_cache study))
+          studies
         @ [
             Alcotest.test_case "tune_cell replays the sweeps" `Slow
               test_tune_cell_replays_sweeps;
           ] );
       ( "ccr",
         [ Alcotest.test_case "sweep" `Slow test_ccr_sweep ] );
+      ( "faults",
+        [
+          Alcotest.test_case "every study survives a crash on every unit"
+            `Slow test_study_all_failed;
+        ] );
     ]

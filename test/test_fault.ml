@@ -143,14 +143,31 @@ let crashy_exec ?(strict = false) ?(retries = 0) () =
   let retry = { Retry.default with retries; backoff_s = 0. } in
   Exec.make ~jobs:1 ~fault ~retry ~strict ()
 
+let has_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* One keyed unit per input, as the experiment layer runs them. *)
+let run_units exec input =
+  Exec.map_outcome exec
+    ~run:(fun i ->
+      Exec.keyed exec
+        ~name:(Printf.sprintf "task-%d" i)
+        ~key:(string_of_int i) ~encode:string_of_int ~decode:int_of_string_opt
+        (fun () -> succ i))
+    input
+
+let values outcomes = List.map (fun o -> o.Exec.value) outcomes
+let failures outcomes = List.filter Result.is_error (values outcomes)
+
 let test_crash_capture () =
   let input = List.init 50 Fun.id in
   let exec = crashy_exec () in
-  let slots =
-    Exec.map exec ~name:(fun i -> Printf.sprintf "task-%d" i) ~f:succ input
-  in
+  let slots = values (run_units exec input) in
   check Alcotest.int "one slot per task" 50 (List.length slots);
-  let oks = Exec.oks slots and failures = Exec.failures slots in
+  let oks = List.filter Result.is_ok slots in
+  let failures = List.filter Result.is_error slots in
   check Alcotest.bool "some tasks failed" true (failures <> []);
   check Alcotest.bool "some tasks survived" true (oks <> []);
   check Alcotest.int "partition covers the sweep" 50
@@ -163,44 +180,24 @@ let test_crash_capture () =
     (fun i slot ->
       match slot with
       | Ok v -> check Alcotest.int (Printf.sprintf "value of task %d" i) (i + 1) v
-      | Error (name, f) ->
-          check Alcotest.string "failure names its task"
-            (Printf.sprintf "task-%d" i)
-            name;
+      | Error f ->
+          let s = Retry.failure_to_string f in
           check Alcotest.bool "failure is the injected crash" true
-            (let s = Retry.failure_to_string f in
-             let has_sub sub =
-               let n = String.length s and m = String.length sub in
-               let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-               go 0
-             in
-             has_sub "Injected"))
+            (has_sub s "Injected");
+          check Alcotest.bool "failure names its task" true
+            (has_sub s (Printf.sprintf "task-%d#" i)))
     input slots;
   (* Same spec, fresh context: the identical failure partition. *)
-  let again =
-    Exec.map (crashy_exec ())
-      ~name:(fun i -> Printf.sprintf "task-%d" i)
-      ~f:succ input
-  in
+  let again = values (run_units (crashy_exec ()) input) in
   check Alcotest.(list bool) "deterministic failure partition"
     (List.map Result.is_ok slots)
     (List.map Result.is_ok again)
 
 let test_crash_retry_recovers_some () =
   let input = List.init 50 Fun.id in
-  let no_retry =
-    Exec.failures
-      (Exec.map (crashy_exec ())
-         ~name:(fun i -> Printf.sprintf "task-%d" i)
-         ~f:succ input)
-  in
+  let no_retry = failures (run_units (crashy_exec ()) input) in
   let with_retry_exec = crashy_exec ~retries:3 () in
-  let with_retry =
-    Exec.failures
-      (Exec.map with_retry_exec
-         ~name:(fun i -> Printf.sprintf "task-%d" i)
-         ~f:succ input)
-  in
+  let with_retry = failures (run_units with_retry_exec input) in
   (* The attempt number is part of the fault key, so retries are fresh
      draws: at p=0.4 and 3 retries nearly every task recovers. *)
   check Alcotest.bool
@@ -215,10 +212,7 @@ let test_strict_fails_fast () =
   let exec = crashy_exec ~strict:true () in
   let raised =
     try
-      ignore
-        (Exec.map exec
-           ~name:(fun i -> Printf.sprintf "task-%d" i)
-           ~f:succ (List.init 50 Fun.id));
+      ignore (run_units exec (List.init 50 Fun.id));
       false
     with Exec.Task_failed (_, _) -> true
   in
@@ -227,9 +221,9 @@ let test_strict_fails_fast () =
 let test_no_fault_no_change () =
   let input = List.init 30 Fun.id in
   let exec = Exec.make ~jobs:1 () in
-  let slots = Exec.map exec ~name:(fun _ -> "t") ~f:succ input in
-  check Alcotest.(list int) "all Ok, plain map semantics"
-    (List.map succ input) (Exec.oks slots);
+  check Alcotest.(list (result int reject)) "all Ok, plain map semantics"
+    (List.map (fun i -> Ok (succ i)) input)
+    (List.map (Result.map_error ignore) (values (run_units exec input)));
   check Alcotest.int "no failures" 0 (Atomic.get exec.Exec.stats.Exec.failed)
 
 (* --- journal --------------------------------------------------------------- *)
@@ -376,6 +370,32 @@ let test_resume_runner_integration () =
       check Alcotest.int "one resumed" 1
         (Atomic.get exec2.Exec.stats.Exec.resumed))
 
+(* A record this run appended is served from the journal when the cache is
+   off, but only a record of the interrupted run counts as resumed. *)
+let test_resume_counts_previous_run_only () =
+  with_dir (fun dir ->
+      let config = { Suite.spec = Suite.Fft { k = 2 }; sample = 0 } in
+      let run exec = Runner.run_config_outcome ~exec Cluster.chti config in
+      let j1 = Journal.open_ ~dir ~name:"own" ~resume:false () in
+      let exec1 = Exec.make ~jobs:1 ~journal:j1 () in
+      let first = run exec1 in
+      let again = run exec1 in
+      Journal.close j1;
+      check Alcotest.bool "re-read from this run's journal" true
+        (again.Exec.source = Exec.From_journal
+        && again.Exec.value = first.Exec.value);
+      check Alcotest.int "this run's record is not resumed" 0
+        (Atomic.get exec1.Exec.stats.Exec.resumed);
+      let j2 = Journal.open_ ~dir ~name:"own" ~resume:true () in
+      let exec2 = Exec.make ~jobs:1 ~journal:j2 () in
+      let resumed = run exec2 in
+      Journal.close j2;
+      check Alcotest.bool "replayed after reopening" true
+        (resumed.Exec.source = Exec.From_journal
+        && resumed.Exec.value = first.Exec.value);
+      check Alcotest.int "the interrupted run's record is resumed" 1
+        (Atomic.get exec2.Exec.stats.Exec.resumed))
+
 let () =
   Alcotest.run "rats_fault"
     [
@@ -420,5 +440,7 @@ let () =
             test_resume_bit_identical;
           Alcotest.test_case "runner integration" `Quick
             test_resume_runner_integration;
+          Alcotest.test_case "only the interrupted run's records resume"
+            `Quick test_resume_counts_previous_run_only;
         ] );
     ]

@@ -193,6 +193,27 @@ let test_cache_runner_integration () =
       check Alcotest.bool "replayed result identical" true (fresh = replayed);
       check Alcotest.int "second lookup hit" 1 (Cache.hits cache))
 
+(* The unit of the suite path: one configuration costs one lookup, one
+   store and one journal append. *)
+let test_runner_one_record () =
+  with_cache (fun cache ->
+      let dir = fresh_cache_dir () in
+      Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+        (fun () ->
+          let journal =
+            Rats_runtime.Journal.open_ ~dir ~name:"one" ~resume:false ()
+          in
+          let exec = Rats_runtime.Exec.make ~jobs:1 ~cache ~journal () in
+          let config = { Suite.spec = Suite.Fft { k = 2 }; sample = 0 } in
+          ignore (Runner.run_config_outcome ~exec Cluster.chti config);
+          Rats_runtime.Journal.close journal;
+          check Alcotest.int "one lookup" 1 (Cache.hits cache + Cache.misses cache);
+          let files = Sys.readdir (Filename.dirname (Cache.path cache "k")) in
+          Array.sort String.compare files;
+          check Alcotest.int "one store" 1 (Array.length files);
+          check Alcotest.int "one journal append" 1
+            (Rats_runtime.Journal.appended journal)))
+
 (* --- qcheck -------------------------------------------------------------- *)
 
 let prop_pool_map_order =
@@ -229,6 +250,8 @@ let () =
             test_cache_unwritable_dir;
           Alcotest.test_case "runner integration" `Quick
             test_cache_runner_integration;
+          Alcotest.test_case "one record per configuration" `Quick
+            test_runner_one_record;
         ] );
       ( "properties",
         [ Rats_test_support.Seeded.to_alcotest prop_pool_map_order ] );

@@ -7,9 +7,8 @@
 # "bit-identical wrong reruns". That code is simulation and scheduling
 # (lib/sim, lib/core, lib/dag, lib/redist), the DAG generator and its RNG
 # (lib/daggen, lib/util), routing (lib/platform) and the experiment layer
-# (lib/exp): its shared problem setup (Runner.prepare) and the studies' own
-# arithmetic, which is stored whole. No cached computation links
-# lib/server.
+# (lib/exp): its shared problem setup and the arms whose cells its records
+# store (Runner.run_cells). No cached computation links lib/server.
 #
 # Usage: salt_check.sh [--strict] [--base REF]
 #
